@@ -7,7 +7,7 @@ machinery to the top-two-bids auction model where f is the idiosyncratic
 bid distribution.
 """
 
-from .algebra import Jet, Poly, Rational, Series, as_rational, beta_rational, convolve, jet_poly_pow
+from .algebra import Poly, Rational, Series, as_rational, beta_rational, convolve
 from .auction import (
     AuctionModel,
     DistSpec,
@@ -60,7 +60,6 @@ __all__ = [
     "Exponential",
     "IdentifyResult",
     "IdentifyState",
-    "Jet",
     "Lognormal",
     "McConfig",
     "PiecewisePoly",
@@ -81,7 +80,6 @@ __all__ = [
     "h_from_k",
     "identify",
     "infer_order",
-    "jet_poly_pow",
     "k_analytic_exponential",
     "k_from_h",
     "k_monte_carlo",

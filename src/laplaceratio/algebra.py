@@ -1,5 +1,5 @@
-"""Exact arithmetic core: rational scalars, dense polynomials, truncated
-power series, and first-order jets.
+"""Exact arithmetic core: rational scalars, dense polynomials and truncated
+power series.
 
 Everything here is immutable after construction and every operation is a
 pure function, so values can be shared freely between concurrent tasks.
@@ -195,6 +195,21 @@ def convolve(p: Poly, q: Poly) -> Poly:
     return Poly(out)
 
 
+def power_term(g, P, n: int, j: int) -> Rational:
+    """Coefficient j >= 1 of g**n from the coefficients P[0..j-1] before it.
+
+    J.C.P. Miller's recurrence for powers of a formal series (Knuth, TAOCP
+    vol. 2, 4.7): j*g_0*P_j = sum over i = 1..j of ((n+1)*i - j)*g_i*P_(j-i).
+    g[0] must be nonzero and coefficients of g past its length count as 0.
+    g_j enters only through the i = j term, as n*g_0**(n-1)*g_j, so leaving
+    it off gives the value at g_j = 0 and that slope completes it.
+    """
+    acc = sum(
+        ((n + 1) * i - j) * g[i] * P[j - i] for i in range(1, min(j, len(g) - 1) + 1) if g[i]
+    )
+    return Rational(acc) / (j * g[0])
+
+
 class Series:
     """Power series truncated at a fixed order.
 
@@ -292,110 +307,18 @@ class Series:
             out.append(acc * inv0)
         return Series(out, d)
 
+    def __pow__(self, n: int):
+        """Truncated power by power_term, O(order * degree) for any n; the
+        series needs a nonzero constant term."""
+        if not isinstance(n, int) or n < 0:
+            raise DomainError("series powers take a nonnegative integer exponent")
+        if not self.coeffs[0]:
+            raise ZeroLeadingCoefficient("series powers require coeffs[0] != 0")
+        g = Poly(self.coeffs).coeffs  # trailing zeros dropped: each sum stops at the degree
+        out = [g[0] ** n]
+        for j in range(1, self.order + 1):
+            out.append(power_term(g, out, n, j))
+        return Series(out, self.order)
+
     def __repr__(self):
         return f"Series([{', '.join(str(c) for c in self.coeffs)}], order={self.order})"
-
-
-class Jet:
-    """First-order jet value + slope*eps with eps**2 == 0.
-
-    Carries one unknown linearly through ring operations: products keep the
-    cross terms and drop the eps**2 term, which is exactly the
-    linearization needed when a single coefficient is unknown.
-    """
-
-    __slots__ = ("value", "slope")
-
-    def __init__(self, value, slope=0):
-        self.value = as_rational(value)
-        self.slope = as_rational(slope)
-
-    @classmethod
-    def constant(cls, value) -> "Jet":
-        return cls(value, 0)
-
-    def __eq__(self, other):
-        if isinstance(other, Jet):
-            return self.value == other.value and self.slope == other.slope
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.slope))
-
-    def __neg__(self):
-        return Jet(-self.value, -self.slope)
-
-    def __add__(self, other):
-        if isinstance(other, Jet):
-            return Jet(self.value + other.value, self.slope + other.slope)
-        return Jet(self.value + as_rational(other), self.slope)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, Jet) else -as_rational(other))
-
-    def __rsub__(self, other):
-        return (-self) + as_rational(other)
-
-    def __mul__(self, other):
-        if isinstance(other, Jet):
-            return Jet(
-                self.value * other.value,
-                self.value * other.slope + self.slope * other.value,
-            )
-        scalar = as_rational(other)
-        return Jet(scalar * self.value, scalar * self.slope)
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        return f"Jet({self.value}, {self.slope})"
-
-
-def _jet_mul_list(a: list[Jet], b: list[Jet], cap: int | None) -> list[Jet]:
-    n = len(a) + len(b) - 1
-    if cap is not None:
-        n = min(n, cap + 1)
-    out = [Jet(0, 0) for _ in range(n)]
-    for i, x in enumerate(a):
-        if i >= n:
-            break
-        if not x.value and not x.slope:
-            continue
-        for j, y in enumerate(b):
-            if i + j >= n:
-                break
-            out[i + j] = out[i + j] + x * y
-    return out
-
-
-def jet_poly_pow(p: Poly, unknown_degree: int, n: int, truncate_at: int | None = None) -> list[Jet]:
-    """Coefficients of (p + a*x^unknown_degree)**n with the unknown a kept
-    to first order.
-
-    p must fix every coefficient below unknown_degree (its degree has to be
-    smaller), and the returned list holds one Jet per degree: the value is
-    the coefficient with a = 0, the slope is the sensitivity to a.
-    truncate_at caps the highest degree reported.
-    """
-    if not isinstance(n, int) or n < 0:
-        raise DomainError("jet_poly_pow takes a nonnegative integer exponent")
-    if unknown_degree < 0:
-        raise DomainError("unknown_degree must be nonnegative")
-    if p.degree >= unknown_degree:
-        raise DomainError(
-            f"p fixes coefficients only below degree {unknown_degree}, got degree {p.degree}"
-        )
-    base = [Jet(p.coefficient(i), 0) for i in range(unknown_degree)]
-    base.append(Jet(0, 1))
-    result = [Jet(1, 0)]
-    power = base
-    e = n
-    while e:
-        if e & 1:
-            result = _jet_mul_list(result, power, truncate_at)
-        e >>= 1
-        if e:
-            power = _jet_mul_list(power, power, truncate_at)
-    return result

@@ -31,7 +31,7 @@ from .auction import (
     memoryless_check,
     simulate_bids,
 )
-from .errors import FormatError, LaplaceRatioError
+from .errors import FormatError, LaplaceRatioError, OutOfRange
 from .identify import RatioSpec, identify, pivot_value, verify_identity
 from .transforms import (
     PiecewisePoly,
@@ -175,6 +175,12 @@ def _emit_json(args, doc) -> None:
 
 
 def _emit_rows(args, header: list[str], rows: list[list]) -> None:
+    for row in rows:
+        for name, v in zip(header, row):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise OutOfRange(
+                    f"{name} = {v!r} at {header[0]} = {row[0]!r} is not a finite double"
+                )
     cells = [[_format_value(v) for v in row] for row in rows]
     if args.pretty:
         widths = [
@@ -237,7 +243,11 @@ def _load_functions(args, count: int = 1):
 
 
 def _transform_value_poly(p: Poly, lam: float) -> float:
-    return sum(factorial(i) * float(c) / lam ** (i + 1) for i, c in enumerate(p.coeffs))
+    # nan when a power of lambda underflows to 0; _emit_rows rejects it
+    try:
+        return sum(factorial(i) * float(c) / lam ** (i + 1) for i, c in enumerate(p.coeffs))
+    except ZeroDivisionError:
+        return math.nan
 
 
 # ---------------------------------------------------------------- commands

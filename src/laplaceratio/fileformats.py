@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 
 import numpy as np
@@ -156,6 +157,8 @@ def _number(doc, key, where):
     value = _require(doc, key, where)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FormatError(f"{where}.{key}: expected a number")
+    if not math.isfinite(value):
+        raise FormatError(f"{where}.{key}: expected a finite number")
     return float(value)
 
 

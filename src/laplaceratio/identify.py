@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from math import factorial
 
-from .algebra import Jet, Poly, Rational, beta_rational, convolve, jet_poly_pow
+from .algebra import Poly, Rational, Series, beta_rational, convolve, power_term
 from .errors import (
     DomainError,
     InconsistentRatio,
@@ -24,7 +24,7 @@ from .errors import (
     IrrationalRoot,
     NoRealRoot,
 )
-from .transforms import RatioExpansion
+from .transforms import RatioExpansion, ratio_expansion
 
 
 @dataclass(frozen=True)
@@ -162,34 +162,46 @@ def pivot_value(k: int, l: int, spec: RatioSpec) -> Rational:
 def next_coefficient(state: IdentifyState, H: RatioExpansion) -> Rational:
     """The unique coefficient c_l (l = first undetermined degree) that
     makes the residual of the reduced ratio equation vanish at its lowest
-    open order, with c_l carried through the powers as a linear jet."""
+    open order.  A state that H does not fit raises InconsistentRatio."""
     k, spec = state.k, state.spec
-    n, m = spec.n, spec.m
-    l = k + len(state.coeffs)
-    j = l - k
+    j = len(state.coeffs)
     if H.tail.order < j:
         raise InsufficientOrder(
-            f"tail order {H.tail.order} too short: coefficient {l} first appears at order {j}"
+            f"tail order {H.tail.order} too short: coefficient {k + j} first appears at order {j}"
         )
-    partial = state.partial_poly
-    jets_n = jet_poly_pow(partial, l, n, truncate_at=k * n + j)
-    jets_m = jet_poly_pow(partial, l, m, truncate_at=k * m + j)
-    A = [factorial(k * n + i) * _jet_at(jets_n, k * n + i) for i in range(j + 1)]
-    B = [factorial(k * m + i) * _jet_at(jets_m, k * m + i) for i in range(j + 1)]
-    T = H.tail.coeffs
-    residual = [
-        A[i] - sum((T[r] * B[i - r] for r in range(i + 1)), Jet(0, 0)) for i in range(j + 1)
-    ]
-    # orders below j were matched by earlier steps, and the unknown cannot
-    # appear there
-    assert all(r.value == 0 and r.slope == 0 for r in residual[:j])
-    r = residual[j]
-    assert r.slope != 0  # pivot is nonzero for n != m
-    return -r.value / r.slope
+    # solve first: a zero pivot is reported as such, not as the order-0
+    # mismatch it always comes with
+    c = _extend(list(state.coeffs), H.tail.coeffs, k, spec, 1)[-1]
+    if ratio_expansion(state.partial_poly, spec.n, spec.m, j - 1).tail != H.tail.truncate(j - 1):
+        raise InconsistentRatio(f"the state does not match the expansion below order {j}")
+    return c
 
 
-def _jet_at(jets: list[Jet], i: int) -> Jet:
-    return jets[i] if i < len(jets) else Jet(0, 0)
+def _extend(g: list, T, k: int, spec: RatioSpec, count: int) -> list:
+    # Append the next `count` coefficients to g.  Coefficient j = len(g)
+    # solves the order-j residual A_j - sum_r T_r B_(j-r), in which it
+    # enters A_j and B_j linearly (power_term); the prefixes of g**n and
+    # g**m, and B, carry over from one step to the next.
+    n, m = spec.n, spec.m
+    known = Series(g, len(g) - 1)
+    Pn, Pm = list((known ** n).coeffs), list((known ** m).coeffs)
+    B = [factorial(k * m + i) * p for i, p in enumerate(Pm)]
+    dn, dm = n * g[0] ** (n - 1), m * g[0] ** (m - 1)
+    for j in range(len(g), len(g) + count):
+        fn, fm = factorial(k * n + j), factorial(k * m + j)
+        slope = fn * dn - T[0] * fm * dm
+        if not slope:
+            raise InconsistentRatio(
+                f"zero pivot at order {j}: T_0 does not fit the leading coefficient"
+            )
+        vn, vm = power_term(g, Pn, n, j), power_term(g, Pm, m, j)
+        residual = fn * vn - T[0] * fm * vm - sum(T[r] * B[j - r] for r in range(1, j + 1))
+        c = -residual / slope
+        Pn.append(vn + dn * c)
+        Pm.append(vm + dm * c)
+        B.append(fm * Pm[j])
+        g.append(c)
+    return g
 
 
 def identify(H: RatioExpansion, spec: RatioSpec, target_degree: int) -> IdentifyResult:
@@ -211,9 +223,8 @@ def identify(H: RatioExpansion, spec: RatioSpec, target_degree: int) -> Identify
             f"got {H.tail.order}"
         )
     a, ambiguous = leading_coefficient(H, spec, k)
-    state = IdentifyState(k, (a / factorial(k),), ambiguous, spec)
-    for _ in range(k + 1, target_degree + 1):
-        state = state.extended(next_coefficient(state, H))
+    g = _extend([a / factorial(k)], H.tail.coeffs, k, spec, target_degree - k)
+    state = IdentifyState(k, tuple(g), ambiguous, spec)
     return IdentifyResult(
         poly=state.partial_poly,
         ambiguous_sign=ambiguous,

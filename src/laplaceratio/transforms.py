@@ -75,17 +75,18 @@ def ratio_expansion(f: Poly, n: int, m: int, order: int) -> RatioExpansion:
     if order < 0:
         raise DomainError("expansion order must be nonnegative")
     k = f.valuation
-    num = _shifted_transform(f ** n, k * n, order)
-    den = _shifted_transform(f ** m, k * m, order)
+    # f = x^k * g, so [x^(kn+j)] f^n = [x^j] g^n: only a prefix of g^n is needed
+    g = Series(f.coeffs[k:], order)
+    num = _shifted_transform(g ** n, k * n)
+    den = _shifted_transform(g ** m, k * m)
     return RatioExpansion(lead=k * (m - n), tail=num / den)
 
 
-def _shifted_transform(power: Poly, valuation: int, order: int) -> Series:
-    # coefficients of L{power} / u^(valuation+1); entry j is
-    # (valuation+j)! * [x^(valuation+j)] power
+def _shifted_transform(power: Series, valuation: int) -> Series:
+    # coefficients of L{x^valuation * power} / u^(valuation+1); entry j is
+    # (valuation+j)! * power.coeffs[j]
     return Series(
-        [factorial(valuation + j) * power.coefficient(valuation + j) for j in range(order + 1)],
-        order,
+        [factorial(valuation + j) * c for j, c in enumerate(power.coeffs)], power.order
     )
 
 

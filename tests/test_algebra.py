@@ -5,13 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laplaceratio.algebra import (
-    Jet,
     Poly,
     Series,
     as_rational,
     beta_rational,
     convolve,
-    jet_poly_pow,
+    power_term,
 )
 from laplaceratio.errors import DomainError, ZeroLeadingCoefficient
 
@@ -206,71 +205,39 @@ class TestSeries:
         assert quot == Series.from_poly(p, order)
 
 
-class TestJet:
-    def test_ring_law_example(self):
-        a = Jet(2, 3)
-        b = Jet(5, -1)
-        assert a * b == Jet(10, 2 * -1 + 3 * 5)
-
-    def test_slope_zero_matches_rational(self):
-        a, b = Jet.constant(F(2, 3)), Jet.constant(F(-5, 7))
-        assert (a * b).value == F(2, 3) * F(-5, 7)
-        assert (a + b).slope == 0
-        assert (a * b).slope == 0
-
-    @given(rationals, rationals, rationals, rationals)
-    def test_products_linearize(self, v1, s1, v2, s2):
-        got = Jet(v1, s1) * Jet(v2, s2)
-        assert got.value == v1 * v2
-        assert got.slope == v1 * s2 + v2 * s1
+unit_polys = st.lists(rationals, min_size=1, max_size=9).map(Poly).filter(
+    lambda p: p.coefficient(0) != 0
+)
 
 
-class TestJetPolyPow:
-    def test_symbolic_oracle(self):
-        # (x + a x^2)^2 = x^2 + 2a x^3 + a^2 x^4; slope of x^3 term is 2
-        import sympy
+class TestSeriesPow:
+    @given(unit_polys, st.integers(0, 6), st.integers(-8, 8))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_poly_pow(self, p, n, shift):
+        # orders both below and above the full degree n*deg
+        order = max(n * p.degree + shift, 0)
+        got = Series.from_poly(p, order) ** n
+        assert got == Series.from_poly(p ** n, order)
 
-        x, a = sympy.symbols("x a")
-        expanded = sympy.expand((x + a * x ** 2) ** 2)
-        slope = expanded.coeff(x, 3).coeff(a, 1)
-        jets = jet_poly_pow(Poly([0, 1]), 2, 2)
-        assert jets[3] == Jet(0, int(slope))
-        assert slope == 2
+    @given(unit_polys, st.integers(1, 6), st.integers(1, 8), rationals)
+    @settings(max_examples=60, deadline=None)
+    def test_newest_coefficient_enters_linearly(self, p, n, j, c):
+        # identify relies on this: leaving g_j off gives the value at g_j = 0,
+        # and g_j adds n*g_0**(n-1)*g_j
+        g = [p.coefficient(i) for i in range(j)]
+        P = list((Series(g, j - 1) ** n).coeffs)
+        full = Series(g + [c], j) ** n
+        assert full.coeffs[j] == power_term(g, P, n, j) + n * g[0] ** (n - 1) * c
 
-    def test_linear_case(self):
-        jets = jet_poly_pow(Poly([4, 7]), 3, 1)
-        assert jets[3] == Jet(0, 1)
-        assert jets[0] == Jet(4, 0)
-        assert all(j.slope == 0 for j in jets[:3])
+    def test_zero_constant_term_rejected(self):
+        with pytest.raises(ZeroLeadingCoefficient):
+            Series([0, 1], 3) ** 2
 
-    def test_binomial_case(self):
-        # (1 + a x)^3: coefficient of x is 3a
-        jets = jet_poly_pow(Poly([1]), 1, 3)
-        assert jets[1] == Jet(0, 3)
-
-    def test_values_match_plain_power(self):
-        p = Poly([1, 2, 0, 5])
-        jets = jet_poly_pow(p, 6, 4)
-        plain = p ** 4
-        for i, j in enumerate(jets):
-            assert j.value == plain.coefficient(i)
-
-    def test_slopes_match_derivative_formula(self):
-        # d/da (p + a x^l)^n at a=0 is n x^l p^(n-1)
-        p = Poly([2, -1, 3])
-        l, n = 4, 5
-        jets = jet_poly_pow(p, l, n)
-        deriv = n * (p ** (n - 1))
-        for i, j in enumerate(jets):
-            assert j.slope == deriv.coefficient(i - l)
-
-    def test_truncation(self):
-        jets = jet_poly_pow(Poly([1, 1]), 2, 4, truncate_at=3)
-        assert len(jets) == 4
-
-    def test_requires_room_for_unknown(self):
+    def test_exponent_validated(self):
         with pytest.raises(DomainError):
-            jet_poly_pow(Poly([1, 1, 1]), 2, 2)
+            Series([1, 1], 3) ** -1
+        with pytest.raises(DomainError):
+            Series([1, 1], 3) ** 1.5
 
 
 def test_as_rational_accepts_strings():

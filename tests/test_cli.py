@@ -234,6 +234,17 @@ class TestTransformCommand:
         assert code == 2
         assert "lambda" in err
 
+    def test_tiny_lambda_is_typed_error(self, capsys, poly_file):
+        # a power of lambda underflows to 0 (transform), or inf/inf gives nan (ratio)
+        path = poly_file("f.json", ["1", "2"])
+        for argv in (
+            ["transform", "--input", path, "--lambda", "1e-300"],
+            ["ratio", "--builtin", "step_example", "--n", "2", "--m", "1", "--lambda", "1e-320"],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert err.startswith("OutOfRange: ")
+
 
 class TestVerifyCommand:
     def test_equal_pair(self, capsys, poly_file):

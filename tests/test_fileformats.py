@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as F
 
 import numpy as np
@@ -153,6 +154,12 @@ class TestModelDocuments:
                 }
             )
         assert "idiosyncratic" in str(err.value)
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity"])
+    def test_non_finite_parameter_rejected(self, text):
+        doc = json.loads('{"kind": "point_mass", "v": %s}' % text)
+        with pytest.raises(FormatError, match="finite"):
+            dist_from_document(doc, "d")
 
     def test_n_validated(self):
         with pytest.raises(FormatError) as err:

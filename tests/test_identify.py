@@ -1,7 +1,8 @@
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from laplaceratio.algebra import Poly, Series
@@ -35,6 +36,9 @@ def expansion_for(f, spec, target):
 
 
 small_coeffs = st.integers(-3, 3)
+
+# degree 40, valuation 3, coefficients p/q with small p, q
+DEGREE_40_K3 = Poly([0, 0, 0] + [F((-1) ** i * (i % 9 + 1), i % 7 + 1) for i in range(38)])
 
 
 def poly_strategy(max_degree=6):
@@ -157,33 +161,26 @@ class TestPivot:
     )
     @settings(max_examples=40, deadline=None)
     def test_proportional_to_solve_slope(self, k, step, spec, ck):
-        # independent route to the same quantity: put a jet unknown at
-        # degree l over the monomial ck*x^k and read the residual slope
-        from math import factorial
-
-        from laplaceratio.algebra import Jet, jet_poly_pow
-
+        # independent route to the same quantity: the order-j residual is
+        # linear in the coefficient c at degree l, so its slope is the
+        # difference of two plain-Poly residuals at c = 0 and c = 1
         n, m = spec.n, spec.m
         l = k + step
-        f = Poly.monomial(k, ck)
-        H = ratio_expansion(f, n, m, l - k)
-        partial = Poly.monomial(k, ck)
-        jets_n = jet_poly_pow(partial, l, n)
-        jets_m = jet_poly_pow(partial, l, m)
-
-        def at(js, i):
-            return js[i] if i < len(js) else Jet(0, 0)
-
         j = l - k
-        A = [factorial(k * n + i) * at(jets_n, k * n + i) for i in range(j + 1)]
-        B = [factorial(k * m + i) * at(jets_m, k * m + i) for i in range(j + 1)]
-        T = H.tail.coeffs
-        r = A[j] - sum((T[i] * B[j - i] for i in range(j + 1)), Jet(0, 0))
+        T = ratio_expansion(Poly.monomial(k, ck), n, m, j).tail.coeffs
+
+        def residual(c):
+            f = Poly.monomial(k, ck) + Poly.monomial(l, c)
+            fn, fm = f ** n, f ** m
+            A = factorial(k * n + j) * fn.coefficient(k * n + j)
+            B = [factorial(k * m + i) * fm.coefficient(k * m + i) for i in range(j + 1)]
+            return A - sum(T[i] * B[j - i] for i in range(j + 1))
+
         d = k * (n + m - 1) + l
         predicted = F(ck) ** (n - 1) * F(factorial(d + 1), factorial(k * m)) * pivot_value(
             k, l, spec
         )
-        assert r.slope == predicted
+        assert residual(1) - residual(0) == predicted
 
     def test_requires_l_above_k(self):
         with pytest.raises(DomainError):
@@ -227,6 +224,32 @@ class TestNextCoefficient:
         with pytest.raises(InsufficientOrder):
             next_coefficient(state, H)
 
+    def test_state_not_matching_lower_orders(self):
+        # 1 + 5x fits T_0 (so the pivot is fine) but not the order-1 residual
+        spec = RatioSpec(2, 1)
+        H = expansion_for(Poly([1, 1, 1]), spec, 2)
+        state = IdentifyState(0, (F(1), F(5)), False, spec)
+        with pytest.raises(InconsistentRatio, match="below order 2"):
+            next_coefficient(state, H)
+
+    def test_zero_pivot(self):
+        # slope 1!*2*c_0 - T_0*1!*1 vanishes for c_0 = 1, T_0 = 2
+        H = RatioExpansion(0, Series([2, 0, 0], 2))
+        state = IdentifyState(0, (F(1),), False, RatioSpec(2, 1))
+        with pytest.raises(InconsistentRatio, match="pivot"):
+            next_coefficient(state, H)
+
+    @given(poly_strategy(), st.sampled_from(ODD_SPECS + EVEN_SPECS))
+    @settings(max_examples=40, deadline=None)
+    def test_identify_is_a_loop_of_steps(self, f, spec):
+        H = expansion_for(f, spec, f.degree)
+        k = infer_order(H, spec)
+        a, ambiguous = leading_coefficient(H, spec, k)
+        state = IdentifyState(k, (a / factorial(k),), ambiguous, spec)
+        for _ in range(k + 1, f.degree + 1):
+            state = state.extended(next_coefficient(state, H))
+        assert identify(H, spec, f.degree).poly == state.partial_poly
+
 
 class TestIdentify:
     def test_roundtrip_one_plus_x(self):
@@ -259,6 +282,8 @@ class TestIdentify:
         assert identify(H, RatioSpec(3, 2), 5).poly == f
 
     @given(poly_strategy(), st.sampled_from(ODD_SPECS))
+    @example(DEGREE_40_K3, RatioSpec(5, 4))
+    @example(DEGREE_40_K3, RatioSpec(1, 2))
     @settings(max_examples=60, deadline=None)
     def test_roundtrip_odd(self, f, spec):
         H = expansion_for(f, spec, f.degree)
