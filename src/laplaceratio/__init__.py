@@ -8,24 +8,6 @@ bid distribution.
 """
 
 from .algebra import Poly, Rational, Series, as_rational, beta_rational, convolve
-from .auction import (
-    AuctionModel,
-    DistSpec,
-    Exponential,
-    Lognormal,
-    McConfig,
-    PointMass,
-    Shifted,
-    auction_identify,
-    h_from_k,
-    k_analytic_exponential,
-    k_from_h,
-    k_monte_carlo,
-    k_quadrature,
-    memoryless_check,
-    order_stat_cdfs,
-    simulate_bids,
-)
 from .identify import (
     IdentifyResult,
     IdentifyState,
@@ -103,3 +85,14 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+# The auction pipeline runs on numpy/scipy, so its names in __all__ are
+# resolved on first use (PEP 562): importing the package, and the exact half,
+# stays pure Python.  Every other exported name is bound above.
+def __getattr__(name):
+    if name in __all__:
+        from . import auction
+
+        return getattr(auction, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,22 +15,8 @@ import sys
 from fractions import Fraction
 from math import factorial
 
-import numpy as np
-
 from . import fileformats as ff
 from .algebra import Poly
-from .auction import (
-    Exponential,
-    McConfig,
-    auction_identify,
-    h_from_k,
-    k_analytic_exponential,
-    k_from_h,
-    k_monte_carlo,
-    k_quadrature,
-    memoryless_check,
-    simulate_bids,
-)
 from .errors import FormatError, LaplaceRatioError, OutOfRange
 from .identify import RatioSpec, identify, pivot_value, verify_identity
 from .transforms import (
@@ -213,6 +199,8 @@ def _lambda_grid(args) -> list[float]:
             ) from None
         if start <= 0 or stop <= 0 or count < 1:
             raise FormatError("--lambda-grid: needs positive start/stop and count >= 1")
+        import numpy as np
+
         points.extend(float(x) for x in np.geomspace(start, stop, count))
     if any(lam <= 0 for lam in points):
         raise FormatError("--lambda: evaluation points must be positive")
@@ -243,11 +231,21 @@ def _load_functions(args, count: int = 1):
 
 
 def _transform_value_poly(p: Poly, lam: float) -> float:
-    # nan when a power of lambda underflows to 0; _emit_rows rejects it
     try:
-        return sum(factorial(i) * float(c) / lam ** (i + 1) for i, c in enumerate(p.coeffs))
-    except ZeroDivisionError:
-        return math.nan
+        powers = [lam ** (i + 1) for i in range(len(p.coeffs))]
+    except OverflowError:
+        powers = None
+    if powers is not None and min(powers, default=1.0) >= sys.float_info.min:
+        return sum(
+            factorial(i) * float(c) / lp for i, (c, lp) in enumerate(zip(p.coeffs, powers))
+        )
+    # a power of lambda is subnormal, zero or overflows: sum exactly instead;
+    # an overflowing result becomes inf, which _emit_rows rejects
+    exact = sum(factorial(i) * c / Fraction(lam) ** (i + 1) for i, c in enumerate(p.coeffs))
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
 
 
 # ---------------------------------------------------------------- commands
@@ -318,6 +316,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_auction_k(args) -> int:
+    from .auction import Exponential, k_analytic_exponential, k_quadrature
+
     model = ff.model_from_document(ff.load_json(args.model), where=args.model)
     lams = _lambda_grid(args)
     if not lams:
@@ -334,6 +334,8 @@ def cmd_auction_k(args) -> int:
 
 
 def cmd_auction_sim(args) -> int:
+    from .auction import McConfig, simulate_bids
+
     model = ff.model_from_document(ff.load_json(args.model), where=args.model)
     cfg = McConfig(samples=args.samples, seed=args.seed, chunk=args.chunk)
     table = simulate_bids(model, cfg)
@@ -345,6 +347,8 @@ def cmd_auction_sim(args) -> int:
 
 
 def cmd_auction_identify(args) -> int:
+    from .auction import auction_identify
+
     if len(args.input) != 1:
         raise FormatError("auction-identify takes exactly one --input")
     doc = ff.load_json(args.input[0])
@@ -355,6 +359,19 @@ def cmd_auction_identify(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from .auction import (
+        AuctionModel,
+        Exponential,
+        McConfig,
+        PointMass,
+        h_from_k,
+        k_from_h,
+        k_monte_carlo,
+        k_quadrature,
+        memoryless_check,
+        simulate_bids,
+    )
+
     checks: list[tuple[str, bool]] = []
 
     def check(name, ok):
@@ -413,8 +430,6 @@ def cmd_selftest(args) -> int:
         for N in (2, 5, 10)
     )
     check("K and power-ratio conversions invert each other", kh_ok)
-
-    from .auction import AuctionModel, PointMass
 
     model = AuctionModel(PointMass(0.0), Exponential(1.0), 5)
     check(

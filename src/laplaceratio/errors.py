@@ -50,7 +50,8 @@ class InsufficientOrder(LaplaceRatioError):
 
 
 class OutOfRange(LaplaceRatioError):
-    """A ratio value is outside the range any distribution can produce."""
+    """A value is outside the range any distribution can produce, or is not
+    a finite double."""
 
 
 class QuadratureFailure(LaplaceRatioError):

@@ -10,14 +10,17 @@ import csv
 import json
 import math
 import re
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .algebra import Poly, Rational, Series
-from .auction import AuctionModel, DistSpec, Exponential, Lognormal, PointMass, Shifted
 from .errors import FormatError
 from .identify import IdentifyResult
 from .transforms import PiecewisePoly, RatioExpansion, sin_maclaurin, step_example
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .auction import AuctionModel, DistSpec
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -163,6 +166,8 @@ def _number(doc, key, where):
 
 
 def dist_from_document(doc, where: str) -> DistSpec:
+    from .auction import Exponential, Lognormal, PointMass, Shifted
+
     kind = _require(doc, "kind", where, str)
     try:
         if kind == "exponential":
@@ -184,6 +189,8 @@ def dist_from_document(doc, where: str) -> DistSpec:
 
 
 def model_from_document(doc, where: str = "model") -> AuctionModel:
+    from .auction import AuctionModel
+
     common = dist_from_document(_require(doc, "common", where, dict), f"{where}.common")
     idio = dist_from_document(
         _require(doc, "idiosyncratic", where, dict), f"{where}.idiosyncratic"
@@ -207,6 +214,8 @@ def load_json(path):
 def save_samples(path, table: np.ndarray) -> None:
     """Write a (rows, 2) sample table as CSV with header top,second; floats
     use shortest round-trip decimal form."""
+    import numpy as np
+
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["top", "second"])
@@ -215,6 +224,8 @@ def save_samples(path, table: np.ndarray) -> None:
 
 
 def load_samples(path) -> np.ndarray:
+    import numpy as np
+
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)

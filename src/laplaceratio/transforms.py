@@ -22,6 +22,7 @@ from .errors import (
     DivergentTransform,
     DomainError,
     NotVanishing,
+    OutOfRange,
     ZeroDenominator,
     ZeroFunction,
 )
@@ -330,7 +331,13 @@ def ratio_eval_piecewise(pp: PiecewisePoly, n: int, m: int, lam: float) -> float
     den = laplace_piecewise(pp ** m, lam)
     if den == 0.0:
         raise ZeroDenominator(f"L{{f^{m}}}({lam}) = 0")
-    return laplace_piecewise(pp ** n, lam) / den
+    num = laplace_piecewise(pp ** n, lam)
+    h = num / den
+    if not math.isfinite(h):
+        raise OutOfRange(
+            f"L{{f^{n}}}/L{{f^{m}}} at lambda = {lam!r} is {num!r}/{den!r}, not a finite double"
+        )
+    return h
 
 
 def shift_vanishing(pp: PiecewisePoly, a) -> PiecewisePoly:

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laplaceratio.algebra import Poly
@@ -21,6 +21,7 @@ from laplaceratio.auction import (
     k_from_h,
     k_monte_carlo,
     k_quadrature,
+    ks_statistic,
     memoryless_check,
     order_stat_cdfs,
     sample_draws,
@@ -255,6 +256,36 @@ class TestMemorylessCheck:
         cfg = McConfig(100_000, seed=23)
         critical = 1.63 * math.sqrt(2 / cfg.samples)
         assert memoryless_check(1.0, 3, cfg, control=True) > critical
+
+
+class TestKsStatistic:
+    # scipy's ks_2samp is the reference; the library no longer imports it
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 300),
+        st.integers(1, 300),
+        st.integers(0, 2 ** 32 - 1),
+        st.sampled_from([None, 0, 1]),
+    )
+    def test_matches_scipy(self, n1, n2, seed, digits):
+        from scipy.stats import ks_2samp
+
+        rng = np.random.default_rng(seed)
+        a, b = rng.standard_normal(n1), 0.3 + rng.standard_normal(n2)
+        if digits is not None:  # rounded draws give ties within and across samples
+            a, b = np.round(a, digits), np.round(b, digits)
+        assert ks_statistic(a, b) == ks_2samp(a, b).statistic
+
+    def test_large_samples_match_scipy(self):
+        from scipy.stats import ks_2samp
+
+        rng = np.random.default_rng(5)
+        a, b = rng.standard_normal(12_000), rng.standard_normal(15_000)
+        assert math.isclose(ks_statistic(a, b), ks_2samp(a, b).statistic, rel_tol=1e-12)
+
+    def test_disjoint_and_identical(self):
+        assert ks_statistic([0.0, 1.0], [2.0, 3.0, 4.0]) == 1.0
+        assert ks_statistic([1.0, 2.0, 2.0], [2.0, 1.0, 2.0]) == 0.0
 
 
 class TestAuctionIdentify:

@@ -229,6 +229,25 @@ class TestTransformCommand:
         assert code == 0
         assert out.strip().splitlines()[1] == "2.0,0.5"
 
+    def test_subnormal_lambda_power_is_summed_exactly(self, capsys, poly_file):
+        # f = 1e-40 x: L{f}(lam) = 1e-40/lam^2, where lam^2 is subnormal or 0
+        c = F(1, 10 ** 40)
+        path = poly_file("f.json", ["0", str(c)])
+        for lam in (1e-160, 1e-170):
+            code, out, _ = run_cli(capsys, "transform", "--input", path, "--lambda", repr(lam))
+            assert code == 0
+            got = float(out.strip().splitlines()[1].split(",")[1])
+            want = c / F(lam) ** 2
+            assert abs(F(got) - want) <= F(1, 10 ** 15) * want
+        assert out.strip().splitlines()[1] == "1e-170,1e+300"
+
+    def test_huge_lambda_power(self, capsys, poly_file):
+        # lam^2 overflows a double; the value 1/lam + 2/lam^2 does not
+        path = poly_file("f.json", ["1", "2"])
+        code, out, _ = run_cli(capsys, "transform", "--input", path, "--lambda", "1e200")
+        assert code == 0
+        assert out.strip().splitlines()[1] == "1e+200,1e-200"
+
     def test_piecewise_needs_lambda(self, capsys):
         code, _, err = run_cli(capsys, "transform", "--builtin", "step_example")
         assert code == 2

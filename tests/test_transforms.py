@@ -11,6 +11,7 @@ from laplaceratio.errors import (
     DivergentTransform,
     DomainError,
     NotVanishing,
+    OutOfRange,
     ZeroFunction,
 )
 from laplaceratio.transforms import (
@@ -272,6 +273,14 @@ class TestRatioEvalPiecewise:
         rf = ratio_rational(f, 2, 1)
         for lam in (0.5, 1.0, 2.0, 10.0):
             assert ratio_eval_piecewise(pp, 2, 1, lam) == pytest.approx(rf(lam), rel=1e-12)
+
+    def test_overflowing_transforms_are_typed_error(self):
+        # both transforms overflow to inf at a subnormal lambda: inf/inf is
+        # refused rather than returned as nan
+        pp = step_example(10)
+        assert ratio_eval_piecewise(pp, 2, 1, 1e-300) == 2.0
+        with pytest.raises(OutOfRange):
+            ratio_eval_piecewise(pp, 2, 1, 1e-320)
 
 
 class TestShifts:
