@@ -179,20 +179,16 @@ def beta_rational(alpha: int, beta: int) -> Rational:
 def convolve(p: Poly, q: Poly) -> Poly:
     """Convolution on the half line: (p*q)(t) = integral of p(t-s)q(s) over [0,t].
 
-    Monomials combine as x^a * x^b = a! b! / (a+b+1)! * t^(a+b+1), so the
-    result of two polynomials is again a polynomial, computed exactly.
+    By the convolution theorem L{p*q} = L{p} L{q}.  Under the term rule
+    L{x^i} = i!/lambda^(i+1) of transforms.laplace_poly, L{p} is u times the
+    polynomial with coefficients i! * p_i (u = 1/lambda), so the product of
+    the two weighted polynomials holds (i+1)! * (p*q)_(i+1) at u^i.
     """
     if p.is_zero or q.is_zero:
         return Poly()
-    out = [Rational(0)] * (len(p.coeffs) + len(q.coeffs))
-    for i, a in enumerate(p.coeffs):
-        if not a:
-            continue
-        for j, b in enumerate(q.coeffs):
-            if not b:
-                continue
-            out[i + j + 1] += a * b * Rational(factorial(i) * factorial(j), factorial(i + j + 1))
-    return Poly(out)
+    pw = Poly(factorial(i) * c for i, c in enumerate(p.coeffs))
+    qw = Poly(factorial(i) * c for i, c in enumerate(q.coeffs))
+    return Poly([0] + [c / factorial(i + 1) for i, c in enumerate((pw * qw).coeffs)])
 
 
 def power_term(g, P, n: int, j: int) -> Rational:

@@ -13,7 +13,6 @@ import json
 import math
 import sys
 from fractions import Fraction
-from math import factorial
 
 from . import fileformats as ff
 from .algebra import Poly
@@ -231,17 +230,12 @@ def _load_functions(args, count: int = 1):
 
 
 def _transform_value_poly(p: Poly, lam: float) -> float:
-    try:
-        powers = [lam ** (i + 1) for i in range(len(p.coeffs))]
-    except OverflowError:
-        powers = None
-    if powers is not None and min(powers, default=1.0) >= sys.float_info.min:
-        return sum(
-            factorial(i) * float(c) / lp for i, (c, lp) in enumerate(zip(p.coeffs, powers))
-        )
-    # a power of lambda is subnormal, zero or overflows: sum exactly instead;
-    # an overflowing result becomes inf, which _emit_rows rejects
-    exact = sum(factorial(i) * c / Fraction(lam) ** (i + 1) for i, c in enumerate(p.coeffs))
+    # laplace_poly's series summed exactly at u = 1/lambda and rounded once;
+    # a non-finite lambda or an overflowing value gives a non-finite row,
+    # which _emit_rows rejects
+    if not math.isfinite(lam):
+        return math.nan
+    exact = Poly(laplace_poly(p).coeffs)(1 / Fraction(lam))
     try:
         return float(exact)
     except OverflowError:

@@ -24,7 +24,7 @@ from .errors import (
     IrrationalRoot,
     NoRealRoot,
 )
-from .transforms import RatioExpansion, ratio_expansion
+from .transforms import RatioExpansion, _check_exponents, ratio_expansion
 
 
 @dataclass(frozen=True)
@@ -35,12 +35,7 @@ class RatioSpec:
     m: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or not isinstance(self.m, int):
-            raise DomainError("exponents must be integers")
-        if self.n < 1 or self.m < 1:
-            raise DomainError(f"exponents must be positive, got ({self.n}, {self.m})")
-        if self.n == self.m:
-            raise DomainError("exponents must be distinct")
+        _check_exponents(self.n, self.m)
 
 
 @dataclass(frozen=True)
@@ -165,10 +160,6 @@ def next_coefficient(state: IdentifyState, H: RatioExpansion) -> Rational:
     open order.  A state that H does not fit raises InconsistentRatio."""
     k, spec = state.k, state.spec
     j = len(state.coeffs)
-    if H.tail.order < j:
-        raise InsufficientOrder(
-            f"tail order {H.tail.order} too short: coefficient {k + j} first appears at order {j}"
-        )
     # solve first: a zero pivot is reported as such, not as the order-0
     # mismatch it always comes with
     c = _extend(list(state.coeffs), H.tail.coeffs, k, spec, 1)[-1]
@@ -181,7 +172,14 @@ def _extend(g: list, T, k: int, spec: RatioSpec, count: int) -> list:
     # Append the next `count` coefficients to g.  Coefficient j = len(g)
     # solves the order-j residual A_j - sum_r T_r B_(j-r), in which it
     # enters A_j and B_j linearly (power_term); the prefixes of g**n and
-    # g**m, and B, carry over from one step to the next.
+    # g**m, and B, carry over from one step to the next.  Only T_0..T_j
+    # enter up to that step, so order len(g)+count-1 is all T must reach.
+    last = len(g) + count - 1
+    if len(T) <= last:
+        raise InsufficientOrder(
+            f"tail order {len(T) - 1} too short: "
+            f"coefficient {k + last} first appears at order {last}"
+        )
     n, m = spec.n, spec.m
     known = Series(g, len(g) - 1)
     Pn, Pm = list((known ** n).coeffs), list((known ** m).coeffs)
@@ -211,17 +209,12 @@ def identify(H: RatioExpansion, spec: RatioSpec, target_degree: int) -> Identify
     coefficient recursion.  If H came from a polynomial of degree at most
     target_degree the result equals it exactly, up to a global sign when
     n-m is even (the canonical representative has a positive leading
-    coefficient).
+    coefficient).  The tail must reach order target_degree - k, the order
+    at which the last coefficient first appears.
     """
     if target_degree < 0:
         raise DomainError("target degree must be nonnegative")
     k = infer_order(H, spec)
-    required = k * (spec.n + spec.m - 1) + target_degree + 1
-    if H.tail.order < required:
-        raise InsufficientOrder(
-            f"recovery through degree {target_degree} needs tail order >= {required}, "
-            f"got {H.tail.order}"
-        )
     a, ambiguous = leading_coefficient(H, spec, k)
     g = _extend([a / factorial(k)], H.tail.coeffs, k, spec, target_degree - k)
     state = IdentifyState(k, tuple(g), ambiguous, spec)

@@ -125,10 +125,15 @@ class RationalFunction:
     __hash__ = None
 
     def __call__(self, lam) -> float:
-        den = float(self.denom(as_rational_number(lam)))
-        if den == 0.0:
+        """The value at lambda, from one exact quotient rounded once."""
+        x = as_rational_number(lam)
+        den = self.denom(x)
+        if not den:
             raise ZeroDenominator(f"denominator vanishes at lambda = {lam}")
-        return float(self.numer(as_rational_number(lam))) / den
+        try:
+            return float(self.numer(x) / den)
+        except OverflowError:
+            raise OutOfRange(f"the ratio at lambda = {lam!r} is not a finite double") from None
 
     def expansion(self, order: int) -> RatioExpansion:
         """Expand at lambda = infinity as a RatioExpansion."""
@@ -167,22 +172,17 @@ def ratio_rational(f: Poly, n: int, m: int) -> RationalFunction:
     if f.is_zero:
         raise ZeroFunction("the zero function has no transform ratio")
     fn, fm = f ** n, f ** m
-    num = _transform_numerator(fn)
-    den = _transform_numerator(fm)
-    # L{f^j} = num_j(lambda) / lambda^(deg f^j + 1); move the power of
-    # lambda to whichever side keeps both polynomials
+    # L{p} = num(lambda) / lambda^(deg p + 1), where num holds the series
+    # coefficients of laplace_poly(p) in reverse; move the power of lambda
+    # to whichever side keeps both polynomials
+    num = Poly(laplace_poly(fn).coeffs[:0:-1])
+    den = Poly(laplace_poly(fm).coeffs[:0:-1])
     shift = fn.degree - fm.degree
     if shift >= 0:
         den = den * Poly.monomial(shift)
     else:
         num = num * Poly.monomial(-shift)
     return RationalFunction(num, den)
-
-
-def _transform_numerator(p: Poly) -> Poly:
-    # L{p}(lambda) * lambda^(deg p + 1), a polynomial in lambda
-    d = p.degree
-    return Poly([factorial(d - i) * p.coeffs[d - i] for i in range(d + 1)])
 
 
 def sin_maclaurin(degree: int) -> Poly:

@@ -1,7 +1,8 @@
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from laplaceratio.algebra import (
@@ -16,6 +17,17 @@ from laplaceratio.errors import DomainError, ZeroLeadingCoefficient
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=6)
 small_polys = st.lists(rationals, max_size=6).map(Poly)
+degree_12_polys = st.lists(rationals, max_size=13).map(Poly)
+DEGREE_40 = Poly([F((-1) ** i * (i % 9 + 1), i % 7 + 1) for i in range(41)])
+
+
+def convolve_by_pairs(p, q):
+    # x^a * x^b = a! b! / (a+b+1)! * t^(a+b+1), summed over every pair of terms
+    out = [F(0)] * (len(p.coeffs) + len(q.coeffs))
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j + 1] += a * b * F(factorial(i) * factorial(j), factorial(i + j + 1))
+    return Poly(out)
 
 
 def series_pair(order):
@@ -126,6 +138,12 @@ class TestConvolve:
     def test_commutative(self, p, q):
         assert convolve(p, q) == convolve(q, p)
 
+    @given(degree_12_polys, degree_12_polys)
+    @example(DEGREE_40 ** 5, (DEGREE_40 + Poly([1])) ** 4)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_pairwise_formula(self, p, q):
+        assert convolve(p, q) == convolve_by_pairs(p, q)
+
     @given(
         st.integers(0, 3),
         st.integers(0, 3),
@@ -140,8 +158,6 @@ class TestConvolve:
         # with valuation l, the convolution starts at degree kn+lm+1 with
         # coefficient a^n b^m / (k!^n l!^m) * B(kn+1, lm+1) where a, b are
         # the leading derivatives
-        from math import factorial
-
         f = Poly([0] * k + [ck, 1])
         g = Poly([0] * l + [cl, -2, 1])
         conv = convolve(f ** n, g ** m)

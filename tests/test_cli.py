@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laplaceratio.algebra import Poly
 from laplaceratio.cli import main
@@ -248,6 +255,24 @@ class TestTransformCommand:
         assert code == 0
         assert out.strip().splitlines()[1] == "1e+200,1e-200"
 
+    @given(
+        st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=9), max_size=9),
+        st.floats(1e-3, 1e3),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_lambda_value_is_correctly_rounded(self, coeffs, lam):
+        # the printed value is the exact transform sum rounded once
+        exact = sum(factorial(i) * c / F(lam) ** (i + 1) for i, c in enumerate(coeffs))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "f.json")
+            with open(path, "w") as fh:
+                json.dump({"kind": "poly", "coeffs": [str(c) for c in coeffs] or ["0"]}, fh)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["transform", "--input", path, "--lambda", repr(lam)])
+        assert code == 0
+        assert out.getvalue().splitlines()[1] == f"{lam!r},{float(exact)!r}"
+
     def test_piecewise_needs_lambda(self, capsys):
         code, _, err = run_cli(capsys, "transform", "--builtin", "step_example")
         assert code == 2
@@ -263,6 +288,13 @@ class TestTransformCommand:
             code, out, err = run_cli(capsys, *argv)
             assert (code, out) == (1, "")
             assert err.startswith("OutOfRange: ")
+
+    def test_non_finite_lambda_is_typed_error(self, capsys, poly_file):
+        path = poly_file("f.json", ["1", "2"])
+        for lam in ("nan", "inf"):
+            code, out, err = run_cli(capsys, "transform", "--input", path, "--lambda", lam)
+            assert (code, out) == (1, "")
+            assert err == f"OutOfRange: lambda = {lam} at lambda = {lam} is not a finite double\n"
 
 
 class TestVerifyCommand:

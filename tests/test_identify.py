@@ -272,9 +272,11 @@ class TestIdentify:
         assert result.ambiguous_sign
 
     def test_requires_enough_order(self):
-        H = ratio_expansion(Poly([0, 1, 1]), 2, 1, 4)
+        # coefficient D = 3 first appears at tail order D - k = 3 - 1
+        f = Poly([0, 1, 1])
         with pytest.raises(InsufficientOrder):
-            identify(H, RatioSpec(2, 1), 3)  # needs 1*2 + 3 + 1 = 6
+            identify(ratio_expansion(f, 2, 1, 1), RatioSpec(2, 1), 3)
+        assert identify(ratio_expansion(f, 2, 1, 2), RatioSpec(2, 1), 3).poly == f
 
     def test_fractional_coefficients(self):
         f = Poly([F(1, 2), F(-3, 7), 0, F(2, 5)])
@@ -299,6 +301,16 @@ class TestIdentify:
         canonical = f if f.coeffs[f.valuation] > 0 else -f
         assert result.poly == canonical
         assert result.ambiguous_sign
+
+    @given(poly_strategy(12), st.sampled_from(ODD_SPECS + EVEN_SPECS), st.integers(0, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_roundtrip_at_lowest_order(self, g, spec, shift):
+        # tail order D - k is enough for every coefficient through degree D
+        f = Poly.monomial(shift) * g
+        k = f.valuation
+        H = ratio_expansion(f, spec.n, spec.m, f.degree - k)
+        result = identify(H, spec, f.degree)
+        assert result.poly == (-f if result.ambiguous_sign and f.coeffs[k] < 0 else f)
 
 
 class TestVerifyIdentity:

@@ -12,6 +12,7 @@ from laplaceratio.errors import (
     DomainError,
     NotVanishing,
     OutOfRange,
+    ZeroDenominator,
     ZeroFunction,
 )
 from laplaceratio.transforms import (
@@ -154,6 +155,22 @@ class TestRatioRational:
         num, _ = quad(lambda x: math.exp(-lam * x) * float(f(F(x).limit_denominator())) ** 2, 0, 80)
         den, _ = quad(lambda x: math.exp(-lam * x) * float(f(F(x).limit_denominator())), 0, 80)
         assert rf(lam) == pytest.approx(num / den, rel=1e-9)
+
+    def test_huge_lambda_rounds_one_exact_quotient(self):
+        # numerator and denominator overflow a double; their ratio is 1.0
+        rf = ratio_rational(Poly([1, 1, 1, 1]), 5, 1)
+        assert rf(1e200) == 1.0
+
+    def test_tiny_lambda_is_out_of_range(self):
+        # the denominator is nonzero but the ratio, about 1e2400, is no double
+        rf = ratio_rational(Poly([1, 1, 1, 1]), 5, 1)
+        assert rf.denom(F(1e-200)) != 0
+        with pytest.raises(OutOfRange):
+            rf(1e-200)
+
+    def test_zero_denominator(self):
+        with pytest.raises(ZeroDenominator):
+            RationalFunction(Poly([1]), Poly([-1, 1]))(1)
 
     def test_stored_with_integer_content_removed(self):
         rf = RationalFunction(Poly([F(1, 2), F(1, 3)]), Poly([F(-1, 6)]))
