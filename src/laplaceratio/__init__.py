@@ -87,9 +87,9 @@ __all__ = [
 __version__ = "0.1.0"
 
 
-# The auction pipeline runs on numpy/scipy, so its names in __all__ are
-# resolved on first use (PEP 562): importing the package, and the exact half,
-# stays pure Python.  Every other exported name is bound above.
+# The auction pipeline runs on numpy, so its names in __all__ are resolved on
+# first use (PEP 562): importing the package, and the exact half, stays pure
+# Python.  Every other exported name is bound above.
 def __getattr__(name):
     if name in __all__:
         from . import auction

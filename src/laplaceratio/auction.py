@@ -115,51 +115,43 @@ def sample_draws(dist: DistSpec, rng: np.random.Generator, size) -> np.ndarray:
     raise DomainError(f"unknown distribution {dist!r}")
 
 
-def cdf_values(dist: DistSpec, x) -> np.ndarray:
-    """CDF evaluated elementwise."""
-    x = np.asarray(x, dtype=float)
-    if isinstance(dist, Exponential):
-        return np.where(x >= 0, -np.expm1(-dist.theta * np.maximum(x, 0.0)), 0.0)
+def _log_ndtr(z: float) -> float:
+    """log Phi(z), the standard normal log-CDF, also where Phi underflows."""
+    if z > 0:
+        return math.log1p(-0.5 * math.erfc(z / math.sqrt(2.0)))
+    if z > -30:
+        return math.log(0.5 * math.erfc(-z / math.sqrt(2.0)))
+    # erfc nears underflow: Phi(z) = phi(z)/|z| (1 - u + 3u^2 - ...) with
+    # u = 1/z^2 (DLMF 7.12.1); the first omitted term is below 3e-16
+    u = 1.0 / (z * z)
+    series = 1 - u * (1 - 3 * u * (1 - 5 * u * (1 - 7 * u * (1 - 9 * u * (1 - 11 * u)))))
+    return -0.5 * z * z - math.log(-z) - 0.5 * math.log(2.0 * math.pi) + math.log(series)
+
+
+def _bid_at_score(dist: DistSpec, z: float) -> tuple[float, float]:
+    """(lower bound, bid minus lower bound) at normal score z: Phi(z) = F(bid)."""
     if isinstance(dist, Lognormal):
-        from scipy.special import ndtr
-
-        with np.errstate(divide="ignore"):
-            return np.where(x > 0, ndtr((np.log(np.maximum(x, 1e-300)) + dist.mu) / dist.sigma), 0.0)
+        s = dist.sigma * z - dist.mu
+        return 0.0, math.exp(s) if s < 709.0 else math.inf
+    if isinstance(dist, Exponential):
+        return 0.0, -_log_ndtr(-z) / dist.theta
     if isinstance(dist, PointMass):
-        return (x >= dist.v).astype(float)
+        return dist.v, 0.0
     if isinstance(dist, Shifted):
-        return cdf_values(dist.base, x - dist.offset)
+        lower, excess = _bid_at_score(dist.base, z)
+        return lower + dist.offset, excess
     raise DomainError(f"unknown distribution {dist!r}")
-
-
-def support_lower_bound(dist: DistSpec) -> float:
-    if isinstance(dist, (Exponential, Lognormal)):
-        return 0.0
-    if isinstance(dist, PointMass):
-        return dist.v
-    if isinstance(dist, Shifted):
-        return support_lower_bound(dist.base) + dist.offset
-    raise DomainError(f"unknown distribution {dist!r}")
-
-
-def cdf_jumps(dist: DistSpec) -> list[float]:
-    """Discontinuity locations of the CDF, for quadrature subdivision."""
-    if isinstance(dist, PointMass):
-        return [dist.v]
-    if isinstance(dist, Shifted):
-        return [p + dist.offset for p in cdf_jumps(dist.base)]
-    return []
 
 
 def order_stat_cdfs(F_val: float, N: int) -> tuple[float, float]:
-    """CDF values of the largest and second largest of N i.i.d. draws at a
-    point where the single-draw CDF equals F_val: (F^N, N F^(N-1) - (N-1) F^N)."""
+    """CDF values of the top two of N i.i.d. draws where the single-draw CDF
+    is F_val: (F^N, F^N + N F^(N-1) (1-F)), the second capped at 1."""
     if not 0.0 <= F_val <= 1.0:
         raise DomainError(f"a CDF value must lie in [0, 1], got {F_val}")
     if N < 2:
         raise DomainError("order statistics need N >= 2")
     top = F_val ** N
-    second = N * F_val ** (N - 1) - (N - 1) * F_val ** N
+    second = min(1.0, top + N * F_val ** (N - 1) * (1.0 - F_val))
     return top, second
 
 
@@ -193,71 +185,78 @@ def k_analytic_exponential(theta: float, lam: float) -> float:
     return theta / (theta + lam)
 
 
-def _transform_integrals(dist, N, lam, x_cut, epsabs, points):
-    from scipy.integrate import quad
-
-    def top_cdf(x):
-        return cdf_values(dist, x) ** N
-
-    def second_cdf(x):
-        F = cdf_values(dist, x)
-        return N * F ** (N - 1) - (N - 1) * F ** N
-
-    results = []
-    for cdf_pow in (top_cdf, second_cdf):
-        val, err = quad(
-            lambda x: lam * math.exp(-lam * x) * cdf_pow(x),
-            0.0,
-            x_cut,
-            epsabs=epsabs,
-            epsrel=1e-13,
-            limit=400,
-            points=points or None,
-        )
-        results.append((val, err))
-    return results
+def _boundary(inside, z: float, step: float) -> float:
+    """Where inside, true at z, turns false beyond z in step's direction."""
+    while inside(z + step):
+        z, step = z + step, 2 * step
+    out = z + step
+    for _ in range(32):
+        mid = 0.5 * (z + out)
+        z, out = (mid, out) if inside(mid) else (z, mid)
+    return out
 
 
 def k_quadrature(model: AuctionModel, lam: float, tol: float = 1e-10) -> float:
-    """K evaluated by adaptive quadrature of the order-statistic transforms.
+    """K by the trapezoid rule in normal scores z, where Phi(z) = F(bid).
 
-    Both transforms are integrals of lam*exp(-lam*x) against powers of the
-    idiosyncratic CDF on [0, x_cut], with x_cut set from the rigorous tail
-    bound exp(-lam*x_cut) (the integrands are at most lam*exp(-lam*x)).
-    The error budget is propagated through the ratio so the returned value
-    is within tol of the exact K; QuadratureFailure means the budget could
-    not be met.
+    With x(z) the bid less the law's lower bound (whose factor cancels),
+    the order-statistic densities in z (David & Nagaraja 2.1) give
+    K = A / ((N-1) B), A = int exp(-lam x) Phi^(N-1) phi dz and
+    B = int exp(-lam x) Phi^(N-2) Phi(-z) phi dz.  Both integrands are
+    positive and log-concave, so the trapezoid rule converges geometrically
+    (Trefethen & Weideman 2014) on the bracket where either log-integrand
+    is within 45 of its peak.  The step is halved until two levels agree
+    to tol relative to K; their difference is the error estimate, and
+    QuadratureFailure means it exceeds tol.
     """
-    if lam <= 0:
-        raise DomainError(f"lambda must be positive, got {lam}")
-    if tol <= 0:
+    if not (math.isfinite(lam) and lam > 0):
+        raise DomainError(f"lambda must be finite and positive, got {lam}")
+    if not tol > 0:
         raise DomainError("tolerance must be positive")
-    dist = model.idiosyncratic
-    N = model.n_bidders
-    lo = support_lower_bound(dist)
-    if lo < 0:
+    dist, N = model.idiosyncratic, model.n_bidders
+    if _bid_at_score(dist, 0.0)[0] < 0:
         raise DomainError("quadrature requires a nonnegative idiosyncratic law")
 
-    # first pass: locate the scale of the denominator
-    rough_cut = lo + max(-math.log(tol / 10.0), 5.0) / lam
-    pts = [p for p in cdf_jumps(dist) if 0.0 < p < rough_cut]
-    (num0, _), (den0, _) = _transform_integrals(dist, N, lam, rough_cut, 1e-12, pts)
-    if den0 <= 0.0:
-        raise QuadratureFailure("denominator transform evaluated to zero")
-    k0 = num0 / den0
+    def logs(z):
+        # log-integrands of A and B, less the constant log sqrt(2 pi)
+        common = -lam * _bid_at_score(dist, z)[1] + (N - 2) * _log_ndtr(z) - 0.5 * z * z
+        return common + _log_ndtr(z), common + _log_ndtr(-z)
 
-    # per-component budget so the ratio error stays below tol
-    budget = 0.25 * tol * den0 / (1.0 + k0)
-    x_cut = lo + max(-math.log(budget / 2.0), 5.0) / lam
-    pts = [p for p in cdf_jumps(dist) if 0.0 < p < x_cut]
-    (num, e_num), (den, e_den) = _transform_integrals(dist, N, lam, x_cut, budget / 2.0, pts)
-    if den <= 0.0:
-        raise QuadratureFailure("denominator transform evaluated to zero")
-    k = num / den
-    tail = math.exp(-lam * (x_cut - lo))
-    err = (e_num + tail + k * (e_den + tail)) / den
-    if err > tol:
-        raise QuadratureFailure(f"estimated error {err:.3e} exceeds tolerance {tol:.3e}")
+    def argmax(i):
+        # log-integrand i is strictly concave: walk from 0 while its slope keeps its sign
+        up = logs(1e-7)[i] > logs(0.0)[i]
+        step = 1.0 if up else -1.0
+        return _boundary(lambda z: (logs(z + 1e-7)[i] > logs(z)[i]) == up, 0.0, step)
+
+    za, zb = argmax(0), argmax(1)
+    peak_a, peak_b = logs(za)[0], logs(zb)[1]
+
+    def sums(zs):
+        # each integrand relative to its peak, so nothing underflows
+        pairs = [logs(z) for z in zs]
+        return (math.fsum(math.exp(a - peak_a) for a, _ in pairs),
+                math.fsum(math.exp(b - peak_b) for _, b in pairs))
+
+    def near_peaks(z):
+        a, b = logs(z)
+        return max(a - peak_a, b - peak_b) > -45.0
+
+    lo = _boundary(near_peaks, min(za, zb), -1.0)
+    hi = _boundary(near_peaks, max(za, zb), 1.0)
+    # both integrands are negligible at lo and hi, so the trapezoid rule is
+    # the plain sum over the grid, and the step cancels in the ratio
+    n, h = 16, (hi - lo) / 16
+    sa, sb = sums(lo + i * h for i in range(n + 1))
+    for _ in range(9):
+        ma, mb = sums(lo + (i + 0.5) * h for i in range(n))
+        rel_err = abs(ma - sa) / (sa + ma) + abs(mb - sb) / (sb + mb)
+        sa, sb, n, h = sa + ma, sb + mb, 2 * n, 0.5 * h
+        if rel_err <= tol:
+            break
+    # the top bid is never below the second, so K <= 1 holds exactly
+    k = min(1.0, math.exp(peak_a - peak_b) * sa / ((N - 1) * sb))
+    if k * rel_err > tol:
+        raise QuadratureFailure(f"estimated error {k * rel_err:.3e} exceeds tolerance {tol:.3e}")
     return k
 
 
@@ -289,15 +288,15 @@ def k_monte_carlo(samples: np.ndarray, lam: float) -> tuple[float, float]:
     """Estimate K from a simulated table of (highest, second highest).
 
     Returns (estimate, stderr) where the standard error comes from the
-    delta method for a ratio of two correlated sample means.
+    delta method for a ratio of two correlated sample means.  Weights are
+    taken relative to the smallest second bid, so they cannot all underflow.
     """
-    if lam <= 0:
-        raise DomainError(f"lambda must be positive, got {lam}")
+    if not (math.isfinite(lam) and lam > 0):
+        raise DomainError(f"lambda must be finite and positive, got {lam}")
     table = np.asarray(samples, dtype=float)
     if table.ndim != 2 or table.shape[1] != 2 or table.shape[0] == 0:
         raise DomainError("expected a nonempty (rows, 2) sample table")
-    x = np.exp(-lam * table[:, 0])
-    y = np.exp(-lam * table[:, 1])
+    x, y = np.exp(-lam * (table - table[:, 1].min())).T
     n = len(x)
     xbar, ybar = x.mean(), y.mean()
     ratio = xbar / ybar
@@ -359,6 +358,4 @@ def auction_identify(H: RatioExpansion, N: int, target_degree: int) -> IdentifyR
     """
     if N < 2:
         raise DomainError("the second-highest bid needs at least 2 bidders")
-    result = identify(H, RatioSpec(N - 1, N), target_degree)
-    assert not result.ambiguous_sign
-    return result
+    return identify(H, RatioSpec(N - 1, N), target_degree)

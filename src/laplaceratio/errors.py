@@ -55,7 +55,7 @@ class OutOfRange(LaplaceRatioError):
 
 
 class QuadratureFailure(LaplaceRatioError):
-    """Adaptive quadrature could not meet the requested tolerance."""
+    """A quadrature's error estimate exceeds the requested tolerance."""
 
 
 class FormatError(LaplaceRatioError):

@@ -160,8 +160,10 @@ def _content_scale(coeffs) -> Rational:
 
 
 def as_rational_number(x) -> Rational:
-    """Exact conversion accepting floats as well (binary floats are exact)."""
+    """Exact conversion accepting finite floats too (binary floats are exact)."""
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise DomainError(f"expected a finite number, got {x!r}")
         return Rational(x)
     return as_rational(x)
 

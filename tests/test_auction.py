@@ -1,9 +1,12 @@
+import json
 import math
 from fractions import Fraction as F
+from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from laplaceratio.algebra import Poly
@@ -14,8 +17,9 @@ from laplaceratio.auction import (
     McConfig,
     PointMass,
     Shifted,
+    _bid_at_score,
+    _log_ndtr,
     auction_identify,
-    cdf_values,
     h_from_k,
     k_analytic_exponential,
     k_from_h,
@@ -27,7 +31,7 @@ from laplaceratio.auction import (
     sample_draws,
     simulate_bids,
 )
-from laplaceratio.errors import DomainError, InconsistentRatio, OutOfRange
+from laplaceratio.errors import DomainError, InconsistentRatio, OutOfRange, QuadratureFailure
 from laplaceratio.transforms import RatioExpansion, ratio_expansion
 
 
@@ -40,17 +44,18 @@ class TestDistributions:
         with pytest.raises(DomainError):
             PointMass(-2)
 
-    def test_exponential_cdf(self):
-        d = Exponential(2.0)
-        assert cdf_values(d, 0.0) == 0.0
-        assert cdf_values(d, 1.0) == pytest.approx(1 - math.exp(-2))
-        assert cdf_values(d, -1.0) == 0.0
+    def test_exponential_normal_score(self):
+        # P(X <= 2/theta) = 1 - e^-2, so that is the bid at Phi(z) = 1 - e^-2
+        z = NormalDist().inv_cdf(1 - math.exp(-2))
+        for theta in (0.5, 2.0):
+            lower, excess = _bid_at_score(Exponential(theta), z)
+            assert lower == 0.0
+            assert excess == pytest.approx(2 / theta, rel=1e-12)
 
-    def test_lognormal_cdf_median(self):
-        # X = exp(sigma Z - mu): P(X <= exp(-mu)) = 1/2
-        d = Lognormal(0.7, 1.3)
-        assert cdf_values(d, math.exp(-0.7)) == pytest.approx(0.5)
-        assert cdf_values(d, 0.0) == 0.0
+    def test_lognormal_median_at_score_zero(self):
+        # X = exp(sigma Z - mu): the median exp(-mu) sits at z = 0
+        assert _bid_at_score(Lognormal(0.7, 1.3), 0.0) == (0.0, math.exp(-0.7))
+        assert _bid_at_score(Lognormal(0.0, 1.0), 800.0) == (0.0, math.inf)
 
     def test_lognormal_sampling_matches_parameterization(self):
         # mean of log X must be -mu, sd sigma
@@ -60,9 +65,9 @@ class TestDistributions:
         assert logs.std() == pytest.approx(2.0, abs=0.02)
 
     def test_shifted(self):
+        # a shifted point mass sits on its lower bound 3 at every score
         d = Shifted(PointMass(1.0), 2.0)
-        assert cdf_values(d, 2.9) == 0.0
-        assert cdf_values(d, 3.0) == 1.0
+        assert all(_bid_at_score(d, z) == (3.0, 0.0) for z in (-40.0, 0.0, 8.0))
         rng = np.random.Generator(np.random.Philox(key=1))
         assert np.all(sample_draws(d, rng, 5) == 3.0)
 
@@ -82,6 +87,7 @@ class TestOrderStatCdfs:
             order_stat_cdfs(-0.1, 2)
 
     @given(st.floats(0, 1), st.integers(2, 12))
+    @example(0.9999999999999999, 9)
     def test_top_below_second_and_gap_formula(self, F_val, N):
         top, second = order_stat_cdfs(F_val, N)
         assert 0.0 <= top <= second <= 1.0
@@ -135,6 +141,29 @@ class TestKAnalyticExponential:
             k_analytic_exponential(-1.0, 1.0)
 
 
+CATALOGUE = Path(__file__).resolve().parents[1] / "benchmarks" / "k_catalogue.json"
+
+
+class TestLogNdtr:
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-1e4, 25))
+    def test_matches_mpmath(self, z):
+        # above 0 the rounding of z / sqrt(2) costs about 2 z^2 ulps
+        import mpmath as mp
+
+        with mp.workdps(40):
+            tail = mp.ncdf(-mp.mpf(z))
+            want = mp.log1p(-tail) if z > 0 else mp.log(mp.ncdf(mp.mpf(z)))
+        assert _log_ndtr(z) == pytest.approx(float(want), rel=1e-12)
+
+    @pytest.mark.parametrize("z", [-30.0, -31.5, -36.0])
+    def test_series_matches_erfc_where_both_work(self, z):
+        # the asymptotic series takes over at -30; erfc is still a normal
+        # double down to about -37
+        direct = math.log(0.5 * math.erfc(-z / math.sqrt(2)))
+        assert _log_ndtr(z) == pytest.approx(direct, rel=1e-14)
+
+
 class TestKQuadrature:
     def test_exponential_matches_closed_form(self):
         model = AuctionModel(PointMass(0.0), Exponential(1.0), 5)
@@ -165,8 +194,51 @@ class TestKQuadrature:
 
     def test_domain(self):
         model = AuctionModel(PointMass(0.0), Exponential(1.0), 2)
+        for lam in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                k_quadrature(model, lam)
+
+    def test_support_below_zero(self):
+        model = AuctionModel(PointMass(0.0), Shifted(Exponential(1.0), -0.5), 3)
         with pytest.raises(DomainError):
-            k_quadrature(model, 0.0)
+            k_quadrature(model, 1.0)
+
+    def test_unreachable_tolerance_raises(self):
+        # two levels of the rule never agree to better than rounding
+        model = AuctionModel(PointMass(0.0), Lognormal(0.0, 1.0), 200)
+        with pytest.raises(QuadratureFailure):
+            k_quadrature(model, 1.0, tol=1e-300)
+
+    def test_lognormal_catalogue(self):
+        # 32-digit mpmath values for every (mu, sigma, N, lambda) the
+        # float_pipeline benchmark draws
+        catalogue = json.loads(CATALOGUE.read_text())
+        assert len(catalogue) == 450
+        for key, (want, _) in catalogue.items():
+            mu, sigma, N, lam = json.loads(key)
+            model = AuctionModel(PointMass(0.0), Lognormal(float(mu), float(sigma)), N)
+            assert abs(k_quadrature(model, float(lam)) - float(want)) <= 1e-10, key
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.floats(0.1, 10),
+        st.integers(2, 500),
+        st.floats(-4, 6).map(lambda e: 10.0 ** e),
+    )
+    def test_exponential_closed_form_relative(self, theta, N, lam):
+        model = AuctionModel(PointMass(0.0), Exponential(theta), N)
+        want = theta / (theta + lam)
+        assert k_quadrature(model, lam) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("N", [2, 5, 50, 200])
+    def test_point_mass_and_shift_up_to_large_lambda(self, N):
+        base = Lognormal(0.3, 0.8)
+        for lam in (1e-4, 1.0, 1e3, 1e6):
+            for point in (PointMass(0.0), Shifted(PointMass(1.5), 2.0)):
+                k = k_quadrature(AuctionModel(PointMass(0.0), point, N), lam)
+                assert k == pytest.approx(1.0, abs=1e-15)
+            shifted = k_quadrature(AuctionModel(PointMass(0.0), Shifted(base, 7.0), N), lam)
+            assert shifted == k_quadrature(AuctionModel(PointMass(0.0), base, N), lam)
 
     def test_value_in_unit_interval(self):
         # the top transform never exceeds the second-highest transform
@@ -227,8 +299,24 @@ class TestKMonteCarlo:
         assert abs(est - 0.5) < 3 * se
 
     def test_rejects_bad_lambda(self):
-        with pytest.raises(DomainError):
-            k_monte_carlo(np.ones((4, 2)), 0.0)
+        for lam in (0.0, -2.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                k_monte_carlo(np.ones((4, 2)), lam)
+
+    def test_weights_below_the_double_range(self):
+        # exp(-lam * bid) underflows for every row, but the ratio does not
+        model = AuctionModel(PointMass(1000.0), Exponential(1.0), 5)
+        est, se = k_monte_carlo(simulate_bids(model, McConfig(200_000, seed=41)), 1.0)
+        assert 0 < se < 1e-2
+        assert abs(est - 0.5) < 4 * se
+
+    def test_finite_where_rare_draws_carry_k(self):
+        # at lam = 300 the weights underflow too, and K = 1/301 is carried by
+        # draws with all five bids near 0, which 20 000 rows do not see: the
+        # estimate is finite, not nan, but cannot be near 1/301
+        model = AuctionModel(PointMass(5.0), Exponential(1.0), 5)
+        est, se = k_monte_carlo(simulate_bids(model, McConfig(20_000, seed=3)), 300.0)
+        assert math.isfinite(est) and math.isfinite(se)
 
     def test_rejects_empty(self):
         with pytest.raises(DomainError):

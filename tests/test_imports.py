@@ -49,6 +49,39 @@ def test_exact_commands_load_no_numpy_or_scipy(tmp_path):
     assert report == {"codes": [0, 0, 0, 0], "heavy": []}
 
 
+# Runs auction-k on a lognormal model and then selftest in a fresh
+# interpreter, and reports whether scipy was loaded: at run time the auction
+# commands need numpy only.
+AUCTION_COMMANDS = r"""
+import contextlib, io, json, os, sys
+from laplaceratio.cli import main
+
+path = os.path.join(sys.argv[1], "model.json")
+with open(path, "w") as fh:
+    json.dump({
+        "common": {"kind": "exponential", "theta": 1.0},
+        "idiosyncratic": {"kind": "lognormal", "mu": 0.0, "sigma": 1.0},
+        "N": 5,
+    }, fh)
+codes = []
+for argv in (["auction-k", "--model", path, "--lambda", "1"], ["selftest"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+scipy = sorted(k for k in sys.modules if k.split(".")[0] == "scipy")
+print(json.dumps({"codes": codes, "scipy": scipy}))
+"""
+
+
+def test_auction_commands_load_no_scipy(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", AUCTION_COMMANDS, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert json.loads(proc.stdout) == {"codes": [0, 0], "scipy": []}
+
+
 def test_every_exported_name_resolves():
     for name in laplaceratio.__all__:
         assert getattr(laplaceratio, name) is not None

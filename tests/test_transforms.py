@@ -390,3 +390,26 @@ class TestConvolutionResidual:
     def test_zero_below_origin(self):
         pp = step_example(2)
         assert convolution_residual(pp, pp, 2, 1, 0.0) == 0.0
+
+
+class TestNonFiniteArguments:
+    # a float that is not finite has no exact value: every exact evaluation
+    # refuses it with a typed error, not Fraction's ValueError/OverflowError
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rational_function(self, bad):
+        with pytest.raises(DomainError):
+            ratio_rational(Poly([1, 1]), 2, 1)(bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_piecewise_evaluation(self, bad):
+        pp = step_example(4)
+        with pytest.raises(DomainError):
+            pp(bad)
+        with pytest.raises(DomainError):
+            pp.piece_at(bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_convolution_residual(self, bad):
+        pp = step_example(4)
+        with pytest.raises(DomainError):
+            convolution_residual(pp, pp, 2, 1, bad)
