@@ -8,7 +8,7 @@ pure function, so values can be shared freely between concurrent tasks.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .errors import DomainError, ZeroLeadingCoefficient
 
@@ -29,6 +29,75 @@ def as_rational(value) -> Rational:
     if isinstance(value, int) or isinstance(value, str):
         return Rational(value)
     raise TypeError(f"expected an exact rational-like value, got {type(value).__name__}")
+
+
+# Exact products by Kronecker substitution (von zur Gathen & Gerhard,
+# Modern Computer Algebra, 8.4): clear a coefficient tuple to integer
+# numerators over one denominator, pack the numerators into one signed int
+# with w-bit slots, so the polynomial is its value at x = 2**w, and let a
+# single big-int product or power do the convolution.  w leaves every
+# output numerator below 2**(w-1) in absolute value, so the slots never
+# carry into each other and come back out by signed residues.
+
+
+def _cleared(coeffs):
+    """(numerators, denominator, bit bound) with coeffs[i] = nums[i] / den
+    and every |nums[i]| < 2**bits."""
+    den = lcm(*(c.denominator for c in coeffs))
+    nums = [c.numerator * (den // c.denominator) for c in coeffs]
+    return nums, den, max(abs(a) for a in nums).bit_length()
+
+
+def _pack(nums, w: int) -> int:
+    """Sum of nums[i] << (w*i), by halves so that no shift copies the whole
+    packed int once per slot."""
+    if len(nums) == 1:
+        return nums[0]
+    h = len(nums) // 2
+    return _pack(nums[:h], w) + (_pack(nums[h:], w) << (w * h))
+
+
+def _unpack(stack: list, w: int, den: int) -> list:
+    """Rational(c_i, den) for the signed w-bit slots c_i of the one
+    (packed int, slot count) pair on stack, lowest slot first.
+
+    The low h slots sum to less than 2**(w*h-1) in absolute value, so they
+    are the signed residue of x mod 2**(w*h), and the floor shift of x is
+    the high part less one when that residue is negative.  Parts live only
+    on the stack, so each split frees the part it splits.
+    """
+    out = []
+    while stack:
+        x, count = stack.pop()
+        while count > 1:
+            h = count // 2
+            low = x & ((1 << (w * h)) - 1)
+            if low >> (w * h - 1):
+                low -= 1 << (w * h)
+            stack.append(((x >> (w * h)) + (low < 0), count - h))
+            x, count = low, h
+        out.append(Rational(x, den))
+    return out
+
+
+def _product(a, b) -> list:
+    """Coefficients of the product of two nonzero coefficient tuples."""
+    na, da, ba = _cleared(a)
+    nb, db, bb = _cleared(b)
+    w = ba + bb + min(len(a), len(b)).bit_length() + 1
+    stack = [(_pack(na, w) * _pack(nb, w), len(a) + len(b) - 1)]
+    del na, nb
+    return _unpack(stack, w, da * db)
+
+
+def _power(a, n: int) -> list:
+    """Coefficients of the n-th power (n >= 1) of a nonzero coefficient tuple:
+    each is a sum of at most len(a)**(n-1) products of n numerators."""
+    na, da, ba = _cleared(a)
+    w = n * ba + (n - 1) * len(a).bit_length() + 1
+    stack = [(_pack(na, w) ** n, n * (len(a) - 1) + 1)]
+    del na
+    return _unpack(stack, w, da ** n)
 
 
 class Poly:
@@ -109,13 +178,13 @@ class Poly:
         if isinstance(other, Poly):
             if self.is_zero or other.is_zero:
                 return Poly()
-            out = [Rational(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Poly(out)
+            # a constant operand is a scalar product, which the kernel
+            # could only slow down
+            if len(self.coeffs) == 1:
+                return other * self.coeffs[0]
+            if len(other.coeffs) == 1:
+                return self * other.coeffs[0]
+            return Poly(_product(self.coeffs, other.coeffs))
         scalar = as_rational(other)
         return Poly(scalar * c for c in self.coeffs)
 
@@ -125,14 +194,11 @@ class Poly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise DomainError("polynomial powers take a nonnegative integer exponent")
-        result = Poly((1,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        if n == 0:
+            return Poly((1,))
+        if self.is_zero:
+            return Poly()
+        return Poly(_power(self.coeffs, n))
 
     def compose_linear(self, a, b) -> "Poly":
         """Return p(a + b*x) expanded exactly."""
@@ -273,14 +339,8 @@ class Series:
     def __mul__(self, other):
         if isinstance(other, Series):
             d = self._common_order(other)
-            out = [Rational(0)] * (d + 1)
-            for i in range(d + 1):
-                a = self.coeffs[i]
-                if not a:
-                    continue
-                for j in range(d + 1 - i):
-                    out[i + j] += a * other.coeffs[j]
-            return Series(out, d)
+            full = Poly(self.coeffs[: d + 1]) * Poly(other.coeffs[: d + 1])
+            return Series(full.coeffs, d)
         scalar = as_rational(other)
         return Series([scalar * c for c in self.coeffs], self.order)
 

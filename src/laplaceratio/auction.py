@@ -180,8 +180,8 @@ def k_analytic_exponential(theta: float, lam: float) -> float:
     """Closed form of K when the idiosyncratic law is exponential: by the
     memoryless property the top two bids differ by an independent fresh
     draw, so K equals the draw's transform theta/(theta+lam) for every N."""
-    if theta <= 0 or lam <= 0:
-        raise DomainError(f"theta and lambda must be positive, got ({theta}, {lam})")
+    if not (math.isfinite(theta) and theta > 0 and math.isfinite(lam) and lam > 0):
+        raise DomainError(f"theta and lambda must be finite and positive, got ({theta}, {lam})")
     return theta / (theta + lam)
 
 
@@ -296,6 +296,8 @@ def k_monte_carlo(samples: np.ndarray, lam: float) -> tuple[float, float]:
     table = np.asarray(samples, dtype=float)
     if table.ndim != 2 or table.shape[1] != 2 or table.shape[0] == 0:
         raise DomainError("expected a nonempty (rows, 2) sample table")
+    if not np.isfinite(table).all():
+        raise DomainError("sample table holds a non-finite bid")
     x, y = np.exp(-lam * (table - table[:, 1].min())).T
     n = len(x)
     xbar, ybar = x.mean(), y.mean()

@@ -21,6 +21,33 @@ degree_12_polys = st.lists(rationals, max_size=13).map(Poly)
 DEGREE_40 = Poly([F((-1) ** i * (i % 9 + 1), i % 7 + 1) for i in range(41)])
 
 
+def widths(top):
+    # integers of every bit length up to top, so slot widths cross byte boundaries
+    return st.integers(0, top).flatmap(lambda b: st.integers(-(2 ** b), 2 ** b))
+
+
+wide_rationals = st.builds(F, widths(100), widths(40).map(lambda d: abs(d) + 1))
+# zero runs, including a zero constant term, come from the zeros mixed in
+wide_polys = st.lists(st.one_of(st.just(F(0)), wide_rationals), max_size=24).map(Poly)
+# every numerator at its bit width's maximum, one sign: the products that
+# come closest to the kernel's slot-width bound
+full_polys = st.builds(
+    lambda bits, length, sign: Poly([sign * (2 ** bits - 1)] * length),
+    st.integers(1, 70),
+    st.integers(1, 9),
+    st.sampled_from((1, -1)),
+)
+
+
+def mul_by_pairs(p, q):
+    # the schoolbook Fraction loop, term by term
+    out = [F(0)] * max(len(p.coeffs) + len(q.coeffs) - 1, 0)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return Poly(out)
+
+
 def convolve_by_pairs(p, q):
     # x^a * x^b = a! b! / (a+b+1)! * t^(a+b+1), summed over every pair of terms
     out = [F(0)] * (len(p.coeffs) + len(q.coeffs))
@@ -28,6 +55,11 @@ def convolve_by_pairs(p, q):
         for j, b in enumerate(q.coeffs):
             out[i + j + 1] += a * b * F(factorial(i) * factorial(j), factorial(i + j + 1))
     return Poly(out)
+
+
+wide_series = st.builds(
+    Series, st.lists(st.one_of(st.just(F(0)), wide_rationals), max_size=10), st.integers(0, 8)
+)
 
 
 def series_pair(order):
@@ -77,6 +109,39 @@ class TestPoly:
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
             Poly([0.5])
+
+    @given(st.one_of(wide_polys, full_polys), st.one_of(wide_polys, full_polys))
+    @example(DEGREE_40, -DEGREE_40)
+    @example(Poly([255] * 3), Poly([-255] * 3))
+    @example(Poly([0, 0, F(-255, 256)]), Poly([F(2 ** 64 + 1, 3)]))
+    @settings(max_examples=300, deadline=None)
+    def test_mul_matches_pairwise_loop(self, p, q):
+        assert p * q == mul_by_pairs(p, q)
+        assert q * p == mul_by_pairs(p, q)
+
+    @given(wide_polys, st.one_of(st.just(F(0)), wide_rationals))
+    @settings(max_examples=100, deadline=None)
+    def test_mul_by_constant_poly(self, p, c):
+        assert p * Poly([c]) == Poly([c]) * p == mul_by_pairs(p, Poly([c])) == p * c
+
+    @given(
+        st.one_of(st.lists(st.one_of(st.just(F(0)), wide_rationals), max_size=8).map(Poly), full_polys),
+        st.integers(0, 7),
+    )
+    @example(DEGREE_40, 5)
+    @example(Poly([255] * 3), 7)
+    @settings(max_examples=200, deadline=None)
+    def test_pow_matches_repeated_products(self, p, n):
+        want = Poly([1])
+        for _ in range(n):
+            want = mul_by_pairs(want, p)
+        assert p ** n == want
+
+    def test_pow_exponent_validated(self):
+        with pytest.raises(DomainError):
+            Poly([1, 1]) ** -1
+        with pytest.raises(DomainError):
+            Poly([1, 1]) ** 1.5
 
     @given(small_polys, small_polys, small_polys)
     @settings(max_examples=60)
@@ -208,6 +273,18 @@ class TestSeries:
     def test_ring_laws(self, a, b, c):
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
+        assert a * b == b * a
+
+    @given(wide_series, wide_series)
+    @example(Series([0, 0, 1], 2), Series([0, 1], 1))
+    @example(Series([], 3), Series([5], 0))
+    @settings(max_examples=150, deadline=None)
+    def test_mul_is_truncated_pairwise_product(self, a, b):
+        # mixed orders, zero runs and wide coefficients
+        d = min(a.order, b.order)
+        want = Series.from_poly(mul_by_pairs(Poly(a.coeffs), Poly(b.coeffs)), d)
+        assert a * b == want
+        assert (a * b).order == d
 
     @given(small_polys, small_polys)
     @settings(max_examples=60)

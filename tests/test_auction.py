@@ -140,6 +140,13 @@ class TestKAnalyticExponential:
         with pytest.raises(DomainError):
             k_analytic_exponential(-1.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(DomainError):
+            k_analytic_exponential(1.0, bad)
+        with pytest.raises(DomainError):
+            k_analytic_exponential(bad, 1.0)
+
 
 CATALOGUE = Path(__file__).resolve().parents[1] / "benchmarks" / "k_catalogue.json"
 
@@ -302,6 +309,14 @@ class TestKMonteCarlo:
         for lam in (0.0, -2.0, math.nan, math.inf):
             with pytest.raises(DomainError):
                 k_monte_carlo(np.ones((4, 2)), lam)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_bids(self, bad):
+        for row, col in ((0, 0), (1, 1)):
+            table = np.array([[3.0, 1.0], [2.0, 1.5]])
+            table[row, col] = bad
+            with pytest.raises(DomainError):
+                k_monte_carlo(table, 1.0)
 
     def test_weights_below_the_double_range(self):
         # exp(-lam * bid) underflows for every row, but the ratio does not
