@@ -257,21 +257,6 @@ def convolve(p: Poly, q: Poly) -> Poly:
     return Poly([0] + [c / factorial(i + 1) for i, c in enumerate((pw * qw).coeffs)])
 
 
-def power_term(g, P, n: int, j: int) -> Rational:
-    """Coefficient j >= 1 of g**n from the coefficients P[0..j-1] before it.
-
-    J.C.P. Miller's recurrence for powers of a formal series (Knuth, TAOCP
-    vol. 2, 4.7): j*g_0*P_j = sum over i = 1..j of ((n+1)*i - j)*g_i*P_(j-i).
-    g[0] must be nonzero and coefficients of g past its length count as 0.
-    g_j enters only through the i = j term, as n*g_0**(n-1)*g_j, so leaving
-    it off gives the value at g_j = 0 and that slope completes it.
-    """
-    acc = sum(
-        ((n + 1) * i - j) * g[i] * P[j - i] for i in range(1, min(j, len(g) - 1) + 1) if g[i]
-    )
-    return Rational(acc) / (j * g[0])
-
-
 class Series:
     """Power series truncated at a fixed order.
 
@@ -364,17 +349,10 @@ class Series:
         return Series(out, d)
 
     def __pow__(self, n: int):
-        """Truncated power by power_term, O(order * degree) for any n; the
-        series needs a nonzero constant term."""
+        """Truncated power: the packed polynomial power, cut at the order."""
         if not isinstance(n, int) or n < 0:
             raise DomainError("series powers take a nonnegative integer exponent")
-        if not self.coeffs[0]:
-            raise ZeroLeadingCoefficient("series powers require coeffs[0] != 0")
-        g = Poly(self.coeffs).coeffs  # trailing zeros dropped: each sum stops at the degree
-        out = [g[0] ** n]
-        for j in range(1, self.order + 1):
-            out.append(power_term(g, out, n, j))
-        return Series(out, self.order)
+        return Series((Poly(self.coeffs) ** n).coeffs, self.order)
 
     def __repr__(self):
         return f"Series([{', '.join(str(c) for c in self.coeffs)}], order={self.order})"

@@ -19,13 +19,13 @@ from .algebra import Poly
 from .errors import FormatError, LaplaceRatioError, OutOfRange
 from .identify import RatioSpec, identify, pivot_value, verify_identity
 from .transforms import (
-    PiecewisePoly,
     convolution_residual,
     delay,
     laplace_piecewise,
     laplace_poly,
     ratio_eval_piecewise,
     ratio_expansion,
+    ratio_rational,
     shift_vanishing,
     sin_closed_form,
     sin_ratio_check,
@@ -282,8 +282,10 @@ def cmd_ratio(args) -> int:
     if not lams:
         raise FormatError("piecewise ratios need --lambda or --lambda-grid")
     if isinstance(fn, Poly):
-        fn = PiecewisePoly([0], [fn], allow_polynomial_tail=True)
-    rows = [[lam, ratio_eval_piecewise(fn, args.n, args.m, lam)] for lam in lams]
+        closed = ratio_rational(fn, args.n, args.m)
+        rows = [[lam, closed(lam)] for lam in lams]
+    else:
+        rows = [[lam, ratio_eval_piecewise(fn, args.n, args.m, lam)] for lam in lams]
     _emit_rows(args, ["lambda", "h"], rows)
     return 0
 

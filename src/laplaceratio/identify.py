@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from math import factorial
 
-from .algebra import Poly, Rational, Series, beta_rational, convolve, power_term
+from .algebra import Poly, Rational, Series, beta_rational, convolve
 from .errors import (
     DomainError,
     InconsistentRatio,
@@ -166,6 +166,21 @@ def next_coefficient(state: IdentifyState, H: RatioExpansion) -> Rational:
     if ratio_expansion(state.partial_poly, spec.n, spec.m, j - 1).tail != H.tail.truncate(j - 1):
         raise InconsistentRatio(f"the state does not match the expansion below order {j}")
     return c
+
+
+def power_term(g, P, n: int, j: int) -> Rational:
+    """Coefficient j >= 1 of g**n from the coefficients P[0..j-1] before it.
+
+    J.C.P. Miller's recurrence for powers of a formal series (Knuth, TAOCP
+    vol. 2, 4.7): j*g_0*P_j = sum over i = 1..j of ((n+1)*i - j)*g_i*P_(j-i).
+    g[0] must be nonzero and coefficients of g past its length count as 0.
+    g_j enters only through the i = j term, as n*g_0**(n-1)*g_j, so leaving
+    it off gives the value at g_j = 0 and that slope completes it.
+    """
+    acc = sum(
+        ((n + 1) * i - j) * g[i] * P[j - i] for i in range(1, min(j, len(g) - 1) + 1) if g[i]
+    )
+    return Rational(acc) / (j * g[0])
 
 
 def _extend(g: list, T, k: int, spec: RatioSpec, count: int) -> list:

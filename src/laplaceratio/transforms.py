@@ -17,7 +17,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from math import factorial
 
-from .algebra import Poly, Rational, Series, as_rational
+from .algebra import Poly, Rational, Series, _cleared, as_rational
 from .errors import (
     DivergentTransform,
     DomainError,
@@ -65,7 +65,8 @@ class RatioExpansion:
 
 
 def ratio_expansion(f: Poly, n: int, m: int, order: int) -> RatioExpansion:
-    """Exact expansion of L{f^n}/L{f^m} at infinity, to the given tail order.
+    """Exact expansion of L{f^n}/L{f^m} at infinity, to the given tail order:
+    the closed form ratio_rational, expanded.
 
     The leading exponent is k*(m-n) where k is the index of f's lowest
     nonzero coefficient.
@@ -75,20 +76,9 @@ def ratio_expansion(f: Poly, n: int, m: int, order: int) -> RatioExpansion:
         raise ZeroFunction("the zero function has no transform ratio")
     if order < 0:
         raise DomainError("expansion order must be nonnegative")
-    k = f.valuation
-    # f = x^k * g, so [x^(kn+j)] f^n = [x^j] g^n: only a prefix of g^n is needed
-    g = Series(f.coeffs[k:], order)
-    num = _shifted_transform(g ** n, k * n)
-    den = _shifted_transform(g ** m, k * m)
-    return RatioExpansion(lead=k * (m - n), tail=num / den)
-
-
-def _shifted_transform(power: Series, valuation: int) -> Series:
-    # coefficients of L{x^valuation * power} / u^(valuation+1); entry j is
-    # (valuation+j)! * power.coeffs[j]
-    return Series(
-        [factorial(valuation + j) * c for j, c in enumerate(power.coeffs)], power.order
-    )
+    # T_0..T_order read only the coefficients k..k+order of f, so the cut
+    # is exact and keeps the closed form's powers to the order asked for
+    return ratio_rational(Poly(f.coeffs[: f.valuation + order + 1]), n, m).expansion(order)
 
 
 def _check_exponents(n: int, m: int) -> None:
@@ -150,13 +140,8 @@ class RationalFunction:
 
 def _content_scale(coeffs) -> Rational:
     # multiplier turning the coefficients into integers with gcd 1
-    lcm_den = 1
-    for c in coeffs:
-        lcm_den = lcm_den * c.denominator // math.gcd(lcm_den, c.denominator)
-    gcd_num = 0
-    for c in coeffs:
-        gcd_num = math.gcd(gcd_num, abs(c.numerator * (lcm_den // c.denominator)))
-    return Rational(lcm_den, gcd_num if gcd_num else 1)
+    nums, den, _ = _cleared(coeffs)
+    return Rational(den, math.gcd(*nums) or 1)
 
 
 def as_rational_number(x) -> Rational:

@@ -5,15 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from laplaceratio.algebra import (
-    Poly,
-    Series,
-    as_rational,
-    beta_rational,
-    convolve,
-    power_term,
-)
+from laplaceratio.algebra import Poly, Series, as_rational, beta_rational, convolve
 from laplaceratio.errors import DomainError, ZeroLeadingCoefficient
+from laplaceratio.identify import power_term
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=6)
 small_polys = st.lists(rationals, max_size=6).map(Poly)
@@ -304,13 +298,16 @@ unit_polys = st.lists(rationals, min_size=1, max_size=9).map(Poly).filter(
 
 
 class TestSeriesPow:
-    @given(unit_polys, st.integers(0, 6), st.integers(-8, 8))
+    @given(st.lists(rationals, max_size=9).map(Poly), st.integers(0, 6), st.integers(-8, 8))
     @settings(max_examples=80, deadline=None)
     def test_matches_poly_pow(self, p, n, shift):
-        # orders both below and above the full degree n*deg
+        # orders both below and above the full degree n*deg; zero constant
+        # terms included
         order = max(n * p.degree + shift, 0)
-        got = Series.from_poly(p, order) ** n
-        assert got == Series.from_poly(p ** n, order)
+        want = Poly([1])
+        for _ in range(n):
+            want = mul_by_pairs(want, p)
+        assert Series.from_poly(p, order) ** n == Series.from_poly(want, order)
 
     @given(unit_polys, st.integers(1, 6), st.integers(1, 8), rationals)
     @settings(max_examples=60, deadline=None)
@@ -322,9 +319,8 @@ class TestSeriesPow:
         full = Series(g + [c], j) ** n
         assert full.coeffs[j] == power_term(g, P, n, j) + n * g[0] ** (n - 1) * c
 
-    def test_zero_constant_term_rejected(self):
-        with pytest.raises(ZeroLeadingCoefficient):
-            Series([0, 1], 3) ** 2
+    def test_zero_constant_term_allowed(self):
+        assert Series([0, 1], 3) ** 2 == Series([0, 0, 1], 3)
 
     def test_exponent_validated(self):
         with pytest.raises(DomainError):

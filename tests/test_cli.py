@@ -81,6 +81,19 @@ class TestRatioCommand:
         assert lines[0] == "lambda,h"
         assert len(lines) == 3
 
+    def test_poly_lambda_is_correctly_rounded(self, capsys, poly_file):
+        # f = 1 - x, (2, 1): H = (lam^2 - 2 lam + 2) / (lam (lam - 1)), whose
+        # near-pole value the float transforms miss by about 2e-9 relative
+        path = poly_file("f.json", ["1", "-1"])
+        lam = 1.00000001
+        code, out, _ = run_cli(
+            capsys, "ratio", "--input", path, "--n", "2", "--m", "1", "--lambda", repr(lam)
+        )
+        x = F(lam)
+        exact = (x * x - 2 * x + 2) / (x * (x - 1))
+        assert code == 0
+        assert out.splitlines()[1] == f"{lam!r},{float(exact)!r}"
+
     def test_missing_order_is_usage_error(self, capsys, poly_file):
         path = poly_file("f.json", ["1", "1"])
         code, _, err = run_cli(capsys, "ratio", "--input", path, "--n", "2", "--m", "1")

@@ -1,8 +1,9 @@
 import math
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -37,6 +38,33 @@ rationals = st.fractions(min_value=-20, max_value=20, max_denominator=4)
 polys = st.lists(rationals, max_size=6).map(Poly)
 nonzero_polys = polys.filter(lambda p: not p.is_zero)
 exponent_pairs = st.tuples(st.integers(1, 5), st.integers(1, 5)).filter(lambda t: t[0] != t[1])
+# the odd- and even-difference specs of test_identify
+SPECS = [(2, 1), (3, 2), (1, 2), (5, 2), (3, 1), (5, 3), (4, 2)]
+DEGREE_40_K3 = Poly([0] * 3 + [F((-1) ** i * (i % 9 + 1), i % 7 + 1) for i in range(38)])
+DEGREE_200 = Poly([F((-1) ** i * (i % 5 + 1), i % 3 + 1) for i in range(201)])
+
+
+@st.composite
+def expansion_cases(draw):
+    # degree <= 12, valuation k <= 3, orders from 0 to past n*deg
+    k = draw(st.integers(0, 3))
+    head = draw(rationals.filter(bool))
+    f = Poly([0] * k + [head] + draw(st.lists(rationals, max_size=12 - k)))
+    n, m = draw(st.sampled_from(SPECS))
+    return f, (n, m), draw(st.integers(0, n * f.degree + 3))
+
+
+def expansion_by_division(f, n, m, order):
+    # A_j = (kn+j)! [x^(kn+j)] f^n and B likewise for m, from full powers;
+    # the tail T = A/B by schoolbook series division
+    k = f.valuation
+    fn, fm = f ** n, f ** m
+    A = [factorial(k * n + j) * fn.coefficient(k * n + j) for j in range(order + 1)]
+    B = [factorial(k * m + j) * fm.coefficient(k * m + j) for j in range(order + 1)]
+    T = []
+    for j in range(order + 1):
+        T.append((A[j] - sum(B[i] * T[j - i] for i in range(1, j + 1))) / B[0])
+    return RatioExpansion(k * (m - n), Series(T, order))
 
 
 def eval_piecewise(pp, x):
@@ -143,10 +171,17 @@ class TestRatioRational:
         rf = ratio_rational(Poly([1, 1]), 2, 1)
         assert rf == RationalFunction(Poly([2, 2, 1]), Poly([0, 1, 1]))
 
-    def test_agrees_with_expansion(self):
-        f = Poly([2, -1, 0, 3])
-        for n, m in [(2, 1), (3, 2), (1, 4)]:
-            assert ratio_rational(f, n, m).expansion(6) == ratio_expansion(f, n, m, 6)
+    @given(expansion_cases())
+    @example((DEGREE_40_K3, (5, 4), 65))
+    @example((DEGREE_200, (5, 4), 5))
+    @settings(max_examples=80, deadline=None)
+    def test_agrees_with_expansion(self, case):
+        # the full closed form and ratio_expansion's cut one both expand
+        # to the reference
+        f, (n, m), order = case
+        want = expansion_by_division(f, n, m, order)
+        assert ratio_rational(f, n, m).expansion(order) == want
+        assert ratio_expansion(f, n, m, order) == want
 
     def test_numeric_eval_matches_quadrature(self):
         f = Poly([1, 1])
@@ -173,11 +208,13 @@ class TestRatioRational:
             RationalFunction(Poly([1]), Poly([-1, 1]))(1)
 
     def test_stored_with_integer_content_removed(self):
-        rf = RationalFunction(Poly([F(1, 2), F(1, 3)]), Poly([F(-1, 6)]))
-        ints = [c for p in (rf.numer, rf.denom) for c in p.coeffs]
-        assert all(c.denominator == 1 for c in ints)
-        assert math.gcd(*(abs(c.numerator) for c in ints)) == 1
-        assert rf.denom.coeffs[-1] > 0
+        # the second pair clears to 12, 18, -2, whose common factor 2 goes too
+        for numer, denom in ([F(1, 2), F(1, 3)], [F(-1, 6)]), ([4, 6], [F(-2, 3)]):
+            rf = RationalFunction(Poly(numer), Poly(denom))
+            ints = [c for p in (rf.numer, rf.denom) for c in p.coeffs]
+            assert all(c.denominator == 1 for c in ints)
+            assert math.gcd(*(abs(c.numerator) for c in ints)) == 1
+            assert rf.denom.coeffs[-1] > 0
 
     def test_equality_is_functional(self):
         a = RationalFunction(Poly([1, 1]), Poly([0, 1]))
