@@ -271,16 +271,27 @@ def _chunked(cfg: McConfig):
 
 def simulate_bids(model: AuctionModel, cfg: McConfig) -> np.ndarray:
     """Simulate the two highest bids; returns an array of shape (samples, 2)
-    with columns (highest, second highest).  Fully determined by cfg."""
+    with columns (highest, second highest).  Fully determined by cfg.
+
+    The common part is added after the sort, to the top two columns only:
+    fl(c + x) is monotone in x, so this commutes with the sort bit for bit.
+    Raises OutOfRange if a bid overflows the double range.
+    """
     out = np.empty((cfg.samples, 2))
     N = model.n_bidders
-    for start, rows, rng in _chunked(cfg):
-        common = sample_draws(model.common, rng, rows)
-        eps = sample_draws(model.idiosyncratic, rng, (rows, N))
-        bids = common[:, None] + eps
-        bids.sort(axis=1)
-        out[start : start + rows, 0] = bids[:, -1]
-        out[start : start + rows, 1] = bids[:, -2]
+    with np.errstate(over="ignore"):
+        for start, rows, rng in _chunked(cfg):
+            common = sample_draws(model.common, rng, rows)
+            eps = sample_draws(model.idiosyncratic, rng, (rows, N))
+            eps.sort(axis=1)
+            out[start : start + rows] = common[:, None] + eps[:, :-3:-1]
+    bad = ~np.isfinite(out).all(axis=1)
+    if bad.any():
+        row = int(bad.argmax())
+        top, second = out[row].tolist()
+        raise OutOfRange(
+            f"simulated bids ({top!r}, {second!r}) in row {row} are not finite doubles"
+        )
     return out
 
 

@@ -338,7 +338,7 @@ def cmd_auction_sim(args) -> int:
     if args.output:
         ff.save_samples(args.output, table)
     else:
-        _emit_rows(args, ["top", "second"], [[float(a), float(b)] for a, b in table])
+        _emit_rows(args, ["top", "second"], table.tolist())
     return 0
 
 

@@ -13,7 +13,7 @@ import re
 from typing import TYPE_CHECKING
 
 from .algebra import Poly, Rational, Series
-from .errors import FormatError
+from .errors import FormatError, OutOfRange
 from .identify import IdentifyResult
 from .transforms import PiecewisePoly, RatioExpansion, sin_maclaurin, step_example
 
@@ -212,18 +212,24 @@ def load_json(path):
 
 
 def save_samples(path, table: np.ndarray) -> None:
-    """Write a (rows, 2) sample table as CSV with header top,second; floats
-    use shortest round-trip decimal form."""
+    """Write a (rows, 2) sample table as CSV with header top,second and
+    CRLF line ends, as csv.writer does; floats use shortest round-trip
+    decimal form, which never needs quoting.  A non-finite bid raises
+    OutOfRange before the file is opened, as load_samples would refuse it."""
     import numpy as np
 
+    table = np.asarray(table, dtype=float)
+    if not np.isfinite(table).all():
+        raise OutOfRange("sample table holds a non-finite bid")
+    rows = table.tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["top", "second"])
-        for top, second in np.asarray(table, dtype=float):
-            writer.writerow([repr(float(top)), repr(float(second))])
+        fh.write("top,second\r\n")
+        fh.writelines(f"{top!r},{second!r}\r\n" for top, second in rows)
 
 
 def load_samples(path) -> np.ndarray:
+    """Read a table written by save_samples; blank lines are skipped, and a
+    malformed or non-finite cell raises FormatError naming path:line."""
     import numpy as np
 
     try:
@@ -232,18 +238,22 @@ def load_samples(path) -> np.ndarray:
             header = next(reader, None)
             if header is None or [h.strip() for h in header] != ["top", "second"]:
                 raise FormatError(f"{path}:1: expected header 'top,second'")
-            rows = []
+            values = []
             for lineno, row in enumerate(reader, start=2):
                 if not row:
                     continue
                 if len(row) != 2:
                     raise FormatError(f"{path}:{lineno}: expected two columns")
                 try:
-                    rows.append((float(row[0]), float(row[1])))
+                    top, second = float(row[0]), float(row[1])
                 except ValueError as exc:
                     raise FormatError(f"{path}:{lineno}: {exc}") from exc
+                if not (math.isfinite(top) and math.isfinite(second)):
+                    raise FormatError(f"{path}:{lineno}: bids must be finite, got {row!r}")
+                values.append(top)
+                values.append(second)
     except OSError as exc:
         raise FormatError(f"{path}: {exc.strerror or exc}") from exc
-    if not rows:
+    if not values:
         raise FormatError(f"{path}: no sample rows")
-    return np.array(rows, dtype=float)
+    return np.array(values).reshape(-1, 2)

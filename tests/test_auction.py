@@ -282,6 +282,25 @@ class TestSimulateBids:
         table = simulate_bids(model, McConfig(10_000, seed=3))
         assert np.all(table[:, 0] >= table[:, 1])
 
+    @pytest.mark.parametrize("N", [2, 5, 50])
+    @pytest.mark.parametrize(
+        "common",
+        [Exponential(1.0), Lognormal(0.5, 0.8), PointMass(2.0), Shifted(Lognormal(-1.0, 0.5), 3.5)],
+    )
+    def test_matches_the_full_sort(self, common, N):
+        model = AuctionModel(common, Lognormal(0.2, 0.9), N)
+        cfg = McConfig(1_000, seed=7, chunk=300)
+        got = simulate_bids(model, cfg)
+        want = reference_simulate_bids(model, cfg)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_overflow_raises_out_of_range(self, recwarn):
+        law = Lognormal(-708.0, 1.0)
+        with pytest.raises(OutOfRange) as err:
+            simulate_bids(AuctionModel(law, law, 3), McConfig(5, seed=1))
+        assert "inf" in str(err.value)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_memoryless_gap_mean(self):
         # gap between the top two of N exponentials is a fresh exponential
         model = AuctionModel(PointMass(0.0), Exponential(1.0), 2)
@@ -289,6 +308,22 @@ class TestSimulateBids:
         gap = table[:, 0] - table[:, 1]
         stderr = gap.std(ddof=1) / math.sqrt(len(gap))
         assert abs(gap.mean() - 1.0) < 3 * stderr
+
+
+def reference_simulate_bids(model, cfg):
+    """simulate_bids as a full sort of common + idiosyncratic bids, with the
+    counter-based stream of each chunk spelled out."""
+    out = np.empty((cfg.samples, 2))
+    for ci, start in enumerate(range(0, cfg.samples, cfg.chunk)):
+        rows = min(cfg.chunk, cfg.samples - start)
+        rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(ci))
+        common = sample_draws(model.common, rng, rows)
+        eps = sample_draws(model.idiosyncratic, rng, (rows, model.n_bidders))
+        bids = common[:, None] + eps
+        bids.sort(axis=1)
+        out[start : start + rows, 0] = bids[:, -1]
+        out[start : start + rows, 1] = bids[:, -2]
+    return out
 
 
 class TestKMonteCarlo:

@@ -398,6 +398,41 @@ class TestAuctionCommands:
         assert out1.read_bytes() == out2.read_bytes()
         assert out1.read_text().splitlines()[0] == "top,second"
 
+    def test_auction_sim_stdout_rows_match_the_file(self, capsys, model_file, tmp_path):
+        path = model_file(
+            "m.json",
+            {
+                "common": {"kind": "exponential", "theta": 1.0},
+                "idiosyncratic": {"kind": "lognormal", "mu": 0.2, "sigma": 0.9},
+                "N": 5,
+            },
+        )
+        argv = ["auction-sim", "--model", path, "--samples", "300", "--seed", "3", "--chunk", "128"]
+        csv_path = tmp_path / "bids.csv"
+        assert main(argv + ["--output", str(csv_path)]) == 0
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.splitlines() == csv_path.read_bytes().decode().split("\r\n")[:-1]
+        assert len(out.splitlines()) == 301
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_auction_sim_overflow_is_typed(self, model_file, tmp_path, to_file):
+        law = {"kind": "lognormal", "mu": -708, "sigma": 1}
+        path = model_file("m.json", {"common": law, "idiosyncratic": law, "N": 3})
+        csv_path = tmp_path / "bids.csv"
+        argv = ["auction-sim", "--model", path, "--samples", "5", "--seed", "1"]
+        if to_file:
+            argv += ["--output", str(csv_path)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "laplaceratio.cli", *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("OutOfRange: simulated bids (inf, ")
+        assert proc.stderr.count("\n") == 1
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+        assert not csv_path.exists()
+
     def test_auction_identify(self, capsys, tmp_path):
         H = ratio_expansion(Poly([0, 1]), 1, 2, 8)
         path = tmp_path / "H.json"

@@ -1,12 +1,18 @@
+import csv
+import io
 import json
+import math
+import sys
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from laplaceratio.algebra import Poly, Series
 from laplaceratio.auction import AuctionModel, Exponential, Lognormal, PointMass, Shifted
-from laplaceratio.errors import FormatError
+from laplaceratio.errors import FormatError, OutOfRange
 from laplaceratio.fileformats import (
     dist_from_document,
     function_from_document,
@@ -193,3 +199,81 @@ class TestSampleCsv:
         with pytest.raises(FormatError) as err:
             load_samples(path)
         assert ":2" in str(err.value)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            min_size=1,
+            max_size=50,
+        )
+    )
+    @example([(-0.0, 5e-324)])
+    @example([(sys.float_info.max, -sys.float_info.max), (2.2250738585072009e-308, -0.0)])
+    def test_bytes_match_the_csv_writer_and_load_is_bit_exact(self, tmp_path, rows):
+        table = np.array(rows, dtype=float)
+        path = tmp_path / "samples.csv"
+        save_samples(path, table)
+        assert path.read_bytes() == reference_sample_bytes(table)
+        loaded = load_samples(path)
+        assert loaded.shape == table.shape
+        assert np.array_equal(loaded.view(np.uint64), table.view(np.uint64))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_save_refuses_non_finite_and_writes_nothing(self, tmp_path, bad):
+        path = tmp_path / "samples.csv"
+        with pytest.raises(OutOfRange):
+            save_samples(path, np.array([[1.0, 0.5], [bad, 0.5]]))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_positioned(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"top,second\n2.0,1.0\n3.0,{cell}\n")
+        with pytest.raises(FormatError) as err:
+            load_samples(path)
+        assert f"{path}:3:" in str(err.value)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_text("top,second\n\n2.0,1.0\n\n3.0,2.5\n\n")
+        assert load_samples(path).tolist() == [[2.0, 1.0], [3.0, 2.5]]
+
+    def test_wrong_column_count_positioned(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("top,second\n2.0,1.0\n3.0,2.0,1.0\n")
+        with pytest.raises(FormatError) as err:
+            load_samples(path)
+        assert str(err.value) == f"{path}:3: expected two columns"
+
+    def test_header_with_spaces_accepted(self, tmp_path):
+        path = tmp_path / "spaced.csv"
+        path.write_text("top, second\n2.0,1.0\n")
+        assert load_samples(path).tolist() == [[2.0, 1.0]]
+
+    def test_header_only_has_no_rows(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("top,second\r\n")
+        with pytest.raises(FormatError) as err:
+            load_samples(path)
+        assert str(err.value) == f"{path}: no sample rows"
+
+    def test_empty_file_fails_on_the_header(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(FormatError) as err:
+            load_samples(path)
+        assert str(err.value) == f"{path}:1: expected header 'top,second'"
+
+
+def reference_sample_bytes(table) -> bytes:
+    """The sample CSV as csv.writer writes it, one repr cell at a time."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["top", "second"])
+    for top, second in np.asarray(table, dtype=float):
+        writer.writerow([repr(float(top)), repr(float(second))])
+    return buf.getvalue().encode("utf-8")
