@@ -71,7 +71,6 @@ __all__ = [
     "leading_coefficient",
     "memoryless_check",
     "next_coefficient",
-    "order_stat_cdfs",
     "pivot_value",
     "ratio_eval_piecewise",
     "ratio_expansion",
@@ -87,9 +86,9 @@ __all__ = [
 __version__ = "0.1.0"
 
 
-# The auction pipeline runs on numpy, so its names in __all__ are resolved on
-# first use (PEP 562): importing the package, and the exact half, stays pure
-# Python.  Every other exported name is bound above.
+# The auction names in __all__ are resolved on first use (PEP 562), so the
+# exact half never builds the auction module's classes.  Every other
+# exported name is bound above.
 def __getattr__(name):
     if name in __all__:
         from . import auction

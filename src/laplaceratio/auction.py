@@ -8,18 +8,24 @@ power ratio of F through
     K = H / (N + (N-1) H)      with H = L{F^(N-1)} / L{F^N},
 
 so recovering F from K reduces to recovering F from its power ratio.
+
+Only the Monte Carlo functions, which draw or hold sample arrays, import
+numpy, and they do so on first call; the laws, the quadrature and the
+conversions run on the standard library.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, OutOfRange, QuadratureFailure
 from .identify import IdentifyResult, RatioSpec, identify
 from .transforms import RatioExpansion
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -104,6 +110,8 @@ class McConfig:
 
 def sample_draws(dist: DistSpec, rng: np.random.Generator, size) -> np.ndarray:
     """Draw from a distribution; consumes the generator in a fixed order."""
+    import numpy as np
+
     if isinstance(dist, Exponential):
         return rng.exponential(scale=1.0 / dist.theta, size=size)
     if isinstance(dist, Lognormal):
@@ -141,18 +149,6 @@ def _bid_at_score(dist: DistSpec, z: float) -> tuple[float, float]:
         lower, excess = _bid_at_score(dist.base, z)
         return lower + dist.offset, excess
     raise DomainError(f"unknown distribution {dist!r}")
-
-
-def order_stat_cdfs(F_val: float, N: int) -> tuple[float, float]:
-    """CDF values of the top two of N i.i.d. draws where the single-draw CDF
-    is F_val: (F^N, F^N + N F^(N-1) (1-F)), the second capped at 1."""
-    if not 0.0 <= F_val <= 1.0:
-        raise DomainError(f"a CDF value must lie in [0, 1], got {F_val}")
-    if N < 2:
-        raise DomainError("order statistics need N >= 2")
-    top = F_val ** N
-    second = min(1.0, top + N * F_val ** (N - 1) * (1.0 - F_val))
-    return top, second
 
 
 def k_from_h(h: float, N: int) -> float:
@@ -263,6 +259,8 @@ def k_quadrature(model: AuctionModel, lam: float, tol: float = 1e-10) -> float:
 def _chunked(cfg: McConfig):
     """Yield (chunk_index, rows, generator) triples; one independent
     counter-based stream per chunk so scheduling cannot change results."""
+    import numpy as np
+
     for ci, start in enumerate(range(0, cfg.samples, cfg.chunk)):
         rows = min(cfg.chunk, cfg.samples - start)
         rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(ci))
@@ -277,6 +275,8 @@ def simulate_bids(model: AuctionModel, cfg: McConfig) -> np.ndarray:
     fl(c + x) is monotone in x, so this commutes with the sort bit for bit.
     Raises OutOfRange if a bid overflows the double range.
     """
+    import numpy as np
+
     out = np.empty((cfg.samples, 2))
     N = model.n_bidders
     with np.errstate(over="ignore"):
@@ -302,6 +302,8 @@ def k_monte_carlo(samples: np.ndarray, lam: float) -> tuple[float, float]:
     delta method for a ratio of two correlated sample means.  Weights are
     taken relative to the smallest second bid, so they cannot all underflow.
     """
+    import numpy as np
+
     if not (math.isfinite(lam) and lam > 0):
         raise DomainError(f"lambda must be finite and positive, got {lam}")
     table = np.asarray(samples, dtype=float)
@@ -330,6 +332,8 @@ def memoryless_check(theta: float, N: int, cfg: McConfig, control: bool = False)
     statistic stays at noise level.  With control=True the fresh draw is
     omitted; the distributions then differ and the statistic is large.
     """
+    import numpy as np
+
     if theta <= 0:
         raise DomainError(f"theta must be positive, got {theta}")
     if N < 2:
@@ -355,6 +359,8 @@ def ks_statistic(a, b) -> float:
     The ECDF gap is taken in integer counts, |c_a n_b - c_b n_a|, over every
     sample point, and divided once, so the result is correctly rounded.
     """
+    import numpy as np
+
     a, b = np.sort(a), np.sort(b)
     both = np.concatenate([a, b])
     ca = np.searchsorted(a, both, side="right")

@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from decimal import Context, Decimal
 from fractions import Fraction
 
 from . import fileformats as ff
@@ -198,12 +199,35 @@ def _lambda_grid(args) -> list[float]:
             ) from None
         if start <= 0 or stop <= 0 or count < 1:
             raise FormatError("--lambda-grid: needs positive start/stop and count >= 1")
-        import numpy as np
-
-        points.extend(float(x) for x in np.geomspace(start, stop, count))
+        if count > sys.maxsize:
+            raise FormatError("--lambda-grid: COUNT is more points than a list can hold")
+        points.extend(_geomspace(start, stop, count))
     if any(lam <= 0 for lam in points):
         raise FormatError("--lambda: evaluation points must be positive")
     return points
+
+
+def _geomspace(start: float, stop: float, count: int) -> list[float]:
+    """count log-spaced points: start and stop exactly, and between them
+    10.0 ** y on numpy.linspace's exponent grid y = i*step + log10(start).
+    A point beyond the double range becomes inf, which _emit_rows refuses."""
+    if count == 1:
+        return [start]
+    lo = _log10(start)
+    step = (_log10(stop) - lo) / (count - 1)
+    inner = []
+    for i in range(1, count - 1):
+        try:
+            inner.append(10.0 ** (i * step + lo))
+        except OverflowError:
+            inner.append(math.inf)
+    return [start, *inner, stop]
+
+
+def _log10(x: float) -> float:
+    # correctly rounded, unlike libm's log10, which is 1 ulp off for about
+    # one double in nine between 0.1 and 10; 40 digits leave no double rounding
+    return float(Decimal(x).log10(Context(prec=40)))
 
 
 def _load_functions(args, count: int = 1):

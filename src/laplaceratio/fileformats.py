@@ -239,9 +239,10 @@ def load_samples(path) -> np.ndarray:
             if header is None or [h.strip() for h in header] != ["top", "second"]:
                 raise FormatError(f"{path}:1: expected header 'top,second'")
             values = []
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
                 if not row:
                     continue
+                lineno = reader.line_num  # a quoted cell may span lines
                 if len(row) != 2:
                     raise FormatError(f"{path}:{lineno}: expected two columns")
                 try:

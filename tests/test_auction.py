@@ -6,7 +6,7 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laplaceratio.algebra import Poly
@@ -27,7 +27,6 @@ from laplaceratio.auction import (
     k_quadrature,
     ks_statistic,
     memoryless_check,
-    order_stat_cdfs,
     sample_draws,
     simulate_bids,
 )
@@ -70,29 +69,6 @@ class TestDistributions:
         assert all(_bid_at_score(d, z) == (3.0, 0.0) for z in (-40.0, 0.0, 8.0))
         rng = np.random.Generator(np.random.Philox(key=1))
         assert np.all(sample_draws(d, rng, 5) == 3.0)
-
-
-class TestOrderStatCdfs:
-    def test_midpoint(self):
-        assert order_stat_cdfs(0.5, 2) == (0.25, 0.75)
-
-    def test_boundaries(self):
-        assert order_stat_cdfs(1.0, 7) == (1.0, 1.0)
-        assert order_stat_cdfs(0.0, 3) == (0.0, 0.0)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            order_stat_cdfs(1.5, 2)
-        with pytest.raises(DomainError):
-            order_stat_cdfs(-0.1, 2)
-
-    @given(st.floats(0, 1), st.integers(2, 12))
-    @example(0.9999999999999999, 9)
-    def test_top_below_second_and_gap_formula(self, F_val, N):
-        top, second = order_stat_cdfs(F_val, N)
-        assert 0.0 <= top <= second <= 1.0
-        gap = N * F_val ** (N - 1) * (1 - F_val)
-        assert second - top == pytest.approx(gap, rel=1e-12, abs=1e-12)
 
 
 class TestKHAlgebra:

@@ -1,6 +1,8 @@
+import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,12 +10,14 @@ import tempfile
 from fractions import Fraction as F
 from math import factorial
 
+import mpmath
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from laplaceratio.algebra import Poly
-from laplaceratio.cli import main
+from laplaceratio.cli import _lambda_grid, main
 from laplaceratio.fileformats import ratio_expansion_from_document
 from laplaceratio.transforms import ratio_expansion, sin_closed_form
 
@@ -515,6 +519,63 @@ class TestOutputModes:
         )
         assert code == 2
         assert "START:STOP:COUNT" in err
+
+    @pytest.mark.parametrize(
+        "grid, code, error",
+        [
+            ("nan:10:3", 1, "OutOfRange"),
+            ("1:inf:3", 1, "OutOfRange"),
+            ("1:1.7976931348623157e308:4", 0, None),
+            ("1:10:1" + "0" * 400, 2, "FormatError"),
+        ],
+    )
+    def test_extreme_lambda_grid_is_typed_and_quiet(self, poly_file, grid, code, error):
+        path = poly_file("f.json", ["1", "1/2"])
+        proc = subprocess.run(
+            [sys.executable, "-m", "laplaceratio.cli", "transform", "--input", path,
+             "--lambda-grid", grid],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == code
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+        assert "nan" not in proc.stdout and "inf" not in proc.stdout
+        if error:
+            assert proc.stderr.startswith(f"{error}: ")
+        else:
+            assert len(proc.stdout.splitlines()) == 5
+
+
+class TestLambdaGrid:
+    # the contract: exact endpoints, and interior points 10.0 ** y on
+    # numpy.linspace's exponent grid between correctly rounded log10s.
+    # np.geomspace is np.logspace between np.log10s, which are not always
+    # correctly rounded, so numpy is compared on the same exponents.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(1e-300, 1e300),
+        st.floats(1e-300, 1e300),
+        st.integers(1, 64),
+    )
+    @example(5.0, 5.0, 3)
+    @example(10.0, 1.0, 4)
+    @example(0.5, 10.0, 20)
+    @example(0.3125, 1.0, 4)  # libm's log10(0.3125) is 1 ulp off
+    def test_endpoints_exact_and_interior_within_one_ulp(self, start, stop, count):
+        grid = f"{start!r}:{stop!r}:{count}"
+        points = _lambda_grid(argparse.Namespace(lambdas=None, lambda_grid=grid))
+        assert len(points) == count
+        assert points[0] == start
+        assert points[-1] == (stop if count > 1 else start)
+        with mpmath.workprec(200):
+            lo, hi = (float(mpmath.log10(mpmath.mpf(x))) for x in (start, stop))
+        numpy_points = np.logspace(lo, hi, count).tolist()
+        step = (hi - lo) / max(count - 1, 1)
+        for i in range(1, count - 1):
+            got = points[i]
+            with mpmath.workprec(200):
+                assert abs(got - mpmath.power(10, mpmath.mpf(i * step + lo))) <= math.ulp(got)
+            assert abs(got - numpy_points[i]) <= math.ulp(got)
 
 
 def test_console_script_entry_point():

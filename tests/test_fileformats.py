@@ -249,6 +249,21 @@ class TestSampleCsv:
             load_samples(path)
         assert str(err.value) == f"{path}:3: expected two columns"
 
+    def test_position_is_the_line_after_a_multiline_cell(self, tmp_path):
+        # the quoted cell spans lines 2-3, so the bad cell sits on line 4
+        path = tmp_path / "quoted.csv"
+        path.write_text('top,second\n"1.0\n",2\n1,x\n')
+        with pytest.raises(FormatError) as err:
+            load_samples(path)
+        assert str(err.value).startswith(f"{path}:4: ")
+
+    def test_position_counts_blank_lines(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_text("top,second\n\n\n2.0,x\n")
+        with pytest.raises(FormatError) as err:
+            load_samples(path)
+        assert str(err.value).startswith(f"{path}:4: ")
+
     def test_header_with_spaces_accepted(self, tmp_path):
         path = tmp_path / "spaced.csv"
         path.write_text("top, second\n2.0,1.0\n")

@@ -5,81 +5,96 @@ import sys
 import pytest
 
 import laplaceratio
+from laplaceratio.fileformats import ratio_expansion_to_document
 
-# Runs the exact commands in a fresh interpreter and reports which numpy or
-# scipy modules they loaded.
-EXACT_COMMANDS = r"""
-import contextlib, io, json, os, sys
-import laplaceratio
+# Runs CLI calls given as a JSON list of argv lists in a fresh interpreter,
+# and reports their exit codes and which of numpy and scipy they loaded.
+RUN_CALLS = r"""
+import contextlib, io, json, sys
 from laplaceratio.cli import main
 
-tmp = sys.argv[1]
-paths = {}
-for name, doc in {
-    "f.json": {"kind": "poly", "coeffs": ["1", "1"]},
-    "g.json": {"kind": "poly", "coeffs": ["-1", "-1"]},
-    "h.json": {"lead": 0, "tail": ["1", "1", "1", "-1", "1", "-1", "1", "-1", "1"]},
-}.items():
-    paths[name] = os.path.join(tmp, name)
-    with open(paths[name], "w") as fh:
-        json.dump(doc, fh)
-
 codes = []
-for argv in (
-    ["ratio", "--builtin", "sin", "--n", "2", "--m", "1", "--order", "8"],
-    ["identify", "--input", paths["h.json"], "--n", "2", "--m", "1", "--target-degree", "3"],
-    ["verify", "--input", paths["f.json"], "--input", paths["g.json"], "--n", "3", "--m", "1"],
-    ["transform", "--input", paths["f.json"], "--lambda", "2"],
-):
-    with contextlib.redirect_stdout(io.StringIO()):
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         codes.append(main(argv))
-heavy = sorted(k for k in sys.modules if k.split(".")[0] in ("numpy", "scipy"))
+heavy = sorted({k.split(".")[0] for k in sys.modules} & {"numpy", "scipy"})
 print(json.dumps({"codes": codes, "heavy": heavy}))
 """
 
 
-def test_exact_commands_load_no_numpy_or_scipy(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-c", EXACT_COMMANDS, str(tmp_path)],
-        capture_output=True,
-        text=True,
-        check=True,
+@pytest.fixture
+def run_fresh(tmp_path):
+    """Run argv lists in one fresh interpreter; an argument naming one of
+    the documents below is replaced by that document's path."""
+    lognormal = {"kind": "lognormal", "mu": 0.0, "sigma": 1.0}
+    exponential = {"kind": "exponential", "theta": 1.0}
+    contents = {
+        "f.json": json.dumps({"kind": "poly", "coeffs": ["1", "1"]}),
+        "g.json": json.dumps({"kind": "poly", "coeffs": ["-1", "-1"]}),
+        "expansion.json": json.dumps({"lead": 0, "tail": ["1", "1", "1", "-1", "1", "-1", "1", "-1", "1"]}),
+        "ln.json": json.dumps({"common": exponential, "idiosyncratic": lognormal, "N": 5}),
+        "exp.json": json.dumps({"common": lognormal, "idiosyncratic": exponential, "N": 3}),
+        "nan.json": '{"common": {"kind": "exponential", "theta": 1.0},'
+        ' "idiosyncratic": {"kind": "point_mass", "v": NaN}, "N": 5}',
+        "k_expansion.json": json.dumps(
+            ratio_expansion_to_document(laplaceratio.ratio_expansion(laplaceratio.Poly([0, 1]), 1, 2, 8))
+        ),
+    }
+    for name, text in contents.items():
+        (tmp_path / name).write_text(text)
+
+    def run(*calls):
+        calls = [[str(tmp_path / a) if a in contents else a for a in argv] for argv in calls]
+        proc = subprocess.run(
+            [sys.executable, "-c", RUN_CALLS, json.dumps(calls)],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        return json.loads(proc.stdout)
+
+    return run
+
+
+def test_exact_commands_load_no_numpy_or_scipy(run_fresh):
+    report = run_fresh(
+        ["ratio", "--builtin", "sin", "--n", "2", "--m", "1", "--order", "8"],
+        ["identify", "--input", "expansion.json", "--n", "2", "--m", "1", "--target-degree", "3"],
+        ["verify", "--input", "f.json", "--input", "g.json", "--n", "3", "--m", "1"],
+        ["transform", "--input", "f.json", "--lambda", "2"],
     )
-    report = json.loads(proc.stdout)
     assert report == {"codes": [0, 0, 0, 0], "heavy": []}
 
 
-# Runs auction-k on a lognormal model and then selftest in a fresh
-# interpreter, and reports whether scipy was loaded: at run time the auction
-# commands need numpy only.
-AUCTION_COMMANDS = r"""
-import contextlib, io, json, os, sys
-from laplaceratio.cli import main
-
-path = os.path.join(sys.argv[1], "model.json")
-with open(path, "w") as fh:
-    json.dump({
-        "common": {"kind": "exponential", "theta": 1.0},
-        "idiosyncratic": {"kind": "lognormal", "mu": 0.0, "sigma": 1.0},
-        "N": 5,
-    }, fh)
-codes = []
-for argv in (["auction-k", "--model", path, "--lambda", "1"], ["selftest"]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        codes.append(main(argv))
-scipy = sorted(k for k in sys.modules if k.split(".")[0] == "scipy")
-print(json.dumps({"codes": codes, "scipy": scipy}))
-"""
+def test_auction_commands_load_no_scipy(run_fresh):
+    report = run_fresh(["auction-k", "--model", "ln.json", "--lambda", "1"], ["selftest"])
+    assert report["codes"] == [0, 0]
+    assert "scipy" not in report["heavy"]
 
 
-def test_auction_commands_load_no_scipy(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-c", AUCTION_COMMANDS, str(tmp_path)],
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert json.loads(proc.stdout) == {"codes": [0, 0], "scipy": []}
+NO_SAMPLE_CALLS = {
+    "transform-grid": (["transform", "--input", "f.json", "--lambda-grid", "0.5:10:8"], 0),
+    "ratio-grid": (
+        ["ratio", "--builtin", "step_example", "--n", "2", "--m", "1", "--lambda-grid", "0.5:10:8"],
+        0,
+    ),
+    "auction-k-lognormal": (["auction-k", "--model", "ln.json", "--lambda-grid", "0.1:10:8"], 0),
+    "auction-k-exponential": (["auction-k", "--model", "exp.json", "--lambda-grid", "0.1:10:8"], 0),
+    "auction-identify": (["auction-identify", "--input", "k_expansion.json", "--n", "2", "--target-degree", "1"], 0),
+    "auction-sim-nan-model": (["auction-sim", "--model", "nan.json", "--samples", "100"], 2),
+    "bad-grid": (["auction-k", "--model", "ln.json", "--lambda-grid", "1:0:5"], 2),
+}
+
+
+@pytest.mark.parametrize("call", NO_SAMPLE_CALLS, ids=str)
+def test_calls_without_samples_load_no_numpy_or_scipy(run_fresh, call):
+    argv, code = NO_SAMPLE_CALLS[call]
+    assert run_fresh(argv) == {"codes": [code], "heavy": []}
+
+
+def test_selftest_loads_numpy(run_fresh):
+    # the control: a call that draws samples does load numpy
+    assert run_fresh(["selftest"]) == {"codes": [0], "heavy": ["numpy"]}
 
 
 def test_every_exported_name_resolves():
