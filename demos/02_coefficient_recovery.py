@@ -9,18 +9,9 @@ pivot never vanishes.
 """
 
 from fractions import Fraction as F
+from math import factorial
 
-from laplaceratio import (
-    IdentifyState,
-    Poly,
-    RatioSpec,
-    identify,
-    infer_order,
-    leading_coefficient,
-    next_coefficient,
-    pivot_value,
-    ratio_expansion,
-)
+from laplaceratio import Poly, RatioSpec, identify, pivot_value, ratio_expansion
 
 spec = RatioSpec(2, 1)
 f = Poly([2, -1, 0, F(1, 3)])
@@ -30,21 +21,15 @@ H = ratio_expansion(f, spec.n, spec.m, 10)
 print(f"observed expansion: lead {H.lead}, tail {[str(c) for c in H.tail.coeffs]}")
 
 print()
-print("=== step by step ===")
-k = infer_order(H, spec)
-print(f"valuation from the lead exponent: k = {k}")
-a, ambiguous = leading_coefficient(H, spec, k)
-print(f"leading derivative f^({k})(0) = {a}, sign ambiguous: {ambiguous}")
-
-state = IdentifyState(k, (F(a),), ambiguous, spec)
-for l in range(k + 1, f.degree + 1):
-    c = next_coefficient(state, H)
-    state = state.extended(c)
-    print(f"recovered coefficient of x^{l}: {c}   (pivot {pivot_value(k, l, spec)})")
-
-print()
-print("=== in one call ===")
+print("=== one identify call, step by step ===")
 result = identify(H, spec, f.degree)
+k = result.k
+print(f"valuation from the lead exponent: k = {k}")
+a = factorial(k) * result.poly.coefficient(k)
+print(f"leading derivative f^({k})(0) = {a}, sign ambiguous: {result.ambiguous_sign}")
+for l in range(k + 1, f.degree + 1):
+    c = result.poly.coefficient(l)
+    print(f"recovered coefficient of x^{l}: {c}   (pivot {pivot_value(k, l, spec)})")
 print(f"identify returns: {result.poly}")
 print(f"exact match: {result.poly == f}")
 

@@ -7,15 +7,12 @@ machinery to the top-two-bids auction model where f is the idiosyncratic
 bid distribution.
 """
 
-from .algebra import Poly, Rational, Series, as_rational, beta_rational, convolve
+from .algebra import Poly, Series, convolve
 from .identify import (
-    IdentifyResult,
-    IdentifyState,
     RatioSpec,
     identify,
     infer_order,
     leading_coefficient,
-    next_coefficient,
     pivot_value,
     verify_identity,
 )
@@ -38,24 +35,18 @@ from .transforms import (
 
 __all__ = [
     "AuctionModel",
-    "DistSpec",
     "Exponential",
-    "IdentifyResult",
-    "IdentifyState",
     "Lognormal",
     "McConfig",
     "PiecewisePoly",
     "PointMass",
     "Poly",
-    "Rational",
     "RatioExpansion",
     "RationalFunction",
     "RatioSpec",
     "Series",
     "Shifted",
-    "as_rational",
     "auction_identify",
-    "beta_rational",
     "convolution_residual",
     "convolve",
     "delay",
@@ -70,7 +61,6 @@ __all__ = [
     "laplace_poly",
     "leading_coefficient",
     "memoryless_check",
-    "next_coefficient",
     "pivot_value",
     "ratio_eval_piecewise",
     "ratio_expansion",

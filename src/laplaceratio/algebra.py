@@ -282,15 +282,6 @@ class Series:
         self.coeffs = tuple(cs)
         self.order = order
 
-    @classmethod
-    def from_poly(cls, p: Poly, order: int) -> "Series":
-        return cls(p.coeffs, order)
-
-    def truncate(self, order: int) -> "Series":
-        if order >= self.order:
-            return self
-        return Series(self.coeffs, order)
-
     @property
     def is_zero(self) -> bool:
         return not any(self.coeffs)

@@ -197,13 +197,13 @@ def _lambda_grid(args) -> list[float]:
             raise FormatError(
                 f"--lambda-grid: expected START:STOP:COUNT, got {args.lambda_grid!r}"
             ) from None
-        if start <= 0 or stop <= 0 or count < 1:
-            raise FormatError("--lambda-grid: needs positive start/stop and count >= 1")
+        if not (0 < start < math.inf and 0 < stop < math.inf) or count < 1:
+            raise FormatError("--lambda-grid: needs finite positive start/stop and count >= 1")
         if count > sys.maxsize:
             raise FormatError("--lambda-grid: COUNT is more points than a list can hold")
         points.extend(_geomspace(start, stop, count))
-    if any(lam <= 0 for lam in points):
-        raise FormatError("--lambda: evaluation points must be positive")
+    if not all(0 < lam < math.inf for lam in points):
+        raise FormatError("--lambda: evaluation points must be finite and positive")
     return points
 
 
@@ -255,10 +255,7 @@ def _load_functions(args, count: int = 1):
 
 def _transform_value_poly(p: Poly, lam: float) -> float:
     # laplace_poly's series summed exactly at u = 1/lambda and rounded once;
-    # a non-finite lambda or an overflowing value gives a non-finite row,
-    # which _emit_rows rejects
-    if not math.isfinite(lam):
-        return math.nan
+    # an overflowing value gives a non-finite row, which _emit_rows rejects
     exact = Poly(laplace_poly(p).coeffs)(1 / Fraction(lam))
     try:
         return float(exact)

@@ -99,7 +99,7 @@ def function_from_document(doc, where: str = "function"):
         ]
         tail = Poly(_rational_list(_require(doc, "tail", where), f"{where}.tail"))
         try:
-            return PiecewisePoly(breakpoints, pieces + [tail], allow_polynomial_tail=True)
+            return PiecewisePoly(breakpoints, pieces + [tail])
         except Exception as exc:  # pragma: no cover - guarded above
             raise FormatError(f"{where}: {exc}") from exc
     if kind == "builtin":

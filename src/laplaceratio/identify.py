@@ -13,7 +13,7 @@ pinned down by a nonvanishing pivot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import factorial
 
 from .algebra import Poly, Rational, Series, beta_rational, convolve
@@ -24,7 +24,7 @@ from .errors import (
     IrrationalRoot,
     NoRealRoot,
 )
-from .transforms import RatioExpansion, _check_exponents, ratio_expansion
+from .transforms import RatioExpansion, _check_exponents
 
 
 @dataclass(frozen=True)
@@ -36,29 +36,6 @@ class RatioSpec:
 
     def __post_init__(self):
         _check_exponents(self.n, self.m)
-
-
-@dataclass(frozen=True)
-class IdentifyState:
-    """Progress of the sequential recovery: coefficients c_k .. c_(k+len-1)."""
-
-    k: int
-    coeffs: tuple[Rational, ...]
-    ambiguous_sign: bool
-    spec: RatioSpec
-
-    def __post_init__(self):
-        if not self.coeffs or not self.coeffs[0]:
-            raise DomainError("the leading recovered coefficient must be nonzero")
-        if self.ambiguous_sign and (self.spec.n - self.spec.m) % 2:
-            raise DomainError("sign ambiguity only arises for an even exponent difference")
-
-    def extended(self, c: Rational) -> "IdentifyState":
-        return replace(self, coeffs=self.coeffs + (c,))
-
-    @property
-    def partial_poly(self) -> Poly:
-        return Poly((Rational(0),) * self.k + self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -90,17 +67,14 @@ def infer_order(H: RatioExpansion, spec: RatioSpec) -> int:
     return k
 
 
-def leading_coefficient(
-    H: RatioExpansion, spec: RatioSpec, k: int, exact: bool = True
-):
+def leading_coefficient(H: RatioExpansion, spec: RatioSpec, k: int):
     """Solve for the k-th derivative a = f^(k)(0) from the tail's constant
     term via a^(n-m) = T_0 * (km)! * (k!)^(n-m) / (kn)!.
 
     Returns (a, ambiguous).  When n-m is odd the real root is unique; when
     n-m is even the right side must be positive and the positive root is
-    returned with ambiguous = True.  In exact mode an irrational root
-    raises IrrationalRoot; otherwise a float within 1e-14 relative of the
-    true root is returned.
+    returned with ambiguous = True.  An irrational root raises
+    IrrationalRoot.
     """
     n, m = spec.n, spec.m
     rhs = (
@@ -119,13 +93,11 @@ def leading_coefficient(
         )
     sign = -1 if rhs < 0 else 1
     mag = abs(rhs)
-    if exact:
-        num = _exact_nth_root(mag.numerator, e)
-        den = _exact_nth_root(mag.denominator, e)
-        if num is None or den is None:
-            raise IrrationalRoot(f"{mag} has no rational root of index {e}")
-        return sign * Rational(num, den), ambiguous
-    return sign * float(mag) ** (1.0 / e), ambiguous
+    num = _exact_nth_root(mag.numerator, e)
+    den = _exact_nth_root(mag.denominator, e)
+    if num is None or den is None:
+        raise IrrationalRoot(f"{mag} has no rational root of index {e}")
+    return sign * Rational(num, den), ambiguous
 
 
 def _exact_nth_root(x: int, e: int) -> int | None:
@@ -152,20 +124,6 @@ def pivot_value(k: int, l: int, spec: RatioSpec) -> Rational:
     return n * beta_rational(k * (n - 1) + l + 1, k * m + 1) - m * beta_rational(
         k * (m - 1) + l + 1, k * n + 1
     )
-
-
-def next_coefficient(state: IdentifyState, H: RatioExpansion) -> Rational:
-    """The unique coefficient c_l (l = first undetermined degree) that
-    makes the residual of the reduced ratio equation vanish at its lowest
-    open order.  A state that H does not fit raises InconsistentRatio."""
-    k, spec = state.k, state.spec
-    j = len(state.coeffs)
-    # solve first: a zero pivot is reported as such, not as the order-0
-    # mismatch it always comes with
-    c = _extend(list(state.coeffs), H.tail.coeffs, k, spec, 1)[-1]
-    if ratio_expansion(state.partial_poly, spec.n, spec.m, j - 1).tail != H.tail.truncate(j - 1):
-        raise InconsistentRatio(f"the state does not match the expansion below order {j}")
-    return c
 
 
 def power_term(g, P, n: int, j: int) -> Rational:
@@ -232,9 +190,8 @@ def identify(H: RatioExpansion, spec: RatioSpec, target_degree: int) -> Identify
     k = infer_order(H, spec)
     a, ambiguous = leading_coefficient(H, spec, k)
     g = _extend([a / factorial(k)], H.tail.coeffs, k, spec, target_degree - k)
-    state = IdentifyState(k, tuple(g), ambiguous, spec)
     return IdentifyResult(
-        poly=state.partial_poly,
+        poly=Poly([0] * k + g),
         ambiguous_sign=ambiguous,
         recovered_degree=max(target_degree, k),
         k=k,

@@ -59,10 +59,6 @@ class RatioExpansion:
         if not self.tail.coeffs[0]:
             raise DomainError("ratio expansion tail must have a nonzero constant term")
 
-    @property
-    def order(self) -> int:
-        return self.tail.order
-
 
 def ratio_expansion(f: Poly, n: int, m: int, order: int) -> RatioExpansion:
     """Exact expansion of L{f^n}/L{f^m} at infinity, to the given tail order:
@@ -207,14 +203,13 @@ class PiecewisePoly:
 
     breakpoints are strictly increasing rationals starting at 0; piece i
     applies on [breakpoints[i], breakpoints[i+1]) and the last piece on
-    [b_last, infinity).  The last piece must be constant unless the
-    polynomial tail is explicitly allowed; either way the transform exists
-    for every lambda > 0.
+    [b_last, infinity).  The last piece may be any polynomial; the
+    transform exists for every lambda > 0 either way.
     """
 
-    __slots__ = ("breakpoints", "pieces", "polynomial_tail")
+    __slots__ = ("breakpoints", "pieces")
 
-    def __init__(self, breakpoints, pieces, allow_polynomial_tail: bool = False):
+    def __init__(self, breakpoints, pieces):
         bps = tuple(as_rational(b) for b in breakpoints)
         ps = tuple(p if isinstance(p, Poly) else Poly(p) for p in pieces)
         if not bps or bps[0] != 0:
@@ -224,13 +219,8 @@ class PiecewisePoly:
         for a, b in zip(bps, bps[1:]):
             if b <= a:
                 raise DomainError("breakpoints must be strictly increasing")
-        if ps[-1].degree > 0 and not allow_polynomial_tail:
-            raise DomainError(
-                "the final piece must be constant unless allow_polynomial_tail is set"
-            )
         self.breakpoints = bps
         self.pieces = ps
-        self.polynomial_tail = ps[-1].degree > 0
 
     def piece_at(self, x) -> Poly:
         """The polynomial in force at point x >= 0."""
@@ -247,11 +237,7 @@ class PiecewisePoly:
     def __pow__(self, n: int) -> "PiecewisePoly":
         if not isinstance(n, int) or n < 1:
             raise DomainError("piecewise powers take a positive integer exponent")
-        return PiecewisePoly(
-            self.breakpoints,
-            [p ** n for p in self.pieces],
-            allow_polynomial_tail=True,
-        )
+        return PiecewisePoly(self.breakpoints, [p ** n for p in self.pieces])
 
     def __eq__(self, other):
         if isinstance(other, PiecewisePoly):
@@ -347,7 +333,7 @@ def shift_vanishing(pp: PiecewisePoly, a) -> PiecewisePoly:
     cut = bisect_right(pp.breakpoints, aq) - 1
     new_bps = [Rational(0)] + [b - aq for b in pp.breakpoints[cut + 1 :]]
     new_pieces = [p.compose_linear(aq, 1) for p in pp.pieces[cut:]]
-    return PiecewisePoly(new_bps, new_pieces, allow_polynomial_tail=True)
+    return PiecewisePoly(new_bps, new_pieces)
 
 
 def delay(pp: PiecewisePoly, a) -> PiecewisePoly:
@@ -360,7 +346,7 @@ def delay(pp: PiecewisePoly, a) -> PiecewisePoly:
         return pp
     new_bps = [Rational(0)] + [b + aq for b in pp.breakpoints]
     new_pieces = [Poly()] + [p.compose_linear(-aq, 1) for p in pp.pieces]
-    return PiecewisePoly(new_bps, new_pieces, allow_polynomial_tail=True)
+    return PiecewisePoly(new_bps, new_pieces)
 
 
 def _convolve_at(f: PiecewisePoly, g: PiecewisePoly, t: Rational) -> Rational:

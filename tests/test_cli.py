@@ -306,12 +306,24 @@ class TestTransformCommand:
             assert (code, out) == (1, "")
             assert err.startswith("OutOfRange: ")
 
-    def test_non_finite_lambda_is_typed_error(self, capsys, poly_file):
+    def test_non_finite_lambda_is_typed_error(self, capsys, poly_file, model_file):
+        # a usage error on every command that takes lambdas, as a point or
+        # as a grid endpoint
         path = poly_file("f.json", ["1", "2"])
-        for lam in ("nan", "inf"):
-            code, out, err = run_cli(capsys, "transform", "--input", path, "--lambda", lam)
-            assert (code, out) == (1, "")
-            assert err == f"OutOfRange: lambda = {lam} at lambda = {lam} is not a finite double\n"
+        law = {"kind": "exponential", "theta": 1.0}
+        model = model_file("m.json", {"common": law, "idiosyncratic": law, "N": 3})
+        commands = (
+            ["transform", "--input", path],
+            ["ratio", "--input", path, "--n", "2", "--m", "1"],
+            ["auction-k", "--model", model],
+        )
+        lambdas = ["--lambda=nan", "--lambda=inf", "--lambda=-inf"]
+        grids = ["--lambda-grid=nan:10:3", "--lambda-grid=1:inf:3", "--lambda-grid=-inf:1:3"]
+        for command in commands:
+            for flag in lambdas + grids:
+                code, out, err = run_cli(capsys, *command, flag)
+                assert (code, out) == (2, ""), (command, flag)
+                assert err.startswith("FormatError: --lambda")
 
 
 class TestVerifyCommand:
@@ -523,8 +535,9 @@ class TestOutputModes:
     @pytest.mark.parametrize(
         "grid, code, error",
         [
-            ("nan:10:3", 1, "OutOfRange"),
-            ("1:inf:3", 1, "OutOfRange"),
+            ("nan:10:3", 2, "FormatError"),
+            ("1:inf:3", 2, "FormatError"),
+            ("1:-inf:3", 2, "FormatError"),
             ("1:1.7976931348623157e308:4", 0, None),
             ("1:10:1" + "0" * 400, 2, "FormatError"),
         ],

@@ -14,12 +14,11 @@ from laplaceratio.errors import (
     NoRealRoot,
 )
 from laplaceratio.identify import (
-    IdentifyState,
     RatioSpec,
+    _extend,
     identify,
     infer_order,
     leading_coefficient,
-    next_coefficient,
     pivot_value,
     verify_identity,
 )
@@ -55,17 +54,6 @@ class TestRatioSpec:
             RatioSpec(0, 1)
         with pytest.raises(DomainError):
             RatioSpec(-1, 2)
-
-
-class TestIdentifyState:
-    def test_leading_coefficient_must_be_nonzero(self):
-        with pytest.raises(DomainError):
-            IdentifyState(0, (F(0),), False, RatioSpec(2, 1))
-
-    def test_ambiguity_needs_even_difference(self):
-        with pytest.raises(DomainError):
-            IdentifyState(0, (F(1),), True, RatioSpec(2, 1))
-        IdentifyState(0, (F(1),), True, RatioSpec(3, 1))
 
 
 class TestInferOrder:
@@ -125,12 +113,6 @@ class TestLeadingCoefficient:
         H = RatioExpansion(0, Series([2], 4))
         with pytest.raises(IrrationalRoot):
             leading_coefficient(H, RatioSpec(3, 1), 0)
-
-    def test_irrational_root_approx_mode(self):
-        H = RatioExpansion(0, Series([2], 4))
-        a, ambiguous = leading_coefficient(H, RatioSpec(3, 1), 0, exact=False)
-        assert ambiguous
-        assert a == pytest.approx(2 ** 0.5, rel=1e-14)
 
     def test_no_real_root(self):
         H = RatioExpansion(0, Series([-1], 4))
@@ -195,60 +177,46 @@ class TestPivot:
 
 
 class TestNextCoefficient:
+    # one step of the recursion: _extend(g, T, k, spec, 1) appends the
+    # coefficient at degree k + len(g) to the known ones g
+
     def test_one_plus_x(self):
-        spec = RatioSpec(2, 1)
-        H = expansion_for(Poly([1, 1]), spec, 1)
-        state = IdentifyState(0, (F(1),), False, spec)
-        assert next_coefficient(state, H) == 1
+        H = expansion_for(Poly([1, 1]), RatioSpec(2, 1), 1)
+        assert _extend([F(1)], H.tail.coeffs, 0, RatioSpec(2, 1), 1) == [1, 1]
 
     def test_constant_source(self):
-        spec = RatioSpec(2, 1)
-        H = expansion_for(Poly([1]), spec, 1)
-        state = IdentifyState(0, (F(1),), False, spec)
-        assert next_coefficient(state, H) == 0
+        H = expansion_for(Poly([1]), RatioSpec(2, 1), 1)
+        assert _extend([F(1)], H.tail.coeffs, 0, RatioSpec(2, 1), 1) == [1, 0]
 
     def test_sparse_cubic(self):
         spec = RatioSpec(3, 2)
-        f = Poly([0, 1, 0, 1])
-        H = expansion_for(f, spec, 3)
-        state = IdentifyState(1, (F(1),), False, spec)
-        c2 = next_coefficient(state, H)
-        assert c2 == 0
-        state = state.extended(c2)
-        assert next_coefficient(state, H) == 1
+        H = expansion_for(Poly([0, 1, 0, 1]), spec, 3)
+        g = _extend([F(1)], H.tail.coeffs, 1, spec, 1)
+        assert g == [1, 0]
+        assert _extend(g, H.tail.coeffs, 1, spec, 1) == [1, 0, 1]
 
     def test_insufficient_order(self):
-        spec = RatioSpec(2, 1)
         H = ratio_expansion(Poly([1, 1, 1]), 2, 1, 1)
-        state = IdentifyState(0, (F(1), F(1)), False, spec)
         with pytest.raises(InsufficientOrder):
-            next_coefficient(state, H)
-
-    def test_state_not_matching_lower_orders(self):
-        # 1 + 5x fits T_0 (so the pivot is fine) but not the order-1 residual
-        spec = RatioSpec(2, 1)
-        H = expansion_for(Poly([1, 1, 1]), spec, 2)
-        state = IdentifyState(0, (F(1), F(5)), False, spec)
-        with pytest.raises(InconsistentRatio, match="below order 2"):
-            next_coefficient(state, H)
+            _extend([F(1), F(1)], H.tail.coeffs, 0, RatioSpec(2, 1), 1)
 
     def test_zero_pivot(self):
         # slope 1!*2*c_0 - T_0*1!*1 vanishes for c_0 = 1, T_0 = 2
-        H = RatioExpansion(0, Series([2, 0, 0], 2))
-        state = IdentifyState(0, (F(1),), False, RatioSpec(2, 1))
         with pytest.raises(InconsistentRatio, match="pivot"):
-            next_coefficient(state, H)
+            _extend([F(1)], (2, 0, 0), 0, RatioSpec(2, 1), 1)
 
     @given(poly_strategy(), st.sampled_from(ODD_SPECS + EVEN_SPECS))
     @settings(max_examples=40, deadline=None)
     def test_identify_is_a_loop_of_steps(self, f, spec):
+        # the powers carried across steps inside one call give what a
+        # fresh call per coefficient gives
         H = expansion_for(f, spec, f.degree)
         k = infer_order(H, spec)
-        a, ambiguous = leading_coefficient(H, spec, k)
-        state = IdentifyState(k, (a / factorial(k),), ambiguous, spec)
+        a, _ = leading_coefficient(H, spec, k)
+        g = [a / factorial(k)]
         for _ in range(k + 1, f.degree + 1):
-            state = state.extended(next_coefficient(state, H))
-        assert identify(H, spec, f.degree).poly == state.partial_poly
+            g = _extend(g, H.tail.coeffs, k, spec, 1)
+        assert identify(H, spec, f.degree).poly == Poly([0] * k + g)
 
 
 class TestIdentify:

@@ -248,9 +248,7 @@ class TestPiecewise:
             PiecewisePoly([F(1, 2)], [Poly([1])])  # must start at 0
         with pytest.raises(DomainError):
             PiecewisePoly([0, 1, 1], [Poly([1])] * 3)  # strictly increasing
-        with pytest.raises(DomainError):
-            PiecewisePoly([0], [Poly([0, 1])])  # unbounded tail needs the flag
-        PiecewisePoly([0], [Poly([0, 1])], allow_polynomial_tail=True)
+        assert PiecewisePoly([0], [Poly([0, 1])])(F(5)) == 5  # a polynomial tail is fine
 
     def test_evaluation_is_right_continuous(self):
         pp = PiecewisePoly([0, 1], [Poly([1]), Poly([5])])
@@ -258,7 +256,7 @@ class TestPiecewise:
         assert pp(F(99, 100)) == 1
 
     def test_power_is_pointwise(self):
-        pp = PiecewisePoly([0, 1], [Poly([0, 1]), Poly([3])], allow_polynomial_tail=True)
+        pp = PiecewisePoly([0, 1], [Poly([0, 1]), Poly([3])])
         cubed = pp ** 3
         for x in (F(1, 3), F(2), F(7, 8)):
             assert cubed(x) == pp(x) ** 3
@@ -299,7 +297,7 @@ class TestLaplacePiecewise:
 
     def test_exact_rule_for_monomials(self):
         # L{x^j} on the whole half line equals j!/lam^(j+1)
-        pp = PiecewisePoly([0], [Poly([0, 0, 1])], allow_polynomial_tail=True)
+        pp = PiecewisePoly([0], [Poly([0, 0, 1])])
         lam = 1.25
         assert laplace_piecewise(pp, lam) == pytest.approx(2 / lam ** 3, rel=1e-13)
 
@@ -323,7 +321,7 @@ class TestRatioEvalPiecewise:
 
     def test_polynomial_ratio_agrees_with_series_path(self):
         f = Poly([1, 1])
-        pp = PiecewisePoly([0], [f], allow_polynomial_tail=True)
+        pp = PiecewisePoly([0], [f])
         rf = ratio_rational(f, 2, 1)
         for lam in (0.5, 1.0, 2.0, 10.0):
             assert ratio_eval_piecewise(pp, 2, 1, lam) == pytest.approx(rf(lam), rel=1e-12)
@@ -345,9 +343,9 @@ class TestShifts:
 
     def test_shift_ramp(self):
         # (x-1) on [1, inf) becomes x on [0, inf)
-        pp = PiecewisePoly([0, 1], [Poly(), Poly([-1, 1])], allow_polynomial_tail=True)
+        pp = PiecewisePoly([0, 1], [Poly(), Poly([-1, 1])])
         shifted = shift_vanishing(pp, 1)
-        assert shifted == PiecewisePoly([0], [Poly([0, 1])], allow_polynomial_tail=True)
+        assert shifted == PiecewisePoly([0], [Poly([0, 1])])
 
     def test_zero_shift_is_identity(self):
         pp = step_example(3)
@@ -362,7 +360,7 @@ class TestShifts:
         assert shift_vanishing(delay(pp, F(1, 4)), F(1, 4)) == pp
 
     def test_delay_midpiece_roundtrip(self):
-        pp = PiecewisePoly([0, 2], [Poly([0, 0, 1]), Poly([4])], allow_polynomial_tail=True)
+        pp = PiecewisePoly([0, 2], [Poly([0, 0, 1]), Poly([4])])
         assert shift_vanishing(delay(pp, F(3, 7)), F(3, 7)) == pp
 
     @pytest.mark.parametrize("nm", [(2, 1), (3, 2)])
