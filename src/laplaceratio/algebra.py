@@ -8,7 +8,9 @@ pure function, so values can be shared freely between concurrent tasks.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from itertools import accumulate, islice
+from math import factorial, gcd, lcm
+from operator import mul
 
 from .errors import DomainError, ZeroLeadingCoefficient
 
@@ -78,6 +80,41 @@ def _unpack(stack: list, w: int, den: int) -> list:
             x, count = low, h
         out.append(Rational(x, den))
     return out
+
+
+class Numerators:
+    """A growing sequence of rationals held as integer numerators over one
+    common denominator, the lcm of the reduced denominators appended so far.
+
+    A sum of products of two such sequences is one integer dot product over
+    the product of their denominators, with no gcd per term (the
+    fraction-free idea of Bareiss, Math. Comp. 22 (1968) 565).  The
+    numerators are rescaled only when a new denominator does not divide
+    the common one; scaling by a fixed power of a leading coefficient
+    instead lets the numerators outgrow the reduced values.
+    """
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self, values=()):
+        self.nums: list[int] = []
+        self.den = 1
+        for v in values:
+            self.append(v)
+
+    def append(self, value) -> None:
+        """Append a Rational or an int."""
+        d = value.denominator
+        if self.den % d:
+            scale = d // gcd(self.den, d)
+            self.nums = [a * scale for a in self.nums]
+            self.den *= scale
+        self.nums.append(value.numerator * (self.den // d))
+
+
+def factorials(top: int) -> list:
+    """[0!, 1!, ..., top!] as one running product."""
+    return list(accumulate(range(1, top + 1), mul, initial=1))
 
 
 def _product(a, b) -> list:
@@ -252,9 +289,10 @@ def convolve(p: Poly, q: Poly) -> Poly:
     """
     if p.is_zero or q.is_zero:
         return Poly()
-    pw = Poly(factorial(i) * c for i, c in enumerate(p.coeffs))
-    qw = Poly(factorial(i) * c for i, c in enumerate(q.coeffs))
-    return Poly([0] + [c / factorial(i + 1) for i, c in enumerate((pw * qw).coeffs)])
+    fact = factorials(len(p.coeffs) + len(q.coeffs) - 1)
+    pw = Poly(map(mul, fact, p.coeffs))
+    qw = Poly(map(mul, fact, q.coeffs))
+    return Poly([0] + [c / w for c, w in zip((pw * qw).coeffs, islice(fact, 1, None))])
 
 
 class Series:
@@ -329,14 +367,20 @@ class Series:
             return NotImplemented
         if not other.coeffs[0]:
             raise ZeroLeadingCoefficient("series division requires denom.coeffs[0] != 0")
+        # q_j = (a_j - sum of b_i*q_(j-i) over i = 1..j) / b_0, the sum an
+        # integer dot product over b.den*q.den
         d = self._common_order(other)
-        inv0 = 1 / other.coeffs[0]
+        b, q = Numerators(), Numerators()
         out: list[Rational] = []
-        for j in range(d + 1):
-            acc = self.coeffs[j]
-            for i in range(1, j + 1):
-                acc -= other.coeffs[i] * out[j - i]
-            out.append(acc * inv0)
+        for a, bj in zip(self.coeffs[: d + 1], other.coeffs):
+            b.append(bj)
+            s = sum(map(mul, islice(b.nums, 1, None), reversed(q.nums)))
+            c = Rational(
+                a.numerator * b.den * q.den - a.denominator * s,
+                a.denominator * q.den * b.nums[0],
+            )
+            q.append(c)
+            out.append(c)
         return Series(out, d)
 
     def __pow__(self, n: int):

@@ -98,10 +98,7 @@ def function_from_document(doc, where: str = "function"):
             Poly(_rational_list(p, f"{where}.pieces[{i}]")) for i, p in enumerate(pieces_doc)
         ]
         tail = Poly(_rational_list(_require(doc, "tail", where), f"{where}.tail"))
-        try:
-            return PiecewisePoly(breakpoints, pieces + [tail])
-        except Exception as exc:  # pragma: no cover - guarded above
-            raise FormatError(f"{where}: {exc}") from exc
+        return PiecewisePoly(breakpoints, pieces + [tail])
     if kind == "builtin":
         name = _require(doc, "name", where, str)
         if name == "sin":

@@ -14,9 +14,11 @@ pinned down by a nonvanishing pivot.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import factorial
+from operator import mul
 
-from .algebra import Poly, Rational, Series, beta_rational, convolve
+from .algebra import Numerators, Poly, Rational, Series, beta_rational, convolve
 from .errors import (
     DomainError,
     InconsistentRatio,
@@ -126,19 +128,22 @@ def pivot_value(k: int, l: int, spec: RatioSpec) -> Rational:
     )
 
 
-def power_term(g, P, n: int, j: int) -> Rational:
-    """Coefficient j >= 1 of g**n from the coefficients P[0..j-1] before it.
+def power_term(g: Numerators, P: Numerators, n: int) -> tuple[int, int]:
+    """Coefficient j >= 1 of g**n from the j coefficients P_0..P_(j-1)
+    before it, as a (numerator, denominator) pair of ints.
 
     J.C.P. Miller's recurrence for powers of a formal series (Knuth, TAOCP
     vol. 2, 4.7): j*g_0*P_j = sum over i = 1..j of ((n+1)*i - j)*g_i*P_(j-i).
-    g[0] must be nonzero and coefficients of g past its length count as 0.
+    g_0 must be nonzero and coefficients of g past its length count as 0.
     g_j enters only through the i = j term, as n*g_0**(n-1)*g_j, so leaving
-    it off gives the value at g_j = 0 and that slope completes it.
+    it off gives the value at g_j = 0 and that slope completes it.  The sum
+    (n+1)*sum(i*g_i*P_(j-i)) - j*sum(g_i*P_(j-i)) runs on the numerators,
+    and g's common denominator cancels against g_0's.
     """
-    acc = sum(
-        ((n + 1) * i - j) * g[i] * P[j - i] for i in range(1, min(j, len(g) - 1) + 1) if g[i]
-    )
-    return Rational(acc) / (j * g[0])
+    j = len(P.nums)
+    weights = range(n + 1 - j, n * j, n + 1)  # (n+1)*i - j for i = 1..j-1
+    acc = sum(map(mul, map(mul, weights, islice(g.nums, 1, j)), reversed(P.nums)))
+    return acc, j * g.nums[0] * P.den
 
 
 def _extend(g: list, T, k: int, spec: RatioSpec, count: int) -> list:
@@ -147,6 +152,8 @@ def _extend(g: list, T, k: int, spec: RatioSpec, count: int) -> list:
     # enters A_j and B_j linearly (power_term); the prefixes of g**n and
     # g**m, and B, carry over from one step to the next.  Only T_0..T_j
     # enter up to that step, so order len(g)+count-1 is all T must reach.
+    # Every sequence is kept as Numerators, so each step is integer dot
+    # products and one reduced Rational per new value.
     last = len(g) + count - 1
     if len(T) <= last:
         raise InsufficientOrder(
@@ -154,24 +161,48 @@ def _extend(g: list, T, k: int, spec: RatioSpec, count: int) -> list:
             f"coefficient {k + last} first appears at order {last}"
         )
     n, m = spec.n, spec.m
-    known = Series(g, len(g) - 1)
-    Pn, Pm = list((known ** n).coeffs), list((known ** m).coeffs)
-    B = [factorial(k * m + i) * p for i, p in enumerate(Pm)]
-    dn, dm = n * g[0] ** (n - 1), m * g[0] ** (m - 1)
-    for j in range(len(g), len(g) + count):
-        fn, fm = factorial(k * n + j), factorial(k * m + j)
-        slope = fn * dn - T[0] * fm * dm
+    start = len(g)
+    known = Series(g, start - 1)
+    prefix_m = (known ** m).coeffs
+    G, Tr = Numerators(g), Numerators(T[:start])
+    Pn, Pm = Numerators((known ** n).coeffs), Numerators(prefix_m)
+    B = Numerators()
+    fm = factorial(k * m)  # (km+i)!, a running product like fn
+    for i, p in enumerate(prefix_m):
+        B.append(fm * p)
+        fm *= k * m + i + 1
+    fn = factorial(k * n + start)
+    # slopes of P_j in g_j; the slope of the residual, fn*dn - T_0*fm*dm,
+    # is (fn*sn - fm*sm)/sd
+    dn, dm, t0 = n * g[0] ** (n - 1), m * g[0] ** (m - 1), Rational(T[0])
+    sd = dn.denominator * dm.denominator * t0.denominator
+    sn = dn.numerator * dm.denominator * t0.denominator
+    sm = t0.numerator * dm.numerator * dn.denominator
+    for j in range(start, start + count):
+        slope = fn * sn - fm * sm
         if not slope:
             raise InconsistentRatio(
                 f"zero pivot at order {j}: T_0 does not fit the leading coefficient"
             )
-        vn, vm = power_term(g, Pn, n, j), power_term(g, Pm, m, j)
-        residual = fn * vn - T[0] * fm * vm - sum(T[r] * B[j - r] for r in range(1, j + 1))
-        c = -residual / slope
-        Pn.append(vn + dn * c)
-        Pm.append(vm + dm * c)
-        B.append(fm * Pm[j])
+        Tr.append(T[j])
+        # P_j at g_j = 0 is an/vn for g**n and am/vm for g**m
+        an, vn = power_term(G, Pn, n)
+        am, vm = power_term(G, Pm, m)
+        conv = sum(map(mul, islice(Tr.nums, 1, None), reversed(B.nums)))
+        # residual fn*an/vn - T_0*fm*am/vm - conv/(Tr.den*B.den), times
+        # vn*vm*Tr.den*B.den
+        res = (fn * an * vm * Tr.den - Tr.nums[0] * fm * am * vn) * B.den - conv * vn * vm
+        c = Rational(-res * sd, vn * vm * Tr.den * B.den * slope)
+        cn, cd = c.numerator, c.denominator
+        pn = Rational(an * dn.denominator * cd + dn.numerator * cn * vn, vn * dn.denominator * cd)
+        pm = Rational(am * dm.denominator * cd + dm.numerator * cn * vm, vm * dm.denominator * cd)
+        G.append(c)
+        Pn.append(pn)
+        Pm.append(pm)
+        B.append(fm * pm)
         g.append(c)
+        fn *= k * n + j + 1
+        fm *= k * m + j + 1
     return g
 
 

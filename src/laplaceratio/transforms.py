@@ -16,8 +16,9 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import factorial
+from operator import mul
 
-from .algebra import Poly, Rational, Series, _cleared, as_rational
+from .algebra import Poly, Rational, Series, _cleared, as_rational, factorials
 from .errors import (
     DivergentTransform,
     DomainError,
@@ -35,9 +36,7 @@ def laplace_poly(p: Poly, order: int | None = None) -> Series:
     the u^0 coefficient is always zero.  A polynomial transform terminates,
     so padding to a larger order is exact.
     """
-    out = [Rational(0)] * (len(p.coeffs) + 1)
-    for i, c in enumerate(p.coeffs):
-        out[i + 1] = factorial(i) * c
+    out = [Rational(0)] + list(map(mul, factorials(p.degree), p.coeffs))
     if order is None:
         order = len(out) - 1
     return Series(out, order)

@@ -1,11 +1,19 @@
 from fractions import Fraction as F
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from laplaceratio.algebra import Poly, Series, as_rational, beta_rational, convolve
+from laplaceratio.algebra import (
+    Numerators,
+    Poly,
+    Series,
+    as_rational,
+    beta_rational,
+    convolve,
+    factorials,
+)
 from laplaceratio.errors import DomainError, ZeroLeadingCoefficient
 from laplaceratio.identify import power_term
 
@@ -49,6 +57,18 @@ def convolve_by_pairs(p, q):
         for j, b in enumerate(q.coeffs):
             out[i + j + 1] += a * b * F(factorial(i) * factorial(j), factorial(i + j + 1))
     return Poly(out)
+
+
+def divide_by_steps(a, b):
+    # the schoolbook Fraction long division, one subtraction per term
+    d = min(a.order, b.order)
+    out = []
+    for j in range(d + 1):
+        acc = a.coeffs[j]
+        for i in range(1, j + 1):
+            acc -= b.coeffs[i] * out[j - i]
+        out.append(acc / b.coeffs[0])
+    return Series(out, d)
 
 
 wide_series = st.builds(
@@ -289,6 +309,48 @@ class TestSeries:
         assert quot == Series(p.coeffs, order)
 
 
+# nonzero constant terms whose numerator or denominator is at least 2**64
+big_units = st.builds(
+    F,
+    st.integers(2 ** 64, 2 ** 90) | st.integers(-(2 ** 90), -(2 ** 64)),
+    widths(70).map(lambda d: abs(d) + 1),
+) | st.builds(lambda n, d: F(n, d), st.integers(1, 9), st.integers(2 ** 64, 2 ** 90))
+unit_series = st.builds(
+    lambda c0, rest, order: Series([c0] + rest, order),
+    wide_rationals.filter(bool) | big_units,
+    st.lists(st.one_of(st.just(F(0)), wide_rationals), max_size=10),
+    st.integers(0, 10),
+)
+
+
+class TestSeriesDivision:
+    @given(wide_series, unit_series)
+    @example(Series([], 3), Series([2 ** 64 + 1, 1, -1], 3))  # zero numerator
+    @example(Series([F(5, 3)], 0), Series([7, 1, 1], 4))  # order 0
+    @example(Series([1, 2, 3, 4, 5], 4), Series([F(2 ** 64, 3), 1], 1))  # mixed orders
+    @example(Series([1, 2, 3, 4, 5, 6], 5), Series([-(2 ** 65), F(1, 3), F(2, 7), F(1, 5)], 8))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_long_division(self, a, b):
+        got = a / b
+        assert got == divide_by_steps(a, b)
+        assert got.order == min(a.order, b.order)
+
+
+class TestNumerators:
+    @given(st.lists(st.one_of(st.integers(-5, 5), wide_rationals, big_units), max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_common_denominator_is_running_lcm(self, values):
+        seq = Numerators()
+        for i, v in enumerate(values):
+            seq.append(v)
+            assert seq.den == lcm(1, *(F(w).denominator for w in values[: i + 1]))
+            assert [F(a, seq.den) for a in seq.nums] == [F(w) for w in values[: i + 1]]
+
+    def test_factorials(self):
+        assert factorials(0) == [1]
+        assert factorials(6) == [factorial(i) for i in range(7)]
+
+
 unit_polys = st.lists(rationals, min_size=1, max_size=9).map(Poly).filter(
     lambda p: p.coefficient(0) != 0
 )
@@ -312,9 +374,12 @@ class TestSeriesPow:
         # identify relies on this: leaving g_j off gives the value at g_j = 0,
         # and g_j adds n*g_0**(n-1)*g_j
         g = [p.coefficient(i) for i in range(j)]
-        P = list((Series(g, j - 1) ** n).coeffs)
+        P = Numerators((Series(g, j - 1) ** n).coeffs)
         full = Series(g + [c], j) ** n
-        assert full.coeffs[j] == power_term(g, P, n, j) + n * g[0] ** (n - 1) * c
+        num, den = power_term(Numerators(g), P, n)
+        assert full.coeffs[j] == F(num, den) + n * g[0] ** (n - 1) * c
+        # a g_j already in g is left off too
+        assert F(*power_term(Numerators(g + [c]), P, n)) == F(num, den)
 
     def test_zero_constant_term_allowed(self):
         assert Series([0, 1], 3) ** 2 == Series([0, 0, 1], 3)

@@ -96,6 +96,24 @@ class TestFunctionDocuments:
             function_from_document(doc)
         assert "pieces" in str(err.value)
 
+    # every condition PiecewisePoly checks is refused before construction,
+    # under the caller's position prefix
+    @pytest.mark.parametrize(
+        "breakpoints, pieces, message",
+        [
+            ([], [], "doc.f.breakpoints[0]: must be 0"),
+            (["1/2", "1"], [["1"]], "doc.f.breakpoints[0]: must be 0"),
+            (["0", "2", "1"], [["1"], ["2"]], "doc.f.breakpoints[2]: must be strictly increasing"),
+            (["0", "1"], [], "doc.f.pieces: expected 1 pieces for 2 breakpoints, got 0"),
+            (["0"], [["1"]], "doc.f.pieces: expected 0 pieces for 1 breakpoints, got 1"),
+        ],
+    )
+    def test_piecewise_guard_messages(self, breakpoints, pieces, message):
+        doc = {"kind": "piecewise", "breakpoints": breakpoints, "pieces": pieces, "tail": ["1"]}
+        with pytest.raises(FormatError) as err:
+            function_from_document(doc, "doc.f")
+        assert str(err.value) == message
+
     def test_unknown_kind(self):
         with pytest.raises(FormatError):
             function_from_document({"kind": "spline"})

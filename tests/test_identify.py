@@ -40,6 +40,12 @@ small_coeffs = st.integers(-3, 3)
 DEGREE_40_K3 = Poly([0, 0, 0] + [F((-1) ** i * (i % 9 + 1), i % 7 + 1) for i in range(38)])
 
 
+# numerators and denominators up to 2**60
+wide_coeffs = st.builds(F, st.integers(-(2 ** 60), 2 ** 60), st.integers(1, 2 ** 60))
+small_fractions = st.fractions(min_value=-30, max_value=30, max_denominator=30)
+WIDE_SPECS = [RatioSpec(2, 1), RatioSpec(1, 2), RatioSpec(5, 4), RatioSpec(3, 1)]
+
+
 def poly_strategy(max_degree=6):
     return st.lists(small_coeffs, min_size=1, max_size=max_degree + 1).map(Poly).filter(
         lambda p: not p.is_zero
@@ -197,13 +203,22 @@ class TestNextCoefficient:
 
     def test_insufficient_order(self):
         H = ratio_expansion(Poly([1, 1, 1]), 2, 1, 1)
-        with pytest.raises(InsufficientOrder):
+        with pytest.raises(InsufficientOrder) as err:
             _extend([F(1), F(1)], H.tail.coeffs, 0, RatioSpec(2, 1), 1)
+        assert str(err.value) == "tail order 1 too short: coefficient 2 first appears at order 2"
 
     def test_zero_pivot(self):
         # slope 1!*2*c_0 - T_0*1!*1 vanishes for c_0 = 1, T_0 = 2
-        with pytest.raises(InconsistentRatio, match="pivot"):
+        with pytest.raises(InconsistentRatio) as err:
             _extend([F(1)], (2, 0, 0), 0, RatioSpec(2, 1), 1)
+        assert str(err.value) == "zero pivot at order 1: T_0 does not fit the leading coefficient"
+
+    def test_zero_pivot_past_known_prefix(self):
+        # with k = 1 and (2, 1) the slope is (2+j)!*2*g_0 - T_0*(1+j)!, so
+        # g_0 = 1, T_0 = 8 fits no coefficient at order j = 2
+        with pytest.raises(InconsistentRatio) as err:
+            _extend([F(1), F(5)], (8, 1, 2), 1, RatioSpec(2, 1), 1)
+        assert str(err.value) == "zero pivot at order 2: T_0 does not fit the leading coefficient"
 
     @given(poly_strategy(), st.sampled_from(ODD_SPECS + EVEN_SPECS))
     @settings(max_examples=40, deadline=None)
@@ -242,8 +257,9 @@ class TestIdentify:
     def test_requires_enough_order(self):
         # coefficient D = 3 first appears at tail order D - k = 3 - 1
         f = Poly([0, 1, 1])
-        with pytest.raises(InsufficientOrder):
+        with pytest.raises(InsufficientOrder) as err:
             identify(ratio_expansion(f, 2, 1, 1), RatioSpec(2, 1), 3)
+        assert str(err.value) == "tail order 1 too short: coefficient 3 first appears at order 2"
         assert identify(ratio_expansion(f, 2, 1, 2), RatioSpec(2, 1), 3).poly == f
 
     def test_fractional_coefficients(self):
@@ -279,6 +295,35 @@ class TestIdentify:
         H = ratio_expansion(f, spec.n, spec.m, f.degree - k)
         result = identify(H, spec, f.degree)
         assert result.poly == (-f if result.ambiguous_sign and f.coeffs[k] < 0 else f)
+
+
+    @given(
+        st.integers(0, 3),
+        st.lists(wide_coeffs, min_size=1, max_size=9).filter(lambda cs: cs[0] != 0),
+        st.sampled_from(WIDE_SPECS),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_roundtrip_wide_denominators(self, k, coeffs, spec):
+        f = Poly([0] * k + coeffs)
+        H = ratio_expansion(f, spec.n, spec.m, f.degree - k)
+        result = identify(H, spec, f.degree)
+        assert result.poly == (-f if result.ambiguous_sign and coeffs[0] < 0 else f)
+
+    @given(
+        st.integers(0, 3),
+        st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool),
+        st.lists(st.one_of(small_fractions, wide_coeffs), max_size=8),
+        st.sampled_from(WIDE_SPECS),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_recovered_poly_reproduces_any_tail(self, k, a, rest, spec):
+        # a tail no polynomial need produce, with T_0 chosen so that the
+        # leading value a^(n-m) = T_0 (km)! (k!)^(n-m) / (kn)! has a root
+        n, m = spec.n, spec.m
+        t0 = a ** (n - m) * factorial(k * n) / (factorial(k * m) * F(factorial(k)) ** (n - m))
+        H = RatioExpansion(k * (m - n), Series([t0] + rest, len(rest)))
+        result = identify(H, spec, k + len(rest))
+        assert ratio_expansion(result.poly, n, m, len(rest)) == H
 
 
 class TestVerifyIdentity:
