@@ -18,7 +18,17 @@ from itertools import islice
 from math import factorial
 from operator import mul
 
-from .algebra import Numerators, Poly, Rational, Series, beta_rational, convolve
+from .algebra import (
+    Numerators,
+    Poly,
+    Rational,
+    Series,
+    _cleared,
+    _laplace_product,
+    _power_nums,
+    beta_rational,
+    factorials,
+)
 from .errors import (
     DomainError,
     InconsistentRatio,
@@ -231,6 +241,25 @@ def identify(H: RatioExpansion, spec: RatioSpec, target_degree: int) -> Identify
 
 def verify_identity(f: Poly, g: Poly, spec: RatioSpec) -> bool:
     """Exact test of the convolution identity f^n * g^m = f^m * g^n, which
-    holds iff the two power ratios coincide."""
+    holds iff the two power ratios coincide.
+
+    Each side is one integer product of Laplace-weighted power numerators
+    (algebra.convolve's product, by CPython ints below the kernel's
+    crossover and by libmpdec's number-theoretic transform above it).  The
+    sides share the (k+1)! of slot k, so they are compared slot by slot,
+    each cross-multiplied by the other side's denominator, and no Fraction
+    is built.
+    """
+    if f.is_zero or g.is_zero:
+        return True  # both sides are the zero function
     n, m = spec.n, spec.m
-    return convolve(f ** n, g ** m) == convolve(f ** m, g ** n)
+    nf, df = _cleared(f.coeffs)
+    ng, dg = _cleared(g.coeffs)
+    fn, fm, gn, gm = _power_nums(nf, n), _power_nums(nf, m), _power_nums(ng, n), _power_nums(ng, m)
+    fact = factorials(max(len(fn), len(fm), len(gn), len(gm)) - 1)
+    left = _laplace_product(fn, gm, fact)  # over df**n * dg**m
+    right = _laplace_product(fm, gn, fact)  # over df**m * dg**n
+    if len(left) != len(right):
+        return False
+    a, b = df ** m * dg ** n, df ** n * dg ** m
+    return all(x * a == y * b for x, y in zip(left, right))

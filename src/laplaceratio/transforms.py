@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import factorial
 from operator import mul
 
-from .algebra import Poly, Rational, Series, _cleared, as_rational, factorials
+from .algebra import Poly, Rational, Series, _cleared, _power_nums, as_rational, factorials
 from .errors import (
     DivergentTransform,
     DomainError,
@@ -96,11 +96,15 @@ class RationalFunction:
     def __init__(self, numer: Poly, denom: Poly):
         if denom.is_zero:
             raise DomainError("rational function denominator must be nonzero")
-        scale = _content_scale(numer.coeffs + denom.coeffs)
-        if denom.coeffs[-1] < 0:
-            scale = -scale
-        self.numer = numer * scale
-        self.denom = denom * scale
+        nums, _ = _cleared(numer.coeffs + denom.coeffs)
+        self.numer, self.denom = _content_free(nums[: len(numer.coeffs)], nums[len(numer.coeffs) :])
+
+    @classmethod
+    def _from_ints(cls, numer: list, denom: list) -> "RationalFunction":
+        """From integer coefficient lists, denom not all zero."""
+        rf = cls.__new__(cls)
+        rf.numer, rf.denom = _content_free(numer, denom)
+        return rf
 
     def __eq__(self, other):
         if isinstance(other, RationalFunction):
@@ -133,10 +137,13 @@ class RationalFunction:
         return f"({self.numer.to_string('lambda')}) / ({self.denom.to_string('lambda')})"
 
 
-def _content_scale(coeffs) -> Rational:
-    # multiplier turning the coefficients into integers with gcd 1
-    nums, den, _ = _cleared(coeffs)
-    return Rational(den, math.gcd(*nums) or 1)
+def _content_free(numer: list, denom: list) -> tuple:
+    """The integer coefficient lists divided by their common content, signed
+    so that the leading denominator coefficient is positive, as Polys."""
+    g = math.gcd(*numer, *denom)
+    if next(c for c in reversed(denom) if c) < 0:
+        g = -g
+    return Poly([c // g for c in numer]), Poly([c // g for c in denom])
 
 
 def as_rational_number(x) -> Rational:
@@ -153,18 +160,18 @@ def ratio_rational(f: Poly, n: int, m: int) -> RationalFunction:
     _check_exponents(n, m)
     if f.is_zero:
         raise ZeroFunction("the zero function has no transform ratio")
-    fn, fm = f ** n, f ** m
+    nums, den = _cleared(f.coeffs)
+    fn, fm = _power_nums(nums, n), _power_nums(nums, m)  # over den**n, den**m
+    fact = factorials(max(len(fn), len(fm)) - 1)
     # L{p} = num(lambda) / lambda^(deg p + 1), where num holds the series
-    # coefficients of laplace_poly(p) in reverse; move the power of lambda
-    # to whichever side keeps both polynomials
-    num = Poly(laplace_poly(fn).coeffs[:0:-1])
-    den = Poly(laplace_poly(fm).coeffs[:0:-1])
-    shift = fn.degree - fm.degree
-    if shift >= 0:
-        den = den * Poly.monomial(shift)
-    else:
-        num = num * Poly.monomial(-shift)
-    return RationalFunction(num, den)
+    # coefficients i! * p_i of laplace_poly(p) in reverse; bring both to the
+    # denominator den**max(n, m) and move the power of lambda to whichever
+    # side keeps both polynomials
+    sn, sm = den ** max(m - n, 0), den ** max(n - m, 0)
+    shift = len(fn) - len(fm)
+    num = [0] * max(-shift, 0) + [c * w * sn for c, w in zip(fn, fact)][::-1]
+    dnm = [0] * max(shift, 0) + [c * w * sm for c, w in zip(fm, fact)][::-1]
+    return RationalFunction._from_ints(num, dnm)
 
 
 def sin_maclaurin(degree: int) -> Poly:

@@ -1,10 +1,14 @@
+import decimal
+import sys
 from fractions import Fraction as F
 from math import factorial, lcm
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from laplaceratio import algebra
 from laplaceratio.algebra import (
     Numerators,
     Poly,
@@ -12,6 +16,7 @@ from laplaceratio.algebra import (
     as_rational,
     beta_rational,
     convolve,
+    _product_nums,
     factorials,
 )
 from laplaceratio.errors import DomainError, ZeroLeadingCoefficient
@@ -163,6 +168,115 @@ class TestPoly:
         assert (p * q) * r == p * (q * r)
         assert p * (q + r) == p * q + p * r
         assert p + q == q + p
+
+
+def nums_by_pairs(na, nb):
+    # the schoolbook integer convolution
+    out = [0] * (len(na) + len(nb) - 1)
+    for i, a in enumerate(na):
+        for j, b in enumerate(nb):
+            out[i + j] += a * b
+    return out
+
+
+# the kernel's crossover moved so that every product takes one path
+PATHS = {"ints": 10 ** 30, "decimal": 0}
+
+
+def on_path(path):
+    return mock.patch.object(algebra, "_NTT_BITS", PATHS[path])
+
+
+def nines(digits, count, sign=1):
+    # count numerators of the given number of decimal digits, all 9s
+    return [sign * (10 ** digits - 1)] * count
+
+
+# int lists whose products come close to the slot bound: every entry at its
+# bit width's maximum, one sign per operand
+full_nums = st.builds(
+    lambda bits, length, sign: [sign * (2 ** bits - 1)] * length,
+    st.integers(1, 200),
+    st.integers(1, 9),
+    st.sampled_from((1, -1)),
+)
+wide_nums = st.lists(st.one_of(st.just(0), widths(300)), min_size=1, max_size=24)
+# products whose largest slot has 3999, 4001, 4299 and 4301 decimal digits,
+# around the 4000 and 4300 digits of the default int <-> str limit
+DIGIT_EDGES = [
+    (nines(2000, 1), nines(1999, 3)),
+    (nines(2000, 2), nines(2000, 3, -1)),
+    (nines(2150, 1), nines(2149, 2, -1)),
+    (nines(2150, 3), nines(2150, 2)),
+]
+
+
+class TestProductKernel:
+    @pytest.mark.parametrize("path", PATHS)
+    @given(st.one_of(wide_nums, full_nums), st.one_of(wide_nums, full_nums))
+    @example([3, 0, -5, 0], [-1, -2, -7])  # zero slots, an all-negative operand
+    @example([-(2 ** 64)], [-3, -(2 ** 100), -1])
+    @example([5], [-7])  # one-slot operands
+    @example([0], [2 ** 80 + 1])
+    @example([2 ** 29 - 1] * 7, [2 ** 29 - 1] * 7)  # 7/8 of the slot bound
+    @example(*DIGIT_EDGES[0])
+    @example(*DIGIT_EDGES[1])
+    @example(*DIGIT_EDGES[2])
+    @example(*DIGIT_EDGES[3])
+    @settings(max_examples=150, deadline=None)
+    def test_matches_schoolbook(self, path, na, nb):
+        with on_path(path):
+            assert _product_nums(na, nb) == nums_by_pairs(na, nb)
+            assert _product_nums(nb, na) == nums_by_pairs(na, nb)
+
+    # TestPoly.test_mul_matches_pairwise_loop covers the int path
+    @given(st.one_of(wide_polys, full_polys), st.one_of(wide_polys, full_polys))
+    @example(DEGREE_40, -DEGREE_40)
+    @example(Poly([F(1, 3)]), Poly([0, F(-5, 7)]))
+    @settings(max_examples=100, deadline=None)
+    def test_poly_mul_on_decimal_path(self, p, q):
+        with on_path("decimal"):
+            assert p * q == mul_by_pairs(p, q)
+
+    def test_both_paths_run_at_the_real_crossover(self):
+        # a product well above the crossover, and a cut of it well below
+        p = Poly([F((-1) ** i * (2 ** 700 - i), i + 1) for i in range(200)])
+        q = Poly([F(i - 100 + 2 ** 600, 7) for i in range(150)])
+        small_p, small_q = Poly(p.coeffs[:20]), Poly(q.coeffs[:20])
+        with mock.patch.object(algebra, "_ntt_product", wraps=algebra._ntt_product) as spy:
+            assert small_p * small_q == mul_by_pairs(small_p, small_q)
+            assert spy.call_count == 0
+            assert p * q == mul_by_pairs(p, q)
+            assert spy.call_count == 1
+
+    def test_callers_decimal_context_is_left_alone(self):
+        na, nb = DIGIT_EDGES[3]
+        with decimal.localcontext() as ctx:
+            ctx.prec = 3
+            ctx.clear_flags()
+            traps = dict(ctx.traps)
+            with on_path("decimal"):
+                got = _product_nums(na, nb)
+            assert decimal.getcontext() is ctx
+            assert ctx.prec == 3 and dict(ctx.traps) == traps
+            assert not any(ctx.flags.values())
+        assert got == nums_by_pairs(na, nb)
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int <-> str digit limit"
+    )
+    def test_lowest_int_digit_limit(self):
+        na, nb = DIGIT_EDGES[2]
+        want = nums_by_pairs(na, nb)
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            with on_path("decimal"):
+                got = _product_nums(na, nb)
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(before)
+        assert got == want
 
 
 class TestBeta:

@@ -1,11 +1,13 @@
 from fractions import Fraction as F
 from math import factorial
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from laplaceratio.algebra import Poly, Series
+from laplaceratio import algebra
+from laplaceratio.algebra import Poly, Series, convolve
 from laplaceratio.errors import (
     DomainError,
     InconsistentRatio,
@@ -344,3 +346,67 @@ class TestVerifyIdentity:
         lhs = verify_identity(f, g, spec)
         rhs = ratio_rational(f, spec.n, spec.m) == ratio_rational(g, spec.n, spec.m)
         assert lhs == rhs
+
+
+def verify_by_convolutions(f, g, spec):
+    # the identity's definition: two convolutions of Fraction polynomials
+    n, m = spec.n, spec.m
+    return convolve(f ** n, g ** m) == convolve(f ** m, g ** n)
+
+
+# the kernel's crossover moved so that every product takes one path
+PATHS = {"ints": 10 ** 30, "decimal": 0}
+ORACLE_SPECS = [RatioSpec(2, 1), RatioSpec(1, 2), RatioSpec(5, 4), RatioSpec(3, 1)]
+oracle_polys = st.lists(small_fractions, max_size=6).map(Poly)
+
+
+@st.composite
+def identity_pairs(draw):
+    # g is zero, f up to a constant c (c^n = c^m only for c = 1, and for
+    # c = -1 when n - m is even), f perturbed, or unrelated, of any degree
+    f = draw(oracle_polys)
+    g = draw(
+        st.one_of(
+            st.just(Poly()),
+            st.sampled_from((1, -1, 2, F(-1, 3))).map(lambda c: f * c),
+            st.builds(lambda i, c: f + Poly.monomial(i, c), st.integers(0, 7), small_fractions),
+            oracle_polys,
+        )
+    )
+    return f, g
+
+
+class TestVerifyIdentityOracle:
+    @pytest.mark.parametrize("path", PATHS)
+    @given(identity_pairs(), st.sampled_from(ORACLE_SPECS))
+    @example((Poly(), Poly([1, 2])), RatioSpec(2, 1))  # zero f
+    @example((Poly([0, 3]), Poly()), RatioSpec(5, 4))  # zero g
+    @example((Poly([2, 0, -1]), Poly([-2, 0, 1])), RatioSpec(3, 1))  # f = -g, c^n = c^m
+    @example((Poly([2, 0, -1]), Poly([-2, 0, 1])), RatioSpec(2, 1))  # f = -g, c^n != c^m
+    @example((Poly([1, 1]), Poly([2, 2])), RatioSpec(1, 2))
+    @example((Poly([1, 1]), Poly([1, 1, 1])), RatioSpec(5, 4))  # unequal degrees
+    @settings(max_examples=120, deadline=None)
+    def test_matches_convolution_definition(self, path, pair, spec):
+        # the oracle's products always take the other path
+        f, g = pair
+        other = "ints" if path == "decimal" else "decimal"
+        with mock.patch.object(algebra, "_NTT_BITS", PATHS[other]):
+            want = verify_by_convolutions(f, g, spec)
+        with mock.patch.object(algebra, "_NTT_BITS", PATHS[path]):
+            assert verify_identity(f, g, spec) is want
+
+    @pytest.mark.parametrize(
+        "f, g, spec, want, ntt_calls",
+        [
+            # products of about 140 kbit: CPython ints
+            (DEGREE_40_K3, -DEGREE_40_K3, RatioSpec(3, 1), True, 0),
+            # products of about 820 kbit: libmpdec
+            (DEGREE_40_K3, DEGREE_40_K3 + Poly.monomial(7, F(3, 5)), RatioSpec(5, 4), False, 2),
+            (DEGREE_40_K3, DEGREE_40_K3, RatioSpec(5, 4), True, 2),
+        ],
+    )
+    def test_each_side_of_the_crossover(self, f, g, spec, want, ntt_calls):
+        with mock.patch.object(algebra, "_ntt_product", wraps=algebra._ntt_product) as spy:
+            assert verify_identity(f, g, spec) is want
+        assert spy.call_count == ntt_calls
+        assert verify_by_convolutions(f, g, spec) is want
