@@ -133,6 +133,28 @@ def _from_digits(s: str) -> int:
     return x
 
 
+def _int_text(a: int) -> str:
+    """str(a) for an int of any length: one str() below 10**_DIGITS."""
+    if -_DIGITS_BASE < a < _DIGITS_BASE:
+        return str(a)
+    return "-" + _to_digits(-a, 1) if a < 0 else _to_digits(a, 1)
+
+
+def _text_int(s: str) -> int:
+    """int(s) for a decimal string of any length with an optional sign: one
+    int() up to _DIGITS characters."""
+    if len(s) <= _DIGITS:
+        return int(s)
+    x = _from_digits(s[1:] if s[0] in "+-" else s)
+    return -x if s[0] == "-" else x
+
+
+def _rational_text(q) -> str:
+    """str(q) for a Rational of any length: 'p/q', or 'p' when q is 1."""
+    num = _int_text(q.numerator)
+    return num if q.denominator == 1 else f"{num}/{_int_text(q.denominator)}"
+
+
 def _decimal_pack(nums, width: int, ctx: Context) -> Decimal:
     """Sum of nums[i] * 10**(width*i): the positive slots' digit string
     less the negative slots' one."""

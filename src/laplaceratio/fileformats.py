@@ -1,7 +1,8 @@
 """JSON and CSV document formats used by the CLI and reusable directly.
 
 Rationals travel as decimal-integer or "p/q" strings so files round-trip
-exactly; parse failures name the offending position in the document.
+exactly, at any length and whatever sys.int_max_str_digits is set to; parse
+failures name the offending position in the document.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 import re
 from typing import TYPE_CHECKING
 
-from .algebra import Poly, Rational, Series
+from .algebra import Poly, Rational, Series, _rational_text, _text_int
 from .errors import FormatError, OutOfRange
 from .identify import IdentifyResult
 from .transforms import PiecewisePoly, RatioExpansion, sin_maclaurin, step_example
@@ -38,15 +39,16 @@ def parse_rational(value, where: str) -> Rational:
             )
         num, _, den = value.strip().partition("/")
         if den:
-            if int(den) == 0:
+            den = _text_int(den)
+            if den == 0:
                 raise FormatError(f"{where}: zero denominator in {value!r}")
-            return Rational(int(num), int(den))
-        return Rational(int(num))
+            return Rational(_text_int(num), den)
+        return Rational(_text_int(num))
     raise FormatError(f"{where}: expected a rational string or integer, got {type(value).__name__}")
 
 
 def format_rational(value: Rational) -> str:
-    return str(value)
+    return _rational_text(value)
 
 
 def _require(doc, key, where, kind=None):
@@ -201,11 +203,27 @@ def model_from_document(doc, where: str = "model") -> AuctionModel:
 def load_json(path):
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=_text_int)
     except OSError as exc:
         raise FormatError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path) from exc
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+
+
+def _not_utf8(path) -> FormatError:
+    """FormatError at the line of path's first byte that is not UTF-8.  A
+    text file decodes chunk by chunk, so the error's own offset counts from
+    its chunk; the whole file is decoded again to place it."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return FormatError(f"{path}:{line}: not UTF-8 text: {exc.reason}")
+    return FormatError(f"{path}: not UTF-8 text")
 
 
 def save_samples(path, table: np.ndarray) -> None:
@@ -252,6 +270,10 @@ def load_samples(path) -> np.ndarray:
                 values.append(second)
     except OSError as exc:
         raise FormatError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path) from exc
+    except csv.Error as exc:
+        raise FormatError(f"{path}:{reader.line_num}: {exc}") from exc
     if not values:
         raise FormatError(f"{path}: no sample rows")
     return np.array(values).reshape(-1, 2)

@@ -22,20 +22,14 @@ from .algebra import (
     Numerators,
     Poly,
     Rational,
-    Series,
     _cleared,
     _laplace_product,
     _power_nums,
+    _rational_text,
     beta_rational,
     factorials,
 )
-from .errors import (
-    DomainError,
-    InconsistentRatio,
-    InsufficientOrder,
-    IrrationalRoot,
-    NoRealRoot,
-)
+from .errors import DomainError, InconsistentRatio, InsufficientOrder, IrrationalRoot, NoRealRoot
 from .transforms import RatioExpansion, _check_exponents
 
 
@@ -101,14 +95,14 @@ def leading_coefficient(H: RatioExpansion, spec: RatioSpec, k: int):
     ambiguous = e % 2 == 0
     if ambiguous and rhs < 0:
         raise NoRealRoot(
-            f"even exponent difference with negative normalized leading value {rhs}"
+            f"even exponent difference with negative normalized leading value {_rational_text(rhs)}"
         )
     sign = -1 if rhs < 0 else 1
     mag = abs(rhs)
     num = _exact_nth_root(mag.numerator, e)
     den = _exact_nth_root(mag.denominator, e)
     if num is None or den is None:
-        raise IrrationalRoot(f"{mag} has no rational root of index {e}")
+        raise IrrationalRoot(f"{_rational_text(mag)} has no rational root of index {e}")
     return sign * Rational(num, den), ambiguous
 
 
@@ -156,53 +150,39 @@ def power_term(g: Numerators, P: Numerators, n: int) -> tuple[int, int]:
     return acc, j * g.nums[0] * P.den
 
 
-def _extend(g: list, T, k: int, spec: RatioSpec, count: int) -> list:
-    # Append the next `count` coefficients to g.  Coefficient j = len(g)
-    # solves the order-j residual A_j - sum_r T_r B_(j-r), in which it
-    # enters A_j and B_j linearly (power_term); the prefixes of g**n and
-    # g**m, and B, carry over from one step to the next.  Only T_0..T_j
-    # enter up to that step, so order len(g)+count-1 is all T must reach.
-    # Every sequence is kept as Numerators, so each step is integer dot
+def _recover(g0: Rational, T, k: int, spec: RatioSpec, count: int) -> list:
+    # g0 and the `count` coefficients after it.  Coefficient j solves the
+    # order-j residual A_j - sum_r T_r B_(j-r), in which it enters A_j and
+    # B_j linearly (power_term); g**n, g**m and B grow one coefficient per
+    # step.  As g0**(n-m) = T_0*(km)!/(kn)! (leading_coefficient), g_j's slope
+    #     g0**(n-1) * (kn)! * (n*R_n(j) - m*R_m(j)),  R_n(j) = (kn+1)...(kn+j),
+    # is g0**(n-1)*(k(n+m)+j+1)!/(km)! times pivot_value(k, k+j): never 0.
+    # Each sequence is kept as Numerators, so a step is integer dot
     # products and one reduced Rational per new value.
-    last = len(g) + count - 1
-    if len(T) <= last:
+    if len(T) <= count:
         raise InsufficientOrder(
             f"tail order {len(T) - 1} too short: "
-            f"coefficient {k + last} first appears at order {last}"
+            f"coefficient {k + count} first appears at order {count}"
         )
     n, m = spec.n, spec.m
-    start = len(g)
-    known = Series(g, start - 1)
-    prefix_m = (known ** m).coeffs
-    G, Tr = Numerators(g), Numerators(T[:start])
-    Pn, Pm = Numerators((known ** n).coeffs), Numerators(prefix_m)
-    B = Numerators()
-    fm = factorial(k * m)  # (km+i)!, a running product like fn
-    for i, p in enumerate(prefix_m):
-        B.append(fm * p)
-        fm *= k * m + i + 1
-    fn = factorial(k * n + start)
-    # slopes of P_j in g_j; the slope of the residual, fn*dn - T_0*fm*dm,
-    # is (fn*sn - fm*sm)/sd
-    dn, dm, t0 = n * g[0] ** (n - 1), m * g[0] ** (m - 1), Rational(T[0])
+    g, Tr = [g0], Numerators(T[:1])
+    G, Pn, Pm = Numerators(g), Numerators([g0 ** n]), Numerators([g0 ** m])
+    B = Numerators([factorial(k * m) * g0 ** m])
+    fn, fm = factorial(k * n + 1), factorial(k * m + 1)  # (kn+j)!, (km+j)!
+    # slopes of P_j in g_j; the residual's, fn*dn - T_0*fm*dm, is (fn*sn - fm*sm)/sd
+    dn, dm, t0 = n * g0 ** (n - 1), m * g0 ** (m - 1), Rational(T[0])
     sd = dn.denominator * dm.denominator * t0.denominator
     sn = dn.numerator * dm.denominator * t0.denominator
     sm = t0.numerator * dm.numerator * dn.denominator
-    for j in range(start, start + count):
-        slope = fn * sn - fm * sm
-        if not slope:
-            raise InconsistentRatio(
-                f"zero pivot at order {j}: T_0 does not fit the leading coefficient"
-            )
+    for j in range(1, count + 1):
         Tr.append(T[j])
         # P_j at g_j = 0 is an/vn for g**n and am/vm for g**m
         an, vn = power_term(G, Pn, n)
         am, vm = power_term(G, Pm, m)
         conv = sum(map(mul, islice(Tr.nums, 1, None), reversed(B.nums)))
-        # residual fn*an/vn - T_0*fm*am/vm - conv/(Tr.den*B.den), times
-        # vn*vm*Tr.den*B.den
+        # vn*vm*Tr.den*B.den times the residual fn*an/vn - T_0*fm*am/vm - conv/(Tr.den*B.den)
         res = (fn * an * vm * Tr.den - Tr.nums[0] * fm * am * vn) * B.den - conv * vn * vm
-        c = Rational(-res * sd, vn * vm * Tr.den * B.den * slope)
+        c = Rational(-res * sd, vn * vm * Tr.den * B.den * (fn * sn - fm * sm))
         cn, cd = c.numerator, c.denominator
         pn = Rational(an * dn.denominator * cd + dn.numerator * cn * vn, vn * dn.denominator * cd)
         pm = Rational(am * dm.denominator * cd + dm.numerator * cn * vm, vm * dm.denominator * cd)
@@ -230,7 +210,7 @@ def identify(H: RatioExpansion, spec: RatioSpec, target_degree: int) -> Identify
         raise DomainError("target degree must be nonnegative")
     k = infer_order(H, spec)
     a, ambiguous = leading_coefficient(H, spec, k)
-    g = _extend([a / factorial(k)], H.tail.coeffs, k, spec, target_degree - k)
+    g = _recover(a / factorial(k), H.tail.coeffs, k, spec, target_degree - k)
     return IdentifyResult(
         poly=Poly([0] * k + g),
         ambiguous_sign=ambiguous,

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from laplaceratio.algebra import Poly
 from laplaceratio.cli import _lambda_grid, main
-from laplaceratio.fileformats import ratio_expansion_from_document
+from laplaceratio.fileformats import format_rational, ratio_expansion_from_document
 from laplaceratio.transforms import ratio_expansion, sin_closed_form
 
 
@@ -201,6 +202,29 @@ class TestIdentifyCommand:
         in_process = ratio_expansion(f, 3, 2, 9)
         from_file = ratio_expansion_from_document(json.loads(expansion_path.read_text()))
         assert from_file == in_process
+
+    def test_wide_rationals_round_trip(self, capsys, tmp_path, poly_file):
+        # 61 coefficients p/q with 60-bit p and q: tail entries run past
+        # 10000 characters, beyond the default int <-> str limit of 4300
+        rng = random.Random(60)
+        coeffs = [
+            format_rational(F(rng.getrandbits(60) - 2 ** 59, rng.getrandbits(60) | 1))
+            for _ in range(61)
+        ]
+        src = poly_file("wide.json", coeffs)
+        expansion_path = str(tmp_path / "H.json")
+        spec = ("--n", "2", "--m", "1")
+        code, _, err = run_cli(
+            capsys, "ratio", "--input", src, *spec, "--order", "60", "--output", expansion_path
+        )
+        assert (code, err) == (0, "")
+        with open(expansion_path) as fh:
+            assert max(map(len, json.load(fh)["tail"])) > 10000
+        code, out, err = run_cli(
+            capsys, "identify", "--input", expansion_path, *spec, "--target-degree", "60"
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"coeffs": coeffs, "ambiguous_sign": False, "k": 0}
 
     def test_bad_expansion_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -510,6 +534,13 @@ class TestOutputModes:
         )
         assert code == 2
         assert "nonexistent" in err
+
+    def test_undecodable_input_is_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = run_cli(capsys, "transform", "--input", str(path), "--lambda", "1")
+        assert (code, out) == (2, "")
+        assert err == f"FormatError: {path}:1: not UTF-8 text: invalid start byte\n"
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:

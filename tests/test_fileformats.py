@@ -17,7 +17,9 @@ from laplaceratio.fileformats import (
     dist_from_document,
     function_from_document,
     function_to_document,
+    format_rational,
     identify_result_to_document,
+    load_json,
     load_samples,
     model_from_document,
     parse_rational,
@@ -45,6 +47,30 @@ class TestParseRational:
         with pytest.raises(FormatError) as err:
             parse_rational("1/0", "coeffs[0]")
         assert "denominator" in str(err.value)
+
+    def test_rationals_of_any_length_round_trip(self):
+        # 5000 digits each way, past the default int <-> str limit of 4300
+        text = "-" + "9" * 5000 + "/1" + "0" * 4999
+        value = parse_rational(text, "x")
+        assert value == F(1 - 10 ** 5000, 10 ** 4999)
+        assert format_rational(value) == text
+        assert format_rational(F(10 ** 5000)) == "1" + "0" * 5000
+
+
+class TestLoadJson:
+    def test_integers_of_any_length(self, tmp_path):
+        path = tmp_path / "wide.json"
+        path.write_text('{"lead": -' + "9" * 5000 + ', "tail": [1' + "0" * 5000 + "]}")
+        doc = load_json(path)
+        assert doc == {"lead": 1 - 10 ** 5000, "tail": [10 ** 5000]}
+        assert parse_rational(doc["tail"][0], "tail[0]") == 10 ** 5000
+
+    def test_undecodable_file_is_positioned(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(FormatError) as err:
+            load_json(path)
+        assert str(err.value) == f"{path}:1: not UTF-8 text: invalid start byte"
 
 
 class TestFunctionDocuments:
@@ -300,6 +326,22 @@ class TestSampleCsv:
         with pytest.raises(FormatError) as err:
             load_samples(path)
         assert str(err.value) == f"{path}:1: expected header 'top,second'"
+
+    def test_undecodable_byte_positioned(self, tmp_path):
+        # past the first chunk the text reader decodes, so the line is the
+        # byte's own and not that of the chunk's start
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"top,second\n" + b"1.0,2.0\n" * 3000 + b"1.0,\xff2\n")
+        with pytest.raises(FormatError) as err:
+            load_samples(path)
+        assert str(err.value) == f"{path}:3002: not UTF-8 text: invalid start byte"
+
+    def test_oversized_cell_positioned(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("top,second\n1.0,2.0\n3.0," + "4" * 200000 + "\n")
+        with pytest.raises(FormatError) as err:
+            load_samples(path)
+        assert str(err.value).startswith(f"{path}:3: field larger than field limit")
 
 
 def reference_sample_bytes(table) -> bytes:

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import product
 from math import factorial
 from unittest import mock
 
@@ -17,7 +18,6 @@ from laplaceratio.errors import (
 )
 from laplaceratio.identify import (
     RatioSpec,
-    _extend,
     identify,
     infer_order,
     leading_coefficient,
@@ -172,6 +172,21 @@ class TestPivot:
         )
         assert residual(1) - residual(0) == predicted
 
+    def test_closed_form(self):
+        # pivot_value(k, k+j) * (k(n+m)+j+1)! = (kn)! (km)! (n R_n(j) - m R_m(j))
+        # with R_n(j) = (kn+1)...(kn+j), a bracket with the sign of n - m:
+        # the recursion's slope, which is therefore never zero
+        def rising(kn, j):
+            return factorial(kn + j) // factorial(kn)
+
+        for k, j, n, m in product(range(7), range(1, 8), range(1, 6), range(1, 6)):
+            if n == m:
+                continue
+            bracket = n * rising(k * n, j) - m * rising(k * m, j)
+            assert (bracket > 0) == (n > m)
+            scaled = pivot_value(k, k + j, RatioSpec(n, m)) * factorial(k * (n + m) + j + 1)
+            assert scaled == factorial(k * n) * factorial(k * m) * bracket
+
     def test_requires_l_above_k(self):
         with pytest.raises(DomainError):
             pivot_value(2, 2, RatioSpec(2, 1))
@@ -185,55 +200,30 @@ class TestPivot:
 
 
 class TestNextCoefficient:
-    # one step of the recursion: _extend(g, T, k, spec, 1) appends the
-    # coefficient at degree k + len(g) to the known ones g
+    # the recursion one coefficient at a time: target degree k + j asks for
+    # the coefficients through the j-th after the leading one
 
     def test_one_plus_x(self):
         H = expansion_for(Poly([1, 1]), RatioSpec(2, 1), 1)
-        assert _extend([F(1)], H.tail.coeffs, 0, RatioSpec(2, 1), 1) == [1, 1]
+        assert identify(H, RatioSpec(2, 1), 1).poly == Poly([1, 1])
 
     def test_constant_source(self):
         H = expansion_for(Poly([1]), RatioSpec(2, 1), 1)
-        assert _extend([F(1)], H.tail.coeffs, 0, RatioSpec(2, 1), 1) == [1, 0]
+        result = identify(H, RatioSpec(2, 1), 1)
+        assert result.poly == Poly([1])
+        assert result.recovered_degree == 1
 
     def test_sparse_cubic(self):
         spec = RatioSpec(3, 2)
         H = expansion_for(Poly([0, 1, 0, 1]), spec, 3)
-        g = _extend([F(1)], H.tail.coeffs, 1, spec, 1)
-        assert g == [1, 0]
-        assert _extend(g, H.tail.coeffs, 1, spec, 1) == [1, 0, 1]
+        assert identify(H, spec, 2).poly == Poly([0, 1])
+        assert identify(H, spec, 3).poly == Poly([0, 1, 0, 1])
 
     def test_insufficient_order(self):
         H = ratio_expansion(Poly([1, 1, 1]), 2, 1, 1)
         with pytest.raises(InsufficientOrder) as err:
-            _extend([F(1), F(1)], H.tail.coeffs, 0, RatioSpec(2, 1), 1)
+            identify(H, RatioSpec(2, 1), 2)
         assert str(err.value) == "tail order 1 too short: coefficient 2 first appears at order 2"
-
-    def test_zero_pivot(self):
-        # slope 1!*2*c_0 - T_0*1!*1 vanishes for c_0 = 1, T_0 = 2
-        with pytest.raises(InconsistentRatio) as err:
-            _extend([F(1)], (2, 0, 0), 0, RatioSpec(2, 1), 1)
-        assert str(err.value) == "zero pivot at order 1: T_0 does not fit the leading coefficient"
-
-    def test_zero_pivot_past_known_prefix(self):
-        # with k = 1 and (2, 1) the slope is (2+j)!*2*g_0 - T_0*(1+j)!, so
-        # g_0 = 1, T_0 = 8 fits no coefficient at order j = 2
-        with pytest.raises(InconsistentRatio) as err:
-            _extend([F(1), F(5)], (8, 1, 2), 1, RatioSpec(2, 1), 1)
-        assert str(err.value) == "zero pivot at order 2: T_0 does not fit the leading coefficient"
-
-    @given(poly_strategy(), st.sampled_from(ODD_SPECS + EVEN_SPECS))
-    @settings(max_examples=40, deadline=None)
-    def test_identify_is_a_loop_of_steps(self, f, spec):
-        # the powers carried across steps inside one call give what a
-        # fresh call per coefficient gives
-        H = expansion_for(f, spec, f.degree)
-        k = infer_order(H, spec)
-        a, _ = leading_coefficient(H, spec, k)
-        g = [a / factorial(k)]
-        for _ in range(k + 1, f.degree + 1):
-            g = _extend(g, H.tail.coeffs, k, spec, 1)
-        assert identify(H, spec, f.degree).poly == Poly([0] * k + g)
 
 
 class TestIdentify:
