@@ -7,6 +7,7 @@ pure function, so values can be shared freely between concurrent tasks.
 
 from __future__ import annotations
 
+import re
 from decimal import (
     MAX_EMAX,
     MAX_PREC,
@@ -33,13 +34,21 @@ Rational = Fraction
 def as_rational(value) -> Rational:
     """Coerce an int, a string like '7' or '-3/4', or a Rational.
 
-    Floats are rejected on purpose: silently converting them would smuggle
-    binary rounding into the exact layer.
+    Integer and 'p/q' strings of any length are read through _text_int;
+    other strings go to Fraction as they are.  Floats are rejected on
+    purpose: silently converting them would smuggle binary rounding into
+    the exact layer.
     """
     if isinstance(value, Rational):
         return value
-    if isinstance(value, int) or isinstance(value, str):
+    if isinstance(value, int):
         return Rational(value)
+    if isinstance(value, str):
+        parts = re.fullmatch(_RATIONAL_TEXT, value)
+        if parts is None:
+            return Rational(value)
+        num, den = parts.groups()
+        return Rational(_text_int(num), _text_int(den) if den else 1)
     raise TypeError(f"expected an exact rational-like value, got {type(value).__name__}")
 
 
@@ -57,6 +66,11 @@ def as_rational(value) -> Rational:
 # - above it, base 10**W with the stdlib decimal module, whose libmpdec
 #   multiplies large operands by a number-theoretic transform.
 #
+# A power keeps a slot count: all n*(len-1)+1 slots, or only the lowest
+# count of them, as a truncated series power needs.  It takes the path its
+# kept slots pack to, and square-and-multiply cuts every product back to
+# those slots, so no product is wider than twice the result.
+#
 # _NTT_BITS is where the two paths cost about the same on verify_identity's
 # Laplace-weighted products (Python 3.11.7, x86-64): the decimal path takes
 # 1.6x the time of the int path at 85 kbit, about the same from 180 to
@@ -69,6 +83,8 @@ _NTT_BITS = 250_000
 # limit refuses one
 _DIGITS = 640
 _DIGITS_BASE = 10 ** _DIGITS
+# an integer or 'p/q' string, compiled by re's cache on first use
+_RATIONAL_TEXT = r"\s*([+-]?\d+)(?:/(\d+))?\s*"
 
 
 def _bits(nums) -> int:
@@ -164,20 +180,10 @@ def _decimal_pack(nums, width: int, ctx: Context) -> Decimal:
     return ctx.subtract(ctx.create_decimal(pos), ctx.create_decimal(neg))
 
 
-def _ntt_product(na, nb, w: int) -> list:
-    """_product_nums in base 10**W > 2**w, multiplied by libmpdec.
-
-    Only Context methods and the quiet copy_abs touch the decimals, since
-    the operators and abs() round to the thread's context.  The context
-    here has room for every digit and traps any rounding, so a lost digit
-    raises instead of changing the product.
-    """
-    width = w * 30103 // 100000 + 1  # 30103/100000 > log10(2)
-    ctx = Context(
-        prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[InvalidOperation, Inexact, Rounded]
-    )
-    x = ctx.multiply(_decimal_pack(na, width, ctx), _decimal_pack(nb, width, ctx))
-    count = len(na) + len(nb) - 1
+def _decimal_unpack(x: Decimal, count: int, width: int) -> list:
+    """The count balanced base-10**width slots of x, lowest first, for x of
+    at most count*width digits whose slots are all below half the base in
+    absolute value."""
     digits = str(x.copy_abs()).zfill(count * width)
     base = 10 ** width
     out, borrow = [], 0
@@ -186,6 +192,21 @@ def _ntt_product(na, nb, w: int) -> list:
         borrow = 1 if 2 * c >= base else 0
         out.append(c - base if borrow else c)
     return [-c for c in out] if x.is_signed() else out
+
+
+def _exact_context() -> Context:
+    """A context with room for every digit that traps any rounding, so a
+    lost digit raises instead of changing a product.  Only its methods and
+    the quiet copy_abs touch the kernel's decimals, since the operators and
+    abs() round to the thread's context."""
+    return Context(
+        prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[InvalidOperation, Inexact, Rounded]
+    )
+
+
+def _width(w: int) -> int:
+    """Decimal digits W with 10**W > 2**w."""
+    return w * 30103 // 100000 + 1  # 30103/100000 > log10(2)
 
 
 def _product_nums(na, nb) -> list:
@@ -198,11 +219,58 @@ def _product_nums(na, nb) -> list:
     return _ntt_product(na, nb, w)
 
 
-def _power_nums(na, n: int) -> list:
-    """Slots of the n-th power (n >= 1) of a nonempty integer coefficient
-    list: each is a sum of at most len(na)**(n-1) products of n entries."""
+def _ntt_product(na, nb, w: int) -> list:
+    """_product_nums in base 10**W > 2**w, multiplied by libmpdec."""
+    width = _width(w)
+    ctx = _exact_context()
+    x = ctx.multiply(_decimal_pack(na, width, ctx), _decimal_pack(nb, width, ctx))
+    return _decimal_unpack(x, len(na) + len(nb) - 1, width)
+
+
+def _cut_power(x, n: int, times):
+    """x**n by left-to-right square-and-multiply, each product by times."""
+    y = x
+    for bit in bin(n)[3:]:
+        y = times(y, y)
+        if bit == "1":
+            y = times(y, x)
+    return y
+
+
+def _power_nums(na, n: int, count: int | None = None) -> list:
+    """The lowest count slots (count >= 1; by default all n*(len(na)-1)+1)
+    of the n-th power (n >= 1) of a nonempty integer coefficient list, zero
+    past the last.
+
+    Only na's first count entries reach those slots, and each slot is a sum
+    of at most len(na)**(n-1) products of n entries.  Square-and-multiply
+    cuts every product to the slots kept: the packed low count slots are
+    the packed power mod base**count, whatever lies above them, so in base
+    2**w the cut is a mask and the signed residue is read once at the end;
+    in base 10**W it keeps the low count*W digits, sign and all, which
+    Context.shift does at a precision of count*W digits.
+    """
+    if count is None:
+        count = n * (len(na) - 1) + 1
+    na = na[:count]
+    full = n * (len(na) - 1) + 1
+    slots = min(count, full)
+    pad = [0] * (count - slots)
     w = n * _bits(na) + (n - 1) * len(na).bit_length() + 1
-    return _unpack([(_pack(na, w) ** n, n * (len(na) - 1) + 1)], w)
+    if w * slots < _NTT_BITS:
+        if slots == full:  # nothing to cut
+            return _unpack([(_pack(na, w) ** n, slots)], w) + pad
+        top = w * slots
+        mask = (1 << top) - 1
+        x = _cut_power(_pack(na, w), n, lambda a, b: (a * b) & mask)
+        if x >> (top - 1):
+            x -= 1 << top
+        return _unpack([(x, slots)], w) + pad
+    width = _width(w)
+    ctx = _exact_context()
+    cut = Context(prec=slots * width, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    x = _cut_power(_decimal_pack(na, width, ctx), n, lambda a, b: cut.shift(ctx.multiply(a, b), 0))
+    return _decimal_unpack(x, slots, width) + pad
 
 
 def _product(a, b) -> list:
@@ -258,6 +326,23 @@ class Numerators:
             self.nums = [a * scale for a in self.nums]
             self.den *= scale
         self.nums.append(value.numerator * (self.den // d))
+
+
+def _quotient(na, nb, count: int) -> list:
+    """The first count coefficients of the power series quotient of two
+    integer lists, entries past their ends zero and nb[0] != 0.
+
+    q_j = (a_j - sum of b_i*q_(j-i) over i = 1..j) / b_0, the sum an
+    integer dot product over the quotient's running common denominator.
+    """
+    q = Numerators()
+    out: list[Rational] = []
+    for j in range(count):
+        s = sum(map(mul, islice(nb, 1, None), reversed(q.nums)))
+        c = Rational((na[j] if j < len(na) else 0) * q.den - s, q.den * nb[0])
+        q.append(c)
+        out.append(c)
+    return out
 
 
 def factorials(top: int) -> list:
@@ -380,19 +465,20 @@ class Poly:
         for i, c in enumerate(self.coeffs):
             if not c:
                 continue
+            text = _rational_text(c)
             if i == 0:
-                parts.append(str(c))
+                parts.append(text)
             elif i == 1:
-                parts.append(f"{c}*{var}" if c != 1 else var)
+                parts.append(f"{text}*{var}" if c != 1 else var)
             else:
-                parts.append(f"{c}*{var}^{i}" if c != 1 else f"{var}^{i}")
+                parts.append(f"{text}*{var}^{i}" if c != 1 else f"{var}^{i}")
         return " + ".join(parts).replace("+ -", "- ")
 
     def __str__(self):
         return self.to_string()
 
     def __repr__(self):
-        return f"Poly([{', '.join(str(c) for c in self.coeffs)}])"
+        return f"Poly([{', '.join(map(_rational_text, self.coeffs))}])"
 
 
 def beta_rational(alpha: int, beta: int) -> Rational:
@@ -501,27 +587,21 @@ class Series:
             return NotImplemented
         if not other.coeffs[0]:
             raise ZeroLeadingCoefficient("series division requires denom.coeffs[0] != 0")
-        # q_j = (a_j - sum of b_i*q_(j-i) over i = 1..j) / b_0, the sum an
-        # integer dot product over b.den*q.den
+        # a/b = (na/da) / (nb/db) = (na*db) / (nb*da)
         d = self._common_order(other)
-        b, q = Numerators(), Numerators()
-        out: list[Rational] = []
-        for a, bj in zip(self.coeffs[: d + 1], other.coeffs):
-            b.append(bj)
-            s = sum(map(mul, islice(b.nums, 1, None), reversed(q.nums)))
-            c = Rational(
-                a.numerator * b.den * q.den - a.denominator * s,
-                a.denominator * q.den * b.nums[0],
-            )
-            q.append(c)
-            out.append(c)
-        return Series(out, d)
+        na, da = _cleared(self.coeffs[: d + 1])
+        nb, db = _cleared(other.coeffs[: d + 1])
+        return Series(_quotient([a * db for a in na], [b * da for b in nb], d + 1), d)
 
     def __pow__(self, n: int):
-        """Truncated power: the packed polynomial power, cut at the order."""
+        """Truncated power: the kernel's power, cut to order+1 slots."""
         if not isinstance(n, int) or n < 0:
             raise DomainError("series powers take a nonnegative integer exponent")
-        return Series((Poly(self.coeffs) ** n).coeffs, self.order)
+        if n == 0:
+            return Series([1], self.order)
+        nums, den = _cleared(self.coeffs)
+        den **= n
+        return Series([Rational(c, den) for c in _power_nums(nums, n, self.order + 1)], self.order)
 
     def __repr__(self):
-        return f"Series([{', '.join(str(c) for c in self.coeffs)}], order={self.order})"
+        return f"Series([{', '.join(map(_rational_text, self.coeffs))}], order={self.order})"

@@ -17,6 +17,7 @@ conversions run on the standard library.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -267,6 +268,17 @@ def _chunked(cfg: McConfig):
         yield start, rows, rng
 
 
+def _check_arrays(cfg: McConfig, N: int) -> None:
+    """Raise DomainError unless the (samples, 2) table and the (chunk rows,
+    N) draws each fit one array of doubles, whose byte count numpy keeps
+    within sys.maxsize."""
+    rows = min(cfg.chunk, cfg.samples)
+    if 8 * max(2 * cfg.samples, rows * N) > sys.maxsize:
+        raise DomainError(
+            f"{cfg.samples} samples in chunks of {rows} rows of {N} bids do not fit one array"
+        )
+
+
 def simulate_bids(model: AuctionModel, cfg: McConfig) -> np.ndarray:
     """Simulate the two highest bids; returns an array of shape (samples, 2)
     with columns (highest, second highest).  Fully determined by cfg.
@@ -275,10 +287,11 @@ def simulate_bids(model: AuctionModel, cfg: McConfig) -> np.ndarray:
     fl(c + x) is monotone in x, so this commutes with the sort bit for bit.
     Raises OutOfRange if a bid overflows the double range.
     """
+    N = model.n_bidders
+    _check_arrays(cfg, N)
     import numpy as np
 
     out = np.empty((cfg.samples, 2))
-    N = model.n_bidders
     with np.errstate(over="ignore"):
         for start, rows, rng in _chunked(cfg):
             common = sample_draws(model.common, rng, rows)
@@ -338,6 +351,7 @@ def memoryless_check(theta: float, N: int, cfg: McConfig, control: bool = False)
         raise DomainError(f"theta must be positive, got {theta}")
     if N < 2:
         raise DomainError("need N >= 2")
+    _check_arrays(cfg, N)
     scale = 1.0 / theta
     top = np.empty(cfg.samples)
     second_side = np.empty(cfg.samples)

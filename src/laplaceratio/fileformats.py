@@ -210,6 +210,8 @@ def load_json(path):
         raise _not_utf8(path) from exc
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise FormatError(f"{path}: JSON nested too deeply") from exc
 
 
 def _not_utf8(path) -> FormatError:

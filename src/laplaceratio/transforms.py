@@ -15,10 +15,20 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice
 from math import factorial
 from operator import mul
 
-from .algebra import Poly, Rational, Series, _cleared, _power_nums, as_rational, factorials
+from .algebra import (
+    Poly,
+    Rational,
+    Series,
+    _cleared,
+    _power_nums,
+    _quotient,
+    as_rational,
+    factorials,
+)
 from .errors import (
     DivergentTransform,
     DomainError,
@@ -60,20 +70,36 @@ class RatioExpansion:
 
 
 def ratio_expansion(f: Poly, n: int, m: int, order: int) -> RatioExpansion:
-    """Exact expansion of L{f^n}/L{f^m} at infinity, to the given tail order:
-    the closed form ratio_rational, expanded.
+    """Exact expansion of L{f^n}/L{f^m} at infinity, to the given tail order.
 
     The leading exponent is k*(m-n) where k is the index of f's lowest
-    nonzero coefficient.
+    nonzero coefficient.  T_0..T_order read only the coefficients
+    k..k+order of f, and of f^n and f^m only the order+1 from x^(kn) and
+    x^(km) on, so both powers come from the kernel cut to order+1 slots
+    and nothing past the order is built.  The result equals
+    ratio_rational(f, n, m).expansion(order).
     """
     _check_exponents(n, m)
     if f.is_zero:
         raise ZeroFunction("the zero function has no transform ratio")
     if order < 0:
         raise DomainError("expansion order must be nonnegative")
-    # T_0..T_order read only the coefficients k..k+order of f, so the cut
-    # is exact and keeps the closed form's powers to the order asked for
-    return ratio_rational(Poly(f.coeffs[: f.valuation + order + 1]), n, m).expansion(order)
+    k = f.valuation
+    nums, den = _cleared(f.coeffs[k : k + order + 1])
+    # slot j of the cut powers is the x^(kn+j) coefficient of f^n over
+    # den**n (and of f^m over den**m), which laplace_poly weights by
+    # (kn+j)!; both sides are then brought to the denominator den**max(n, m)
+    fact = factorials(k * max(n, m) + order)
+    A = _laplace_slots(_power_nums(nums, n, order + 1), fact, k * n, den ** max(m - n, 0))
+    B = _laplace_slots(_power_nums(nums, m, order + 1), fact, k * m, den ** max(n - m, 0))
+    g = math.gcd(*A, *B)  # the quotient's dot products run on content-free integers
+    A, B = [a // g for a in A], [b // g for b in B]
+    return RatioExpansion(lead=k * (m - n), tail=Series(_quotient(A, B, order + 1), order))
+
+
+def _laplace_slots(slots: list, fact: list, start: int, scale: int) -> list:
+    """slots[j] * (start+j)! * scale for every j."""
+    return [c * w * scale for c, w in zip(slots, islice(fact, start, None))]
 
 
 def _check_exponents(n: int, m: int) -> None:
@@ -126,9 +152,11 @@ class RationalFunction:
 
     def expansion(self, order: int) -> RatioExpansion:
         """Expand at lambda = infinity as a RatioExpansion."""
-        rev_n = Series(self.numer.coeffs[::-1], order)
-        rev_d = Series(self.denom.coeffs[::-1], order)
-        return RatioExpansion(lead=self.numer.degree - self.denom.degree, tail=rev_n / rev_d)
+        # the coefficients are integers, highest power of lambda first
+        rev_n = [c.numerator for c in reversed(self.numer.coeffs)]
+        rev_d = [c.numerator for c in reversed(self.denom.coeffs)]
+        tail = Series(_quotient(rev_n, rev_d, order + 1), order)
+        return RatioExpansion(lead=self.numer.degree - self.denom.degree, tail=tail)
 
     def __repr__(self):
         return f"RationalFunction({self.numer!r}, {self.denom!r})"
@@ -169,8 +197,8 @@ def ratio_rational(f: Poly, n: int, m: int) -> RationalFunction:
     # side keeps both polynomials
     sn, sm = den ** max(m - n, 0), den ** max(n - m, 0)
     shift = len(fn) - len(fm)
-    num = [0] * max(-shift, 0) + [c * w * sn for c, w in zip(fn, fact)][::-1]
-    dnm = [0] * max(shift, 0) + [c * w * sm for c, w in zip(fm, fact)][::-1]
+    num = [0] * max(-shift, 0) + _laplace_slots(fn, fact, 0, sn)[::-1]
+    dnm = [0] * max(shift, 0) + _laplace_slots(fm, fact, 0, sm)[::-1]
     return RationalFunction._from_ints(num, dnm)
 
 

@@ -16,6 +16,7 @@ from laplaceratio.algebra import (
     as_rational,
     beta_rational,
     convolve,
+    _power_nums,
     _product_nums,
     factorials,
 )
@@ -279,6 +280,53 @@ class TestProductKernel:
         assert got == want
 
 
+def power_by_pairs(na, n):
+    # n schoolbook products
+    out = [1]
+    for _ in range(n):
+        out = nums_by_pairs(out, na)
+    return out
+
+
+@st.composite
+def power_cases(draw):
+    # counts below, at and above the full power's n*(len-1)+1 slots
+    na = draw(st.one_of(wide_nums, full_nums, st.lists(widths(40), min_size=1, max_size=12)))
+    n = draw(st.integers(1, 6))
+    full = n * (len(na) - 1) + 1
+    count = draw(st.one_of(st.integers(1, full + 3), st.sampled_from((full - 1, full, full + 1))))
+    return na, n, max(count, 1)
+
+
+class TestTruncatedPower:
+    @pytest.mark.parametrize("path", PATHS)
+    @given(power_cases())
+    @example(([3, -1, 4, -1, 5], 5, 7))
+    @example(([-(2 ** 64), 0, 2 ** 64 - 1], 4, 9))  # count = the full power's
+    @example(([7], 3, 4))  # one entry, count past the full power
+    @example(([0, 0, 5], 2, 3))  # the lowest slots all zero
+    @example((nines(2150, 3), 2, 4))  # slots past 4300 decimal digits
+    @settings(max_examples=120, deadline=None)
+    def test_is_full_power_prefix(self, path, case):
+        na, n, count = case
+        want = (power_by_pairs(na, n) + [0] * count)[:count]
+        with on_path(path):
+            assert _power_nums(na, n, count) == want
+            if count == n * (len(na) - 1) + 1:
+                assert _power_nums(na, n) == want
+
+    def test_both_paths_run_at_the_real_crossover(self):
+        # 2400-bit numerators, as 41 coefficients p/q of 60 bits clear to:
+        # the fifth power cut to 41 slots packs far above the crossover, the
+        # cube of four of them cut to 5 slots far below it
+        na = [(-1) ** i * (2 ** 2400 - 3 * i) for i in range(41)]
+        with mock.patch.object(algebra, "_decimal_unpack", wraps=algebra._decimal_unpack) as spy:
+            assert _power_nums(na[:4], 3, 5) == power_by_pairs(na[:4], 3)[:5]
+            assert spy.call_count == 0
+            assert _power_nums(na, 5, 41) == power_by_pairs(na, 5)[:41]
+            assert spy.call_count == 1
+
+
 class TestBeta:
     def test_uniform(self):
         assert beta_rational(1, 1) == 1
@@ -503,6 +551,23 @@ class TestSeriesPow:
             Series([1, 1], 3) ** -1
         with pytest.raises(DomainError):
             Series([1, 1], 3) ** 1.5
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int <-> str digit limit")
+def test_text_of_any_length_under_the_lowest_digit_limit():
+    wide = F(10 ** 5000 + 1, 3)
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        digits = algebra._rational_text(wide)
+        assert as_rational("1" * 5000) == (10 ** 5000 - 1) // 9
+        assert as_rational(f" -{digits} ") == -wide
+        p = Poly([wide, 0, "-" + "7" * 5000])
+        assert repr(p) == f"Poly([{digits}, 0, -{'7' * 5000}])"
+        assert p.to_string() == f"{digits} - {'7' * 5000}*x^2"
+        assert repr(Series([wide], 1)) == f"Series([{digits}, 0], order=1)"
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def test_as_rational_accepts_strings():

@@ -270,6 +270,22 @@ class TestSimulateBids:
         want = reference_simulate_bids(model, cfg)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
+    @pytest.mark.parametrize(
+        "N, samples, chunk",
+        [(10 ** 20, 5, 100_000), (3, 10 ** 20, 100_000), (3, 10 ** 20, 10 ** 20), (2 ** 60, 4, 4)],
+    )
+    def test_arrays_past_the_index_range_are_refused_first(self, monkeypatch, N, samples, chunk):
+        def no_array(*args, **kwargs):
+            raise AssertionError("numpy was asked for an array")
+
+        monkeypatch.setattr(np, "empty", no_array)
+        monkeypatch.setattr(np.random, "Generator", no_array)
+        cfg = McConfig(samples, seed=1, chunk=chunk)
+        with pytest.raises(DomainError, match="do not fit one array"):
+            simulate_bids(AuctionModel(PointMass(0.0), Exponential(1.0), N), cfg)
+        with pytest.raises(DomainError, match="do not fit one array"):
+            memoryless_check(1.0, N, cfg)
+
     def test_overflow_raises_out_of_range(self, recwarn):
         law = Lognormal(-708.0, 1.0)
         with pytest.raises(OutOfRange) as err:

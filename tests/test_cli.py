@@ -473,6 +473,26 @@ class TestAuctionCommands:
         assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
         assert not csv_path.exists()
 
+    @pytest.mark.parametrize(
+        "N, extra",
+        [
+            (10 ** 20, []),
+            (3, ["--samples", str(10 ** 20)]),
+            (3, ["--samples", str(10 ** 20), "--chunk", str(10 ** 20)]),
+        ],
+    )
+    def test_auction_sim_past_one_array_is_typed(self, capsys, model_file, monkeypatch, N, extra):
+        def no_array(*args, **kwargs):
+            raise AssertionError("numpy was asked for an array")
+
+        monkeypatch.setattr(np, "empty", no_array)
+        law = {"kind": "exponential", "theta": 1.0}
+        path = model_file("m.json", {"common": law, "idiosyncratic": law, "N": N})
+        argv = ["auction-sim", "--model", path, "--samples", "5", "--seed", "1", *extra]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("DomainError: ") and err.endswith(" do not fit one array\n")
+
     def test_auction_identify(self, capsys, tmp_path):
         H = ratio_expansion(Poly([0, 1]), 1, 2, 8)
         path = tmp_path / "H.json"
@@ -541,6 +561,15 @@ class TestOutputModes:
         code, out, err = run_cli(capsys, "transform", "--input", str(path), "--lambda", "1")
         assert (code, out) == (2, "")
         assert err == f"FormatError: {path}:1: not UTF-8 text: invalid start byte\n"
+
+    def test_deeply_nested_input_is_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run_cli(
+            capsys, "identify", "--input", str(path), "--n", "2", "--m", "1", "--target-degree", "1"
+        )
+        assert (code, out) == (2, "")
+        assert err == f"FormatError: {path}: JSON nested too deeply\n"
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:

@@ -157,6 +157,38 @@ class TestRatioExpansion:
         assert ratio_expansion(f, n, m, 2).lead == k * (m - n)
 
 
+wide_rationals = st.builds(F, st.integers(-(2 ** 60), 2 ** 60), st.integers(1, 2 ** 60))
+
+
+@st.composite
+def wide_cases(draw):
+    # 60-bit p/q, valuation k <= 4, n < m as well as n > m, orders from 0
+    # to past the cut f's coefficients
+    k = draw(st.integers(0, 4))
+    head = draw(wide_rationals.filter(bool))
+    f = Poly([0] * k + [head] + draw(st.lists(wide_rationals, max_size=10)))
+    n, m = draw(st.sampled_from(SPECS + [(2, 5), (4, 5)]))
+    return f, (n, m), draw(st.integers(0, f.degree - k + 3))
+
+
+class TestRatioExpansionRoute:
+    # the closed form of the whole cut f, expanded, is the reference
+    @given(wide_cases())
+    @example((Poly([0, 0, F(2 ** 60 - 1, 3), F(-(2 ** 59), 2 ** 60 - 1), 1]), (2, 5), 5))
+    @example((Poly([0, 0, 0, F(7, 2 ** 60)]), (1, 2), 0))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_expanded_closed_form(self, case):
+        f, (n, m), order = case
+        f_cut = Poly(f.coeffs[: f.valuation + order + 1])
+        assert ratio_expansion(f, n, m, order) == ratio_rational(f_cut, n, m).expansion(order)
+
+    def test_wide_degree_40_on_the_decimal_path(self):
+        # 60-bit p/q at degree 40: both cut powers pack past the kernel's
+        # crossover
+        f = Poly([F((-1) ** i * (2 ** 60 - 7 * i), 2 ** 59 + 11 * i) for i in range(41)])
+        assert ratio_expansion(f, 5, 4, 40) == ratio_rational(f, 5, 4).expansion(40)
+
+
 class TestRatioRational:
     def test_constant_one(self):
         rf = ratio_rational(Poly([1]), 2, 1)
