@@ -271,6 +271,33 @@ class TestTransformCommand:
         doc = json.loads(out)
         assert doc["coeffs"] == ["0", "1", "2", "4"]
 
+    @pytest.mark.parametrize(
+        "source, order, coeffs",
+        [
+            (["0"], None, ["0"]),  # the zero polynomial
+            (["0"], "3", ["0", "0", "0", "0"]),
+            (["1", "-3/2", "2"], "1", ["0", "1"]),  # truncated
+            (["1", "-3/2", "2"], "5", ["0", "1", "-3/2", "4", "0", "0"]),  # zero-padded
+            ("sin", "3", ["0", "0", "1", "0"]),
+        ],
+    )
+    def test_series_document_bytes(self, capsys, poly_file, source, order, coeffs):
+        if source == "sin":
+            argv = ["transform", "--builtin", "sin"]
+        else:
+            argv = ["transform", "--input", poly_file("f.json", source)]
+        if order is not None:
+            argv += ["--order", order]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        doc = {"kind": "series", "variable": "1/lambda", "order": len(coeffs) - 1, "coeffs": coeffs}
+        assert out == json.dumps(doc, indent=2) + "\n"
+
+    def test_negative_order_is_computation_error(self, capsys, poly_file):
+        path = poly_file("f.json", ["1", "-3/2", "2"])
+        code, out, err = run_cli(capsys, "transform", "--input", path, "--order", "-1")
+        assert (code, out, err) == (1, "", "DomainError: series order must be nonnegative\n")
+
     def test_poly_values_on_grid(self, capsys, poly_file):
         path = poly_file("f.json", ["1"])
         code, out, _ = run_cli(capsys, "transform", "--input", path, "--lambda", "2.0")
