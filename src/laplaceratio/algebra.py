@@ -34,7 +34,7 @@ Rational = Fraction
 def as_rational(value) -> Rational:
     """Coerce an int, a string like '7' or '-3/4', or a Rational.
 
-    Integer and 'p/q' strings of any length are read through _text_int;
+    Integer and 'p/q' strings of any length are read by _rational_parts;
     other strings go to Fraction as they are.  Floats are rejected on
     purpose: silently converting them would smuggle binary rounding into
     the exact layer.
@@ -44,12 +44,20 @@ def as_rational(value) -> Rational:
     if isinstance(value, int):
         return Rational(value)
     if isinstance(value, str):
-        parts = re.fullmatch(_RATIONAL_TEXT, value)
-        if parts is None:
-            return Rational(value)
-        num, den = parts.groups()
-        return Rational(_text_int(num), _text_int(den) if den else 1)
+        parts = _rational_parts(value)
+        return Rational(value) if parts is None else Rational(*parts)
     raise TypeError(f"expected an exact rational-like value, got {type(value).__name__}")
+
+
+def _rational_parts(text: str):
+    """(numerator, denominator) of an integer or 'p/q' string of any length,
+    surrounding whitespace allowed, or None for any other text.  The
+    denominator is 1 for an integer and may be 0."""
+    parts = re.fullmatch(_RATIONAL_TEXT, text)
+    if parts is None:
+        return None
+    num, den = parts.groups()
+    return _text_int(num), _text_int(den) if den else 1
 
 
 # Exact products by Kronecker substitution (von zur Gathen & Gerhard,
@@ -516,33 +524,19 @@ def convolve(p: Poly, q: Poly) -> Poly:
 
 
 class Series:
-    """Power series truncated at a fixed order.
-
-    coeffs always has length order+1 and arithmetic never reports
-    coefficients beyond the order.  Mixing two orders truncates to the
-    smaller one, matching formal-series semantics.
+    """Power series in u truncated at a fixed order: the tail of a ratio
+    expansion.  coeffs always has length order+1; shorter input is padded
+    with zeros and longer input is cut.
     """
 
     __slots__ = ("coeffs", "order")
 
-    def __init__(self, coeffs, order: int | None = None):
-        cs = [as_rational(c) for c in coeffs]
-        if order is None:
-            if not cs:
-                cs = [Rational(0)]
-            order = len(cs) - 1
+    def __init__(self, coeffs, order: int):
         if order < 0:
             raise DomainError("series order must be nonnegative")
-        if len(cs) <= order:
-            cs.extend([Rational(0)] * (order + 1 - len(cs)))
-        else:
-            cs = cs[: order + 1]
-        self.coeffs = tuple(cs)
+        cs = [as_rational(c) for c in islice(coeffs, order + 1)]
+        self.coeffs = tuple(cs) + (Rational(0),) * (order + 1 - len(cs))
         self.order = order
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
 
     def __eq__(self, other):
         if isinstance(other, Series):
@@ -552,56 +546,18 @@ class Series:
     def __hash__(self):
         return hash((self.coeffs, self.order))
 
-    def __neg__(self):
-        return Series([-c for c in self.coeffs], self.order)
-
-    def _common_order(self, other: "Series") -> int:
-        return min(self.order, other.order)
-
-    def __add__(self, other):
-        if not isinstance(other, Series):
-            return NotImplemented
-        d = self._common_order(other)
-        return Series([self.coeffs[i] + other.coeffs[i] for i in range(d + 1)], d)
-
-    def __sub__(self, other):
-        if not isinstance(other, Series):
-            return NotImplemented
-        d = self._common_order(other)
-        return Series([self.coeffs[i] - other.coeffs[i] for i in range(d + 1)], d)
-
-    def __mul__(self, other):
-        if isinstance(other, Series):
-            d = self._common_order(other)
-            full = Poly(self.coeffs[: d + 1]) * Poly(other.coeffs[: d + 1])
-            return Series(full.coeffs, d)
-        scalar = as_rational(other)
-        return Series([scalar * c for c in self.coeffs], self.order)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
     def __truediv__(self, other):
-        """Formal long division; the denominator needs a nonzero constant term."""
+        """Formal long division to the smaller order; the denominator needs
+        a nonzero constant term."""
         if not isinstance(other, Series):
             return NotImplemented
         if not other.coeffs[0]:
             raise ZeroLeadingCoefficient("series division requires denom.coeffs[0] != 0")
         # a/b = (na/da) / (nb/db) = (na*db) / (nb*da)
-        d = self._common_order(other)
+        d = min(self.order, other.order)
         na, da = _cleared(self.coeffs[: d + 1])
         nb, db = _cleared(other.coeffs[: d + 1])
         return Series(_quotient([a * db for a in na], [b * da for b in nb], d + 1), d)
-
-    def __pow__(self, n: int):
-        """Truncated power: the kernel's power, cut to order+1 slots."""
-        if not isinstance(n, int) or n < 0:
-            raise DomainError("series powers take a nonnegative integer exponent")
-        if n == 0:
-            return Series([1], self.order)
-        nums, den = _cleared(self.coeffs)
-        den **= n
-        return Series([Rational(c, den) for c in _power_nums(nums, n, self.order + 1)], self.order)
 
     def __repr__(self):
         return f"Series([{', '.join(map(_rational_text, self.coeffs))}], order={self.order})"

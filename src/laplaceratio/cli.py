@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import fileformats as ff
 from .algebra import Poly
-from .errors import FormatError, LaplaceRatioError, OutOfRange
+from .errors import DomainError, FormatError, LaplaceRatioError, OutOfRange
 from .identify import RatioSpec, identify, pivot_value, verify_identity
 from .transforms import (
     convolution_residual,
@@ -254,9 +254,9 @@ def _load_functions(args, count: int = 1):
 
 
 def _transform_value_poly(p: Poly, lam: float) -> float:
-    # laplace_poly's series summed exactly at u = 1/lambda and rounded once;
-    # an overflowing value gives a non-finite row, which _emit_rows rejects
-    exact = Poly(laplace_poly(p).coeffs)(1 / Fraction(lam))
+    # L{p} summed exactly at u = 1/lambda and rounded once; an overflowing
+    # value gives a non-finite row, which _emit_rows rejects
+    exact = laplace_poly(p)(1 / Fraction(lam))
     try:
         return float(exact)
     except OverflowError:
@@ -278,14 +278,19 @@ def cmd_transform(args) -> int:
         return 0
     if not isinstance(fn, Poly):
         raise FormatError("piecewise transforms need --lambda or --lambda-grid")
-    series = laplace_poly(fn, args.order if args.order is not None else None)
+    # the transform terminates, so the series to any order is its polynomial
+    # in u, cut or padded with zeros
+    transform = laplace_poly(fn)
+    order = max(transform.degree, 0) if args.order is None else args.order
+    if order < 0:
+        raise DomainError("series order must be nonnegative")
     _emit_json(
         args,
         {
             "kind": "series",
             "variable": "1/lambda",
-            "order": series.order,
-            "coeffs": [ff.format_rational(c) for c in series.coeffs],
+            "order": order,
+            "coeffs": [ff.format_rational(transform.coefficient(i)) for i in range(order + 1)],
         },
     )
     return 0

@@ -10,10 +10,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-import re
 from typing import TYPE_CHECKING
 
-from .algebra import Poly, Rational, Series, _rational_text, _text_int
+from .algebra import Poly, Rational, Series, _rational_parts, _rational_text, _text_int
 from .errors import FormatError, OutOfRange
 from .identify import IdentifyResult
 from .transforms import PiecewisePoly, RatioExpansion, sin_maclaurin, step_example
@@ -23,8 +22,6 @@ if TYPE_CHECKING:
 
     from .auction import AuctionModel, DistSpec
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
-
 
 def parse_rational(value, where: str) -> Rational:
     """Parse a JSON value holding a rational: an integer or a 'p/q' string."""
@@ -33,17 +30,14 @@ def parse_rational(value, where: str) -> Rational:
     if isinstance(value, int):
         return Rational(value)
     if isinstance(value, str):
-        if not _RATIONAL_RE.match(value.strip()):
+        parts = _rational_parts(value)
+        if parts is None:
             raise FormatError(
                 f"{where}: malformed rational {value!r} (use an integer or 'p/q')"
             )
-        num, _, den = value.strip().partition("/")
-        if den:
-            den = _text_int(den)
-            if den == 0:
-                raise FormatError(f"{where}: zero denominator in {value!r}")
-            return Rational(_text_int(num), den)
-        return Rational(_text_int(num))
+        if not parts[1]:
+            raise FormatError(f"{where}: zero denominator in {value!r}")
+        return Rational(*parts)
     raise FormatError(f"{where}: expected a rational string or integer, got {type(value).__name__}")
 
 

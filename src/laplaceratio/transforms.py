@@ -39,17 +39,14 @@ from .errors import (
 )
 
 
-def laplace_poly(p: Poly, order: int | None = None) -> Series:
-    """Transform of a polynomial as a series in u = 1/lambda.
+def laplace_poly(p: Poly) -> Poly:
+    """Transform of a polynomial: the polynomial in u = 1/lambda it
+    terminates as.
 
     The term rule L{x^i} = i!/lambda^(i+1) puts i! * coeffs[i] at u^(i+1);
-    the u^0 coefficient is always zero.  A polynomial transform terminates,
-    so padding to a larger order is exact.
+    the u^0 coefficient is always zero.
     """
-    out = [Rational(0)] + list(map(mul, factorials(p.degree), p.coeffs))
-    if order is None:
-        order = len(out) - 1
-    return Series(out, order)
+    return Poly([0] + list(map(mul, factorials(p.degree), p.coeffs)))
 
 
 @dataclass(frozen=True)
@@ -307,7 +304,9 @@ def _exp_weighted_moments(a: float, b: float | None, degree: int, lam: float) ->
     eb = math.exp(-lam * b) if b is not None else 0.0
     vals = [(ea - eb) / lam]
     for j in range(1, degree + 1):
-        boundary = (a ** j) * ea - (b ** j) * eb if b is not None else (a ** j) * ea
+        # x**j * e(x) is 0.0 where e(x) underflowed, without the power,
+        # which may overflow; so is the term at b = infinity
+        boundary = (a ** j * ea if ea else 0.0) - (b ** j * eb if eb else 0.0)
         vals.append((boundary + j * vals[j - 1]) / lam)
     return vals
 
@@ -322,13 +321,18 @@ def laplace_piecewise(pp: PiecewisePoly, lam: float) -> float:
         raise DivergentTransform(f"transform requires lambda > 0, got {lam}")
     total = 0.0
     ends = list(pp.breakpoints[1:]) + [None]
-    for start, end, piece in zip(pp.breakpoints, ends, pp.pieces):
-        if piece.is_zero:
-            continue
-        moments = _exp_weighted_moments(
-            float(start), None if end is None else float(end), piece.degree, lam
-        )
-        total += sum(float(c) * moments[j] for j, c in enumerate(piece.coeffs))
+    try:
+        for start, end, piece in zip(pp.breakpoints, ends, pp.pieces):
+            if piece.is_zero:
+                continue
+            moments = _exp_weighted_moments(
+                float(start), None if end is None else float(end), piece.degree, lam
+            )
+            total += sum(float(c) * moments[j] for j, c in enumerate(piece.coeffs))
+    except OverflowError:
+        raise OutOfRange(
+            f"the float path overflowed a double evaluating the transform at lambda = {lam!r}"
+        ) from None
     return total
 
 

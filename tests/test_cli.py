@@ -357,6 +357,17 @@ class TestTransformCommand:
             assert (code, out) == (1, "")
             assert err.startswith("OutOfRange: ")
 
+    def test_far_breakpoint_overflow_is_typed_error(self, capsys, model_file):
+        # (10**186)**2 overflows the float path at lambda = 1e-300
+        path = model_file("f.json", {
+            "kind": "piecewise", "breakpoints": ["0", str(10 ** 186)],
+            "pieces": [["1"]], "tail": ["0", "0", "1"],
+        })
+        for command in (["transform"], ["ratio", "--n", "2", "--m", "1"]):
+            code, out, err = run_cli(capsys, *command, "--input", path, "--lambda", "1e-300")
+            assert (code, out) == (1, "")
+            assert err.startswith("OutOfRange: ") and "Traceback" not in err
+
     def test_non_finite_lambda_is_typed_error(self, capsys, poly_file, model_file):
         # a usage error on every command that takes lambdas, as a point or
         # as a grid endpoint
