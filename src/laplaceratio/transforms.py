@@ -46,7 +46,7 @@ def laplace_poly(p: Poly) -> Poly:
     The term rule L{x^i} = i!/lambda^(i+1) puts i! * coeffs[i] at u^(i+1);
     the u^0 coefficient is always zero.
     """
-    return Poly([0] + list(map(mul, factorials(p.degree), p.coeffs)))
+    return Poly([0, *map(mul, factorials(p.degree), p.coeffs)])
 
 
 @dataclass(frozen=True)
