@@ -211,6 +211,55 @@ class TestRatioRational:
         assert ratio_rational(f, n, m).expansion(order) == want
         assert ratio_expansion(f, n, m, order) == want
 
+    @pytest.mark.parametrize(
+        "f, n, m, want",
+        [
+            # valuation 2, n > m
+            (
+                Poly([0, 0, 1, 3]), 3, 1,
+                "RationalFunction(Poly([4898880, 544320, 22680, 360]), "
+                "Poly([0, 0, 0, 0, 0, 0, 9, 1]))",
+            ),
+            # valuation 1, n < m
+            (
+                Poly([0, F(1, 2), F(-2, 3)]), 1, 3,
+                "RationalFunction(Poly([0, 0, 0, 0, -16, 6]), Poly([-2560, 960, -144, 9]))",
+            ),
+            # valuation 3, n < m
+            (
+                Poly([0, 0, 0, F(5, 7), 1]), 2, 5,
+                "RationalFunction(Poly([0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 19208, 3430, 175]), "
+                "Poly([1159007484450816000, 206965622223360000, 15561324979200000, "
+                "617512896000000, 12972960000000, 115830000000]))",
+            ),
+            # 60-bit p/q, valuation 0, n > m
+            (
+                Poly([F(2**60 - 93, 2**59 + 15), F(-(2**60 - 57), 2**60 - 173)]), 2, 1,
+                "RationalFunction(Poly(["
+                "883423532389192123414269146992458293762103886775207759668314892611768098, "
+                "-1766847064778383880562104027037511676316622060406187422130289848247661186, "
+                "1766847064778383514295669760090182691941383577431726497053722490413372401]), "
+                "Poly([0, "
+                "-441711766194596017264763888385452138846152522741040867763065326969936613, "
+                "883423532389191851396310643297220247846989759413087124141427253320019541]))",
+            ),
+            # 60-bit p/q, valuation 1, n < m
+            (
+                Poly([0, F(2**60 - 93, 2**59 + 15), F(-(2**60 - 57), 2**60 - 173)]), 1, 2,
+                "RationalFunction(Poly([0, 0, "
+                "-883423532389192034529527776770904277692305045482081735526130653939873226, "
+                "883423532389191851396310643297220247846989759413087124141427253320019541]), "
+                "Poly(["
+                "10601082388670305480971229763909499525145246641302493116019778711341217176, "
+                "-10601082388670303283372624162225070057899732362437124532781739089485967116, "
+                "3533694129556767028591339520180365383882767154863452994107444980826744802]))",
+            ),
+        ],
+    )
+    def test_stored_pair_is_pinned(self, f, n, m, want):
+        # the stored (numer, denom) pair, not just the function it denotes
+        assert repr(ratio_rational(f, n, m)) == want
+
     def test_numeric_eval_matches_quadrature(self):
         f = Poly([1, 1])
         rf = ratio_rational(f, 2, 1)
