@@ -296,16 +296,6 @@ def _power(a, n: int) -> list:
     return [Rational(c, den) for c in _power_nums(na, n)]
 
 
-def _laplace_product(na, nb, fact) -> list:
-    """Slots of the product of the Laplace-weighted lists i! * na[i] and
-    j! * nb[j], fact holding at least max(len(na), len(nb)) factorials.
-
-    For polynomials p = na/da and q = nb/db, L{x^i} = i!/lambda^(i+1) makes
-    slot k / (da*db) the (k+1)! * t^(k+1) coefficient of convolve(p, q).
-    """
-    return _product_nums(list(map(mul, fact, na)), list(map(mul, fact, nb)))
-
-
 class Numerators:
     """A growing sequence of rationals held as integer numerators over one
     common denominator, the lcm of the reduced denominators appended so far.
@@ -519,7 +509,7 @@ def convolve(p: Poly, q: Poly) -> Poly:
     nb, db = _cleared(q.coeffs)
     fact = factorials(len(na) + len(nb) - 1)
     den = da * db
-    slots = _laplace_product(na, nb, fact)
+    slots = _product_nums(list(map(mul, fact, na)), list(map(mul, fact, nb)))
     return Poly([0] + [Rational(c, den * w) for c, w in zip(slots, islice(fact, 1, None))])
 
 
@@ -553,11 +543,10 @@ class Series:
             return NotImplemented
         if not other.coeffs[0]:
             raise ZeroLeadingCoefficient("series division requires denom.coeffs[0] != 0")
-        # a/b = (na/da) / (nb/db) = (na*db) / (nb*da)
+        # both sides over one denominator, which cancels in the quotient
         d = min(self.order, other.order)
-        na, da = _cleared(self.coeffs[: d + 1])
-        nb, db = _cleared(other.coeffs[: d + 1])
-        return Series(_quotient([a * db for a in na], [b * da for b in nb], d + 1), d)
+        nums, _ = _cleared(self.coeffs[: d + 1] + other.coeffs[: d + 1])
+        return Series(_quotient(nums[: d + 1], nums[d + 1 :], d + 1), d)
 
     def __repr__(self):
         return f"Series([{', '.join(map(_rational_text, self.coeffs))}], order={self.order})"

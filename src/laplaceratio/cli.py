@@ -42,13 +42,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def add(name, help_text, handler):
+    def add(name, help_text, handler, rows=False):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
         p.add_argument("--output", help="output path (default: stdout)")
-        p.add_argument(
-            "--pretty", action="store_true", help="aligned human-readable tables"
-        )
+        if rows:
+            p.add_argument("--pretty", action="store_true", help="aligned human-readable tables")
         return p
 
     def add_function_source(p):
@@ -86,12 +85,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, required=True, help="numerator exponent")
         p.add_argument("--m", type=int, required=True, help="denominator exponent")
 
-    p = add("transform", "Laplace transform of a function", cmd_transform)
+    p = add("transform", "Laplace transform of a function", cmd_transform, rows=True)
     add_function_source(p)
     add_lambda_flags(p)
     p.add_argument("--order", type=int, help="series truncation order (polynomial input)")
 
-    p = add("ratio", "power ratio L{f^n}/L{f^m}", cmd_ratio)
+    p = add("ratio", "power ratio L{f^n}/L{f^m}", cmd_ratio, rows=True)
     add_function_source(p)
     add_lambda_flags(p)
     add_exponents(p)
@@ -111,12 +110,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_exponents(p)
 
-    p = add("auction-k", "top-two transform ratio K for a bid model", cmd_auction_k)
+    p = add("auction-k", "top-two transform ratio K for a bid model", cmd_auction_k, rows=True)
     p.add_argument("--model", required=True, help="auction model JSON")
     add_lambda_flags(p)
     p.add_argument("--tol", type=float, default=1e-10, help="quadrature tolerance")
 
-    p = add("auction-sim", "simulate top-two bids to CSV", cmd_auction_sim)
+    p = add("auction-sim", "simulate top-two bids to CSV", cmd_auction_sim, rows=True)
     p.add_argument("--model", required=True, help="auction model JSON")
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -127,7 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="number of bidders N")
     p.add_argument("--target-degree", type=int, required=True)
 
-    p = add("selftest", "run the built-in acceptance checks", cmd_selftest)
+    sub.add_parser("selftest", help="run the built-in acceptance checks").set_defaults(
+        handler=cmd_selftest
+    )
 
     return parser
 
@@ -167,7 +168,7 @@ def _emit_rows(args, header: list[str], rows: list[list]) -> None:
                 raise OutOfRange(
                     f"{name} = {v!r} at {header[0]} = {row[0]!r} is not a finite double"
                 )
-    cells = [[_format_value(v) for v in row] for row in rows]
+    cells = [[repr(v) for v in row] for row in rows]  # every cell is a float
     if args.pretty:
         widths = [
             max(len(header[i]), *(len(r[i]) for r in cells)) if cells else len(header[i])
@@ -179,12 +180,6 @@ def _emit_rows(args, header: list[str], rows: list[list]) -> None:
     else:
         lines = [",".join(header)] + [",".join(row) for row in cells]
         _emit_text(args, "\n".join(lines) + "\n")
-
-
-def _format_value(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 def _lambda_grid(args) -> list[float]:

@@ -18,19 +18,9 @@ from itertools import islice
 from math import factorial
 from operator import mul
 
-from .algebra import (
-    Numerators,
-    Poly,
-    Rational,
-    _cleared,
-    _laplace_product,
-    _power_nums,
-    _rational_text,
-    beta_rational,
-    factorials,
-)
+from .algebra import Numerators, Poly, Rational, _product_nums, _rational_text, beta_rational
 from .errors import DomainError, InconsistentRatio, InsufficientOrder, IrrationalRoot, NoRealRoot
-from .transforms import RatioExpansion, _check_exponents
+from .transforms import RatioExpansion, _check_exponents, _laplace_pair
 
 
 @dataclass(frozen=True)
@@ -223,23 +213,16 @@ def verify_identity(f: Poly, g: Poly, spec: RatioSpec) -> bool:
     """Exact test of the convolution identity f^n * g^m = f^m * g^n, which
     holds iff the two power ratios coincide.
 
-    Each side is one integer product of Laplace-weighted power numerators
-    (algebra.convolve's product, by CPython ints below the kernel's
-    crossover and by libmpdec's number-theoretic transform above it).  The
-    sides share the (k+1)! of slot k, so they are compared slot by slot,
-    each cross-multiplied by the other side's denominator, and no Fraction
-    is built.
+    transforms._laplace_pair gives each function's Laplace-weighted f^n
+    and f^m lists over that function's one denominator, so the transforms
+    of the two sides are u^2 times the products A_f*B_g and B_f*A_g, both
+    over D_f*D_g.  Each product is one integer product (by CPython ints
+    below the kernel's crossover and by libmpdec's number-theoretic
+    transform above it), and the identity holds iff the two are equal
+    lists of integers; no Fraction is built.
     """
     if f.is_zero or g.is_zero:
         return True  # both sides are the zero function
-    n, m = spec.n, spec.m
-    nf, df = _cleared(f.coeffs)
-    ng, dg = _cleared(g.coeffs)
-    fn, fm, gn, gm = _power_nums(nf, n), _power_nums(nf, m), _power_nums(ng, n), _power_nums(ng, m)
-    fact = factorials(max(len(fn), len(fm), len(gn), len(gm)) - 1)
-    left = _laplace_product(fn, gm, fact)  # over df**n * dg**m
-    right = _laplace_product(fm, gn, fact)  # over df**m * dg**n
-    if len(left) != len(right):
-        return False
-    a, b = df ** m * dg ** n, df ** n * dg ** m
-    return all(x * a == y * b for x, y in zip(left, right))
+    Af, Bf = _laplace_pair(f.coeffs, spec.n, spec.m)
+    Ag, Bg = _laplace_pair(g.coeffs, spec.n, spec.m)
+    return _product_nums(Af, Bg) == _product_nums(Bf, Ag)

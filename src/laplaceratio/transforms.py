@@ -82,21 +82,30 @@ def ratio_expansion(f: Poly, n: int, m: int, order: int) -> RatioExpansion:
     if order < 0:
         raise DomainError("expansion order must be nonnegative")
     k = f.valuation
-    nums, den = _cleared(f.coeffs[k : k + order + 1])
-    # slot j of the cut powers is the x^(kn+j) coefficient of f^n over
-    # den**n (and of f^m over den**m), which laplace_poly weights by
-    # (kn+j)!; both sides are then brought to the denominator den**max(n, m)
-    fact = factorials(k * max(n, m) + order)
-    A = _laplace_slots(_power_nums(nums, n, order + 1), fact, k * n, den ** max(m - n, 0))
-    B = _laplace_slots(_power_nums(nums, m, order + 1), fact, k * m, den ** max(n - m, 0))
+    A, B = _laplace_pair(f.coeffs[k : k + order + 1], n, m, k, order + 1)
     g = math.gcd(*A, *B)  # the quotient's dot products run on content-free integers
     A, B = [a // g for a in A], [b // g for b in B]
     return RatioExpansion(lead=k * (m - n), tail=Series(_quotient(A, B, order + 1), order))
 
 
-def _laplace_slots(slots: list, fact: list, start: int, scale: int) -> list:
-    """slots[j] * (start+j)! * scale for every j."""
-    return [c * w * scale for c, w in zip(slots, islice(fact, start, None))]
+def _laplace_pair(coeffs, n: int, m: int, k: int = 0, count: int | None = None) -> tuple:
+    """Integer lists A and B over one denominator D with, for
+    f = x**k * sum of coeffs[i] x**i and u = 1/lambda,
+
+        L{f^n} = u**(kn+1) A(u) / D      L{f^m} = u**(km+1) B(u) / D.
+
+    coeffs are cleared to numerators over den, so slot j of their n-th
+    power is the x**(kn+j) coefficient of f^n over den**n, which the term
+    rule weights by (kn+j)!; D is den**max(n, m).  With count, only the
+    lowest count slots of each power are built.
+    """
+    nums, den = _cleared(coeffs)
+    fn, fm = _power_nums(nums, n, count), _power_nums(nums, m, count)
+    fact = factorials(k * max(n, m) + max(len(fn), len(fm)) - 1)
+    sn, sm = den ** max(m - n, 0), den ** max(n - m, 0)
+    A = [c * w * sn for c, w in zip(fn, islice(fact, k * n, None))]
+    B = [c * w * sm for c, w in zip(fm, islice(fact, k * m, None))]
+    return A, B
 
 
 def _check_exponents(n: int, m: int) -> None:
@@ -185,17 +194,13 @@ def ratio_rational(f: Poly, n: int, m: int) -> RationalFunction:
     _check_exponents(n, m)
     if f.is_zero:
         raise ZeroFunction("the zero function has no transform ratio")
-    nums, den = _cleared(f.coeffs)
-    fn, fm = _power_nums(nums, n), _power_nums(nums, m)  # over den**n, den**m
-    fact = factorials(max(len(fn), len(fm)) - 1)
-    # L{p} = num(lambda) / lambda^(deg p + 1), where num holds the series
-    # coefficients i! * p_i of laplace_poly(p) in reverse; bring both to the
-    # denominator den**max(n, m) and move the power of lambda to whichever
-    # side keeps both polynomials
-    sn, sm = den ** max(m - n, 0), den ** max(n - m, 0)
-    shift = len(fn) - len(fm)
-    num = [0] * max(-shift, 0) + _laplace_slots(fn, fact, 0, sn)[::-1]
-    dnm = [0] * max(shift, 0) + _laplace_slots(fm, fact, 0, sm)[::-1]
+    # L{f^n} = A(1/lambda) / (D lambda), so reversed A is its numerator over
+    # lambda^len(A); move the power of lambda to whichever side keeps both
+    # polynomials
+    A, B = _laplace_pair(f.coeffs, n, m)
+    shift = len(A) - len(B)
+    num = [0] * max(-shift, 0) + A[::-1]
+    dnm = [0] * max(shift, 0) + B[::-1]
     return RationalFunction._from_ints(num, dnm)
 
 

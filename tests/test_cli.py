@@ -614,6 +614,28 @@ class TestOutputModes:
             main(["ratio", "--n", "2"])  # missing --m
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["selftest", "--output", "x"],
+            ["selftest", "--pretty"],
+            ["identify", "--input", "h.json", "--n", "2", "--m", "1", "--target-degree", "1",
+             "--pretty"],
+            ["verify", "--input", "f.json", "--input", "f.json", "--n", "2", "--m", "1",
+             "--pretty"],
+            ["auction-identify", "--input", "h.json", "--n", "2", "--target-degree", "1",
+             "--pretty"],
+        ],
+    )
+    def test_flag_the_command_cannot_use_is_usage_error(self, capsys, tmp_path, monkeypatch, argv):
+        # selftest writes nothing and JSON-only commands print no tables
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_malformed_lambda_grid(self, capsys):
         code, _, err = run_cli(
             capsys,
