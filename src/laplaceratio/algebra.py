@@ -79,11 +79,14 @@ def _rational_parts(text: str):
 # kept slots pack to, and square-and-multiply cuts every product back to
 # those slots, so no product is wider than twice the result.
 #
-# _NTT_BITS is where the two paths cost about the same on verify_identity's
-# Laplace-weighted products (Python 3.11.7, x86-64): the decimal path takes
-# 1.6x the time of the int path at 85 kbit, about the same from 180 to
-# 280 kbit, and 1.6x, 2x and 3.7x less at 440 kbit, 830 kbit (d=40, (5,4))
-# and 3.8 Mbit (d=80, (5,4)).
+# _NTT_BITS is where the two paths cost about the same on the products of
+# verify_identity's Laplace-weighted lists (Python 3.11.7, x86-64).  For
+# _product_nums the decimal path takes 1.6x the time of the int path at
+# 85 kbit, about the same from 180 to 280 kbit, and 1.6x, 2x and 3.7x less
+# at 440 kbit, 830 kbit (d=40, (5,4)) and 3.8 Mbit (d=80, (5,4)).
+# _products_equal, which multiplies as much but unpacks nothing, crosses in
+# the same band: 1.5x the time at 88 kbit, 1.06x and 1.2x less at 188 and
+# 298 kbit, and 1.9x less at 445 kbit.
 _NTT_BITS = 250_000
 
 # int <-> str conversions go through pieces of at most this many digits, the
@@ -217,10 +220,16 @@ def _width(w: int) -> int:
     return w * 30103 // 100000 + 1  # 30103/100000 > log10(2)
 
 
+def _slot_width(na, nb) -> int:
+    """Bits w whose balanced slots, below 2**(w-1) in absolute value, hold
+    every slot of the product of two nonempty integer lists: each is a sum
+    of at most min(len(na), len(nb)) products."""
+    return _bits(na) + _bits(nb) + min(len(na), len(nb)).bit_length() + 1
+
+
 def _product_nums(na, nb) -> list:
-    """Slots of the product of two nonempty integer coefficient lists: each
-    is a sum of at most min(len(na), len(nb)) products."""
-    w = _bits(na) + _bits(nb) + min(len(na), len(nb)).bit_length() + 1
+    """Slots of the product of two nonempty integer coefficient lists."""
+    w = _slot_width(na, nb)
     count = len(na) + len(nb) - 1
     if w * count < _NTT_BITS:
         return _unpack([(_pack(na, w) * _pack(nb, w), count)], w)
@@ -233,6 +242,27 @@ def _ntt_product(na, nb, w: int) -> list:
     ctx = _exact_context()
     x = ctx.multiply(_decimal_pack(na, width, ctx), _decimal_pack(nb, width, ctx))
     return _decimal_unpack(x, len(na) + len(nb) - 1, width)
+
+
+def _products_equal(a, b, c, d) -> bool:
+    """_product_nums(a, b) == _product_nums(c, d), nothing unpacked.
+
+    All four lists are packed at one slot width that neither product
+    carries past, and the balanced packing of a fixed slot count is
+    injective, so the two products are equal lists iff they have as many
+    slots and equal packed values.
+    """
+    count = len(a) + len(b) - 1
+    if len(c) + len(d) - 1 != count:
+        return False
+    w = max(_slot_width(a, b), _slot_width(c, d))
+    if w * count < _NTT_BITS:
+        return _pack(a, w) * _pack(b, w) == _pack(c, w) * _pack(d, w)
+    width = _width(w)
+    ctx = _exact_context()
+    left = ctx.multiply(_decimal_pack(a, width, ctx), _decimal_pack(b, width, ctx))
+    right = ctx.multiply(_decimal_pack(c, width, ctx), _decimal_pack(d, width, ctx))
+    return ctx.compare(left, right).is_zero()
 
 
 def _cut_power(x, n: int, times):

@@ -18,7 +18,15 @@ from itertools import islice
 from math import factorial
 from operator import mul
 
-from .algebra import Numerators, Poly, Rational, _product_nums, _rational_text, beta_rational
+from .algebra import (
+    Numerators,
+    Poly,
+    Rational,
+    _cleared,
+    _products_equal,
+    _rational_text,
+    beta_rational,
+)
 from .errors import DomainError, InconsistentRatio, InsufficientOrder, IrrationalRoot, NoRealRoot
 from .transforms import RatioExpansion, _check_exponents, _laplace_pair
 
@@ -209,20 +217,48 @@ def identify(H: RatioExpansion, spec: RatioSpec, target_degree: int) -> Identify
     )
 
 
+# Polynomial identity testing by evaluation (Schwartz, J. ACM 27 (1980)
+# 701): integer polynomials whose values at one point differ mod a prime
+# are unequal.  Equal values prove nothing, so verify_identity then builds
+# the products; any fixed point keeps both of its answers exact.
+_PRIME = 2 ** 61 - 1
+_POINT = 1_234_567_890_123_456_789
+
+
+def _residue(nums) -> int:
+    """The sum of nums[i] * _POINT**i mod _PRIME, by Horner's rule."""
+    acc = 0
+    for c in reversed(nums):
+        acc = (acc * _POINT + c) % _PRIME
+    return acc
+
+
 def verify_identity(f: Poly, g: Poly, spec: RatioSpec) -> bool:
     """Exact test of the convolution identity f^n * g^m = f^m * g^n, which
     holds iff the two power ratios coincide.
 
-    transforms._laplace_pair gives each function's Laplace-weighted f^n
-    and f^m lists over that function's one denominator, so the transforms
-    of the two sides are u^2 times the products A_f*B_g and B_f*A_g, both
-    over D_f*D_g.  Each product is one integer product (by CPython ints
-    below the kernel's crossover and by libmpdec's number-theoretic
-    transform above it), and the identity holds iff the two are equal
-    lists of integers; no Fraction is built.
+    The identity is homogeneous of degree n+m in (f, g), so f and g are
+    first cleared to integer numerators over one common denominator, which
+    drops out.  transforms._laplace_pair then gives each function's
+    Laplace-weighted f^n and f^m as integer lists A and B, and the
+    transforms of the two sides are u^2 times the products A_f*B_g and
+    B_f*A_g.  Two steps decide, each exact:
+
+    - residue rejection: _residue evaluates the four lists at one point
+      mod a prime, with no product built, and unequal values of the two
+      sides prove the products unequal;
+    - packed comparison: a pair that passes is decided by the two full
+      products, compared as packed integers (algebra._products_equal: by
+      CPython ints below the kernel's crossover and by libmpdec's
+      number-theoretic transform above it), with no slot unpacked and no
+      Fraction built.
     """
     if f.is_zero or g.is_zero:
         return True  # both sides are the zero function
-    Af, Bf = _laplace_pair(f.coeffs, spec.n, spec.m)
-    Ag, Bg = _laplace_pair(g.coeffs, spec.n, spec.m)
-    return _product_nums(Af, Bg) == _product_nums(Bf, Ag)
+    nums, _ = _cleared(f.coeffs + g.coeffs)
+    Af, Bf = _laplace_pair(nums[: len(f.coeffs)], spec.n, spec.m)
+    Ag, Bg = _laplace_pair(nums[len(f.coeffs) :], spec.n, spec.m)
+    if _residue(Af) * _residue(Bg) % _PRIME != _residue(Bf) * _residue(Ag) % _PRIME:
+        return False
+    return _products_equal(Af, Bg, Bf, Ag)
+

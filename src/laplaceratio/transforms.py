@@ -94,10 +94,10 @@ def _laplace_pair(coeffs, n: int, m: int, k: int = 0, count: int | None = None) 
 
         L{f^n} = u**(kn+1) A(u) / D      L{f^m} = u**(km+1) B(u) / D.
 
-    coeffs are cleared to numerators over den, so slot j of their n-th
-    power is the x**(kn+j) coefficient of f^n over den**n, which the term
-    rule weights by (kn+j)!; D is den**max(n, m).  With count, only the
-    lowest count slots of each power are built.
+    coeffs are cleared to numerators over den (1 for integer coeffs), so
+    slot j of their n-th power is the x**(kn+j) coefficient of f^n over
+    den**n, which the term rule weights by (kn+j)!; D is den**max(n, m).
+    With count, only the lowest count slots of each power are built.
     """
     nums, den = _cleared(coeffs)
     fn, fm = _power_nums(nums, n, count), _power_nums(nums, m, count)

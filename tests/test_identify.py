@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction as F
 from itertools import product
 from math import factorial
@@ -25,6 +26,9 @@ from laplaceratio.identify import (
     verify_identity,
 )
 from laplaceratio.transforms import RatioExpansion, ratio_expansion, ratio_rational
+
+# the module itself: the package's `identify` attribute is the function
+identify_module = importlib.import_module("laplaceratio.identify")
 
 ODD_SPECS = [RatioSpec(2, 1), RatioSpec(3, 2), RatioSpec(1, 2), RatioSpec(5, 2)]
 EVEN_SPECS = [RatioSpec(3, 1), RatioSpec(5, 3), RatioSpec(4, 2)]
@@ -366,37 +370,88 @@ def identity_pairs(draw):
     return f, g
 
 
+ORACLE_EXAMPLES = [
+    ((Poly(), Poly([1, 2])), RatioSpec(2, 1)),  # zero f
+    ((Poly([0, 3]), Poly()), RatioSpec(5, 4)),  # zero g
+    ((Poly([2, 0, -1]), Poly([-2, 0, 1])), RatioSpec(3, 1)),  # f = -g, c^n = c^m
+    ((Poly([2, 0, -1]), Poly([-2, 0, 1])), RatioSpec(2, 1)),  # f = -g, c^n != c^m
+    ((Poly([1, 1]), Poly([2, 2])), RatioSpec(1, 2)),
+    ((Poly([1, 1]), Poly([1, 1, 1])), RatioSpec(5, 4)),  # unequal degrees
+    ((Poly([F(1, 3), 1]), Poly([F(1, 5), 1])), RatioSpec(2, 1)),  # unequal denominators
+]
+
+
+def with_oracle_examples(test):
+    for pair, spec in reversed(ORACLE_EXAMPLES):
+        test = example(pair, spec)(test)
+    return test
+
+
+def check_against_convolutions(path, f, g, spec):
+    # the oracle's products always take the other path
+    other = "ints" if path == "decimal" else "decimal"
+    with mock.patch.object(algebra, "_NTT_BITS", PATHS[other]):
+        want = verify_by_convolutions(f, g, spec)
+    with mock.patch.object(algebra, "_NTT_BITS", PATHS[path]):
+        assert verify_identity(f, g, spec) is want
+
+
 class TestVerifyIdentityOracle:
     @pytest.mark.parametrize("path", PATHS)
     @given(identity_pairs(), st.sampled_from(ORACLE_SPECS))
-    @example((Poly(), Poly([1, 2])), RatioSpec(2, 1))  # zero f
-    @example((Poly([0, 3]), Poly()), RatioSpec(5, 4))  # zero g
-    @example((Poly([2, 0, -1]), Poly([-2, 0, 1])), RatioSpec(3, 1))  # f = -g, c^n = c^m
-    @example((Poly([2, 0, -1]), Poly([-2, 0, 1])), RatioSpec(2, 1))  # f = -g, c^n != c^m
-    @example((Poly([1, 1]), Poly([2, 2])), RatioSpec(1, 2))
-    @example((Poly([1, 1]), Poly([1, 1, 1])), RatioSpec(5, 4))  # unequal degrees
+    @with_oracle_examples
     @settings(max_examples=120, deadline=None)
     def test_matches_convolution_definition(self, path, pair, spec):
-        # the oracle's products always take the other path
-        f, g = pair
-        other = "ints" if path == "decimal" else "decimal"
-        with mock.patch.object(algebra, "_NTT_BITS", PATHS[other]):
-            want = verify_by_convolutions(f, g, spec)
-        with mock.patch.object(algebra, "_NTT_BITS", PATHS[path]):
-            assert verify_identity(f, g, spec) is want
+        check_against_convolutions(path, *pair, spec)
+
+    @pytest.mark.parametrize("path", PATHS)
+    @given(identity_pairs(), st.sampled_from(ORACLE_SPECS))
+    @with_oracle_examples
+    @settings(max_examples=120, deadline=None)
+    def test_packed_products_alone_match_convolution_definition(self, path, pair, spec):
+        # every residue check agrees, so the packed comparison decides each pair
+        with mock.patch.object(identify_module, "_residue", lambda nums: 0):
+            check_against_convolutions(path, *pair, spec)
 
     @pytest.mark.parametrize(
-        "f, g, spec, want, ntt_calls",
+        "f, g, spec, want, compares, decimal_packs",
         [
             # products of about 140 kbit: CPython ints
-            (DEGREE_40_K3, -DEGREE_40_K3, RatioSpec(3, 1), True, 0),
-            # products of about 820 kbit: libmpdec
-            (DEGREE_40_K3, DEGREE_40_K3 + Poly.monomial(7, F(3, 5)), RatioSpec(5, 4), False, 2),
-            (DEGREE_40_K3, DEGREE_40_K3, RatioSpec(5, 4), True, 2),
+            pytest.param(DEGREE_40_K3, -DEGREE_40_K3, RatioSpec(3, 1), True, 1, 0, id="ints-equal"),
+            # products of about 820 kbit: libmpdec, one pack per operand
+            pytest.param(DEGREE_40_K3, DEGREE_40_K3, RatioSpec(5, 4), True, 1, 4, id="decimal-equal"),
+            # rejected by the residue check before any product
+            pytest.param(
+                DEGREE_40_K3,
+                DEGREE_40_K3 + Poly.monomial(7, F(3, 5)),
+                RatioSpec(5, 4),
+                False,
+                0,
+                0,
+                id="residue-rejected",
+            ),
         ],
     )
-    def test_each_side_of_the_crossover(self, f, g, spec, want, ntt_calls):
-        with mock.patch.object(algebra, "_ntt_product", wraps=algebra._ntt_product) as spy:
+    def test_each_side_of_the_crossover(self, f, g, spec, want, compares, decimal_packs):
+        # the powers of these f and g pack far below the crossover, so every
+        # decimal pack is the packed comparison's; no slot list is multiplied
+        with mock.patch.object(
+            identify_module, "_products_equal", wraps=algebra._products_equal
+        ) as compare, mock.patch.object(
+            algebra, "_decimal_pack", wraps=algebra._decimal_pack
+        ) as packs, mock.patch.object(
+            algebra, "_product_nums", wraps=algebra._product_nums
+        ) as slot_products:
             assert verify_identity(f, g, spec) is want
-        assert spy.call_count == ntt_calls
+        assert (compare.call_count, packs.call_count) == (compares, decimal_packs)
+        assert slot_products.call_count == 0
         assert verify_by_convolutions(f, g, spec) is want
+
+
+class TestResidue:
+    @given(st.lists(st.integers(-(2 ** 200), 2 ** 200), max_size=30))
+    @example([])
+    @example([identify_module._PRIME, -1])
+    def test_is_the_value_at_the_point_mod_the_prime(self, nums):
+        r, p = identify_module._POINT, identify_module._PRIME
+        assert identify_module._residue(nums) == sum(c * r ** i for i, c in enumerate(nums)) % p
