@@ -67,26 +67,22 @@ def _rational_parts(text: str):
 # let a single big-integer product or power do the convolution.  The slot
 # width leaves every output numerator below half the base in absolute
 # value, so the slots never carry into each other and come back out as
-# balanced (signed) digits.  A product takes one of two paths:
+# balanced (signed) digits.  _slots packs, multiplies, cuts and unpacks for
+# one slot width and count; products, their comparison and powers, full or
+# cut to their lowest slots, all run on it.
 #
-# - below _NTT_BITS packed bits, base 2**w with CPython ints (Karatsuba),
-#   since there the decimal conversions cost more than the transform saves;
-# - above it, base 10**W with the stdlib decimal module, whose libmpdec
-#   multiplies large operands by a number-theoretic transform.
-#
-# A power keeps a slot count: all n*(len-1)+1 slots, or only the lowest
-# count of them, as a truncated series power needs.  It takes the path its
-# kept slots pack to, and square-and-multiply cuts every product back to
-# those slots, so no product is wider than twice the result.
-#
-# _NTT_BITS is where the two paths cost about the same on the products of
-# verify_identity's Laplace-weighted lists (Python 3.11.7, x86-64).  For
-# _product_nums the decimal path takes 1.6x the time of the int path at
-# 85 kbit, about the same from 180 to 280 kbit, and 1.6x, 2x and 3.7x less
-# at 440 kbit, 830 kbit (d=40, (5,4)) and 3.8 Mbit (d=80, (5,4)).
-# _products_equal, which multiplies as much but unpacks nothing, crosses in
-# the same band: 1.5x the time at 88 kbit, 1.06x and 1.2x less at 188 and
-# 298 kbit, and 1.9x less at 445 kbit.
+# _NTT_BITS is the packed size where _slots moves from base 2**w with
+# CPython ints (Karatsuba) to base 10**W with the stdlib decimal module,
+# whose libmpdec multiplies large operands by a number-theoretic transform;
+# below it the decimal conversions cost more than the transform saves.  The
+# two cost about the same there on the products of verify_identity's
+# Laplace-weighted lists (Python 3.11.7, x86-64).  For _product_nums the
+# decimal path takes 1.6x the time of the int path at 85 kbit, about the
+# same from 180 to 280 kbit, and 1.6x, 2x and 3.7x less at 440 kbit,
+# 830 kbit (d=40, (5,4)) and 3.8 Mbit (d=80, (5,4)).  _products_equal,
+# which multiplies as much but unpacks nothing, crosses in the same band:
+# 1.5x the time at 88 kbit, 1.06x and 1.2x less at 188 and 298 kbit, and
+# 1.9x less at 445 kbit.
 _NTT_BITS = 250_000
 
 # int <-> str conversions go through pieces of at most this many digits, the
@@ -207,9 +203,9 @@ def _decimal_unpack(x: Decimal, count: int, width: int) -> list:
 
 def _exact_context() -> Context:
     """A context with room for every digit that traps any rounding, so a
-    lost digit raises instead of changing a product.  Only its methods and
-    the quiet copy_abs touch the kernel's decimals, since the operators and
-    abs() round to the thread's context."""
+    lost digit raises instead of changing a product.  Only its methods, ==
+    and the quiet copy_abs touch the kernel's decimals, since the arithmetic
+    operators and abs() round to the thread's context."""
     return Context(
         prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[InvalidOperation, Inexact, Rounded]
     )
@@ -227,21 +223,46 @@ def _slot_width(na, nb) -> int:
     return _bits(na) + _bits(nb) + min(len(na), len(nb)).bit_length() + 1
 
 
-def _product_nums(na, nb) -> list:
-    """Slots of the product of two nonempty integer coefficient lists."""
-    w = _slot_width(na, nb)
-    count = len(na) + len(nb) - 1
+def _slots(w: int, count: int):
+    """(pack, times, cut, unpack) for count balanced slots of w bits.
+
+    pack turns an integer list of at most count entries into one packed
+    value, times multiplies two packed values, cut keeps the lowest count
+    slots of one, and unpack reads those count slots back, lowest first.
+    The packed value of the low count slots is the value mod base**count,
+    whatever lies above them.  Below _NTT_BITS packed bits the values are
+    CPython ints in base 2**w, multiplied by Karatsuba, and cut gives the
+    balanced residue, so no negative value grows to the full width before
+    the next product.  Above it they are decimals in base 10**W > 2**w,
+    multiplied by libmpdec's number-theoretic transform, and cut keeps the
+    low count*W digits, sign and all, which Context.shift does at a
+    precision of count*W digits; _decimal_unpack reads the balanced slots
+    of either sign.
+    """
     if w * count < _NTT_BITS:
-        return _unpack([(_pack(na, w) * _pack(nb, w), count)], w)
-    return _ntt_product(na, nb, w)
-
-
-def _ntt_product(na, nb, w: int) -> list:
-    """_product_nums in base 10**W > 2**w, multiplied by libmpdec."""
+        half = 1 << (w * count - 1)
+        mask = 2 * half - 1
+        return (
+            lambda nums: _pack(nums, w),
+            mul,
+            lambda x: ((x + half) & mask) - half,
+            lambda x: _unpack([(x, count)], w),
+        )
     width = _width(w)
     ctx = _exact_context()
-    x = ctx.multiply(_decimal_pack(na, width, ctx), _decimal_pack(nb, width, ctx))
-    return _decimal_unpack(x, len(na) + len(nb) - 1, width)
+    low = Context(prec=count * width, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    return (
+        lambda nums: _decimal_pack(nums, width, ctx),
+        ctx.multiply,
+        lambda x: low.shift(x, 0),
+        lambda x: _decimal_unpack(x, count, width),
+    )
+
+
+def _product_nums(na, nb) -> list:
+    """Slots of the product of two nonempty integer coefficient lists."""
+    pack, times, _, unpack = _slots(_slot_width(na, nb), len(na) + len(nb) - 1)
+    return unpack(times(pack(na), pack(nb)))
 
 
 def _products_equal(a, b, c, d) -> bool:
@@ -255,24 +276,8 @@ def _products_equal(a, b, c, d) -> bool:
     count = len(a) + len(b) - 1
     if len(c) + len(d) - 1 != count:
         return False
-    w = max(_slot_width(a, b), _slot_width(c, d))
-    if w * count < _NTT_BITS:
-        return _pack(a, w) * _pack(b, w) == _pack(c, w) * _pack(d, w)
-    width = _width(w)
-    ctx = _exact_context()
-    left = ctx.multiply(_decimal_pack(a, width, ctx), _decimal_pack(b, width, ctx))
-    right = ctx.multiply(_decimal_pack(c, width, ctx), _decimal_pack(d, width, ctx))
-    return ctx.compare(left, right).is_zero()
-
-
-def _cut_power(x, n: int, times):
-    """x**n by left-to-right square-and-multiply, each product by times."""
-    y = x
-    for bit in bin(n)[3:]:
-        y = times(y, y)
-        if bit == "1":
-            y = times(y, x)
-    return y
+    pack, times, _, _ = _slots(max(_slot_width(a, b), _slot_width(c, d)), count)
+    return times(pack(a), pack(b)) == times(pack(c), pack(d))
 
 
 def _power_nums(na, n: int, count: int | None = None) -> list:
@@ -281,34 +286,22 @@ def _power_nums(na, n: int, count: int | None = None) -> list:
     past the last.
 
     Only na's first count entries reach those slots, and each slot is a sum
-    of at most len(na)**(n-1) products of n entries.  Square-and-multiply
-    cuts every product to the slots kept: the packed low count slots are
-    the packed power mod base**count, whatever lies above them, so in base
-    2**w the cut is a mask and the signed residue is read once at the end;
-    in base 10**W it keeps the low count*W digits, sign and all, which
-    Context.shift does at a precision of count*W digits.
+    of at most len(na)**(n-1) products of n entries.  Left-to-right
+    square-and-multiply cuts every product to the slots kept, so no product
+    is wider than twice the result.
     """
     if count is None:
         count = n * (len(na) - 1) + 1
     na = na[:count]
-    full = n * (len(na) - 1) + 1
-    slots = min(count, full)
-    pad = [0] * (count - slots)
+    slots = min(count, n * (len(na) - 1) + 1)
     w = n * _bits(na) + (n - 1) * len(na).bit_length() + 1
-    if w * slots < _NTT_BITS:
-        if slots == full:  # nothing to cut
-            return _unpack([(_pack(na, w) ** n, slots)], w) + pad
-        top = w * slots
-        mask = (1 << top) - 1
-        x = _cut_power(_pack(na, w), n, lambda a, b: (a * b) & mask)
-        if x >> (top - 1):
-            x -= 1 << top
-        return _unpack([(x, slots)], w) + pad
-    width = _width(w)
-    ctx = _exact_context()
-    cut = Context(prec=slots * width, Emax=MAX_EMAX, Emin=MIN_EMIN)
-    x = _cut_power(_decimal_pack(na, width, ctx), n, lambda a, b: cut.shift(ctx.multiply(a, b), 0))
-    return _decimal_unpack(x, slots, width) + pad
+    pack, times, cut, unpack = _slots(w, slots)
+    x = y = pack(na)
+    for bit in bin(n)[3:]:
+        y = cut(times(y, y))
+        if bit == "1":
+            y = cut(times(y, x))
+    return unpack(y) + [0] * (count - slots)
 
 
 def _product(a, b) -> list:
@@ -528,10 +521,8 @@ def convolve(p: Poly, q: Poly) -> Poly:
     L{x^i} = i!/lambda^(i+1) of transforms.laplace_poly, L{p} is u times the
     polynomial with coefficients i! * p_i (u = 1/lambda), so the product of
     the two weighted polynomials holds (i+1)! * (p*q)_(i+1) at u^i.  That
-    product is one integer product of weighted numerators, by CPython ints
-    below the kernel's crossover (_NTT_BITS packed bits) and by libmpdec's
-    number-theoretic transform above it, divided by (i+1)! once per
-    coefficient.
+    product is the kernel's packed product of the weighted numerators,
+    divided by (i+1)! once per coefficient.
     """
     if p.is_zero or q.is_zero:
         return Poly()

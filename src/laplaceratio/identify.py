@@ -247,11 +247,9 @@ def verify_identity(f: Poly, g: Poly, spec: RatioSpec) -> bool:
     - residue rejection: _residue evaluates the four lists at one point
       mod a prime, with no product built, and unequal values of the two
       sides prove the products unequal;
-    - packed comparison: a pair that passes is decided by the two full
-      products, compared as packed integers (algebra._products_equal: by
-      CPython ints below the kernel's crossover and by libmpdec's
-      number-theoretic transform above it), with no slot unpacked and no
-      Fraction built.
+    - packed comparison: a pair that passes is decided by comparing the
+      kernel's packed products (algebra._products_equal), with no slot
+      unpacked and no Fraction built.
     """
     if f.is_zero or g.is_zero:
         return True  # both sides are the zero function

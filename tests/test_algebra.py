@@ -285,7 +285,7 @@ class TestProductKernel:
         p = Poly([F((-1) ** i * (2 ** 700 - i), i + 1) for i in range(200)])
         q = Poly([F(i - 100 + 2 ** 600, 7) for i in range(150)])
         small_p, small_q = Poly(p.coeffs[:20]), Poly(q.coeffs[:20])
-        with mock.patch.object(algebra, "_ntt_product", wraps=algebra._ntt_product) as spy:
+        with mock.patch.object(algebra, "_decimal_unpack", wraps=algebra._decimal_unpack) as spy:
             assert small_p * small_q == mul_by_pairs(small_p, small_q)
             assert spy.call_count == 0
             assert p * q == mul_by_pairs(p, q)
@@ -347,6 +347,9 @@ class TestTruncatedPower:
     @example(([7], 3, 4))  # one entry, count past the full power
     @example(([0, 0, 5], 2, 3))  # the lowest slots all zero
     @example((nines(2150, 3), 2, 4))  # slots past 4300 decimal digits
+    # full powers of a list whose packed value is negative
+    @example(([5, -1, 2, -7], 6, 19))
+    @example(([5, -1, 2, -7], 7, 22))
     @settings(max_examples=120, deadline=None)
     def test_is_full_power_prefix(self, path, case):
         na, n, count = case
@@ -366,6 +369,18 @@ class TestTruncatedPower:
             assert spy.call_count == 0
             assert _power_nums(na, 5, 41) == power_by_pairs(na, 5)[:41]
             assert spy.call_count == 1
+
+    @given(st.integers(1, 64), st.integers(1, 12), st.integers(-(2 ** 1000), 2 ** 1000))
+    @example(3, 4, 2 ** 11)  # half the range maps to its negative end
+    @example(3, 4, -(2 ** 11))
+    @example(3, 4, 2 ** 12 - 1)
+    def test_int_cut_is_the_balanced_residue(self, w, count, x):
+        top = w * count
+        with on_path("ints"):
+            _, _, cut, _ = algebra._slots(w, count)
+        got = cut(x)
+        assert (got - x) % 2 ** top == 0
+        assert -(2 ** (top - 1)) <= got < 2 ** (top - 1)
 
 
 class TestBeta:
