@@ -21,6 +21,7 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .algebra import _int_text
 from .errors import DomainError, OutOfRange, QuadratureFailure
 from .identify import IdentifyResult, RatioSpec, identify
 from .transforms import RatioExpansion
@@ -186,6 +187,8 @@ def _boundary(inside, z: float, step: float) -> float:
     """Where inside, true at z, turns false beyond z in step's direction."""
     while inside(z + step):
         z, step = z + step, 2 * step
+        if math.isinf(z):
+            raise QuadratureFailure("a log-integrand does not turn within the double range")
     out = z + step
     for _ in range(32):
         mid = 0.5 * (z + out)
@@ -213,6 +216,10 @@ def k_quadrature(model: AuctionModel, lam: float, tol: float = 1e-10) -> float:
     dist, N = model.idiosyncratic, model.n_bidders
     if _bid_at_score(dist, 0.0)[0] < 0:
         raise DomainError("quadrature requires a nonnegative idiosyncratic law")
+    try:
+        float(N)
+    except OverflowError:
+        raise DomainError(f"quadrature needs N within the double range, got {_int_text(N)}") from None
 
     def logs(z):
         # log-integrands of A and B, less the constant log sqrt(2 pi)
@@ -275,7 +282,7 @@ def _check_arrays(cfg: McConfig, N: int) -> None:
     rows = min(cfg.chunk, cfg.samples)
     if 8 * max(2 * cfg.samples, rows * N) > sys.maxsize:
         raise DomainError(
-            f"{cfg.samples} samples in chunks of {rows} rows of {N} bids do not fit one array"
+            f"{cfg.samples} samples in chunks of {rows} rows of {_int_text(N)} bids do not fit one array"
         )
 
 

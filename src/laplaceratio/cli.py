@@ -233,14 +233,13 @@ def _load_functions(args, count: int = 1):
             order = getattr(args, "order", None)
             if order is None:
                 raise FormatError("--builtin sin needs --order (Maclaurin degree context)")
-            # for ratio output at tail order `order`, degree order+1 keeps
-            # every reported coefficient exact
-            degree = order + 1 if args.command == "ratio" else order
-            fns.append(ff.function_from_document(
-                {"kind": "builtin", "name": "sin", "order": degree}
-            ))
+            # degree order+1 keeps every coefficient of a ratio's tail to
+            # `order` exact; a negative order stays, for the document check
+            degree = order + 1 if args.command == "ratio" and order >= 0 else order
+            doc = {"kind": "builtin", "name": "sin", "order": degree}
         else:
-            fns.append(step_example(args.n_max))
+            doc = {"kind": "builtin", "name": "step_example", "n_max": args.n_max}
+        fns.append(ff.function_from_document(doc))
     if len(fns) != count:
         raise FormatError(
             f"{args.command} needs exactly {count} function(s); got {len(fns)}"

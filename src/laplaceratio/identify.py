@@ -23,6 +23,7 @@ from .algebra import (
     Poly,
     Rational,
     _cleared,
+    _int_text,
     _products_equal,
     _rational_text,
     beta_rational,
@@ -63,11 +64,11 @@ def infer_order(H: RatioExpansion, spec: RatioSpec) -> int:
     diff = spec.m - spec.n
     if H.lead % diff != 0:
         raise InconsistentRatio(
-            f"leading exponent {H.lead} is not a multiple of m-n = {diff}"
+            f"leading exponent {_int_text(H.lead)} is not a multiple of m-n = {diff}"
         )
     k = H.lead // diff
     if k < 0:
-        raise InconsistentRatio(f"leading exponent {H.lead} implies negative order {k}")
+        raise InconsistentRatio(f"leading exponent {_int_text(H.lead)} implies negative order {_int_text(k)}")
     return k
 
 

@@ -26,6 +26,7 @@ from .algebra import (
     _cleared,
     _power_nums,
     _quotient,
+    _rational_text,
     as_rational,
     factorials,
 )
@@ -372,7 +373,8 @@ def shift_vanishing(pp: PiecewisePoly, a) -> PiecewisePoly:
         if start >= aq:
             break
         if not piece.is_zero:
-            raise NotVanishing(f"function is nonzero on [{start}, min({aq}, next bp))")
+            span = f"[{_rational_text(start)}, min({_rational_text(aq)}, next bp))"
+            raise NotVanishing(f"function is nonzero on {span}")
     cut = bisect_right(pp.breakpoints, aq) - 1
     new_bps = [Rational(0)] + [b - aq for b in pp.breakpoints[cut + 1 :]]
     new_pieces = [p.compose_linear(aq, 1) for p in pp.pieces[cut:]]
@@ -392,40 +394,30 @@ def delay(pp: PiecewisePoly, a) -> PiecewisePoly:
     return PiecewisePoly(new_bps, new_pieces)
 
 
-def _convolve_at(f: PiecewisePoly, g: PiecewisePoly, t: Rational) -> Rational:
-    # (f*g)(t) = integral of f(t-s) g(s) ds over [0, t], split at every point
-    # where either factor changes piece, then integrated exactly per cell
-    if t <= 0:
-        return Rational(0)
-    cuts = {Rational(0), t}
-    for b in g.breakpoints:
-        if 0 < b < t:
-            cuts.add(b)
-    for b in f.breakpoints:
-        if 0 < t - b < t:
-            cuts.add(t - b)
-    grid = sorted(cuts)
-    total = Rational(0)
-    for lo, hi in zip(grid, grid[1:]):
-        mid = (lo + hi) / 2
-        # f evaluated at t-s with s in the cell: compose its piece with t-s
-        integrand = f.piece_at(t - mid).compose_linear(t, -1) * g.piece_at(mid)
-        for j, c in enumerate(integrand.coeffs):
-            if c:
-                total += c * (hi ** (j + 1) - lo ** (j + 1)) / (j + 1)
-    return total
-
-
 def convolution_residual(f: PiecewisePoly, g: PiecewisePoly, n: int, m: int, t: float) -> float:
     """Value at t of f^n * g^m - f^m * g^n, the residual whose vanishing
     for all t is equivalent to equality of the two power ratios.
 
-    The convolutions are evaluated by exact cell-by-cell integration, so
-    the returned double is the correctly rounded exact value.
+    Both convolutions integrate powers of f(t-s) and g(s) over s in [0, t],
+    so they share one cell grid: 0, t, g's breakpoints and t less f's
+    breakpoints.  On each cell p(s) = f(t-s) and q(s) = g(s) are single
+    polynomials, and p^n q^m - p^m q^n is integrated exactly; the sum is
+    rounded once, so the returned double is the correctly rounded value.
     """
     _check_exponents(n, m)
     tq = as_rational_number(t)
     if tq < 0:
         raise DomainError("the residual is defined for t >= 0")
-    value = _convolve_at(f ** n, g ** m, tq) - _convolve_at(f ** m, g ** n, tq)
-    return float(value)
+    cuts = {Rational(0), tq}
+    cuts.update(b for b in g.breakpoints if b < tq)
+    cuts.update(tq - b for b in f.breakpoints if 0 < b < tq)
+    grid = sorted(cuts)
+    total = Rational(0)
+    for lo, hi in zip(grid, grid[1:]):
+        # pieces are right-continuous, so these are the ones in force on the open cell
+        p = f.piece_at(tq - hi).compose_linear(tq, -1)
+        q = g.piece_at(lo)
+        for j, c in enumerate((p ** n * q ** m - p ** m * q ** n).coeffs):
+            if c:
+                total += c * (hi ** (j + 1) - lo ** (j + 1)) / (j + 1)
+    return float(total)

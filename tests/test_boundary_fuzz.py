@@ -19,9 +19,15 @@ bounds, each kept by the strategy that draws it:
 - a model's N is at most 40 and --samples at most 300, so one run draws at
   most 12000 bids;
 - a document is nested at most 2000 deep.
-The two @examples past these bounds end before any work: a document
-nested 100000 deep, and auction-sim with N = 10**20, which no array can
-hold.
+The @examples past these bounds end before any work: a document nested
+100000 deep, and auction-sim with N = 10**20, which no array can hold.
+Four more carry an integer that no message may print with str() and no
+step may turn into a float: auction-sim with a 5000-digit N, auction-k
+with N = 10**400, and identify on a 5000-digit lead at (2,1) (a negative
+order) and at (3,1) (not a multiple of m-n).  The last is a law whose
+log-integrands are flat in doubles at lambda = 1e300, so k_quadrature's
+bracket walk reaches infinity; it must end in QuadratureFailure, not run
+forever.
 """
 
 import contextlib
@@ -265,6 +271,28 @@ WIDE_N = as_bytes(
         "N": 10**20,
     }
 )
+BIG_N = as_bytes(
+    {
+        "common": {"kind": "point_mass", "v": 0},
+        "idiosyncratic": {"kind": "exponential", "theta": 1.0},
+        "N": BIG,
+    }
+)
+LOGNORMAL_N = as_bytes(
+    {
+        "common": {"kind": "point_mass", "v": 0},
+        "idiosyncratic": {"kind": "lognormal", "mu": 0.0, "sigma": 1.0},
+        "N": 10**400,
+    }
+)
+BIG_LEAD = as_bytes({"lead": BIG, "tail": ["1"]})
+FLAT_LOGNORMAL = as_bytes(
+    {
+        "common": {"kind": "point_mass", "v": 0},
+        "idiosyncratic": {"kind": "lognormal", "mu": 0.0, "sigma": 1e-300},
+        "N": 5,
+    }
+)
 
 
 @given(cases())
@@ -272,6 +300,16 @@ WIDE_N = as_bytes(
            "--target-degree", "1"], {"h.json": NESTED}))
 @example((["auction-sim", "--model", "{tmp}/model.json", "--samples", "10"],
           {"model.json": WIDE_N}))
+@example((["auction-sim", "--model", "{tmp}/model.json", "--samples", "3"],
+          {"model.json": BIG_N}))
+@example((["auction-k", "--model", "{tmp}/model.json", "--lambda", "1"],
+          {"model.json": LOGNORMAL_N}))
+@example((["auction-k", "--model", "{tmp}/model.json", "--lambda", "1e300"],
+          {"model.json": FLAT_LOGNORMAL}))
+@example((["identify", "--input", "{tmp}/h.json", "--n", "2", "--m", "1",
+           "--target-degree", "1"], {"h.json": BIG_LEAD}))
+@example((["identify", "--input", "{tmp}/h.json", "--n", "3", "--m", "1",
+           "--target-degree", "1"], {"h.json": BIG_LEAD}))
 @settings(max_examples=600, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_every_input_ends_in_a_typed_exit(case):
     code, out, err = run(*case)

@@ -113,6 +113,15 @@ class TestRatioCommand:
         assert code == 1
         assert "ZeroFunction" in err
 
+    @pytest.mark.parametrize("order", ["-1", "-2"])
+    def test_negative_builtin_sin_order_is_parse_error(self, capsys, order):
+        # order -1 must not become Maclaurin degree 0, the zero polynomial:
+        # a negative order is refused as in a builtin document
+        code, out, err = run_cli(
+            capsys, "ratio", "--builtin", "sin", "--order", order, "--n", "2", "--m", "1"
+        )
+        assert (code, out, err) == (2, "", "FormatError: function.order: must be nonnegative\n")
+
 
 class TestIdentifyCommand:
     def test_roundtrip_through_files(self, capsys, tmp_path, poly_file):
@@ -345,6 +354,14 @@ class TestTransformCommand:
         code, _, err = run_cli(capsys, "transform", "--builtin", "step_example")
         assert code == 2
         assert "lambda" in err
+
+    @pytest.mark.parametrize("command", ["transform", "ratio"])
+    def test_builtin_step_example_is_checked_as_a_document(self, capsys, command):
+        argv = [command, "--builtin", "step_example", "--n-max", "0", "--lambda", "1"]
+        if command == "ratio":
+            argv += ["--n", "2", "--m", "1"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", "FormatError: function.n_max: must be at least 1\n")
 
     def test_tiny_lambda_is_typed_error(self, capsys, poly_file):
         # a power of lambda underflows to 0 (transform), or inf/inf gives nan (ratio)

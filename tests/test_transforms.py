@@ -442,6 +442,10 @@ class TestShifts:
     def test_rejects_nonvanishing(self):
         with pytest.raises(NotVanishing):
             shift_vanishing(step_example(3), F(1, 4))
+        # a distance past the int <-> str digit limit is printed all the same
+        wide = F(10**5000 + 1, 3)
+        with pytest.raises(NotVanishing, match=r"min\(10{4999}1/3, next bp\)"):
+            shift_vanishing(step_example(3), wide)
 
     def test_delay_roundtrip(self):
         pp = step_example(5)
@@ -462,7 +466,70 @@ class TestShifts:
             assert a == pytest.approx(b, rel=1e-10)
 
 
+def two_pass_residual(f, g, n, m, t):
+    """f^n * g^m - f^m * g^n at t as two convolutions of powered copies,
+    each over its own cell grid with the pieces looked up at cell
+    midpoints: a second route to what convolution_residual integrates
+    over one grid."""
+
+    def convolve_at(a, b):
+        if t <= 0:
+            return F(0)
+        cuts = {F(0), t} | {x for x in b.breakpoints if 0 < x < t}
+        cuts |= {t - x for x in a.breakpoints if 0 < t - x < t}
+        grid = sorted(cuts)
+        total = F(0)
+        for lo, hi in zip(grid, grid[1:]):
+            mid = (lo + hi) / 2
+            integrand = a.piece_at(t - mid).compose_linear(t, -1) * b.piece_at(mid)
+            for j, c in enumerate(integrand.coeffs):
+                total += c * (hi ** (j + 1) - lo ** (j + 1)) / (j + 1)
+        return total
+
+    return float(convolve_at(f ** n, g ** m) - convolve_at(f ** m, g ** n))
+
+
+# degree <= 3, coefficients of both signs
+cubic_polys = st.lists(st.fractions(-9, 9, max_denominator=6), max_size=4).map(Poly)
+
+
+@st.composite
+def piecewise_cubics(draw):
+    # 1-4 pieces
+    inner = draw(st.lists(st.fractions(0, 5, max_denominator=8).filter(bool), max_size=3, unique=True))
+    bps = [F(0), *sorted(inner)]
+    return PiecewisePoly(bps, draw(st.lists(cubic_polys, min_size=len(bps), max_size=len(bps))))
+
+
+@st.composite
+def residual_cases(draw):
+    f, g = draw(
+        st.tuples(piecewise_cubics(), piecewise_cubics()).filter(
+            lambda fg: fg[0].breakpoints != fg[1].breakpoints
+        )
+    )
+    n, m = draw(st.tuples(st.integers(1, 4), st.integers(1, 4)).filter(lambda t: t[0] != t[1]))
+    last = max(f.breakpoints[-1], g.breakpoints[-1])
+    t = draw(
+        st.one_of(
+            st.just(F(0)),
+            st.sampled_from(g.breakpoints),
+            # where a cell edge of one function meets the other's
+            st.sampled_from([a + b for a in f.breakpoints for b in g.breakpoints]),
+            st.fractions(last, last + 4, max_denominator=16).filter(lambda x: x > last),
+            st.fractions(0, 12, max_denominator=64),
+        )
+    )
+    return f, g, n, m, t
+
+
 class TestConvolutionResidual:
+    @given(residual_cases())
+    @settings(deadline=None)
+    def test_matches_the_two_pass_formula(self, case):
+        f, g, n, m, t = case
+        assert convolution_residual(f, g, n, m, t) == two_pass_residual(f, g, n, m, t)
+
     def test_identical_functions_give_zero(self):
         pp = step_example(6)
         for t in (0.0, 0.3, 1.0, 2.5):
