@@ -117,7 +117,11 @@ def sample_draws(dist: DistSpec, rng: np.random.Generator, size) -> np.ndarray:
     if isinstance(dist, Exponential):
         return rng.exponential(scale=1.0 / dist.theta, size=size)
     if isinstance(dist, Lognormal):
-        return np.exp(dist.sigma * rng.standard_normal(size) - dist.mu)
+        # exp(sigma*z - mu) in place: the same roundings, no temporaries
+        z = rng.standard_normal(size)
+        z *= dist.sigma
+        z -= dist.mu
+        return np.exp(z, out=z)
     if isinstance(dist, PointMass):
         return np.full(size, dist.v, dtype=float)
     if isinstance(dist, Shifted):
@@ -236,10 +240,14 @@ def k_quadrature(model: AuctionModel, lam: float, tol: float = 1e-10) -> float:
     peak_a, peak_b = logs(za)[0], logs(zb)[1]
 
     def sums(zs):
-        # each integrand relative to its peak, so nothing underflows
+        # each integrand relative to its peak, so nothing underflows; one
+        # that overflows there means the peak search stopped short
         pairs = [logs(z) for z in zs]
-        return (math.fsum(math.exp(a - peak_a) for a, _ in pairs),
-                math.fsum(math.exp(b - peak_b) for _, b in pairs))
+        try:
+            return (math.fsum(math.exp(a - peak_a) for a, _ in pairs),
+                    math.fsum(math.exp(b - peak_b) for _, b in pairs))
+        except OverflowError:
+            raise QuadratureFailure("the peak search stopped short of a log-integrand's peak") from None
 
     def near_peaks(z):
         a, b = logs(z)

@@ -10,10 +10,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from typing import TYPE_CHECKING
 
 from .algebra import Poly, Rational, Series, _rational_parts, _rational_text, _text_int
-from .errors import FormatError, OutOfRange
+from .errors import DomainError, FormatError, OutOfRange
 from .identify import IdentifyResult
 from .transforms import PiecewisePoly, RatioExpansion, sin_maclaurin, step_example
 
@@ -222,25 +223,47 @@ def _not_utf8(path) -> FormatError:
     return FormatError(f"{path}: not UTF-8 text")
 
 
+# rows per formatted write of save_samples: one format string and one
+# write per block keep memory flat at any table size
+SAVE_BLOCK_ROWS = 8192
+
+
 def save_samples(path, table: np.ndarray) -> None:
     """Write a (rows, 2) sample table as CSV with header top,second and
     CRLF line ends, as csv.writer does; floats use shortest round-trip
-    decimal form, which never needs quoting.  A non-finite bid raises
-    OutOfRange before the file is opened, as load_samples would refuse it."""
+    decimal form (repr), which never needs quoting.  Rows go out in blocks
+    of SAVE_BLOCK_ROWS, each one %-expansion and one write, so the bytes
+    are those of one csv.writer row per line.  A table of another shape
+    raises DomainError, and a non-finite bid OutOfRange, before the file is
+    opened, as load_samples would refuse it."""
     import numpy as np
 
     table = np.asarray(table, dtype=float)
+    if table.ndim != 2 or table.shape[1] != 2:
+        raise DomainError(f"expected a (rows, 2) sample table, got shape {table.shape}")
     if not np.isfinite(table).all():
         raise OutOfRange("sample table holds a non-finite bid")
-    rows = table.tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("top,second\r\n")
-        fh.writelines(f"{top!r},{second!r}\r\n" for top, second in rows)
+        for start in range(0, len(table), SAVE_BLOCK_ROWS):
+            block = table[start : start + SAVE_BLOCK_ROWS]
+            fh.write(("%r,%r\r\n" * len(block)) % tuple(block.ravel().tolist()))
 
 
 def load_samples(path) -> np.ndarray:
     """Read a table written by save_samples; blank lines are skipped, and a
-    malformed or non-finite cell raises FormatError naming path:line."""
+    malformed or non-finite cell raises FormatError naming path:line.
+
+    One of two readers runs, picked from the file alone.  numpy's loadtxt
+    reads a regular file whose header cells strip to top and second and
+    whose lines hold no quote and fit within csv.field_size_limit(); it
+    parses each cell with float()'s parser.  The csv module reads every other file, and any that
+    loadtxt refuses, reads as another shape or reads with a non-finite
+    bid; it alone reads quoted cells and words every FormatError.  The
+    arrays, the accepted files and the messages are the csv module's."""
+    table = _numpy_samples(path)
+    if table is not None:
+        return table
     import numpy as np
 
     try:
@@ -273,3 +296,54 @@ def load_samples(path) -> np.ndarray:
     if not values:
         raise FormatError(f"{path}: no sample rows")
     return np.array(values).reshape(-1, 2)
+
+
+def _numpy_samples(path) -> np.ndarray | None:
+    """The sample table by numpy's reader, or None where load_samples'
+    csv loop must decide.  Only a regular file is read here, since a pipe
+    can be read once only."""
+    import numpy as np
+
+    if not os.path.isfile(path):
+        return None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            if not _plain_lines(fh, csv.field_size_limit()):
+                return None
+            fh.seek(0)
+            if [h.strip() for h in fh.readline().split(",")] != ["top", "second"]:
+                return None
+            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=float)
+    except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
+        return None
+    if table.shape[1] != 2 or not len(table) or not np.isfinite(table).all():
+        return None
+    return table
+
+
+def _plain_lines(fh, limit: int) -> bool:
+    """One streaming pass over a text file opened with universal newlines:
+    true if no quote appears, no line is longer than limit, and a line
+    after the first is not empty.  Then csv.reader splits each line at its
+    commas alone, as loadtxt does, and loadtxt has rows to read."""
+    size = max(1, min(limit, 1 << 16))  # a line inside a chunk is shorter than limit
+    line = 0  # length of the line still open at the end of the last chunk
+    header = None  # length of the first line, once it has ended
+    ink = 0  # characters that are not line ends
+    while chunk := fh.read(size):
+        if '"' in chunk:
+            return False
+        ends = chunk.count("\n")
+        ink += len(chunk) - ends
+        if ends:
+            first = line + chunk.index("\n")
+            if first > limit:
+                return False
+            if header is None:
+                header = first
+            line = len(chunk) - chunk.rindex("\n") - 1
+        else:
+            line += len(chunk)
+            if line > limit:
+                return False
+    return header is not None and ink > header

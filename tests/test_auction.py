@@ -192,6 +192,13 @@ class TestKQuadrature:
         with pytest.raises(QuadratureFailure):
             k_quadrature(model, 1.0, tol=1e-300)
 
+    def test_peak_search_stopping_short_raises(self):
+        # flat in doubles at this lambda: the peak search stops short of a
+        # peak, and a trapezoid term taken relative to it overflows
+        model = AuctionModel(PointMass(0.0), Lognormal(-100.0, 1e-20), 3)
+        with pytest.raises(QuadratureFailure, match="stopped short"):
+            k_quadrature(model, 1e-20)
+
     def test_lognormal_catalogue(self):
         # 32-digit mpmath values for every (mu, sigma, N, lambda) the
         # float_pipeline benchmark draws
@@ -309,13 +316,22 @@ def reference_simulate_bids(model, cfg):
     for ci, start in enumerate(range(0, cfg.samples, cfg.chunk)):
         rows = min(cfg.chunk, cfg.samples - start)
         rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(ci))
-        common = sample_draws(model.common, rng, rows)
-        eps = sample_draws(model.idiosyncratic, rng, (rows, model.n_bidders))
+        common = reference_draws(model.common, rng, rows)
+        eps = reference_draws(model.idiosyncratic, rng, (rows, model.n_bidders))
         bids = common[:, None] + eps
         bids.sort(axis=1)
         out[start : start + rows, 0] = bids[:, -1]
         out[start : start + rows, 1] = bids[:, -2]
     return out
+
+
+def reference_draws(dist, rng, size):
+    """sample_draws with lognormal draws as one expression, not in place."""
+    if isinstance(dist, Lognormal):
+        return np.exp(dist.sigma * rng.standard_normal(size) - dist.mu)
+    if isinstance(dist, Shifted):
+        return reference_draws(dist.base, rng, size) + dist.offset
+    return sample_draws(dist, rng, size)
 
 
 class TestKMonteCarlo:

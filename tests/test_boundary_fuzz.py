@@ -27,7 +27,9 @@ with N = 10**400, and identify on a 5000-digit lead at (2,1) (a negative
 order) and at (3,1) (not a multiple of m-n).  The last is a law whose
 log-integrands are flat in doubles at lambda = 1e300, so k_quadrature's
 bracket walk reaches infinity; it must end in QuadratureFailure, not run
-forever.
+forever.  Another such law at lambda = 1e-20 stops the peak search short
+of a peak, so a trapezoid term overflows: QuadratureFailure again, not an
+OverflowError.
 """
 
 import contextlib
@@ -294,6 +296,14 @@ FLAT_LOGNORMAL = as_bytes(
     }
 )
 
+SHORT_PEAK_LOGNORMAL = as_bytes(
+    {
+        "common": {"kind": "point_mass", "v": 0},
+        "idiosyncratic": {"kind": "lognormal", "mu": -100.0, "sigma": 1e-20},
+        "N": 3,
+    }
+)
+
 
 @given(cases())
 @example((["identify", "--input", "{tmp}/h.json", "--n", "2", "--m", "1",
@@ -306,6 +316,8 @@ FLAT_LOGNORMAL = as_bytes(
           {"model.json": LOGNORMAL_N}))
 @example((["auction-k", "--model", "{tmp}/model.json", "--lambda", "1e300"],
           {"model.json": FLAT_LOGNORMAL}))
+@example((["auction-k", "--model", "{tmp}/model.json", "--lambda", "1e-20"],
+          {"model.json": SHORT_PEAK_LOGNORMAL}))
 @example((["identify", "--input", "{tmp}/h.json", "--n", "2", "--m", "1",
            "--target-degree", "1"], {"h.json": BIG_LEAD}))
 @example((["identify", "--input", "{tmp}/h.json", "--n", "3", "--m", "1",

@@ -2,7 +2,11 @@ import csv
 import io
 import json
 import math
+import os
 import sys
+import threading
+import tracemalloc
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -12,8 +16,9 @@ from hypothesis import strategies as st
 
 from laplaceratio.algebra import Poly, Series
 from laplaceratio.auction import AuctionModel, Exponential, Lognormal, PointMass, Shifted
-from laplaceratio.errors import FormatError, OutOfRange
+from laplaceratio.errors import DomainError, FormatError, OutOfRange
 from laplaceratio.fileformats import (
+    _not_utf8,
     dist_from_document,
     function_from_document,
     function_to_document,
@@ -257,12 +262,14 @@ class TestSampleCsv:
     )
     @example([(-0.0, 5e-324)])
     @example([(sys.float_info.max, -sys.float_info.max), (2.2250738585072009e-308, -0.0)])
-    def test_bytes_match_the_csv_writer_and_load_is_bit_exact(self, tmp_path, rows):
+    def test_bytes_match_the_csv_writer_and_load_is_bit_exact(self, tmp_path, monkeypatch, rows):
+        readers = spy_on_csv_reader(monkeypatch)
         table = np.array(rows, dtype=float)
         path = tmp_path / "samples.csv"
         save_samples(path, table)
         assert path.read_bytes() == reference_sample_bytes(table)
         loaded = load_samples(path)
+        assert not readers  # numpy's reader took the file
         assert loaded.shape == table.shape
         assert np.array_equal(loaded.view(np.uint64), table.view(np.uint64))
 
@@ -272,6 +279,31 @@ class TestSampleCsv:
         with pytest.raises(OutOfRange):
             save_samples(path, np.array([[1.0, 0.5], [bad, 0.5]]))
         assert not path.exists()
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 3), (2, 2, 1), (4, 1)])
+    def test_save_refuses_other_shapes_and_writes_nothing(self, tmp_path, shape):
+        path = tmp_path / "samples.csv"
+        with pytest.raises(DomainError, match=r"\(rows, 2\)"):
+            save_samples(path, np.ones(shape))
+        assert not path.exists()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_named_pipe_is_read_once(self, tmp_path):
+        # a second open of the pipe would wait for a writer for ever, so the
+        # load runs in a thread, and an empty late write ends a stuck one
+        path = tmp_path / "samples.fifo"
+        os.mkfifo(path)
+        loaded = []
+        loader = threading.Thread(target=lambda: loaded.append(load_samples(path).tolist()))
+        loader.start()
+        with open(path, "w") as fh:
+            fh.write("top,second\n2.0,1.0\n")
+        loader.join(timeout=10)
+        if loader.is_alive():
+            with open(path, "w"):
+                pass
+            loader.join()
+        assert loaded == [[[2.0, 1.0]]]
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_cell_positioned(self, tmp_path, cell):
@@ -342,6 +374,213 @@ class TestSampleCsv:
         with pytest.raises(FormatError) as err:
             load_samples(path)
         assert str(err.value).startswith(f"{path}:3: field larger than field limit")
+
+
+# the cells and lines the differential test draws from: what save_samples
+# writes, padding float() strips, quoting only csv reads, and cells that one
+# parser or both refuse or read as non-finite
+PAD = st.sampled_from(["", " ", "\t", "\x0c", "\x85", "\xa0"])
+LINE_END = st.sampled_from(["\r\n", "\n", "\r"])
+written = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+clean_cell = st.one_of(written, st.tuples(PAD, written, PAD).map("".join))
+odd_cell = st.sampled_from(
+    ["nan", "-inf", "inf", "1e400", "-1e400", "1e-400", "1_0", "1\x00", "\x00", "", " ",
+     "x", "+.5", "5.", "0x10", "١", "Infinity", "-0"]
+)
+quoted = st.one_of(
+    written.map(lambda v: f'"{v}"'),
+    st.tuples(written, LINE_END).map(lambda p: f'"{p[0]}{p[1]}"'),
+    st.just('"1"".5"'),
+)
+blank_line = st.sampled_from(["", " ", "\t", "\xa0"])
+good_header = st.sampled_from(["top,second", "top, second", " top ,second\t", "top\x85,\xa0second"])
+any_header = st.one_of(
+    good_header,
+    st.sampled_from(["top,Second", "a,b", "top", "top,second,", '"top",second', "", "\ufefftop,second"]),
+)
+
+
+@st.composite
+def sample_files(draw):
+    """(field limit, file bytes): a header and lines with mixed line ends.
+    Half the files hold well-formed rows and blank lines only; the rest
+    draw any header, 1 to 3 cells a row, odd and quoted cells, and lines
+    of blanks.  Now and then a row is padded to the limit, to it less one,
+    or past it."""
+    limit = draw(st.sampled_from([None, 24, 40, 64]))
+    if draw(st.booleans()):
+        header, cell = good_header, clean_cell
+        row = st.tuples(cell, cell).map(",".join)
+        line = st.one_of(row, row, row, st.just(""))
+    else:
+        header, cell = any_header, st.one_of(clean_cell, clean_cell, odd_cell, quoted)
+        line = st.one_of(
+            st.tuples(cell, cell).map(",".join),
+            st.lists(cell, min_size=1, max_size=3).map(",".join),
+            blank_line,
+        )
+    lines = [draw(header)] + draw(st.lists(line, max_size=8))
+    if limit is not None and draw(st.booleans()):
+        first = draw(written)
+        width = limit - len(first) - 1 + draw(st.integers(-1, 1))
+        if width >= 3:
+            lines.insert(draw(st.integers(1, len(lines))), first + ",0." + "0" * (width - 2))
+    ends = [draw(LINE_END) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return limit, "".join(line + end for line, end in zip(lines, ends)).encode("utf-8")
+
+
+def field_limit_cell_files():
+    """Files whose one long cell is csv.field_size_limit() characters long,
+    or one past it, at the module's default limit."""
+    limit = csv.field_size_limit()
+    cells = ["4" * limit, "4" * (limit + 1), "0." + "0" * (limit - 2), "0." + "0" * limit]
+    return [(None, f"top,second\n1.0,{c}\n".encode()) for c in cells] + [
+        (None, f"top,second\r\n{c},2\r\n3,4\r\n".encode()) for c in cells
+    ]
+
+
+class TestSampleReaders:
+    """load_samples picks numpy's reader or the csv loop from the input;
+    either way it gives the csv loop's answer."""
+
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(sample_files())
+    @example((None, b"top,second\r\n"))
+    @example((None, b"top,second\r\n\r\n\n\r"))
+    @example((None, b"top,second\n1,2\n\xff"))
+    @example((None, b'top,second\r\n"1.5",2\r\n'))
+    @example((None, b"top,second\n1,2\n \n"))
+    @example((None, b"top,second\n\x001,2\n"))
+    @example((None, b"top,second\n1_0,2\n"))
+    @example((None, b"top,second\n1\xc2\x85,\xc2\xa02\n"))
+    @example((40, b"top,second\n1," + b"2" * 38 + b"\n"))
+    @example((40, b"top,second\n1," + b"2" * 39 + b"\n"))
+    @example((40, b"top,second\n1," + b"0." + b"0" * 40 + b"\n"))
+    @pytest.mark.filterwarnings("error")
+    def test_same_array_or_same_message_as_the_csv_loop(self, tmp_path, case):
+        limit, data = case
+        path = tmp_path / "samples.csv"
+        path.write_bytes(data)
+        assert outcome(load_samples, path, limit) == outcome(reference_load_samples, path, limit)
+
+    @pytest.mark.parametrize("case", field_limit_cell_files())
+    @pytest.mark.filterwarnings("error")
+    def test_cells_at_the_field_limit(self, tmp_path, case):
+        limit, data = case
+        path = tmp_path / "wide.csv"
+        path.write_bytes(data)
+        assert outcome(load_samples, path, limit) == outcome(reference_load_samples, path, limit)
+
+    def test_quoted_file_goes_to_the_csv_loop(self, tmp_path, monkeypatch):
+        readers = spy_on_csv_reader(monkeypatch)
+        loadtxt_calls = []
+        real_loadtxt = np.loadtxt
+        monkeypatch.setattr(
+            np, "loadtxt", lambda *a, **k: loadtxt_calls.append(a) or real_loadtxt(*a, **k)
+        )
+        path = tmp_path / "samples.csv"
+        save_samples(path, np.array([[2.0, 1.0], [3.5, 0.25]]))
+        assert load_samples(path).tolist() == [[2.0, 1.0], [3.5, 0.25]]
+        assert (len(readers), len(loadtxt_calls)) == (0, 1)
+        # the quote is seen in the scan, before numpy parses anything
+        path.write_text('top,second\r\n"2.0",1.0\r\n')
+        assert load_samples(path).tolist() == [[2.0, 1.0]]
+        assert (len(readers), len(loadtxt_calls)) == (1, 1)
+
+    @pytest.mark.parametrize("body", ["", "\r\n", "\n\n\r"])
+    def test_header_only_warns_nothing(self, tmp_path, body):
+        # np.loadtxt warns "input contained no data" on an empty body
+        path = tmp_path / "empty.csv"
+        path.write_text("top,second\r\n" + body, newline="")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError) as err:
+                load_samples(path)
+        assert str(err.value) == f"{path}: no sample rows"
+
+    def test_memory_stays_within_twice_the_table(self, tmp_path):
+        # the whole table as Python floats, or the whole file as one
+        # string, would each take several times the table's bytes
+        table = np.random.default_rng(5).lognormal(size=(100_000, 2))
+        path = tmp_path / "big.csv"
+        tracemalloc.start()
+        try:
+            save_samples(path, table)
+            saved = tracemalloc.get_traced_memory()[1]
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            loaded = load_samples(path)
+            load = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert path.read_bytes() == reference_sample_bytes(table)  # 13 blocks, the last partial
+        assert np.array_equal(loaded, table)
+        assert saved < 2 * table.nbytes, saved / table.nbytes
+        assert load < 2 * table.nbytes, load / table.nbytes
+
+
+def spy_on_csv_reader(monkeypatch) -> list:
+    """Record each csv.reader that is built from now on."""
+    made = []
+    real = csv.reader
+
+    def reader(*args, **kwargs):
+        made.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(csv, "reader", reader)
+    return made
+
+
+def outcome(load, path, limit):
+    """load(path) under the csv field limit limit (None: the default), as
+    ("rows", the table's bit patterns) or ("error", its message)."""
+    old = csv.field_size_limit()
+    if limit is not None:
+        csv.field_size_limit(limit)
+    try:
+        table = load(path)
+    except FormatError as exc:
+        return "error", str(exc)
+    finally:
+        csv.field_size_limit(old)
+    return "rows", table.shape, table.view(np.uint64).tolist()
+
+
+def reference_load_samples(path) -> np.ndarray:
+    """load_samples as one csv loop over every file."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or [h.strip() for h in header] != ["top", "second"]:
+                raise FormatError(f"{path}:1: expected header 'top,second'")
+            values = []
+            for row in reader:
+                if not row:
+                    continue
+                lineno = reader.line_num
+                if len(row) != 2:
+                    raise FormatError(f"{path}:{lineno}: expected two columns")
+                try:
+                    top, second = float(row[0]), float(row[1])
+                except ValueError as exc:
+                    raise FormatError(f"{path}:{lineno}: {exc}") from exc
+                if not (math.isfinite(top) and math.isfinite(second)):
+                    raise FormatError(f"{path}:{lineno}: bids must be finite, got {row!r}")
+                values.append(top)
+                values.append(second)
+    except OSError as exc:
+        raise FormatError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path) from exc
+    except csv.Error as exc:
+        raise FormatError(f"{path}:{reader.line_num}: {exc}") from exc
+    if not values:
+        raise FormatError(f"{path}: no sample rows")
+    return np.array(values).reshape(-1, 2)
 
 
 def reference_sample_bytes(table) -> bytes:
