@@ -21,7 +21,7 @@ from decimal import (
 from fractions import Fraction
 from itertools import accumulate, islice
 from math import factorial, gcd, lcm
-from operator import mul
+from operator import attrgetter, mul
 
 from .errors import DomainError, ZeroLeadingCoefficient
 
@@ -571,3 +571,49 @@ class Series:
 
     def __repr__(self):
         return f"Series([{', '.join(map(_rational_text, self.coeffs))}], order={self.order})"
+
+
+class Frozen:
+    """Base of the immutable value classes of the other modules.
+
+    A subclass names its fields in __slots__, in its __init__'s parameter
+    order, and its __init__ stores each field with object.__setattr__ once
+    its checks pass.  Instances then behave as those of
+    dataclasses.dataclass(frozen=True) do: == holds between instances of
+    one class with equal fields, the hash is that of the field tuple, repr
+    reads Name(field=value, ...), and assignment and deletion raise
+    AttributeError.  Importing dataclasses loads inspect and its chain, a
+    large share of a CLI call's start-up, so it is not used.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls.__slots__)
+        # the field tuple, which a dataclass compares and hashes; attrgetter
+        # returns a lone field bare
+        cls._fields = get if len(cls.__slots__) > 1 else staticmethod(lambda obj: (get(obj),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            fields = self._fields
+            return fields(self) == fields(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self):
+        fields = map("{}={!r}".format, self.__slots__, self._fields(self))
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, since __setattr__ refuses
+        return type(self), self._fields(self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .algebra import _int_text
+from .algebra import Frozen, _int_text
 from .errors import DomainError, OutOfRange, QuadratureFailure
 from .identify import IdentifyResult, RatioSpec, identify
 from .transforms import RatioExpansion
@@ -30,66 +29,76 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class Exponential:
+class Exponential(Frozen):
     """Exponential law with rate theta: P(X > x) = exp(-theta x)."""
 
-    theta: float
+    __slots__ = ("theta",)
 
-    def __post_init__(self):
-        if not self.theta > 0:
-            raise DomainError(f"exponential rate must be positive, got {self.theta}")
+    def __init__(self, theta: float):
+        if not theta > 0:
+            raise DomainError(f"exponential rate must be positive, got {theta}")
+        if not theta < math.inf:
+            raise DomainError(f"exponential rate must be finite, got {theta}")
+        object.__setattr__(self, "theta", theta)
 
 
-@dataclass(frozen=True)
-class Lognormal:
+class Lognormal(Frozen):
     """X = exp(sigma*Z - mu) with Z standard normal (note the minus on mu)."""
 
-    mu: float
-    sigma: float
+    __slots__ = ("mu", "sigma")
 
-    def __post_init__(self):
-        if not self.sigma > 0:
-            raise DomainError(f"lognormal sigma must be positive, got {self.sigma}")
+    def __init__(self, mu: float, sigma: float):
+        if not sigma > 0:
+            raise DomainError(f"lognormal sigma must be positive, got {sigma}")
+        # comparisons, where math.isfinite would overflow on a large int
+        if not (-math.inf < mu < math.inf and sigma < math.inf):
+            raise DomainError(f"lognormal mu and sigma must be finite, got ({mu}, {sigma})")
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "sigma", sigma)
 
 
-@dataclass(frozen=True)
-class PointMass:
+class PointMass(Frozen):
     """Degenerate law concentrated at v >= 0."""
 
-    v: float
+    __slots__ = ("v",)
 
-    def __post_init__(self):
-        if self.v < 0:
-            raise DomainError(f"point mass location must be nonnegative, got {self.v}")
+    def __init__(self, v: float):
+        if v < 0:
+            raise DomainError(f"point mass location must be nonnegative, got {v}")
+        if not v < math.inf:
+            raise DomainError(f"point mass location must be finite, got {v}")
+        object.__setattr__(self, "v", v)
 
 
-@dataclass(frozen=True)
-class Shifted:
+class Shifted(Frozen):
     """base + offset."""
 
-    base: "DistSpec"
-    offset: float
+    __slots__ = ("base", "offset")
+
+    def __init__(self, base: DistSpec, offset: float):
+        if not -math.inf < offset < math.inf:
+            raise DomainError(f"shift offset must be finite, got {offset}")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "offset", offset)
 
 
 DistSpec = Exponential | Lognormal | PointMass | Shifted
 
 
-@dataclass(frozen=True)
-class AuctionModel:
+class AuctionModel(Frozen):
     """Common-value law, idiosyncratic law, and the number of bidders."""
 
-    common: DistSpec
-    idiosyncratic: DistSpec
-    n_bidders: int
+    __slots__ = ("common", "idiosyncratic", "n_bidders")
 
-    def __post_init__(self):
-        if not isinstance(self.n_bidders, int) or self.n_bidders < 2:
+    def __init__(self, common: DistSpec, idiosyncratic: DistSpec, n_bidders: int):
+        if not isinstance(n_bidders, int) or n_bidders < 2:
             raise DomainError("an auction needs at least 2 bidders")
+        object.__setattr__(self, "common", common)
+        object.__setattr__(self, "idiosyncratic", idiosyncratic)
+        object.__setattr__(self, "n_bidders", n_bidders)
 
 
-@dataclass(frozen=True)
-class McConfig:
+class McConfig(Frozen):
     """Deterministic Monte Carlo configuration.
 
     Draws come from a counter-based stream partitioned into chunks, so the
@@ -97,17 +106,21 @@ class McConfig:
     chunks are scheduled.
     """
 
-    samples: int
-    seed: int
-    chunk: int = 100_000
+    __slots__ = ("samples", "seed", "chunk")
 
-    def __post_init__(self):
-        if self.samples < 1:
+    def __init__(self, samples: int, seed: int, chunk: int = 100_000):
+        for name, value in (("samples", samples), ("seed", seed), ("chunk", chunk)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
+        if samples < 1:
             raise DomainError("samples must be positive")
-        if self.chunk < 1:
+        if chunk < 1:
             raise DomainError("chunk must be positive")
-        if not 0 <= self.seed < 2 ** 64:
+        if not 0 <= seed < 2 ** 64:
             raise DomainError("seed must fit in 64 unsigned bits")
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "chunk", chunk)
 
 
 def sample_draws(dist: DistSpec, rng: np.random.Generator, size) -> np.ndarray:

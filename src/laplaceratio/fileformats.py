@@ -7,7 +7,6 @@ failures name the offending position in the document.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -15,13 +14,13 @@ from typing import TYPE_CHECKING
 
 from .algebra import Poly, Rational, Series, _rational_parts, _rational_text, _text_int
 from .errors import DomainError, FormatError, OutOfRange
-from .identify import IdentifyResult
 from .transforms import PiecewisePoly, RatioExpansion, sin_maclaurin, step_example
 
 if TYPE_CHECKING:
     import numpy as np
 
     from .auction import AuctionModel, DistSpec
+    from .identify import IdentifyResult
 
 
 def parse_rational(value, where: str) -> Rational:
@@ -264,6 +263,8 @@ def load_samples(path) -> np.ndarray:
     table = _numpy_samples(path)
     if table is not None:
         return table
+    import csv
+
     import numpy as np
 
     try:
@@ -302,6 +303,8 @@ def _numpy_samples(path) -> np.ndarray | None:
     """The sample table by numpy's reader, or None where load_samples'
     csv loop must decide.  Only a regular file is read here, since a pipe
     can be read once only."""
+    import csv
+
     import numpy as np
 
     if not os.path.isfile(path):

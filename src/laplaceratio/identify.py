@@ -13,12 +13,12 @@ pinned down by a nonvanishing pivot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from math import factorial
 from operator import mul
 
 from .algebra import (
+    Frozen,
     Numerators,
     Poly,
     Rational,
@@ -32,19 +32,18 @@ from .errors import DomainError, InconsistentRatio, InsufficientOrder, Irrationa
 from .transforms import RatioExpansion, _check_exponents, _laplace_pair
 
 
-@dataclass(frozen=True)
-class RatioSpec:
+class RatioSpec(Frozen):
     """The exponent pair (n, m) of a power ratio; distinct positive integers."""
 
-    n: int
-    m: int
+    __slots__ = ("n", "m")
 
-    def __post_init__(self):
-        _check_exponents(self.n, self.m)
+    def __init__(self, n: int, m: int):
+        _check_exponents(n, m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
 
 
-@dataclass(frozen=True)
-class IdentifyResult:
+class IdentifyResult(Frozen):
     """Canonical recovered polynomial.
 
     When the exponent difference is even the ratio cannot see a global
@@ -52,10 +51,13 @@ class IdentifyResult:
     returned and ambiguous_sign is set.
     """
 
-    poly: Poly
-    ambiguous_sign: bool
-    recovered_degree: int
-    k: int
+    __slots__ = ("poly", "ambiguous_sign", "recovered_degree", "k")
+
+    def __init__(self, poly: Poly, ambiguous_sign: bool, recovered_degree: int, k: int):
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "ambiguous_sign", ambiguous_sign)
+        object.__setattr__(self, "recovered_degree", recovered_degree)
+        object.__setattr__(self, "k", k)
 
 
 def infer_order(H: RatioExpansion, spec: RatioSpec) -> int:

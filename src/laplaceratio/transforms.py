@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import islice
 from math import factorial
 from operator import mul
 
 from .algebra import (
+    Frozen,
     Poly,
     Rational,
     Series,
@@ -50,8 +50,7 @@ def laplace_poly(p: Poly) -> Poly:
     return Poly([0, *map(mul, factorials(p.degree), p.coeffs)])
 
 
-@dataclass(frozen=True)
-class RatioExpansion:
+class RatioExpansion(Frozen):
     """Expansion of a power ratio at lambda = infinity.
 
     Represents H(lambda) = lambda**lead * T(1/lambda) where T is the tail
@@ -59,12 +58,13 @@ class RatioExpansion:
     has a nonzero constant term.
     """
 
-    lead: int
-    tail: Series
+    __slots__ = ("lead", "tail")
 
-    def __post_init__(self):
-        if not self.tail.coeffs[0]:
+    def __init__(self, lead: int, tail: Series):
+        if not tail.coeffs[0]:
             raise DomainError("ratio expansion tail must have a nonzero constant term")
+        object.__setattr__(self, "lead", lead)
+        object.__setattr__(self, "tail", tail)
 
 
 def ratio_expansion(f: Poly, n: int, m: int, order: int) -> RatioExpansion:

@@ -43,6 +43,23 @@ class TestDistributions:
         with pytest.raises(DomainError):
             PointMass(-2)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "law",
+        [
+            Exponential,
+            lambda x: Lognormal(x, 1.0),
+            lambda x: Lognormal(0.0, x),
+            PointMass,
+            lambda x: Shifted(Exponential(1.0), x),
+        ],
+        ids=["theta", "mu", "sigma", "v", "offset"],
+    )
+    def test_non_finite_parameters_refused(self, law, x):
+        # a NaN location once gave k_quadrature 0.9999999999999999, a NaN offset 0.5
+        with pytest.raises(DomainError):
+            law(x)
+
     def test_exponential_normal_score(self):
         # P(X <= 2/theta) = 1 - e^-2, so that is the bid at Phi(z) = 1 - e^-2
         z = NormalDist().inv_cdf(1 - math.exp(-2))
@@ -241,6 +258,23 @@ class TestKQuadrature:
 
 
 class TestSimulateBids:
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((10.5, 1), "samples must be an integer, got 10.5"),
+            ((10, 1.5), "seed must be an integer, got 1.5"),
+            ((10, 1, 2.5), "chunk must be an integer, got 2.5"),
+            ((True, 1), "samples must be an integer, got True"),
+            ((10, False), "seed must be an integer, got False"),
+            ((10, 1, True), "chunk must be an integer, got True"),
+            (("10", 1), "samples must be an integer, got '10'"),
+        ],
+    )
+    def test_config_takes_ints_only(self, args, message):
+        with pytest.raises(DomainError) as err:
+            McConfig(*args)
+        assert str(err.value) == message
+
     def test_degenerate_rows(self):
         model = AuctionModel(PointMass(2.0), PointMass(3.0), 4)
         table = simulate_bids(model, McConfig(100, seed=5))

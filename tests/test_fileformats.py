@@ -216,6 +216,24 @@ class TestModelDocuments:
         with pytest.raises(FormatError, match="finite"):
             dist_from_document(doc, "d")
 
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ('{"kind": "exponential", "theta": %s}', "theta"),
+            ('{"kind": "lognormal", "mu": %s, "sigma": 1}', "mu"),
+            ('{"kind": "lognormal", "mu": 0, "sigma": %s}', "sigma"),
+            ('{"kind": "point_mass", "v": %s}', "v"),
+            ('{"kind": "shifted", "base": {"kind": "point_mass", "v": 0}, "offset": %s}', "offset"),
+        ],
+        ids=["theta", "mu", "sigma", "v", "offset"],
+    )
+    def test_non_finite_numbers_are_refused_before_a_law_is_built(self, doc, key, text):
+        # the parser's own message, not a law's check wrapped, so what the
+        # laws refuse never reaches them from a document
+        with pytest.raises(FormatError, match=rf"^d\.{key}: expected a finite number$"):
+            dist_from_document(json.loads(doc % text), "d")
+
     def test_n_validated(self):
         with pytest.raises(FormatError) as err:
             model_from_document(

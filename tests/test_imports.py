@@ -8,18 +8,30 @@ import laplaceratio
 from laplaceratio.fileformats import ratio_expansion_to_document
 
 # Runs CLI calls given as a JSON list of argv lists in a fresh interpreter,
-# and reports their exit codes and which of numpy and scipy they loaded.
+# and reports their exit codes, which of numpy and scipy they loaded, and
+# after each call the modules loaded since just before laplaceratio was
+# imported, so that modules a site hook preloads are not counted.
 RUN_CALLS = r"""
 import contextlib, io, json, sys
+before = set(sys.modules)
 from laplaceratio.cli import main
 
-codes = []
+codes, added = [], []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         codes.append(main(argv))
+    added.append(sorted(set(sys.modules) - before))
 heavy = sorted({k.split(".")[0] for k in sys.modules} & {"numpy", "scipy"})
-print(json.dumps({"codes": codes, "heavy": heavy}))
+print(json.dumps({"codes": codes, "heavy": heavy, "added": added}))
 """
+
+
+def audit(argv, added):
+    """No call loads dataclasses, or csv, since no CLI call reads samples;
+    inspect, which numpy loads, only with numpy."""
+    assert "dataclasses" not in added, argv
+    assert "csv" not in added, argv
+    assert "inspect" not in added or "numpy" in added, argv
 
 
 @pytest.fixture
@@ -51,7 +63,10 @@ def run_fresh(tmp_path):
             text=True,
             check=True,
         )
-        return json.loads(proc.stdout)
+        report = json.loads(proc.stdout)
+        for argv, added in zip(calls, report.pop("added")):
+            audit(argv, added)
+        return report
 
     return run
 
@@ -95,6 +110,25 @@ def test_calls_without_samples_load_no_numpy_or_scipy(run_fresh, call):
 def test_selftest_loads_numpy(run_fresh):
     # the control: a call that draws samples does load numpy
     assert run_fresh(["selftest"]) == {"codes": [0], "heavy": ["numpy"]}
+
+
+def test_the_audit_sees_what_a_call_loads():
+    # the control for audit: numpy itself loads inspect, and a call that
+    # adds dataclasses or csv, or inspect without numpy, is refused
+    audit(["selftest"], ["inspect", "numpy"])
+    for added in (["dataclasses"], ["csv"], ["inspect"]):
+        with pytest.raises(AssertionError):
+            audit(["call"], added)
+
+
+def test_tiny_lambda_calls_load_no_dataclasses_inspect_or_csv(run_fresh):
+    # the two benchmark calls not run above; run_fresh audits every call,
+    # and these end in an error path
+    report = run_fresh(
+        ["transform", "--input", "f.json", "--lambda", "1e-300"],
+        ["ratio", "--builtin", "step_example", "--n", "2", "--m", "1", "--lambda", "1e-320"],
+    )
+    assert report["heavy"] == []
 
 
 def test_every_exported_name_resolves():
