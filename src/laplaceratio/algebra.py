@@ -469,6 +469,9 @@ class Poly:
             return Poly((1,))
         if self.is_zero:
             return Poly()
+        # a constant's power is a scalar power, as in __mul__
+        if len(self.coeffs) == 1:
+            return Poly((self.coeffs[0] ** n,))
         return Poly(_power(self.coeffs, n))
 
     def compose_linear(self, a, b) -> "Poly":
@@ -573,6 +576,11 @@ class Series:
         return f"Series([{', '.join(map(_rational_text, self.coeffs))}], order={self.order})"
 
 
+def _field_text(name: str, value) -> str:
+    """name=repr(value), with an int of any length printed by _int_text."""
+    return f"{name}={_int_text(value) if isinstance(value, int) else repr(value)}"
+
+
 class Frozen:
     """Base of the immutable value classes of the other modules.
 
@@ -605,7 +613,7 @@ class Frozen:
         return hash(self._fields(self))
 
     def __repr__(self):
-        fields = map("{}={!r}".format, self.__slots__, self._fields(self))
+        fields = map(_field_text, self.__slots__, self._fields(self))
         return f"{type(self).__qualname__}({', '.join(fields)})"
 
     def __reduce__(self):

@@ -20,13 +20,29 @@ import math
 import sys
 from typing import TYPE_CHECKING
 
-from .algebra import Frozen, _int_text
+from .algebra import Frozen, Rational, _int_text, _rational_text
 from .errors import DomainError, OutOfRange, QuadratureFailure
 from .identify import IdentifyResult, RatioSpec, identify
 from .transforms import RatioExpansion
 
 if TYPE_CHECKING:
     import numpy as np
+
+
+def _finite(x) -> bool:
+    """Whether float() holds x: False for a NaN or an infinity, and for an
+    int or ratio beyond the double range, where float() overflows but a
+    comparison with math.inf passes."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+def _shown(x):
+    """x for a message: ints and ratios of any length as _rational_text
+    prints them, where str() can refuse."""
+    return _rational_text(x) if isinstance(x, (int, Rational)) else x
 
 
 class Exponential(Frozen):
@@ -36,9 +52,9 @@ class Exponential(Frozen):
 
     def __init__(self, theta: float):
         if not theta > 0:
-            raise DomainError(f"exponential rate must be positive, got {theta}")
-        if not theta < math.inf:
-            raise DomainError(f"exponential rate must be finite, got {theta}")
+            raise DomainError(f"exponential rate must be positive, got {_shown(theta)}")
+        if not _finite(theta):
+            raise DomainError(f"exponential rate must be finite, got {_shown(theta)}")
         object.__setattr__(self, "theta", theta)
 
 
@@ -49,10 +65,11 @@ class Lognormal(Frozen):
 
     def __init__(self, mu: float, sigma: float):
         if not sigma > 0:
-            raise DomainError(f"lognormal sigma must be positive, got {sigma}")
-        # comparisons, where math.isfinite would overflow on a large int
-        if not (-math.inf < mu < math.inf and sigma < math.inf):
-            raise DomainError(f"lognormal mu and sigma must be finite, got ({mu}, {sigma})")
+            raise DomainError(f"lognormal sigma must be positive, got {_shown(sigma)}")
+        if not (_finite(mu) and _finite(sigma)):
+            raise DomainError(
+                f"lognormal mu and sigma must be finite, got ({_shown(mu)}, {_shown(sigma)})"
+            )
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
 
@@ -64,9 +81,9 @@ class PointMass(Frozen):
 
     def __init__(self, v: float):
         if v < 0:
-            raise DomainError(f"point mass location must be nonnegative, got {v}")
-        if not v < math.inf:
-            raise DomainError(f"point mass location must be finite, got {v}")
+            raise DomainError(f"point mass location must be nonnegative, got {_shown(v)}")
+        if not _finite(v):
+            raise DomainError(f"point mass location must be finite, got {_shown(v)}")
         object.__setattr__(self, "v", v)
 
 
@@ -76,8 +93,8 @@ class Shifted(Frozen):
     __slots__ = ("base", "offset")
 
     def __init__(self, base: DistSpec, offset: float):
-        if not -math.inf < offset < math.inf:
-            raise DomainError(f"shift offset must be finite, got {offset}")
+        if not _finite(offset):
+            raise DomainError(f"shift offset must be finite, got {_shown(offset)}")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "offset", offset)
 
@@ -195,8 +212,10 @@ def k_analytic_exponential(theta: float, lam: float) -> float:
     """Closed form of K when the idiosyncratic law is exponential: by the
     memoryless property the top two bids differ by an independent fresh
     draw, so K equals the draw's transform theta/(theta+lam) for every N."""
-    if not (math.isfinite(theta) and theta > 0 and math.isfinite(lam) and lam > 0):
-        raise DomainError(f"theta and lambda must be finite and positive, got ({theta}, {lam})")
+    if not (_finite(theta) and theta > 0 and _finite(lam) and lam > 0):
+        raise DomainError(
+            f"theta and lambda must be finite and positive, got ({_shown(theta)}, {_shown(lam)})"
+        )
     return theta / (theta + lam)
 
 
@@ -226,8 +245,8 @@ def k_quadrature(model: AuctionModel, lam: float, tol: float = 1e-10) -> float:
     to tol relative to K; their difference is the error estimate, and
     QuadratureFailure means it exceeds tol.
     """
-    if not (math.isfinite(lam) and lam > 0):
-        raise DomainError(f"lambda must be finite and positive, got {lam}")
+    if not (_finite(lam) and lam > 0):
+        raise DomainError(f"lambda must be finite and positive, got {_shown(lam)}")
     if not tol > 0:
         raise DomainError("tolerance must be positive")
     dist, N = model.idiosyncratic, model.n_bidders
@@ -345,8 +364,8 @@ def k_monte_carlo(samples: np.ndarray, lam: float) -> tuple[float, float]:
     """
     import numpy as np
 
-    if not (math.isfinite(lam) and lam > 0):
-        raise DomainError(f"lambda must be finite and positive, got {lam}")
+    if not (_finite(lam) and lam > 0):
+        raise DomainError(f"lambda must be finite and positive, got {_shown(lam)}")
     table = np.asarray(samples, dtype=float)
     if table.ndim != 2 or table.shape[1] != 2 or table.shape[0] == 0:
         raise DomainError("expected a nonempty (rows, 2) sample table")

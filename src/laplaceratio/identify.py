@@ -236,26 +236,52 @@ def _residue(nums) -> int:
     return acc
 
 
+def _proportion(f: Poly, g: Poly):
+    """The Rational c with g = c*f, or None when there is none; f and g
+    nonzero.
+
+    c is g's coefficient over f's at f's lowest nonzero index, and every
+    coefficient of g must be c times f's; the first that is not ends the
+    scan.
+    """
+    a, b = f.coeffs, g.coeffs
+    if len(a) != len(b):
+        return None
+    i = f.valuation
+    c = b[i] / a[i]
+    return c if all(y == c * x for x, y in zip(a, b)) else None
+
+
 def verify_identity(f: Poly, g: Poly, spec: RatioSpec) -> bool:
     """Exact test of the convolution identity f^n * g^m = f^m * g^n, which
     holds iff the two power ratios coincide.
 
-    The identity is homogeneous of degree n+m in (f, g), so f and g are
-    first cleared to integer numerators over one common denominator, which
-    drops out.  transforms._laplace_pair then gives each function's
-    Laplace-weighted f^n and f^m as integer lists A and B, and the
-    transforms of the two sides are u^2 times the products A_f*B_g and
-    B_f*A_g.  Two steps decide, each exact:
+    The identity is homogeneous of degree n+m in (f, g).  Three steps
+    decide, each exact:
 
-    - residue rejection: _residue evaluates the four lists at one point
-      mod a prime, with no product built, and unequal values of the two
-      sides prove the products unequal;
+    - homogeneity: when g = c*f (_proportion), the identity reads
+      (c^m - c^n) * (f^n * f^m) = 0 with f^n * f^m nonzero, so it holds
+      iff c^n = c^m: c = 1, or c = -1 with n-m even.  Nothing is built.
+      By the paper's theorem these are the only pairs the identity
+      admits, so no pair left to the steps below is equal, though no
+      answer relies on that;
+    - residue rejection: f and g are cleared to integer numerators over
+      one common denominator, which drops out, and
+      transforms._laplace_pair gives each function's Laplace-weighted f^n
+      and f^m as integer lists A and B, so that the transforms of the two
+      sides are u^2 times the products A_f*B_g and B_f*A_g.  _residue
+      evaluates the four lists at one point mod a prime, with no product
+      built, and unequal values of the two sides prove the products
+      unequal;
     - packed comparison: a pair that passes is decided by comparing the
       kernel's packed products (algebra._products_equal), with no slot
       unpacked and no Fraction built.
     """
     if f.is_zero or g.is_zero:
         return True  # both sides are the zero function
+    c = _proportion(f, g)
+    if c is not None:
+        return c == 1 or (c == -1 and (spec.n - spec.m) % 2 == 0)
     nums, _ = _cleared(f.coeffs + g.coeffs)
     Af, Bf = _laplace_pair(nums[: len(f.coeffs)], spec.n, spec.m)
     Ag, Bg = _laplace_pair(nums[len(f.coeffs) :], spec.n, spec.m)

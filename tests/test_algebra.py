@@ -152,6 +152,14 @@ class TestPoly:
             want = mul_by_pairs(want, p)
         assert p ** n == want
 
+    @given(st.one_of(st.just(F(0)), wide_rationals), st.integers(0, 7))
+    @settings(max_examples=100, deadline=None)
+    def test_constant_pow_is_scalar_pow(self, c, n):
+        # no packing for a constant: the scalar power is the whole answer
+        with mock.patch.object(algebra, "_power", side_effect=AssertionError) as kernel:
+            assert Poly([c]) ** n == Poly([c ** n]) == mul_by_pairs(Poly([1]), Poly([c ** n]))
+        assert kernel.call_count == 0
+
     def test_pow_exponent_validated(self):
         with pytest.raises(DomainError):
             Poly([1, 1]) ** -1

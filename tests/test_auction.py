@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 from statistics import NormalDist
@@ -43,7 +44,11 @@ class TestDistributions:
         with pytest.raises(DomainError):
             PointMass(-2)
 
-    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "x",
+        [math.nan, math.inf, -math.inf, 10 ** 400, -(10 ** 5000), F(10 ** 400, 3)],
+        ids=["nan", "inf", "-inf", "int", "-5000-digits", "ratio"],
+    )
     @pytest.mark.parametrize(
         "law",
         [
@@ -56,9 +61,29 @@ class TestDistributions:
         ids=["theta", "mu", "sigma", "v", "offset"],
     )
     def test_non_finite_parameters_refused(self, law, x):
-        # a NaN location once gave k_quadrature 0.9999999999999999, a NaN offset 0.5
-        with pytest.raises(DomainError):
+        # a NaN location once gave k_quadrature 0.9999999999999999, a NaN offset 0.5;
+        # a number beyond the double range reached float() in k_quadrature and
+        # simulate_bids, which raised OverflowError.  Messages print any length.
+        with pytest.raises(DomainError, match="must be (finite|positive|nonnegative), got"):
             law(x)
+
+    def test_largest_double_accepted(self):
+        big = int(sys.float_info.max)
+        assert Exponential(big).theta == big
+        assert Shifted(PointMass(big), -big).offset == -big
+        assert Lognormal(big, big).mu == big
+
+    @pytest.mark.parametrize("lam", [10 ** 400, F(10 ** 400, 3)], ids=["int", "ratio"])
+    def test_lambda_beyond_the_double_range_refused(self, lam):
+        model = AuctionModel(PointMass(0.0), Exponential(1.0), 3)
+        with pytest.raises(DomainError, match="lambda must be finite"):
+            k_quadrature(model, lam)
+        with pytest.raises(DomainError, match="lambda must be finite"):
+            k_monte_carlo(np.ones((3, 2)), lam)
+        with pytest.raises(DomainError, match="lambda must be finite"):
+            k_analytic_exponential(1.0, lam)
+        with pytest.raises(DomainError, match="lambda must be finite"):
+            k_analytic_exponential(lam, 1.0)
 
     def test_exponential_normal_score(self):
         # P(X <= 2/theta) = 1 - e^-2, so that is the bid at Phi(z) = 1 - e^-2

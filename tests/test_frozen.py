@@ -5,6 +5,7 @@ Each pair must agree on repr, ==, hash, construction and refusals."""
 import copy
 import math
 import pickle
+import sys
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 
@@ -111,7 +112,7 @@ VALID = {
     RatioSpec: [(2, 1), (1, 2), (3, 1), (2, 10 ** 30)],
     IdentifyResult: [(Poly([0, 1]), False, 3, 1), (Poly([0, 1]), True, 3, 1), (Poly([1]), False, 0, 0)],
     RatioExpansion: [(0, TAIL), (-1, TAIL), (0, Series([2], 0))],
-    Exponential: [(1.0,), (0.5,), (Fraction(1, 3),), (10 ** 400,)],
+    Exponential: [(1.0,), (0.5,), (Fraction(1, 3),), (10 ** 300,)],
     Lognormal: [(0.0, 1.0), (-0.0, 1.0), (0.7, 1.3), (-700.0, 5e-324)],
     PointMass: [(0.0,), (1.0,), (2,)],
     Shifted: [(Exponential(1.0), 2.0), (PointMass(1.0), 2.0), (Exponential(1.0), -0.5)],
@@ -156,6 +157,28 @@ def test_repr_eq_and_hash_match_the_twin(cls):
             assert (a == b) is (ta == tb)
             assert (a != b) is (ta != tb)
     assert cls(*VALID[cls][0]) == pairs[0][0]
+
+
+# int fields past any int <-> str digit limit, which str() refuses
+HUGE = 10 ** 5000
+HUGE_FIELDS = [
+    (RatioExpansion, (-HUGE, TAIL)),
+    (RatioSpec, (2, HUGE)),
+    (IdentifyResult, (Poly([0, 1]), True, HUGE, 1)),
+    (McConfig, (HUGE, 1, HUGE)),
+]
+
+
+@pytest.mark.parametrize("cls, args", HUGE_FIELDS, ids=[c.__name__ for c, _ in HUGE_FIELDS])
+def test_repr_prints_ints_of_any_length(cls, args):
+    new, twin = build_both(cls, args)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # no limit: the twin's repr as str() would print it
+    try:
+        want = repr(twin).replace("Twin(", "(")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert repr(new) == want
 
 
 def test_equal_fields_of_two_classes_compare_unequal():

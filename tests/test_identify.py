@@ -1,4 +1,5 @@
 import importlib
+from contextlib import contextmanager
 from fractions import Fraction as F
 from itertools import product
 from math import factorial
@@ -396,6 +397,86 @@ def check_against_convolutions(path, f, g, spec):
         assert verify_identity(f, g, spec) is want
 
 
+def without_homogeneity():
+    # every pair takes the residue check and the packed comparison
+    return mock.patch.object(identify_module, "_proportion", lambda f, g: None)
+
+
+@contextmanager
+def builds_nothing():
+    # neither the Laplace-weighted powers nor a packed product may be built
+    with mock.patch.object(
+        identify_module, "_laplace_pair", side_effect=AssertionError("powers built")
+    ), mock.patch.object(
+        identify_module, "_products_equal", side_effect=AssertionError("products built")
+    ):
+        yield
+
+
+# valuation 0 to 3, so the lowest nonzero index is not always 0
+valued_polys = st.builds(
+    lambda k, head, rest: Poly([0] * k + [head] + rest),
+    st.integers(0, 3),
+    small_fractions.filter(bool),
+    st.lists(small_fractions, max_size=4),
+)
+# nonzero constants: c^n = c^m only for 1, and for -1 when n - m is even
+proportions = st.one_of(
+    st.sampled_from((F(1), F(-1), F(2), F(-1, 3))),
+    st.builds(F, st.integers(-(2 ** 60), 2 ** 60).filter(bool), st.integers(1, 2 ** 60)),
+)
+
+
+def is_proportional(f, g):
+    # g = c*f for some c iff every 2x2 minor of the two coefficient rows vanishes
+    a, b = f.coeffs, g.coeffs
+    if len(a) != len(b):
+        return False
+    return all(a[i] * b[j] == a[j] * b[i] for i in range(len(a)) for j in range(i))
+
+
+class TestHomogeneity:
+    @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: f"{s.n},{s.m}")
+    @given(valued_polys, proportions)
+    @example(Poly([0, 0, 0, 1, 1]), F(-1))
+    @example(Poly([0, 2, F(-1, 3)]), F(2 ** 60 - 1, 2 ** 59 + 1))
+    @settings(max_examples=80, deadline=None)
+    def test_scaled_pairs_follow_c_to_the_n_and_m(self, spec, f, c):
+        g = f * c
+        want = c ** spec.n == c ** spec.m
+        with builds_nothing():
+            assert verify_identity(f, g, spec) is want
+        assert verify_by_convolutions(f, g, spec) is want
+
+    @given(
+        valued_polys,
+        proportions,
+        st.one_of(
+            st.none(),
+            st.tuples(st.integers(0, 7), small_fractions.filter(bool)),
+            valued_polys,
+        ),
+    )
+    @example(Poly([0, 0, 1]), F(3), (2, F(1)))  # a monomial stays proportional
+    @example(Poly([1, 1]), F(2), (0, F(1)))
+    @example(Poly([0, 1, 1]), F(1), Poly([0, 1, 1, 1]))
+    @settings(max_examples=200, deadline=None)
+    def test_proportion_is_the_scale_factor_or_none(self, f, c, change):
+        # g is c*f, c*f with one coefficient moved, or unrelated
+        g = f * c
+        if isinstance(change, tuple):
+            g = g + Poly.monomial(*change)
+        elif change is not None:
+            g = change
+        if g.is_zero:
+            return
+        r = identify_module._proportion(f, g)
+        if is_proportional(f, g):
+            assert r is not None and f * r == g
+        else:
+            assert r is None
+
+
 class TestVerifyIdentityOracle:
     @pytest.mark.parametrize("path", PATHS)
     @given(identity_pairs(), st.sampled_from(ORACLE_SPECS))
@@ -409,8 +490,9 @@ class TestVerifyIdentityOracle:
     @with_oracle_examples
     @settings(max_examples=120, deadline=None)
     def test_packed_products_alone_match_convolution_definition(self, path, pair, spec):
-        # every residue check agrees, so the packed comparison decides each pair
-        with mock.patch.object(identify_module, "_residue", lambda nums: 0):
+        # no pair is proportional and every residue check agrees, so the
+        # packed comparison decides each pair
+        with mock.patch.object(identify_module, "_residue", lambda nums: 0), without_homogeneity():
             check_against_convolutions(path, *pair, spec)
 
     @pytest.mark.parametrize(
@@ -433,19 +515,38 @@ class TestVerifyIdentityOracle:
         ],
     )
     def test_each_side_of_the_crossover(self, f, g, spec, want, compares, decimal_packs):
-        # the powers of these f and g pack far below the crossover, so every
-        # decimal pack is the packed comparison's; no slot list is multiplied
+        # with the homogeneity step off, g = -f and g = f reach the packed
+        # comparison; the powers of these f and g pack far below the
+        # crossover, so every decimal pack is the packed comparison's, and
+        # no slot list is multiplied
         with mock.patch.object(
             identify_module, "_products_equal", wraps=algebra._products_equal
         ) as compare, mock.patch.object(
             algebra, "_decimal_pack", wraps=algebra._decimal_pack
         ) as packs, mock.patch.object(
             algebra, "_product_nums", wraps=algebra._product_nums
-        ) as slot_products:
+        ) as slot_products, without_homogeneity():
             assert verify_identity(f, g, spec) is want
         assert (compare.call_count, packs.call_count) == (compares, decimal_packs)
         assert slot_products.call_count == 0
         assert verify_by_convolutions(f, g, spec) is want
+
+    @pytest.mark.parametrize(
+        "c, spec, want",
+        [
+            (1, RatioSpec(5, 4), True),
+            (-1, RatioSpec(3, 1), True),
+            (-1, RatioSpec(5, 4), False),
+            (2, RatioSpec(2, 1), False),
+            (F(-1, 3), RatioSpec(1, 2), False),
+        ],
+    )
+    def test_proportional_pairs_build_nothing(self, c, spec, want):
+        g = DEGREE_40_K3 * c
+        with builds_nothing():
+            assert verify_identity(DEGREE_40_K3, g, spec) is want
+            assert verify_identity(g, DEGREE_40_K3, spec) is want
+        assert verify_by_convolutions(DEGREE_40_K3, g, spec) is want
 
 
 class TestResidue:
