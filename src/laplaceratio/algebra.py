@@ -68,21 +68,18 @@ def _rational_parts(text: str):
 # width leaves every output numerator below half the base in absolute
 # value, so the slots never carry into each other and come back out as
 # balanced (signed) digits.  _slots packs, multiplies, cuts and unpacks for
-# one slot width and count; products, their comparison and powers, full or
-# cut to their lowest slots, all run on it.
+# one slot width and count; products and powers, full or cut to their
+# lowest slots, all run on it.
 #
 # _NTT_BITS is the packed size where _slots moves from base 2**w with
 # CPython ints (Karatsuba) to base 10**W with the stdlib decimal module,
 # whose libmpdec multiplies large operands by a number-theoretic transform;
 # below it the decimal conversions cost more than the transform saves.  The
-# two cost about the same there on the products of verify_identity's
-# Laplace-weighted lists (Python 3.11.7, x86-64).  For _product_nums the
-# decimal path takes 1.6x the time of the int path at 85 kbit, about the
-# same from 180 to 280 kbit, and 1.6x, 2x and 3.7x less at 440 kbit,
-# 830 kbit (d=40, (5,4)) and 3.8 Mbit (d=80, (5,4)).  _products_equal,
-# which multiplies as much but unpacks nothing, crosses in the same band:
-# 1.5x the time at 88 kbit, 1.06x and 1.2x less at 188 and 298 kbit, and
-# 1.9x less at 445 kbit.
+# two cost about the same there on products of Laplace-weighted powers
+# (Python 3.11.7, x86-64): _product_nums on the decimal path takes 1.6x the
+# time of the int path at 85 kbit, about the same from 180 to 280 kbit, and
+# 1.6x, 2x and 3.7x less at 440 kbit, 830 kbit (d=40, (5,4)) and 3.8 Mbit
+# (d=80, (5,4)).
 _NTT_BITS = 250_000
 
 # int <-> str conversions go through pieces of at most this many digits, the
@@ -263,21 +260,6 @@ def _product_nums(na, nb) -> list:
     """Slots of the product of two nonempty integer coefficient lists."""
     pack, times, _, unpack = _slots(_slot_width(na, nb), len(na) + len(nb) - 1)
     return unpack(times(pack(na), pack(nb)))
-
-
-def _products_equal(a, b, c, d) -> bool:
-    """_product_nums(a, b) == _product_nums(c, d), nothing unpacked.
-
-    All four lists are packed at one slot width that neither product
-    carries past, and the balanced packing of a fixed slot count is
-    injective, so the two products are equal lists iff they have as many
-    slots and equal packed values.
-    """
-    count = len(a) + len(b) - 1
-    if len(c) + len(d) - 1 != count:
-        return False
-    pack, times, _, _ = _slots(max(_slot_width(a, b), _slot_width(c, d)), count)
-    return times(pack(a), pack(b)) == times(pack(c), pack(d))
 
 
 def _power_nums(na, n: int, count: int | None = None) -> list:

@@ -394,8 +394,8 @@ def memoryless_check(theta: float, N: int, cfg: McConfig, control: bool = False)
     """
     import numpy as np
 
-    if theta <= 0:
-        raise DomainError(f"theta must be positive, got {theta}")
+    if not (_finite(theta) and theta > 0):
+        raise DomainError(f"theta must be finite and positive, got {_shown(theta)}")
     if N < 2:
         raise DomainError("need N >= 2")
     _check_arrays(cfg, N)

@@ -22,14 +22,12 @@ from .algebra import (
     Numerators,
     Poly,
     Rational,
-    _cleared,
     _int_text,
-    _products_equal,
     _rational_text,
     beta_rational,
 )
 from .errors import DomainError, InconsistentRatio, InsufficientOrder, IrrationalRoot, NoRealRoot
-from .transforms import RatioExpansion, _check_exponents, _laplace_pair
+from .transforms import RatioExpansion, _check_exponents
 
 
 class RatioSpec(Frozen):
@@ -220,72 +218,28 @@ def identify(H: RatioExpansion, spec: RatioSpec, target_degree: int) -> Identify
     )
 
 
-# Polynomial identity testing by evaluation (Schwartz, J. ACM 27 (1980)
-# 701): integer polynomials whose values at one point differ mod a prime
-# are unequal.  Equal values prove nothing, so verify_identity then builds
-# the products; any fixed point keeps both of its answers exact.
-_PRIME = 2 ** 61 - 1
-_POINT = 1_234_567_890_123_456_789
-
-
-def _residue(nums) -> int:
-    """The sum of nums[i] * _POINT**i mod _PRIME, by Horner's rule."""
-    acc = 0
-    for c in reversed(nums):
-        acc = (acc * _POINT + c) % _PRIME
-    return acc
-
-
-def _proportion(f: Poly, g: Poly):
-    """The Rational c with g = c*f, or None when there is none; f and g
-    nonzero.
-
-    c is g's coefficient over f's at f's lowest nonzero index, and every
-    coefficient of g must be c times f's; the first that is not ends the
-    scan.
-    """
-    a, b = f.coeffs, g.coeffs
-    if len(a) != len(b):
-        return None
-    i = f.valuation
-    c = b[i] / a[i]
-    return c if all(y == c * x for x, y in zip(a, b)) else None
-
-
 def verify_identity(f: Poly, g: Poly, spec: RatioSpec) -> bool:
     """Exact test of the convolution identity f^n * g^m = f^m * g^n, which
     holds iff the two power ratios coincide.
 
-    The identity is homogeneous of degree n+m in (f, g).  Three steps
-    decide, each exact:
+    By the paper's uniqueness theorem, nonzero polynomials satisfy it iff
+    g = f, or g = -f with n-m even, so two comparisons decide and nothing
+    is built.  The proof, for nonzero f and g:
 
-    - homogeneity: when g = c*f (_proportion), the identity reads
-      (c^m - c^n) * (f^n * f^m) = 0 with f^n * f^m nonzero, so it holds
-      iff c^n = c^m: c = 1, or c = -1 with n-m even.  Nothing is built.
-      By the paper's theorem these are the only pairs the identity
-      admits, so no pair left to the steps below is equal, though no
-      answer relies on that;
-    - residue rejection: f and g are cleared to integer numerators over
-      one common denominator, which drops out, and
-      transforms._laplace_pair gives each function's Laplace-weighted f^n
-      and f^m as integer lists A and B, so that the transforms of the two
-      sides are u^2 times the products A_f*B_g and B_f*A_g.  _residue
-      evaluates the four lists at one point mod a prime, with no product
-      built, and unequal values of the two sides prove the products
-      unequal;
-    - packed comparison: a pair that passes is decided by comparing the
-      kernel's packed products (algebra._products_equal), with no slot
-      unpacked and no Fraction built.
+    - L{f^m} is nonzero, so the identity says H_f = H_g as rational
+      functions, and their expansions at infinity are equal;
+    - the leads k(m-n) agree, so f and g have the same valuation k, and
+      T_0 (leading_coefficient) fixes g_k = f_k, or g_k = -f_k when n-m
+      is even;
+    - _recover solves each later coefficient g_(k+s), s >= 1, from a
+      linear equation whose pivot is pivot_value(k, k+s).  Over
+      (k(n+m)+s+1)! that is a positive multiple of n*R_n(s) - m*R_m(s),
+      R_p(s) = (kp+1)...(kp+s), and for n > m each factor kn+i >= km+i,
+      so n*R_n(s) >= n*R_m(s) > m*R_m(s) (n < m is symmetric): the pivot
+      is nonzero with the sign of n-m;
+    - so g_k and the expansion fix g, and sigma*f with sigma = +-1 and
+      sigma^(n-m) = 1 has both: g = sigma*f.
     """
     if f.is_zero or g.is_zero:
         return True  # both sides are the zero function
-    c = _proportion(f, g)
-    if c is not None:
-        return c == 1 or (c == -1 and (spec.n - spec.m) % 2 == 0)
-    nums, _ = _cleared(f.coeffs + g.coeffs)
-    Af, Bf = _laplace_pair(nums[: len(f.coeffs)], spec.n, spec.m)
-    Ag, Bg = _laplace_pair(nums[len(f.coeffs) :], spec.n, spec.m)
-    if _residue(Af) * _residue(Bg) % _PRIME != _residue(Bf) * _residue(Ag) % _PRIME:
-        return False
-    return _products_equal(Af, Bg, Bf, Ag)
-
+    return g == f or ((spec.n - spec.m) % 2 == 0 and g == -f)

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 from math import factorial, lcm
 from unittest import mock
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,6 @@ from laplaceratio.algebra import (
     convolve,
     _power_nums,
     _product_nums,
-    _products_equal,
     factorials,
 )
 from laplaceratio.errors import DomainError, ZeroLeadingCoefficient
@@ -215,36 +215,6 @@ DIGIT_EDGES = [
 ]
 
 
-def moved(slots, i, step=1):
-    # a copy of slots with slots[i] moved by step
-    out = list(slots)
-    out[i] += step
-    return out
-
-
-@st.composite
-def product_quads(draw):
-    # (a, b, c, d) with c*d unrelated to a*b, a*b in the other order, or
-    # [1] times a*b's slots: as they are, with one more zero slot, or with
-    # slot 0 or the top slot moved by one; either product may come first
-    nums = st.one_of(wide_nums, full_nums)
-    a, b = draw(nums), draw(nums)
-    kind = draw(st.sampled_from(("unrelated", "swapped", "same", "padded", "slot 0", "top slot")))
-    if kind == "unrelated":
-        c, d = draw(nums), draw(nums)
-    elif kind == "swapped":
-        c, d = b, a
-    else:
-        c, d = [1], nums_by_pairs(a, b)
-        if kind == "padded":
-            d.append(0)
-        elif kind != "same":
-            d = moved(d, 0 if kind == "slot 0" else -1, draw(st.sampled_from((1, -1))))
-    if draw(st.booleans()):
-        a, b, c, d = c, d, a, b
-    return a, b, c, d
-
-
 class TestProductKernel:
     @pytest.mark.parametrize("path", PATHS)
     @given(st.one_of(wide_nums, full_nums), st.one_of(wide_nums, full_nums))
@@ -262,22 +232,6 @@ class TestProductKernel:
         with on_path(path):
             assert _product_nums(na, nb) == nums_by_pairs(na, nb)
             assert _product_nums(nb, na) == nums_by_pairs(na, nb)
-
-    @pytest.mark.parametrize("path", PATHS)
-    @given(product_quads())
-    @example(([3, 0, -5], [-1, 2], [-1, 2], [3, 0, -5]))
-    @example(([1], [5, 0], [5], [1]))  # one more slot, the same packed value
-    # [0, 1] and [16, 0] are both 16 packed at a*b's 4-bit slots: the width
-    # must hold c*d's slots as well
-    @example(([0, 1], [1], [1], [16, 0]))
-    @example(([1], [16, 0], [0, 1], [1]))
-    @example((*DIGIT_EDGES[2], [1], nums_by_pairs(*DIGIT_EDGES[2])))
-    @example((*DIGIT_EDGES[3], [1], moved(nums_by_pairs(*DIGIT_EDGES[3]), 0)))
-    @settings(max_examples=150, deadline=None)
-    def test_products_equal_matches_slot_lists(self, path, quad):
-        a, b, c, d = quad
-        with on_path(path):
-            assert _products_equal(a, b, c, d) is (_product_nums(a, b) == _product_nums(c, d))
 
     # TestPoly.test_mul_matches_pairwise_loop covers the int path
     @given(st.one_of(wide_polys, full_polys), st.one_of(wide_polys, full_polys))
@@ -429,13 +383,12 @@ class TestConvolve:
         assert convolve(Poly([0, 1]), Poly([0, 1])) == Poly([0, 0, 0, F(1, 6)])
 
     def test_one_with_one_plus_x(self):
-        # oracle: integral of (1+s) over [0,t] is t + t^2/2
-        import sympy
-
-        s, t = sympy.symbols("s t")
-        oracle = sympy.integrate(1 * (1 + s), (s, 0, t)).as_poly(t).all_coeffs()[::-1]
+        # oracle: the integral of 1*(1+s) over [0, t], by quadrature
         got = convolve(Poly([1]), Poly([1, 1]))
-        assert got == Poly([F(str(c)) for c in oracle])
+        for t in (F(1, 3), F(1), F(5, 2), F(7)):
+            oracle = mpmath.quad(lambda s: 1 + s, [0, mpmath.mpf(t.numerator) / t.denominator])
+            value = got(t)
+            assert mpmath.almosteq(mpmath.mpf(value.numerator) / value.denominator, oracle, 1e-12)
         assert got == Poly([0, 1, F(1, 2)])
 
     @given(small_polys, small_polys)

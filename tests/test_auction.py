@@ -462,6 +462,15 @@ class TestMemorylessCheck:
         critical = 1.63 * math.sqrt(2 / cfg.samples)
         assert memoryless_check(1.0, 3, cfg, control=True) > critical
 
+    @pytest.mark.parametrize(
+        "theta",
+        [math.nan, math.inf, -math.inf, 10 ** 400, 0],
+        ids=["nan", "inf", "-inf", "int", "zero"],
+    )
+    def test_refuses_what_the_laws_refuse(self, theta):
+        with pytest.raises(DomainError, match="theta must be finite and positive"):
+            memoryless_check(theta, 3, McConfig(10, seed=1))
+
 
 class TestKsStatistic:
     # scipy's ks_2samp is the reference; the library no longer imports it

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from laplaceratio import algebra, transforms
 from laplaceratio.algebra import Poly
 from laplaceratio.cli import _lambda_grid, main
 from laplaceratio.fileformats import format_rational, ratio_expansion_from_document
@@ -428,6 +429,34 @@ class TestVerifyCommand:
         f = poly_file("f.json", ["1"])
         code, _, err = run_cli(capsys, "verify", "--input", f, "--n", "2", "--m", "1")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "n, m, negate, want",
+        [("6", "5", False, False), ("3", "1", True, True)],
+        ids=["perturbed", "negated"],
+    )
+    def test_wide_pairs_build_nothing(self, capsys, monkeypatch, poly_file, n, m, negate, want):
+        # eight coefficients of 5000 digits, written as text so that no
+        # int <-> str limit is met: g = -f, or f with one digit moved
+        rng = random.Random(5000)
+        digits = "0123456789"
+        coeffs = [rng.choice(digits[1:]) + "".join(rng.choices(digits, k=4999)) for _ in range(8)]
+        if negate:
+            other = ["-" + c for c in coeffs]
+        else:
+            other = coeffs[:3] + [coeffs[3][:-1] + digits[int(coeffs[3][-1]) - 1]] + coeffs[4:]
+        f, g = poly_file("f.json", coeffs), poly_file("g.json", other)
+
+        def built(*args, **kwargs):
+            raise AssertionError("verify built a power or a product")
+
+        # transforms holds its own name for the power kernel
+        kernels = [(algebra, "_power_nums"), (algebra, "_product_nums"), (transforms, "_power_nums")]
+        for module, name in kernels:
+            monkeypatch.setattr(module, name, built)
+        code, out, err = run_cli(capsys, "verify", "--input", f, "--input", g, "--n", n, "--m", m)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["equal"] is want
 
 
 class TestAuctionCommands:

@@ -1,4 +1,3 @@
-import importlib
 from contextlib import contextmanager
 from fractions import Fraction as F
 from itertools import product
@@ -9,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from laplaceratio import algebra
+from laplaceratio import algebra, transforms
 from laplaceratio.algebra import Poly, Series, convolve
 from laplaceratio.errors import (
     DomainError,
@@ -28,8 +27,6 @@ from laplaceratio.identify import (
 )
 from laplaceratio.transforms import RatioExpansion, ratio_expansion, ratio_rational
 
-# the module itself: the package's `identify` attribute is the function
-identify_module = importlib.import_module("laplaceratio.identify")
 
 ODD_SPECS = [RatioSpec(2, 1), RatioSpec(3, 2), RatioSpec(1, 2), RatioSpec(5, 2)]
 EVEN_SPECS = [RatioSpec(3, 1), RatioSpec(5, 3), RatioSpec(4, 2)]
@@ -202,6 +199,19 @@ class TestPivot:
         if n == m:
             return
         assert pivot_value(k, k + step, RatioSpec(n, m)) != 0
+
+    @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 29), st.integers(1, 39))
+    @example(12, 11, 29, 39)
+    @example(11, 12, 29, 1)
+    @settings(max_examples=200, deadline=None)
+    def test_has_the_sign_of_n_minus_m(self, n, m, k, s):
+        # the lemma behind verify_identity: every pivot of the recursion is
+        # nonzero with the sign of n - m, so f and its expansion fix each
+        # coefficient after the lowest
+        if n == m:
+            return
+        pivot = pivot_value(k, k + s, RatioSpec(n, m))
+        assert pivot != 0 and (pivot > 0) == (n > m)
 
 
 class TestNextCoefficient:
@@ -388,29 +398,27 @@ def with_oracle_examples(test):
     return test
 
 
-def check_against_convolutions(path, f, g, spec):
-    # the oracle's products always take the other path
-    other = "ints" if path == "decimal" else "decimal"
-    with mock.patch.object(algebra, "_NTT_BITS", PATHS[other]):
-        want = verify_by_convolutions(f, g, spec)
-    with mock.patch.object(algebra, "_NTT_BITS", PATHS[path]):
-        assert verify_identity(f, g, spec) is want
-
-
-def without_homogeneity():
-    # every pair takes the residue check and the packed comparison
-    return mock.patch.object(identify_module, "_proportion", lambda f, g: None)
-
-
 @contextmanager
 def builds_nothing():
-    # neither the Laplace-weighted powers nor a packed product may be built
+    # no exact power and no product may be built; transforms holds its own
+    # name for the power kernel
     with mock.patch.object(
-        identify_module, "_laplace_pair", side_effect=AssertionError("powers built")
+        algebra, "_power_nums", side_effect=AssertionError("power built")
     ), mock.patch.object(
-        identify_module, "_products_equal", side_effect=AssertionError("products built")
+        algebra, "_product_nums", side_effect=AssertionError("product built")
+    ), mock.patch.object(
+        transforms, "_power_nums", side_effect=AssertionError("power built")
     ):
         yield
+
+
+def check_against_convolutions(path, f, g, spec):
+    # the oracle's products take the given kernel path; verify_identity
+    # builds none
+    with mock.patch.object(algebra, "_NTT_BITS", PATHS[path]):
+        want = verify_by_convolutions(f, g, spec)
+    with builds_nothing():
+        assert verify_identity(f, g, spec) is want
 
 
 # valuation 0 to 3, so the lowest nonzero index is not always 0
@@ -427,14 +435,6 @@ proportions = st.one_of(
 )
 
 
-def is_proportional(f, g):
-    # g = c*f for some c iff every 2x2 minor of the two coefficient rows vanishes
-    a, b = f.coeffs, g.coeffs
-    if len(a) != len(b):
-        return False
-    return all(a[i] * b[j] == a[j] * b[i] for i in range(len(a)) for j in range(i))
-
-
 class TestHomogeneity:
     @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: f"{s.n},{s.m}")
     @given(valued_polys, proportions)
@@ -448,34 +448,6 @@ class TestHomogeneity:
             assert verify_identity(f, g, spec) is want
         assert verify_by_convolutions(f, g, spec) is want
 
-    @given(
-        valued_polys,
-        proportions,
-        st.one_of(
-            st.none(),
-            st.tuples(st.integers(0, 7), small_fractions.filter(bool)),
-            valued_polys,
-        ),
-    )
-    @example(Poly([0, 0, 1]), F(3), (2, F(1)))  # a monomial stays proportional
-    @example(Poly([1, 1]), F(2), (0, F(1)))
-    @example(Poly([0, 1, 1]), F(1), Poly([0, 1, 1, 1]))
-    @settings(max_examples=200, deadline=None)
-    def test_proportion_is_the_scale_factor_or_none(self, f, c, change):
-        # g is c*f, c*f with one coefficient moved, or unrelated
-        g = f * c
-        if isinstance(change, tuple):
-            g = g + Poly.monomial(*change)
-        elif change is not None:
-            g = change
-        if g.is_zero:
-            return
-        r = identify_module._proportion(f, g)
-        if is_proportional(f, g):
-            assert r is not None and f * r == g
-        else:
-            assert r is None
-
 
 class TestVerifyIdentityOracle:
     @pytest.mark.parametrize("path", PATHS)
@@ -484,52 +456,6 @@ class TestVerifyIdentityOracle:
     @settings(max_examples=120, deadline=None)
     def test_matches_convolution_definition(self, path, pair, spec):
         check_against_convolutions(path, *pair, spec)
-
-    @pytest.mark.parametrize("path", PATHS)
-    @given(identity_pairs(), st.sampled_from(ORACLE_SPECS))
-    @with_oracle_examples
-    @settings(max_examples=120, deadline=None)
-    def test_packed_products_alone_match_convolution_definition(self, path, pair, spec):
-        # no pair is proportional and every residue check agrees, so the
-        # packed comparison decides each pair
-        with mock.patch.object(identify_module, "_residue", lambda nums: 0), without_homogeneity():
-            check_against_convolutions(path, *pair, spec)
-
-    @pytest.mark.parametrize(
-        "f, g, spec, want, compares, decimal_packs",
-        [
-            # products of about 140 kbit: CPython ints
-            pytest.param(DEGREE_40_K3, -DEGREE_40_K3, RatioSpec(3, 1), True, 1, 0, id="ints-equal"),
-            # products of about 820 kbit: libmpdec, one pack per operand
-            pytest.param(DEGREE_40_K3, DEGREE_40_K3, RatioSpec(5, 4), True, 1, 4, id="decimal-equal"),
-            # rejected by the residue check before any product
-            pytest.param(
-                DEGREE_40_K3,
-                DEGREE_40_K3 + Poly.monomial(7, F(3, 5)),
-                RatioSpec(5, 4),
-                False,
-                0,
-                0,
-                id="residue-rejected",
-            ),
-        ],
-    )
-    def test_each_side_of_the_crossover(self, f, g, spec, want, compares, decimal_packs):
-        # with the homogeneity step off, g = -f and g = f reach the packed
-        # comparison; the powers of these f and g pack far below the
-        # crossover, so every decimal pack is the packed comparison's, and
-        # no slot list is multiplied
-        with mock.patch.object(
-            identify_module, "_products_equal", wraps=algebra._products_equal
-        ) as compare, mock.patch.object(
-            algebra, "_decimal_pack", wraps=algebra._decimal_pack
-        ) as packs, mock.patch.object(
-            algebra, "_product_nums", wraps=algebra._product_nums
-        ) as slot_products, without_homogeneity():
-            assert verify_identity(f, g, spec) is want
-        assert (compare.call_count, packs.call_count) == (compares, decimal_packs)
-        assert slot_products.call_count == 0
-        assert verify_by_convolutions(f, g, spec) is want
 
     @pytest.mark.parametrize(
         "c, spec, want",
@@ -547,12 +473,3 @@ class TestVerifyIdentityOracle:
             assert verify_identity(DEGREE_40_K3, g, spec) is want
             assert verify_identity(g, DEGREE_40_K3, spec) is want
         assert verify_by_convolutions(DEGREE_40_K3, g, spec) is want
-
-
-class TestResidue:
-    @given(st.lists(st.integers(-(2 ** 200), 2 ** 200), max_size=30))
-    @example([])
-    @example([identify_module._PRIME, -1])
-    def test_is_the_value_at_the_point_mod_the_prime(self, nums):
-        r, p = identify_module._POINT, identify_module._PRIME
-        assert identify_module._residue(nums) == sum(c * r ** i for i, c in enumerate(nums)) % p
