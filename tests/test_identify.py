@@ -2,6 +2,7 @@ from contextlib import contextmanager
 from fractions import Fraction as F
 from itertools import product
 from math import factorial
+from random import Random
 from unittest import mock
 
 import pytest
@@ -42,6 +43,15 @@ small_coeffs = st.integers(-3, 3)
 
 # degree 40, valuation 3, coefficients p/q with small p, q
 DEGREE_40_K3 = Poly([0, 0, 0] + [F((-1) ** i * (i % 9 + 1), i % 7 + 1) for i in range(38)])
+
+# degree 160, coefficients p/q with 60-bit p and q, drawn from a fixed seed
+_wide = Random(160)
+DEGREE_160_WIDE = Poly(
+    [
+        F(_wide.choice((1, -1)) * _wide.randrange(1, 2 ** 60), _wide.randrange(1, 2 ** 60))
+        for _ in range(161)
+    ]
+)
 
 
 # numerators and denominators up to 2**60
@@ -473,3 +483,22 @@ class TestVerifyIdentityOracle:
             assert verify_identity(DEGREE_40_K3, g, spec) is want
             assert verify_identity(g, DEGREE_40_K3, spec) is want
         assert verify_by_convolutions(DEGREE_40_K3, g, spec) is want
+
+    @pytest.mark.parametrize(
+        "g, spec, want",
+        [
+            (DEGREE_160_WIDE + Poly.monomial(2, F(1, 2 ** 59 + 1)), RatioSpec(5, 4), False),
+            (-DEGREE_160_WIDE, RatioSpec(5, 4), False),
+            (-DEGREE_160_WIDE, RatioSpec(3, 1), True),
+        ],
+        ids=["perturbed", "negated-odd", "negated-even"],
+    )
+    def test_wide_pairs_build_nothing(self, g, spec, want):
+        # the four exact powers of such a pair take seconds to build; the
+        # witness is the expansions' first three terms, which differ exactly
+        # when the answer is False
+        f = DEGREE_160_WIDE
+        with builds_nothing():
+            assert verify_identity(f, g, spec) is want
+        n, m = spec.n, spec.m
+        assert (ratio_expansion(f, n, m, 3) == ratio_expansion(g, n, m, 3)) is want
