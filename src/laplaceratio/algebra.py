@@ -258,6 +258,11 @@ def _slots(w: int, count: int):
 
 def _product_nums(na, nb) -> list:
     """Slots of the product of two nonempty integer coefficient lists."""
+    # a one-slot operand is a scalar, which packing could only slow down
+    if len(nb) == 1:
+        na, nb = nb, na
+    if len(na) == 1:
+        return [na[0] * b for b in nb]
     pack, times, _, unpack = _slots(_slot_width(na, nb), len(na) + len(nb) - 1)
     return unpack(times(pack(na), pack(nb)))
 
@@ -275,6 +280,8 @@ def _power_nums(na, n: int, count: int | None = None) -> list:
     if count is None:
         count = n * (len(na) - 1) + 1
     na = na[:count]
+    if len(na) == 1:
+        return [na[0] ** n] + [0] * (count - 1)
     slots = min(count, n * (len(na) - 1) + 1)
     w = n * _bits(na) + (n - 1) * len(na).bit_length() + 1
     pack, times, cut, unpack = _slots(w, slots)
@@ -458,6 +465,8 @@ class Poly:
 
     def compose_linear(self, a, b) -> "Poly":
         """Return p(a + b*x) expanded exactly."""
+        if len(self.coeffs) < 2:
+            return self
         arg = Poly((as_rational(a), as_rational(b)))
         result = Poly()
         for c in reversed(self.coeffs):

@@ -13,18 +13,17 @@ evaluated numerically from closed-form per-piece integrals.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from itertools import islice
-from math import factorial
-from operator import mul
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, islice, repeat
+from math import factorial, lcm
+from operator import mul, sub
 
+from . import algebra
 from .algebra import (
     Frozen,
     Poly,
     Rational,
     Series,
-    _cleared,
-    _power_nums,
     _quotient,
     _rational_text,
     as_rational,
@@ -100,13 +99,26 @@ def _laplace_pair(coeffs, n: int, m: int, k: int = 0, count: int | None = None) 
     den**n, which the term rule weights by (kn+j)!; D is den**max(n, m).
     With count, only the lowest count slots of each power are built.
     """
-    nums, den = _cleared(coeffs)
-    fn, fm = _power_nums(nums, n, count), _power_nums(nums, m, count)
+    fn, fm, _ = _power_pair(coeffs, n, m, count)
     fact = factorials(k * max(n, m) + max(len(fn), len(fm)) - 1)
-    sn, sm = den ** max(m - n, 0), den ** max(n - m, 0)
-    A = [c * w * sn for c, w in zip(fn, islice(fact, k * n, None))]
-    B = [c * w * sm for c, w in zip(fm, islice(fact, k * m, None))]
+    A = [c * w for c, w in zip(fn, islice(fact, k * n, None))]
+    B = [c * w for c, w in zip(fm, islice(fact, k * m, None))]
     return A, B
+
+
+def _power_pair(coeffs, a: int, b: int, count: int | None = None):
+    """(A, B, den) with p^a = A/den and p^b = B/den, A and B integer lists
+    (with count, their lowest count slots), for the polynomial p with these
+    coefficients; None when p is zero.  den is the cleared denominator of
+    the coefficients to the power max(a, b)."""
+    if not coeffs:
+        return None
+    nums, d = algebra._cleared(coeffs)
+    top = max(a, b)
+    sa, sb = d ** (top - a), d ** (top - b)
+    pa = [c * sa for c in algebra._power_nums(nums, a, count)]
+    pb = [c * sb for c in algebra._power_nums(nums, b, count)]
+    return pa, pb, d ** top
 
 
 def _check_exponents(n: int, m: int) -> None:
@@ -129,7 +141,7 @@ class RationalFunction:
     def __init__(self, numer: Poly, denom: Poly):
         if denom.is_zero:
             raise DomainError("rational function denominator must be nonzero")
-        nums, _ = _cleared(numer.coeffs + denom.coeffs)
+        nums, _ = algebra._cleared(numer.coeffs + denom.coeffs)
         self.numer, self.denom = _content_free(nums[: len(numer.coeffs)], nums[len(numer.coeffs) :])
 
     @classmethod
@@ -398,26 +410,61 @@ def convolution_residual(f: PiecewisePoly, g: PiecewisePoly, n: int, m: int, t: 
     """Value at t of f^n * g^m - f^m * g^n, the residual whose vanishing
     for all t is equivalent to equality of the two power ratios.
 
-    Both convolutions integrate powers of f(t-s) and g(s) over s in [0, t],
-    so they share one cell grid: 0, t, g's breakpoints and t less f's
-    breakpoints.  On each cell p(s) = f(t-s) and q(s) = g(s) are single
-    polynomials, and p^n q^m - p^m q^n is integrated exactly; the sum is
-    rounded once, so the returned double is the correctly rounded value.
+    Both convolutions integrate powers of p(s) = f(t-s) and q(s) = g(s)
+    over s in [0, t], on one cell grid whose edges, 0, t, g's breakpoints
+    and t less f's, are integers over D, the lcm of the denominators of t
+    and of the breakpoints below t; one two-pointer walk merges the two
+    edge lists.  Each piece in force is cleared once (f's after composing
+    with t - s) and raised to its n-th and m-th powers once.  The s^k term
+    c_k s^k of a cell's p^n q^m - p^m q^n integrates over [L/D, H/D] to
+    c_k (H^(k+1) - L^(k+1)) / ((k+1) D^(k+1)), whose numerator joins an
+    integer sum kept per denominator.  The total is divided once, so it is
+    correctly rounded; outside the double range it raises OutOfRange.
     """
     _check_exponents(n, m)
     tq = as_rational_number(t)
     if tq < 0:
         raise DomainError("the residual is defined for t >= 0")
-    cuts = {Rational(0), tq}
-    cuts.update(b for b in g.breakpoints if b < tq)
-    cuts.update(tq - b for b in f.breakpoints if 0 < b < tq)
-    grid = sorted(cuts)
-    total = Rational(0)
-    for lo, hi in zip(grid, grid[1:]):
-        # pieces are right-continuous, so these are the ones in force on the open cell
-        p = f.piece_at(tq - hi).compose_linear(tq, -1)
-        q = g.piece_at(lo)
-        for j, c in enumerate((p ** n * q ** m - p ** m * q ** n).coeffs):
-            if c:
-                total += c * (hi ** (j + 1) - lo ** (j + 1)) / (j + 1)
-    return float(total)
+    nf, ng = bisect_left(f.breakpoints, tq), bisect_left(g.breakpoints, tq)
+    fb, gb = f.breakpoints[:nf], g.breakpoints[:ng]
+    D = lcm(tq.denominator, *(b.denominator for b in fb + gb))
+    T = tq.numerator * (D // tq.denominator)
+    # cell edges in units of 1/D, ascending, each list closed by T; the
+    # pieces in force before fe[i] and ge[j] are fp[i] and gp[j]
+    fe = [T - b.numerator * (D // b.denominator) for b in reversed(fb[1:])] + [T]
+    ge = [b.numerator * (D // b.denominator) for b in gb[1:]] + [T]
+    fp = [_power_pair(p.compose_linear(tq, -1).coeffs, n, m) for p in reversed(f.pieces[:nf])]
+    gp = [_power_pair(q.coeffs, m, n) for q in g.pieces[:ng]]
+    # slot k of an integrand is its s^k coefficient; no cell has more than top
+    longest = [max((len(x) for pair in ps if pair for x in pair[:2]), default=1) for ps in (fp, gp)]
+    top = sum(longest) - 1
+    sums = {}
+    i = j = lo = 0
+    lo_pows = [0] * top
+    while lo < T:
+        hi = min(fe[i], ge[j])
+        hi_pows = list(islice(accumulate(repeat(hi), mul), top))
+        if fp[i] and gp[j]:
+            (fn, fm, df), (gm, gn, dg) = fp[i], gp[j]
+            acc = sums.setdefault(df * dg, [0] * top)
+            widths = list(map(sub, hi_pows, lo_pows))
+            for k, c in enumerate(algebra._product_nums(fn, gm)):
+                acc[k] += c * widths[k]
+            for k, c in enumerate(algebra._product_nums(fm, gn)):
+                acc[k] -= c * widths[k]
+        i += fe[i] == hi
+        j += ge[j] == hi
+        lo, lo_pows = hi, hi_pows
+    # slot k of the sums kept over den is over den * (k+1) * D^(k+1); put
+    # them over common, then over common * steps * D^top by Horner in D
+    common, steps = lcm(*sums), lcm(*range(1, top + 1))
+    slots = [sum(acc[k] * (common // den) for den, acc in sums.items()) for k in range(top)]
+    total = 0
+    for k, s in enumerate(slots):
+        total = total * D + s * (steps // (k + 1))
+    whole = common * steps * D ** top
+    try:
+        return total / whole
+    except OverflowError:
+        raise OutOfRange(f"the residual at t = {t!r} is not a finite double") from None
+

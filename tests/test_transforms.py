@@ -1,12 +1,14 @@
 import math
 from fractions import Fraction as F
 from math import factorial
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from laplaceratio import algebra
 from laplaceratio.algebra import Poly, Series, convolve
 from laplaceratio.errors import (
     DivergentTransform,
@@ -177,6 +179,13 @@ class TestRatioExpansionRoute:
         f, (n, m), order = case
         f_cut = Poly(f.coeffs[: f.valuation + order + 1])
         assert ratio_expansion(f, n, m, order) == ratio_rational(f_cut, n, m).expansion(order)
+
+    def test_powers_go_through_the_algebra_kernel(self):
+        # transforms calls the kernel through its module, so a patch of
+        # algebra's binding reaches both powers
+        with mock.patch.object(algebra, "_power_nums", wraps=algebra._power_nums) as spy:
+            ratio_expansion(Poly([1, 2, 3]), 5, 4, 3)
+        assert spy.call_count == 2
 
     def test_wide_degree_40_on_the_decimal_path(self):
         # 60-bit p/q at degree 40: both cut powers pack past the kernel's
@@ -489,26 +498,38 @@ def two_pass_residual(f, g, n, m, t):
     return float(convolve_at(f ** n, g ** m) - convolve_at(f ** m, g ** n))
 
 
-# degree <= 3, coefficients of both signs
-cubic_polys = st.lists(st.fractions(-9, 9, max_denominator=6), max_size=4).map(Poly)
+# coefficients of both signs, small or p/q of 60 bits
+residual_coeffs = st.one_of(
+    st.fractions(-9, 9, max_denominator=6),
+    st.builds(F, st.integers(-(2 ** 60), 2 ** 60), st.integers(1, 2 ** 60)),
+)
+# degree <= 6, the zero polynomial included
+residual_polys = st.lists(residual_coeffs, max_size=7).map(Poly)
 
 
 @st.composite
-def piecewise_cubics(draw):
+def breakpoint_values(draw):
+    # in (0, 5], with a denominator of up to 40 bits
+    den = draw(st.one_of(st.integers(1, 8), st.integers(1, 2 ** 40)))
+    return F(draw(st.integers(1, 5 * den)), den)
+
+
+@st.composite
+def residual_functions(draw):
     # 1-4 pieces
-    inner = draw(st.lists(st.fractions(0, 5, max_denominator=8).filter(bool), max_size=3, unique=True))
+    inner = draw(st.lists(breakpoint_values(), max_size=3, unique=True))
     bps = [F(0), *sorted(inner)]
-    return PiecewisePoly(bps, draw(st.lists(cubic_polys, min_size=len(bps), max_size=len(bps))))
+    return PiecewisePoly(bps, draw(st.lists(residual_polys, min_size=len(bps), max_size=len(bps))))
 
 
 @st.composite
 def residual_cases(draw):
     f, g = draw(
-        st.tuples(piecewise_cubics(), piecewise_cubics()).filter(
+        st.tuples(residual_functions(), residual_functions()).filter(
             lambda fg: fg[0].breakpoints != fg[1].breakpoints
         )
     )
-    n, m = draw(st.tuples(st.integers(1, 4), st.integers(1, 4)).filter(lambda t: t[0] != t[1]))
+    n, m = draw(exponent_pairs)
     last = max(f.breakpoints[-1], g.breakpoints[-1])
     t = draw(
         st.one_of(
@@ -516,8 +537,9 @@ def residual_cases(draw):
             st.sampled_from(g.breakpoints),
             # where a cell edge of one function meets the other's
             st.sampled_from([a + b for a in f.breakpoints for b in g.breakpoints]),
-            st.fractions(last, last + 4, max_denominator=16).filter(lambda x: x > last),
+            st.fractions(0, 4, max_denominator=16).filter(bool).map(lambda x: last + x),
             st.fractions(0, 12, max_denominator=64),
+            st.floats(0, 12),
         )
     )
     return f, g, n, m, t
@@ -525,10 +547,47 @@ def residual_cases(draw):
 
 class TestConvolutionResidual:
     @given(residual_cases())
+    @example(
+        (
+            PiecewisePoly([0, F(1, 2 ** 40 - 87)], [Poly([F(2 ** 60 - 1, 3), 0, -1]), Poly()]),
+            PiecewisePoly([0, F(3, 7)], [Poly([1] * 7), Poly([0, F(-5, 2 ** 59)])]),
+            5,
+            4,
+            1.75,
+        )
+    )
     @settings(deadline=None)
     def test_matches_the_two_pass_formula(self, case):
         f, g, n, m, t = case
-        assert convolution_residual(f, g, n, m, t) == two_pass_residual(f, g, n, m, t)
+        assert convolution_residual(f, g, n, m, t) == two_pass_residual(f, g, n, m, F(t))
+
+    def test_breakpoint_denominator_of_5000_digits(self):
+        # no int <-> str conversion on the way, so the lowest digit limit is met
+        q = 10 ** 4999 + 9
+        f = PiecewisePoly([0, F(1, 2) + F(1, q)], [Poly([1, F(-2, 3)]), Poly([F(5, 7), 1])])
+        g = PiecewisePoly([0, F(2, 3), 1], [Poly([2, 0, 1]), Poly([1]), Poly([0, F(1, 3)])])
+        for t in (F(7, 4), F(1, 2) + F(1, q) + F(2, 3), 2.5):
+            want = two_pass_residual(f, g, 3, 2, F(t))
+            assert want
+            assert convolution_residual(f, g, 3, 2, t) == want
+
+    def test_powers_are_built_once_per_piece(self):
+        # at most two powers per piece in force on [0, t], where a per-cell
+        # integrand would build four on each of the five cells
+        f = PiecewisePoly([0, 1, 2], [Poly([1, 2]), Poly([0, 1, 1]), Poly([1, 0, -1])])
+        g = PiecewisePoly([0, F(1, 3), F(5, 4)], [Poly([2, 1]), Poly([1, 1, 1]), Poly([0, F(1, 2)])])
+        want = two_pass_residual(f, g, 3, 2, F(7, 2))
+        with mock.patch.object(algebra, "_power_nums", wraps=algebra._power_nums) as spy:
+            assert convolution_residual(f, g, 3, 2, F(7, 2)) == want
+        assert 0 < spy.call_count <= 2 * (len(f.pieces) + len(g.pieces))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_overflow_is_typed(self, sign):
+        # the exact residual is +-(10**400 - 10**200), beyond the double range
+        big, one = PiecewisePoly([0], [Poly([10 ** 200])]), PiecewisePoly([0], [Poly([1])])
+        f, g = (big, one) if sign > 0 else (one, big)
+        with pytest.raises(OutOfRange):
+            convolution_residual(f, g, 2, 1, 1)
 
     def test_identical_functions_give_zero(self):
         pp = step_example(6)
