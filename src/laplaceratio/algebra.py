@@ -464,14 +464,25 @@ class Poly:
         return Poly(_power(self.coeffs, n))
 
     def compose_linear(self, a, b) -> "Poly":
-        """Return p(a + b*x) expanded exactly."""
+        """Return p(a + b*x) expanded exactly.
+
+        Horner's rule runs on integers: with p = sum nums[i] x**i / den of
+        degree d, and a = A/D, b = B/D over one denominator D, it builds
+        sum nums[i] (A + B x)**i D**(d-i), which is den D**d p(a + b*x).
+        """
         if len(self.coeffs) < 2:
             return self
-        arg = Poly((as_rational(a), as_rational(b)))
-        result = Poly()
-        for c in reversed(self.coeffs):
-            result = result * arg + Poly((c,))
-        return result
+        nums, den = _cleared(self.coeffs)
+        a, b = as_rational(a), as_rational(b)
+        D = lcm(a.denominator, b.denominator)
+        A, B = a.numerator * (D // a.denominator), b.numerator * (D // b.denominator)
+        acc, scale = [nums[-1]], 1
+        for c in reversed(nums[:-1]):
+            scale *= D
+            acc = [A * r + B * s for r, s in zip(acc + [0], [0] + acc)]
+            acc[0] += c * scale
+        den *= scale
+        return Poly(Rational(r, den) for r in acc)
 
     def to_string(self, var: str = "x") -> str:
         if self.is_zero:

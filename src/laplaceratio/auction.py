@@ -165,24 +165,40 @@ def _log_ndtr(z: float) -> float:
         return math.log1p(-0.5 * math.erfc(z / math.sqrt(2.0)))
     if z > -30:
         return math.log(0.5 * math.erfc(-z / math.sqrt(2.0)))
-    # erfc nears underflow: Phi(z) = phi(z)/|z| (1 - u + 3u^2 - ...) with
-    # u = 1/z^2 (DLMF 7.12.1); the first omitted term is below 3e-16
+    return _log_ndtr_series(z)
+
+
+def _log_ndtr_series(z: float) -> float:
+    """log Phi(z) for z <= -30, where erfc nears underflow: Phi(z) =
+    phi(z)/|z| (1 - u + 3u^2 - ...) with u = 1/z^2 (DLMF 7.12.1); the first
+    omitted term is below 3e-16."""
     u = 1.0 / (z * z)
     series = 1 - u * (1 - 3 * u * (1 - 5 * u * (1 - 7 * u * (1 - 9 * u * (1 - 11 * u)))))
     return -0.5 * z * z - math.log(-z) - 0.5 * math.log(2.0 * math.pi) + math.log(series)
 
 
-def _bid_at_score(dist: DistSpec, z: float) -> tuple[float, float]:
-    """(lower bound, bid minus lower bound) at normal score z: Phi(z) = F(bid)."""
+def _log_ndtr_pair(z: float) -> tuple[float, float]:
+    """(log Phi(z), log Phi(-z)) from one erfc, each bit for bit _log_ndtr's
+    value: with t = |z|, both of _log_ndtr's erfc branches take erfc(t/sqrt 2)."""
+    t = -z if z < 0 else z
+    tail = math.erfc(t / math.sqrt(2.0))
+    upper = math.log1p(-0.5 * tail) if t > 0 else math.log(0.5 * tail)
+    lower = math.log(0.5 * tail) if t < 30 else _log_ndtr_series(-t)
+    return (lower, upper) if z < 0 else (upper, lower)
+
+
+def _bid_at_score(dist: DistSpec, z: float, log_sf: float) -> tuple[float, float]:
+    """(lower bound, bid minus lower bound) at normal score z: Phi(z) = F(bid).
+    log_sf is log Phi(-z), which the exponential quantile takes."""
     if isinstance(dist, Lognormal):
         s = dist.sigma * z - dist.mu
         return 0.0, math.exp(s) if s < 709.0 else math.inf
     if isinstance(dist, Exponential):
-        return 0.0, -_log_ndtr(-z) / dist.theta
+        return 0.0, -log_sf / dist.theta
     if isinstance(dist, PointMass):
         return dist.v, 0.0
     if isinstance(dist, Shifted):
-        lower, excess = _bid_at_score(dist.base, z)
+        lower, excess = _bid_at_score(dist.base, z, log_sf)
         return lower + dist.offset, excess
     raise DomainError(f"unknown distribution {dist!r}")
 
@@ -232,6 +248,18 @@ def _boundary(inside, z: float, step: float) -> float:
     return out
 
 
+def _log_integrands(dist: DistSpec, N: int, lam: float):
+    """z -> the log-integrands of k_quadrature's A and B at normal score z,
+    less the constant log sqrt(2 pi); each z takes one erfc."""
+
+    def logs(z):
+        log_cdf, log_sf = _log_ndtr_pair(z)
+        common = -lam * _bid_at_score(dist, z, log_sf)[1] + (N - 2) * log_cdf - 0.5 * z * z
+        return common + log_cdf, common + log_sf
+
+    return logs
+
+
 def k_quadrature(model: AuctionModel, lam: float, tol: float = 1e-10) -> float:
     """K by the trapezoid rule in normal scores z, where Phi(z) = F(bid).
 
@@ -250,17 +278,14 @@ def k_quadrature(model: AuctionModel, lam: float, tol: float = 1e-10) -> float:
     if not tol > 0:
         raise DomainError("tolerance must be positive")
     dist, N = model.idiosyncratic, model.n_bidders
-    if _bid_at_score(dist, 0.0)[0] < 0:
+    if _bid_at_score(dist, 0.0, _log_ndtr(-0.0))[0] < 0:
         raise DomainError("quadrature requires a nonnegative idiosyncratic law")
     try:
         float(N)
     except OverflowError:
         raise DomainError(f"quadrature needs N within the double range, got {_int_text(N)}") from None
 
-    def logs(z):
-        # log-integrands of A and B, less the constant log sqrt(2 pi)
-        common = -lam * _bid_at_score(dist, z)[1] + (N - 2) * _log_ndtr(z) - 0.5 * z * z
-        return common + _log_ndtr(z), common + _log_ndtr(-z)
+    logs = _log_integrands(dist, N, lam)
 
     def argmax(i):
         # log-integrand i is strictly concave: walk from 0 while its slope keeps its sign

@@ -30,6 +30,15 @@ degree_12_polys = st.lists(rationals, max_size=13).map(Poly)
 DEGREE_40 = Poly([F((-1) ** i * (i % 9 + 1), i % 7 + 1) for i in range(41)])
 
 
+def fraction_horner(p, a, b):
+    """p(a + b*x) by Horner's rule in Poly arithmetic, step by step."""
+    arg = Poly((as_rational(a), as_rational(b)))
+    result = Poly()
+    for c in reversed(p.coeffs):
+        result = result * arg + Poly((c,))
+    return result
+
+
 def widths(top):
     # integers of every bit length up to top, so slot widths cross byte boundaries
     return st.integers(0, top).flatmap(lambda b: st.integers(-(2 ** b), 2 ** b))
@@ -120,6 +129,23 @@ class TestPoly:
     def test_compose_linear(self):
         # p(x) = x^2 composed with 1 + 2x gives 1 + 4x + 4x^2
         assert Poly([0, 0, 1]).compose_linear(1, 2) == Poly([1, 4, 4])
+
+    @given(
+        st.one_of(small_polys, wide_polys),
+        st.one_of(rationals, wide_rationals),
+        st.one_of(rationals, wide_rationals),
+    )
+    @example(Poly([1, 2, 3]), F(1, 3), 0)
+    @example(Poly([F(1, 6), F(-1, 10), 5, F(7, 4)]), F(-5, 2), F(3, 14))
+    def test_compose_linear_matches_fraction_horner(self, p, a, b):
+        assert p.compose_linear(a, b) == fraction_horner(p, a, b)
+
+    def test_compose_linear_5000_digits(self):
+        wide = F(10 ** 5000 + 1, 3)
+        p = Poly([1, wide, F(-2, 7)])
+        assert p.compose_linear(F(1, 5), wide) == fraction_horner(p, F(1, 5), wide)
+        assert p.compose_linear(-wide, 1) == fraction_horner(p, -wide, 1)
+        assert p.compose_linear("2/3", -1) == fraction_horner(p, F(2, 3), -1)
 
     def test_rejects_floats(self):
         with pytest.raises(TypeError):

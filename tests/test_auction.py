@@ -1,15 +1,19 @@
 import json
 import math
+import random
+import struct
 import sys
 from fractions import Fraction as F
 from pathlib import Path
 from statistics import NormalDist
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from laplaceratio import auction
 from laplaceratio.algebra import Poly
 from laplaceratio.auction import (
     AuctionModel,
@@ -20,6 +24,7 @@ from laplaceratio.auction import (
     Shifted,
     _bid_at_score,
     _log_ndtr,
+    _log_ndtr_pair,
     auction_identify,
     h_from_k,
     k_analytic_exponential,
@@ -31,7 +36,13 @@ from laplaceratio.auction import (
     sample_draws,
     simulate_bids,
 )
-from laplaceratio.errors import DomainError, InconsistentRatio, OutOfRange, QuadratureFailure
+from laplaceratio.errors import (
+    DomainError,
+    InconsistentRatio,
+    LaplaceRatioError,
+    OutOfRange,
+    QuadratureFailure,
+)
 from laplaceratio.transforms import RatioExpansion, ratio_expansion
 
 
@@ -89,14 +100,14 @@ class TestDistributions:
         # P(X <= 2/theta) = 1 - e^-2, so that is the bid at Phi(z) = 1 - e^-2
         z = NormalDist().inv_cdf(1 - math.exp(-2))
         for theta in (0.5, 2.0):
-            lower, excess = _bid_at_score(Exponential(theta), z)
+            lower, excess = _bid_at_score(Exponential(theta), z, _log_ndtr(-z))
             assert lower == 0.0
             assert excess == pytest.approx(2 / theta, rel=1e-12)
 
     def test_lognormal_median_at_score_zero(self):
         # X = exp(sigma Z - mu): the median exp(-mu) sits at z = 0
-        assert _bid_at_score(Lognormal(0.7, 1.3), 0.0) == (0.0, math.exp(-0.7))
-        assert _bid_at_score(Lognormal(0.0, 1.0), 800.0) == (0.0, math.inf)
+        assert _bid_at_score(Lognormal(0.7, 1.3), 0.0, _log_ndtr(-0.0)) == (0.0, math.exp(-0.7))
+        assert _bid_at_score(Lognormal(0.0, 1.0), 800.0, _log_ndtr(-800.0)) == (0.0, math.inf)
 
     def test_lognormal_sampling_matches_parameterization(self):
         # mean of log X must be -mu, sd sigma
@@ -108,7 +119,7 @@ class TestDistributions:
     def test_shifted(self):
         # a shifted point mass sits on its lower bound 3 at every score
         d = Shifted(PointMass(1.0), 2.0)
-        assert all(_bid_at_score(d, z) == (3.0, 0.0) for z in (-40.0, 0.0, 8.0))
+        assert all(_bid_at_score(d, z, _log_ndtr(-z)) == (3.0, 0.0) for z in (-40.0, 0.0, 8.0))
         rng = np.random.Generator(np.random.Philox(key=1))
         assert np.all(sample_draws(d, rng, 5) == 3.0)
 
@@ -189,6 +200,136 @@ class TestLogNdtr:
         assert _log_ndtr(z) == pytest.approx(direct, rel=1e-14)
 
 
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+# the signed zeros, both neighbours of the series cut at -30 and of its
+# mirror at 30, subnormals and the smallest normal, the infinities and NaN
+EDGE_SCORES = [
+    0.0, -0.0,
+    -30.0, math.nextafter(-30.0, 0.0), math.nextafter(-30.0, -math.inf),
+    30.0, math.nextafter(30.0, 0.0), math.nextafter(30.0, math.inf),
+    5e-324, -5e-324, math.nextafter(sys.float_info.min, 0.0), -sys.float_info.min,
+    math.inf, -math.inf, math.nan, -math.nan,
+]
+
+
+def assert_pair_is_log_ndtr(z):
+    lower, upper = _log_ndtr_pair(z)
+    assert (bits(lower), bits(upper)) == (bits(_log_ndtr(z)), bits(_log_ndtr(-z)))
+
+
+class TestLogNdtrPair:
+    @given(st.one_of(st.floats(), st.floats(-40, 40)))
+    def test_is_log_ndtr_at_both_signs_bit_for_bit(self, z):
+        assert_pair_is_log_ndtr(z)
+
+    @pytest.mark.parametrize("z", EDGE_SCORES, ids=repr)
+    def test_edges(self, z):
+        assert_pair_is_log_ndtr(z)
+
+
+def reference_bid_at_score(dist, z):
+    """_bid_at_score where an exponential law's quantile takes its own
+    _log_ndtr(-z)."""
+    if isinstance(dist, Lognormal):
+        s = dist.sigma * z - dist.mu
+        return 0.0, math.exp(s) if s < 709.0 else math.inf
+    if isinstance(dist, Exponential):
+        return 0.0, -_log_ndtr(-z) / dist.theta
+    if isinstance(dist, PointMass):
+        return dist.v, 0.0
+    lower, excess = reference_bid_at_score(dist.base, z)
+    return lower + dist.offset, excess
+
+
+def reference_log_integrands(dist, N, lam):
+    """k_quadrature's log-integrands by the one-sided log-CDF: three
+    _log_ndtr calls per z, and a fourth in an exponential law's quantile."""
+
+    def logs(z):
+        common = -lam * reference_bid_at_score(dist, z)[1] + (N - 2) * _log_ndtr(z) - 0.5 * z * z
+        return common + _log_ndtr(z), common + _log_ndtr(-z)
+
+    return logs
+
+
+def quadrature_outcome(model, lam, tol=1e-10):
+    """k_quadrature's double as hex, or its error's type and message."""
+    try:
+        return float.hex(k_quadrature(model, lam, tol))
+    except LaplaceRatioError as e:
+        return type(e).__name__, str(e)
+
+
+def assert_reference_doubles(models_and_lambdas):
+    """k_quadrature gives the reference integrands' doubles and errors."""
+    cases = list(models_and_lambdas)
+    got = [quadrature_outcome(*case) for case in cases]
+    with mock.patch.object(auction, "_log_integrands", reference_log_integrands):
+        want = [quadrature_outcome(*case) for case in cases]
+    assert got == want
+
+
+def seeded_laws(seed, count):
+    """Exponential, Shifted and PointMass laws with N and lambda, from a seed."""
+    rng = random.Random(seed)
+    for i in range(count):
+        theta = 10 ** rng.uniform(-2, 2)
+        law = [
+            Exponential(theta),
+            Shifted(Exponential(theta), rng.uniform(0, 5)),
+            Shifted(Lognormal(rng.uniform(-4, 4), rng.uniform(0.05, 3)), rng.uniform(0, 5)),
+            PointMass(rng.choice([0.0, rng.uniform(0, 5)])),
+            Shifted(PointMass(rng.uniform(0, 5)), rng.uniform(-1, 5)),
+        ][i % 5]
+        N = rng.choice([2, 3, 5, 10, 50, 200, 1000])
+        yield AuctionModel(PointMass(0.0), law, N), 10 ** rng.uniform(-4, 6)
+
+
+def k_lognormal_oracle(mu, sigma, N, lam):
+    """K for Lognormal(mu, sigma) by mpmath at 20 digits.  Each of A and B
+    is integrated in normal scores, relative to its peak, over 40
+    subintervals of [peak - 8, peak + 8]: its log-integrand curves by at
+    least 1, so it is below exp(-32) of the peak outside them."""
+    import mpmath as mp
+
+    with mp.workdps(20):
+        mu, sigma, lam = mp.mpf(mu), mp.mpf(sigma), mp.mpf(lam)
+
+        def log_integrand(z, k, j):
+            # exp(-lam x) Phi(z)^k Phi(-z)^j phi(z), less log sqrt(2 pi)
+            tail = j and mp.log(mp.ncdf(-z))
+            return -lam * mp.exp(sigma * z - mu) + k * mp.log(mp.ncdf(z)) + tail - z * z / 2
+
+        def slope(z, k, j):
+            phi = mp.npdf(z)
+            tail = j and phi / mp.ncdf(-z)
+            return -lam * sigma * mp.exp(sigma * z - mu) + k * phi / mp.ncdf(z) - tail - z
+
+        def transform(k, j):
+            # bisect the decreasing slope for the peak, then integrate around it
+            lo, hi = mp.mpf(-1), mp.mpf(1)
+            while slope(lo, k, j) < 0:
+                lo *= 2
+            while slope(hi, k, j) > 0:
+                hi *= 2
+            while hi - lo > 1e-9:
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if slope(mid, k, j) > 0 else (lo, mid)
+            peak = (lo + hi) / 2
+            top = log_integrand(peak, k, j)
+            edges = [peak - 8 + mp.mpf(16) * i / 40 for i in range(41)]
+            integral = mp.quad(lambda z: mp.exp(log_integrand(z, k, j) - top), edges,
+                               method="gauss-legendre")
+            return top, integral
+
+        top_a, a = transform(N - 1, 0)
+        top_b, b = transform(N - 2, 1)
+        return float(mp.exp(top_a - top_b) * a / ((N - 1) * b))
+
+
 class TestKQuadrature:
     def test_exponential_matches_closed_form(self):
         model = AuctionModel(PointMass(0.0), Exponential(1.0), 5)
@@ -250,6 +391,35 @@ class TestKQuadrature:
             mu, sigma, N, lam = json.loads(key)
             model = AuctionModel(PointMass(0.0), Lognormal(float(mu), float(sigma)), N)
             assert abs(k_quadrature(model, float(lam)) - float(want)) <= 1e-10, key
+
+    def test_catalogue_gives_the_reference_doubles(self):
+        catalogue = json.loads(CATALOGUE.read_text())
+        keys = [json.loads(key) for key in catalogue]
+        assert_reference_doubles(
+            (AuctionModel(PointMass(0.0), Lognormal(float(mu), float(sigma)), N), float(lam))
+            for mu, sigma, N, lam in keys
+        )
+
+    def test_seeded_laws_give_the_reference_doubles(self):
+        # with tolerances that fail too, so the errors and messages compare
+        cases = [(model, lam, tol) for (model, lam), tol in
+                 zip(seeded_laws(28, 300), [1e-10, 1e-13, 1e-300] * 100)]
+        assert_reference_doubles(cases)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.floats(-4, 4),
+        st.floats(0.05, 3),
+        st.sampled_from([2, 3, 5, 10, 50, 200, 1000]),
+        st.floats(-4, 5).map(lambda e: 10.0 ** e),
+    )
+    # N = 1000, sigma <= 0.17 and lambda >= 1.5e3, where a coarser oracle
+    # that splits the joint bracket at 6 points misjudges the narrow peak:
+    # here it gives 6.585e-4 for 6.348e-4
+    @example(0.0, 0.05, 1000, 2e4)
+    def test_lognormal_domain_matches_peak_centred_oracle(self, mu, sigma, N, lam):
+        model = AuctionModel(PointMass(0.0), Lognormal(mu, sigma), N)
+        assert abs(k_quadrature(model, lam) - k_lognormal_oracle(mu, sigma, N, lam)) <= 1e-10
 
     @settings(max_examples=150, deadline=None)
     @given(
