@@ -235,15 +235,20 @@ def k_analytic_exponential(theta: float, lam: float) -> float:
     return theta / (theta + lam)
 
 
-def _boundary(inside, z: float, step: float) -> float:
-    """Where inside, true at z, turns false beyond z in step's direction."""
+def _boundary(inside, z: float, step: float, placed) -> float:
+    """A point past where inside, true at z, turns false beyond z in step's
+    direction.  A doubling walk brackets the turn between a point z inside
+    and a point out past it, and halving narrows the bracket until
+    placed(z, out) holds or no double lies between them; out is returned."""
     while inside(z + step):
         z, step = z + step, 2 * step
         if math.isinf(z):
             raise QuadratureFailure("a log-integrand does not turn within the double range")
     out = z + step
-    for _ in range(32):
+    while not placed(z, out):
         mid = 0.5 * (z + out)
+        if mid == z or mid == out:
+            break
         z, out = (mid, out) if inside(mid) else (z, mid)
     return out
 
@@ -260,6 +265,11 @@ def _log_integrands(dist: DistSpec, N: int, lam: float):
     return logs
 
 
+# k_quadrature's least relative error estimate: one ulp of each of its two
+# sums, relative to the sum
+_SUMS_ROUNDING = 2 * sys.float_info.epsilon
+
+
 def k_quadrature(model: AuctionModel, lam: float, tol: float = 1e-10) -> float:
     """K by the trapezoid rule in normal scores z, where Phi(z) = F(bid).
 
@@ -269,9 +279,21 @@ def k_quadrature(model: AuctionModel, lam: float, tol: float = 1e-10) -> float:
     B = int exp(-lam x) Phi^(N-2) Phi(-z) phi dz.  Both integrands are
     positive and log-concave, so the trapezoid rule converges geometrically
     (Trefethen & Weideman 2014) on the bracket where either log-integrand
-    is within 45 of its peak.  The step is halved until two levels agree
-    to tol relative to K; their difference is the error estimate, and
-    QuadratureFailure means it exceeds tol.
+    is within 45 of its peak.
+
+    The searches are only as fine as their results need, and each z is
+    evaluated once per call.  A peak only scales its sum and cancels in K,
+    so each peak search halves until the tangent at the point found puts
+    its value within 1 of the peak's; the cut then falls 45 to 46 below
+    the true peak.  Any bracket edge past the cut serves, so each edge
+    search halves until the edge lies within a sixteenth of its distance
+    from the peak, which keeps the grid from spanning much beyond the cut.
+
+    The step is halved until two levels agree to tol relative to K; their
+    difference is the error estimate.  Two levels that agree bit for bit
+    still carry the sums' rounding, so the relative estimate is floored at
+    one ulp of each sum, 2**-51, and a tol below that floor times K always
+    raises.  QuadratureFailure means the estimate exceeds tol.
     """
     if not (_finite(lam) and lam > 0):
         raise DomainError(f"lambda must be finite and positive, got {_shown(lam)}")
@@ -286,20 +308,33 @@ def k_quadrature(model: AuctionModel, lam: float, tol: float = 1e-10) -> float:
         raise DomainError(f"quadrature needs N within the double range, got {_int_text(N)}") from None
 
     logs = _log_integrands(dist, N, lam)
+    memo = {}
+
+    def at(z):
+        # the searches revisit their points, and the grid its bracket edges
+        pair = memo.get(z)
+        if pair is None:
+            pair = memo[z] = logs(z)
+        return pair
 
     def argmax(i):
-        # log-integrand i is strictly concave: walk from 0 while its slope keeps its sign
-        up = logs(1e-7)[i] > logs(0.0)[i]
-        step = 1.0 if up else -1.0
-        return _boundary(lambda z: (logs(z + 1e-7)[i] > logs(z)[i]) == up, 0.0, step)
+        # log-integrand i is strictly concave: walk from 0 while its slope
+        # keeps its sign, then halve until the tangent at out puts out's
+        # value within 1 of the peak's
+        def slope(z):
+            return (at(z + 1e-7)[i] - at(z)[i]) / 1e-7
+
+        up = slope(0.0) > 0
+        return _boundary(lambda z: (slope(z) > 0) == up, 0.0, 1.0 if up else -1.0,
+                         lambda z, out: abs(slope(out) * (out - z)) <= 1.0)
 
     za, zb = argmax(0), argmax(1)
-    peak_a, peak_b = logs(za)[0], logs(zb)[1]
+    peak_a, peak_b = at(za)[0], at(zb)[1]
 
     def sums(zs):
         # each integrand relative to its peak, so nothing underflows; one
         # that overflows there means the peak search stopped short
-        pairs = [logs(z) for z in zs]
+        pairs = [at(z) for z in zs]
         try:
             return (math.fsum(math.exp(a - peak_a) for a, _ in pairs),
                     math.fsum(math.exp(b - peak_b) for _, b in pairs))
@@ -307,20 +342,28 @@ def k_quadrature(model: AuctionModel, lam: float, tol: float = 1e-10) -> float:
             raise QuadratureFailure("the peak search stopped short of a log-integrand's peak") from None
 
     def near_peaks(z):
-        a, b = logs(z)
+        a, b = at(z)
         return max(a - peak_a, b - peak_b) > -45.0
 
-    lo = _boundary(near_peaks, min(za, zb), -1.0)
-    hi = _boundary(near_peaks, max(za, zb), 1.0)
+    def edge(start, step):
+        # any point past the cut will do; halving puts it within a sixteenth
+        # of its distance from start, so the grid spans little beyond the cut
+        return _boundary(near_peaks, start, step,
+                         lambda z, out: abs(out - z) <= abs(out - start) / 16)
+
+    lo = edge(min(za, zb), -1.0)
+    hi = edge(max(za, zb), 1.0)
     # both integrands are negligible at lo and hi, so the trapezoid rule is
     # the plain sum over the grid, and the step cancels in the ratio
     n, h = 16, (hi - lo) / 16
     sa, sb = sums(lo + i * h for i in range(n + 1))
     for _ in range(9):
         ma, mb = sums(lo + (i + 0.5) * h for i in range(n))
-        rel_err = abs(ma - sa) / (sa + ma) + abs(mb - sb) / (sb + mb)
+        # two levels that agree bit for bit still differ from the integrals
+        # by the sums' rounding, so the estimate never falls below it
+        rel_err = max(abs(ma - sa) / (sa + ma) + abs(mb - sb) / (sb + mb), _SUMS_ROUNDING)
         sa, sb, n, h = sa + ma, sb + mb, 2 * n, 0.5 * h
-        if rel_err <= tol:
+        if rel_err <= max(tol, _SUMS_ROUNDING):
             break
     # the top bid is never below the second, so K <= 1 holds exactly
     k = min(1.0, math.exp(peak_a - peak_b) * sa / ((N - 1) * sb))

@@ -214,7 +214,8 @@ PATHS = {"ints": 10 ** 30, "decimal": 0}
 
 
 def on_path(path):
-    return mock.patch.object(algebra, "_NTT_BITS", PATHS[path])
+    # packed on the given path, also below the schoolbook cut
+    return mock.patch.multiple(algebra, _NTT_BITS=PATHS[path], _SCHOOLBOOK=0)
 
 
 def nines(digits, count, sign=1):
@@ -259,7 +260,8 @@ class TestProductKernel:
             assert _product_nums(na, nb) == nums_by_pairs(na, nb)
             assert _product_nums(nb, na) == nums_by_pairs(na, nb)
 
-    # TestPoly.test_mul_matches_pairwise_loop covers the int path
+    # TestPoly.test_mul_matches_pairwise_loop covers the schoolbook sum and,
+    # past its cut, the int path
     @given(st.one_of(wide_polys, full_polys), st.one_of(wide_polys, full_polys))
     @example(DEGREE_40, -DEGREE_40)
     @example(Poly([F(1, 3)]), Poly([0, F(-5, 7)]))
@@ -267,6 +269,35 @@ class TestProductKernel:
     def test_poly_mul_on_decimal_path(self, p, q):
         with on_path("decimal"):
             assert p * q == mul_by_pairs(p, q)
+
+    # 16x16 and 9x72 slots sit on _SCHOOLBOOK's cut, la*lb = 8*(la+lb), and
+    # take the sum; 16x17 and 9x73 pack.  5000-digit entries pack past
+    # _NTT_BITS, on the decimal path.
+    @given(
+        st.lists(widths(300), min_size=1, max_size=40),
+        st.lists(widths(300), min_size=1, max_size=40),
+    )
+    @example([2 ** 30 - 1] * 16, [-(2 ** 30 - 1)] * 16)
+    @example([2 ** 30 - 1] * 16, [-(2 ** 30 - 1)] * 17)
+    @example([-(2 ** 200 + 1)] * 9, [2 ** 200 - 1] * 72)
+    @example([-(2 ** 200 + 1)] * 9, [2 ** 200 - 1] * 73)
+    @example([10 ** 5000 - 1] * 2, [-(10 ** 4999 + 7)] * 3)
+    @example([10 ** 5000 - 1] * 4, [-(10 ** 4999 + 7)] * 70)
+    @settings(max_examples=100, deadline=None)
+    def test_schoolbook_cut_gives_the_packed_integers(self, na, nb):
+        with mock.patch.object(algebra, "_SCHOOLBOOK", 0):
+            want = _product_nums(na, nb)
+        assert _product_nums(na, nb) == want
+        assert _product_nums(nb, na) == want
+
+    def test_schoolbook_cut_is_on_the_slot_counts(self):
+        with mock.patch.object(algebra, "_slots", wraps=algebra._slots) as spy:
+            _product_nums([1] * 16, [1] * 16)
+            _product_nums([1] * 9, [1] * 72)
+            assert spy.call_count == 0
+            _product_nums([1] * 16, [1] * 17)
+            _product_nums([1] * 9, [1] * 73)
+            assert spy.call_count == 2
 
     def test_both_paths_run_at_the_real_crossover(self):
         # a product well above the crossover, and a cut of it well below

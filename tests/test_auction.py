@@ -330,6 +330,45 @@ def k_lognormal_oracle(mu, sigma, N, lam):
         return float(mp.exp(top_a - top_b) * a / ((N - 1) * b))
 
 
+# the lambdas of the benchmark's K-curves
+K_LAMBDAS = [10.0 ** e for e in range(-2, 4)]
+
+
+def benchmark_shaped_cases():
+    """The benchmark's K-curve models at K_LAMBDAS: each catalogue
+    lognormal law and 15 seeded shifted point masses, at N = 5, 50, 200."""
+    laws = sorted({tuple(json.loads(key)[:2]) for key in json.loads(CATALOGUE.read_text())})
+    rng = random.Random(29)
+    laws = [Lognormal(float(mu), float(sigma)) for mu, sigma in laws]
+    laws += [Shifted(PointMass(rng.uniform(0, 2)), rng.uniform(0, 3)) for _ in range(15)]
+    for law in laws:
+        for N in (5, 50, 200):
+            for lam in K_LAMBDAS:
+                yield AuctionModel(Exponential(1.0), law, N), lam
+
+
+def evaluated_scores(cases, tol=1e-10):
+    """(the scores each k_quadrature call evaluates its log-integrands at,
+    one list per case, and each case's quadrature_outcome)."""
+    calls = []
+    log_integrands = auction._log_integrands
+
+    def spy(dist, N, lam):
+        logs = log_integrands(dist, N, lam)
+        seen = []
+        calls.append(seen)
+
+        def counted(z):
+            seen.append(z)
+            return logs(z)
+
+        return counted
+
+    with mock.patch.object(auction, "_log_integrands", spy):
+        outcomes = [quadrature_outcome(model, lam, tol) for model, lam in cases]
+    return calls, outcomes
+
+
 class TestKQuadrature:
     def test_exponential_matches_closed_form(self):
         model = AuctionModel(PointMass(0.0), Exponential(1.0), 5)
@@ -381,6 +420,45 @@ class TestKQuadrature:
         model = AuctionModel(PointMass(0.0), Lognormal(-100.0, 1e-20), 3)
         with pytest.raises(QuadratureFailure, match="stopped short"):
             k_quadrature(model, 1e-20)
+
+    def test_unreachable_tolerance_raises_on_every_model(self):
+        # levels that agree bit for bit still carry the sums' rounding, so
+        # no model meets a tolerance far below it
+        cases = list(benchmark_shaped_cases())
+        calls, outcomes = evaluated_scores(cases, tol=1e-300)
+        met = [o for o in outcomes if not (isinstance(o, tuple) and "exceeds tolerance" in o[1])]
+        assert met == []
+        # refining stops once two levels agree to rounding; all nine levels
+        # take about 8200 evaluations per lambda
+        assert sum(map(len, calls)) / len(cases) <= 2000
+        for model, lam in seeded_laws(29, 100):
+            with pytest.raises(QuadratureFailure):
+                k_quadrature(model, lam, tol=1e-300)
+
+    def test_rounding_floor_leaves_reachable_tolerances_alone(self):
+        # 2**-51 relative: K = 1/2 meets 5e-16 but not 1e-16
+        model = AuctionModel(PointMass(0.0), Exponential(1.0), 5)
+        assert abs(k_quadrature(model, 1.0, tol=5e-16) - 0.5) <= 5e-16
+        with pytest.raises(QuadratureFailure, match="estimated error 2.220e-16"):
+            k_quadrature(model, 1.0, tol=1e-16)
+
+    def test_each_z_is_evaluated_once_and_searches_stay_cheap(self):
+        cases = list(benchmark_shaped_cases())
+        calls, outcomes = evaluated_scores(cases)
+        assert len(calls) == len(cases)
+        assert all(isinstance(o, str) for o in outcomes)
+        assert all(len(set(zs)) == len(zs) for zs in calls)
+        # about 110 per lambda; full-precision searches took about 290, and
+        # edges left unhalved about 170
+        assert sum(map(len, calls)) / len(cases) <= 140
+
+    @pytest.mark.parametrize("lam", [2e4, 1e5])
+    @pytest.mark.parametrize("mu", [-4.0, 0.0, 4.0])
+    def test_narrow_peaks_match_peak_centred_oracle(self, mu, lam):
+        # N = 1000 and sigma = 0.05 put peaks about 0.02 wide as far out
+        # as z = -40, where the searches start at 0 with a step of 1
+        model = AuctionModel(PointMass(0.0), Lognormal(mu, 0.05), 1000)
+        assert abs(k_quadrature(model, lam) - k_lognormal_oracle(mu, 0.05, 1000, lam)) <= 1e-10
 
     def test_lognormal_catalogue(self):
         # 32-digit mpmath values for every (mu, sigma, N, lambda) the
