@@ -179,7 +179,8 @@ def _log_ndtr_series(z: float) -> float:
 
 def _log_ndtr_pair(z: float) -> tuple[float, float]:
     """(log Phi(z), log Phi(-z)) from one erfc, each bit for bit _log_ndtr's
-    value: with t = |z|, both of _log_ndtr's erfc branches take erfc(t/sqrt 2)."""
+    value: with t = |z|, both of _log_ndtr's erfc branches take erfc(t/sqrt 2).
+    The scalar definition that _log_integrands inlines."""
     t = -z if z < 0 else z
     tail = math.erfc(t / math.sqrt(2.0))
     upper = math.log1p(-0.5 * tail) if t > 0 else math.log(0.5 * tail)
@@ -203,20 +204,28 @@ def _bid_at_score(dist: DistSpec, z: float, log_sf: float) -> tuple[float, float
     raise DomainError(f"unknown distribution {dist!r}")
 
 
+def _check_bidders(N: int) -> None:
+    """Raise DomainError unless 2 <= N and float() holds N."""
+    if N < 2:
+        raise DomainError("need N >= 2")
+    if not _finite(N):
+        raise DomainError(f"need N within the double range, got {_shown(N)}")
+
+
 def k_from_h(h: float, N: int) -> float:
     """Top-two transform ratio K from the power ratio value h >= 0:
     K = h / (N + (N-1) h), increasing in h with range [0, 1/(N-1))."""
     if h < 0:
-        raise DomainError(f"power ratio value must be nonnegative, got {h}")
-    if N < 2:
-        raise DomainError("need N >= 2")
+        raise DomainError(f"power ratio value must be nonnegative, got {_shown(h)}")
+    if not _finite(h):
+        raise DomainError(f"power ratio value must be finite, got {_shown(h)}")
+    _check_bidders(N)
     return h / (N + (N - 1) * h)
 
 
 def h_from_k(k: float, N: int) -> float:
     """Inverse of k_from_h: h = N k / (1 - (N-1) k)."""
-    if N < 2:
-        raise DomainError("need N >= 2")
+    _check_bidders(N)
     if not 0 <= k < 1.0 / (N - 1):
         raise OutOfRange(
             f"K = {k} is outside [0, {1.0 / (N - 1)}): no distribution produces it"
@@ -255,11 +264,40 @@ def _boundary(inside, z: float, step: float, placed) -> float:
 
 def _log_integrands(dist: DistSpec, N: int, lam: float):
     """z -> the log-integrands of k_quadrature's A and B at normal score z,
-    less the constant log sqrt(2 pi); each z takes one erfc."""
+    less the constant log sqrt(2 pi); each z takes one erfc.
+
+    The law is resolved once: a Shifted chain only moves the lower bound,
+    which cancels, so the excess comes from the innermost law.  Each value
+    is bit for bit the one _log_ndtr_pair and _bid_at_score give, by the
+    same operations in the same order."""
+    while isinstance(dist, Shifted):
+        dist = dist.base
+    if isinstance(dist, Lognormal):
+        mu, sigma = dist.mu, dist.sigma
+
+        def excess(z, log_sf):
+            s = sigma * z - mu
+            return math.exp(s) if s < 709.0 else math.inf
+    elif isinstance(dist, Exponential):
+        theta = dist.theta
+
+        def excess(z, log_sf):
+            return -log_sf / theta
+    elif isinstance(dist, PointMass):
+
+        def excess(z, log_sf):
+            return 0.0
+    else:
+        raise DomainError(f"unknown distribution {dist!r}")
+    erfc, log, log1p, root2 = math.erfc, math.log, math.log1p, math.sqrt(2.0)
 
     def logs(z):
-        log_cdf, log_sf = _log_ndtr_pair(z)
-        common = -lam * _bid_at_score(dist, z, log_sf)[1] + (N - 2) * log_cdf - 0.5 * z * z
+        t = -z if z < 0 else z
+        tail = erfc(t / root2)
+        upper = log1p(-0.5 * tail) if t > 0 else log(0.5 * tail)
+        lower = log(0.5 * tail) if t < 30 else _log_ndtr_series(-t)
+        log_cdf, log_sf = (lower, upper) if z < 0 else (upper, lower)
+        common = -lam * excess(z, log_sf) + (N - 2) * log_cdf - 0.5 * z * z
         return common + log_cdf, common + log_sf
 
     return logs
@@ -336,8 +374,8 @@ def k_quadrature(model: AuctionModel, lam: float, tol: float = 1e-10) -> float:
         # that overflows there means the peak search stopped short
         pairs = [at(z) for z in zs]
         try:
-            return (math.fsum(math.exp(a - peak_a) for a, _ in pairs),
-                    math.fsum(math.exp(b - peak_b) for _, b in pairs))
+            return (math.fsum(map(math.exp, [a - peak_a for a, _ in pairs])),
+                    math.fsum(map(math.exp, [b - peak_b for _, b in pairs])))
         except OverflowError:
             raise QuadratureFailure("the peak search stopped short of a log-integrand's peak") from None
 

@@ -145,6 +145,19 @@ class TestKHAlgebra:
         with pytest.raises(DomainError):
             k_from_h(-0.1, 2)
 
+    @pytest.mark.parametrize("h", [math.nan, math.inf, 10 ** 400], ids=["nan", "inf", "int"])
+    def test_non_finite_h_refused(self, h):
+        # NaN and inf once gave K = nan
+        with pytest.raises(DomainError, match="power ratio value must be finite, got"):
+            k_from_h(h, 5)
+
+    def test_n_beyond_the_double_range_refused(self):
+        # float(N) once raised an untyped OverflowError; messages print any length
+        with pytest.raises(DomainError, match="need N within the double range, got 1000"):
+            k_from_h(1.0, 10 ** 400)
+        with pytest.raises(DomainError, match="need N within the double range, got 1000"):
+            h_from_k(0.1, 10 ** 400)
+
     @given(st.floats(0, 100), st.integers(2, 10))
     def test_roundtrip(self, h, N):
         assert h_from_k(k_from_h(h, N), N) == pytest.approx(h, rel=1e-12, abs=1e-12)
@@ -228,6 +241,54 @@ class TestLogNdtrPair:
     @pytest.mark.parametrize("z", EDGE_SCORES, ids=repr)
     def test_edges(self, z):
         assert_pair_is_log_ndtr(z)
+
+
+def scalar_log_integrands(dist, N, lam):
+    """k_quadrature's log-integrands by the scalar definitions: _log_ndtr_pair,
+    then _bid_at_score's dispatch on the law at every z."""
+
+    def logs(z):
+        log_cdf, log_sf = _log_ndtr_pair(z)
+        common = -lam * _bid_at_score(dist, z, log_sf)[1] + (N - 2) * log_cdf - 0.5 * z * z
+        return common + log_cdf, common + log_sf
+
+    return logs
+
+
+# the signed zeros, both sides of the series switch at |z| = 30, and +-40
+SWITCH_SCORES = [
+    0.0, -0.0, 1.5, -1.5, 29.5, -29.5,
+    30.0, math.nextafter(30.0, 0.0), math.nextafter(30.0, math.inf), 30.5,
+    -30.0, math.nextafter(-30.0, 0.0), math.nextafter(-30.0, -math.inf), -30.5,
+    40.0, -40.0,
+]
+LAWS = {
+    "lognormal": Lognormal(0.3, 0.8),
+    # s = sigma z - mu reaches 709 at z = 9, past which the excess is inf
+    "lognormal-inf": Lognormal(-700.0, 1.0),
+    "exponential": Exponential(2.5),
+    "point-mass": PointMass(1.5),
+    "shifted-twice": Shifted(Shifted(Lognormal(0.3, 0.8), 1.0), -0.5),
+}
+
+
+class TestLogIntegrands:
+    @pytest.mark.parametrize("N", [2, 50])
+    @pytest.mark.parametrize("law", LAWS.values(), ids=LAWS.keys())
+    def test_match_the_scalar_definitions_bit_for_bit(self, law, N):
+        fast, scalar = auction._log_integrands(law, N, 1.7), scalar_log_integrands(law, N, 1.7)
+        for z in SWITCH_SCORES:
+            assert [bits(x) for x in fast(z)] == [bits(x) for x in scalar(z)], z
+
+    def test_lognormal_excess_overflows_to_inf(self):
+        logs = auction._log_integrands(LAWS["lognormal-inf"], 5, 1.7)
+        assert math.isfinite(logs(8.0)[0])
+        assert logs(40.0) == (-math.inf, -math.inf)
+
+    @given(st.sampled_from(list(LAWS.values())), st.floats(-45, 45))
+    def test_match_the_scalar_definitions_anywhere(self, law, z):
+        fast, scalar = auction._log_integrands(law, 5, 0.3), scalar_log_integrands(law, 5, 0.3)
+        assert [bits(x) for x in fast(z)] == [bits(x) for x in scalar(z)]
 
 
 def reference_bid_at_score(dist, z):
@@ -459,6 +520,22 @@ class TestKQuadrature:
         # as z = -40, where the searches start at 0 with a step of 1
         model = AuctionModel(PointMass(0.0), Lognormal(mu, 0.05), 1000)
         assert abs(k_quadrature(model, lam) - k_lognormal_oracle(mu, 0.05, 1000, lam)) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "mu, sigma, lam",
+        [
+            (-4.311963038585865, 2.879701310846196, 0.039508724160215225),
+            (-0.5834678512775229, 2.860864902204908, 0.004189449990505528),
+            (3.633415516752999, 3.3602417530963367, 0.0009228360586572988),
+        ],
+    )
+    def test_heavy_tailed_lognormals_meet_tolerance(self, mu, sigma, lam):
+        # stopping at the finer level by an error estimate of it misses 1e-10
+        # here: by 1.3e-9 with d**3 / d_prev**2 (d the levels' difference), by
+        # 9.0e-10 with max(d**3 / d_prev**2, d**2), and by 1.2e-6 when the
+        # first d_prev comes from the 17-point grid's even and odd points
+        model = AuctionModel(PointMass(0.0), Lognormal(mu, sigma), 2)
+        assert abs(k_quadrature(model, lam) - k_lognormal_oracle(mu, sigma, 2, lam)) <= 1e-10
 
     def test_lognormal_catalogue(self):
         # 32-digit mpmath values for every (mu, sigma, N, lambda) the
