@@ -159,15 +159,6 @@ def sample_draws(dist: DistSpec, rng: np.random.Generator, size) -> np.ndarray:
     raise DomainError(f"unknown distribution {dist!r}")
 
 
-def _log_ndtr(z: float) -> float:
-    """log Phi(z), the standard normal log-CDF, also where Phi underflows."""
-    if z > 0:
-        return math.log1p(-0.5 * math.erfc(z / math.sqrt(2.0)))
-    if z > -30:
-        return math.log(0.5 * math.erfc(-z / math.sqrt(2.0)))
-    return _log_ndtr_series(z)
-
-
 def _log_ndtr_series(z: float) -> float:
     """log Phi(z) for z <= -30, where erfc nears underflow: Phi(z) =
     phi(z)/|z| (1 - u + 3u^2 - ...) with u = 1/z^2 (DLMF 7.12.1); the first
@@ -175,33 +166,6 @@ def _log_ndtr_series(z: float) -> float:
     u = 1.0 / (z * z)
     series = 1 - u * (1 - 3 * u * (1 - 5 * u * (1 - 7 * u * (1 - 9 * u * (1 - 11 * u)))))
     return -0.5 * z * z - math.log(-z) - 0.5 * math.log(2.0 * math.pi) + math.log(series)
-
-
-def _log_ndtr_pair(z: float) -> tuple[float, float]:
-    """(log Phi(z), log Phi(-z)) from one erfc, each bit for bit _log_ndtr's
-    value: with t = |z|, both of _log_ndtr's erfc branches take erfc(t/sqrt 2).
-    The scalar definition that _log_integrands inlines."""
-    t = -z if z < 0 else z
-    tail = math.erfc(t / math.sqrt(2.0))
-    upper = math.log1p(-0.5 * tail) if t > 0 else math.log(0.5 * tail)
-    lower = math.log(0.5 * tail) if t < 30 else _log_ndtr_series(-t)
-    return (lower, upper) if z < 0 else (upper, lower)
-
-
-def _bid_at_score(dist: DistSpec, z: float, log_sf: float) -> tuple[float, float]:
-    """(lower bound, bid minus lower bound) at normal score z: Phi(z) = F(bid).
-    log_sf is log Phi(-z), which the exponential quantile takes."""
-    if isinstance(dist, Lognormal):
-        s = dist.sigma * z - dist.mu
-        return 0.0, math.exp(s) if s < 709.0 else math.inf
-    if isinstance(dist, Exponential):
-        return 0.0, -log_sf / dist.theta
-    if isinstance(dist, PointMass):
-        return dist.v, 0.0
-    if isinstance(dist, Shifted):
-        lower, excess = _bid_at_score(dist.base, z, log_sf)
-        return lower + dist.offset, excess
-    raise DomainError(f"unknown distribution {dist!r}")
 
 
 def _check_bidders(N: int) -> None:
@@ -266,12 +230,12 @@ def _log_integrands(dist: DistSpec, N: int, lam: float):
     """z -> the log-integrands of k_quadrature's A and B at normal score z,
     less the constant log sqrt(2 pi); each z takes one erfc.
 
-    The law is resolved once: a Shifted chain only moves the lower bound,
-    which cancels, so the excess comes from the innermost law.  Each value
-    is bit for bit the one _log_ndtr_pair and _bid_at_score give, by the
-    same operations in the same order."""
-    while isinstance(dist, Shifted):
-        dist = dist.base
+    dist is an exponential or lognormal law: k_quadrature passes the
+    innermost law of a Shifted chain, whose offsets only move the lower
+    bound, which cancels.  log Phi(z) and log Phi(-z) come from one erfc,
+    and every value is bit for bit the one the scalar definitions (the
+    one-sided log-CDF and the law's quantile, kept in the tests as the
+    reference) give."""
     if isinstance(dist, Lognormal):
         mu, sigma = dist.mu, dist.sigma
 
@@ -283,10 +247,6 @@ def _log_integrands(dist: DistSpec, N: int, lam: float):
 
         def excess(z, log_sf):
             return -log_sf / theta
-    elif isinstance(dist, PointMass):
-
-        def excess(z, log_sf):
-            return 0.0
     else:
         raise DomainError(f"unknown distribution {dist!r}")
     erfc, log, log1p, root2 = math.erfc, math.log, math.log1p, math.sqrt(2.0)
@@ -330,20 +290,36 @@ def k_quadrature(model: AuctionModel, lam: float, tol: float = 1e-10) -> float:
     The step is halved until two levels agree to tol relative to K; their
     difference is the error estimate.  Two levels that agree bit for bit
     still carry the sums' rounding, so the relative estimate is floored at
-    one ulp of each sum, 2**-51, and a tol below that floor times K always
-    raises.  QuadratureFailure means the estimate exceeds tol.
+    one ulp of each sum, 2**-51, and under quadrature a tol below that
+    floor times K always raises.  Refining also stops once a level's estimate fails to shrink
+    below the previous level's, since the levels then differ by rounding
+    alone.  QuadratureFailure means the estimate exceeds tol.
+
+    A degenerate law (a PointMass, shifted or not) puts all N bids at its
+    lower bound, so A = 1/N = (N-1) B and K is exactly 1 for any tol > 0,
+    with no quadrature.
     """
     if not (_finite(lam) and lam > 0):
         raise DomainError(f"lambda must be finite and positive, got {_shown(lam)}")
     if not tol > 0:
         raise DomainError("tolerance must be positive")
     dist, N = model.idiosyncratic, model.n_bidders
-    if _bid_at_score(dist, 0.0, _log_ndtr(-0.0))[0] < 0:
+    # the lower bound adds the offsets innermost first, as the bids do
+    offsets = []
+    while isinstance(dist, Shifted):
+        offsets.append(dist.offset)
+        dist = dist.base
+    lower = dist.v if isinstance(dist, PointMass) else 0.0
+    for offset in reversed(offsets):
+        lower += offset
+    if lower < 0:
         raise DomainError("quadrature requires a nonnegative idiosyncratic law")
     try:
         float(N)
     except OverflowError:
         raise DomainError(f"quadrature needs N within the double range, got {_int_text(N)}") from None
+    if isinstance(dist, PointMass):
+        return 1.0
 
     logs = _log_integrands(dist, N, lam)
     memo = {}
@@ -395,13 +371,16 @@ def k_quadrature(model: AuctionModel, lam: float, tol: float = 1e-10) -> float:
     # the plain sum over the grid, and the step cancels in the ratio
     n, h = 16, (hi - lo) / 16
     sa, sb = sums(lo + i * h for i in range(n + 1))
+    rel_err = math.inf
     for _ in range(9):
         ma, mb = sums(lo + (i + 0.5) * h for i in range(n))
         # two levels that agree bit for bit still differ from the integrals
         # by the sums' rounding, so the estimate never falls below it
+        prev = rel_err
         rel_err = max(abs(ma - sa) / (sa + ma) + abs(mb - sb) / (sb + mb), _SUMS_ROUNDING)
         sa, sb, n, h = sa + ma, sb + mb, 2 * n, 0.5 * h
-        if rel_err <= max(tol, _SUMS_ROUNDING):
+        # an estimate that stops shrinking is rounding, which finer levels keep
+        if rel_err <= max(tol, _SUMS_ROUNDING) or rel_err >= prev:
             break
     # the top bid is never below the second, so K <= 1 holds exactly
     k = min(1.0, math.exp(peak_a - peak_b) * sa / ((N - 1) * sb))

@@ -22,9 +22,7 @@ from laplaceratio.auction import (
     McConfig,
     PointMass,
     Shifted,
-    _bid_at_score,
-    _log_ndtr,
-    _log_ndtr_pair,
+    _log_ndtr_series,
     auction_identify,
     h_from_k,
     k_analytic_exponential,
@@ -44,6 +42,43 @@ from laplaceratio.errors import (
     QuadratureFailure,
 )
 from laplaceratio.transforms import RatioExpansion, ratio_expansion
+
+
+def log_ndtr(z: float) -> float:
+    """log Phi(z), the standard normal log-CDF, also where Phi underflows:
+    the scalar definition that k_quadrature's log-integrands meet bit for
+    bit."""
+    if z > 0:
+        return math.log1p(-0.5 * math.erfc(z / math.sqrt(2.0)))
+    if z > -30:
+        return math.log(0.5 * math.erfc(-z / math.sqrt(2.0)))
+    return _log_ndtr_series(z)
+
+
+def log_ndtr_pair(z: float) -> tuple[float, float]:
+    """(log Phi(z), log Phi(-z)) from one erfc, each bit for bit log_ndtr's
+    value: with t = |z|, both of log_ndtr's erfc branches take erfc(t/sqrt 2).
+    The scalar form of what k_quadrature's log-integrands inline."""
+    t = -z if z < 0 else z
+    tail = math.erfc(t / math.sqrt(2.0))
+    upper = math.log1p(-0.5 * tail) if t > 0 else math.log(0.5 * tail)
+    lower = math.log(0.5 * tail) if t < 30 else _log_ndtr_series(-t)
+    return (lower, upper) if z < 0 else (upper, lower)
+
+
+def bid_at_score(dist, z: float, log_sf: float) -> tuple[float, float]:
+    """(lower bound, bid minus lower bound) at normal score z: Phi(z) = F(bid).
+    log_sf is log Phi(-z), which the exponential quantile takes; a Shifted
+    chain adds its offsets to the lower bound innermost first."""
+    if isinstance(dist, Lognormal):
+        s = dist.sigma * z - dist.mu
+        return 0.0, math.exp(s) if s < 709.0 else math.inf
+    if isinstance(dist, Exponential):
+        return 0.0, -log_sf / dist.theta
+    if isinstance(dist, PointMass):
+        return dist.v, 0.0
+    lower, excess = bid_at_score(dist.base, z, log_sf)
+    return lower + dist.offset, excess
 
 
 class TestDistributions:
@@ -100,14 +135,14 @@ class TestDistributions:
         # P(X <= 2/theta) = 1 - e^-2, so that is the bid at Phi(z) = 1 - e^-2
         z = NormalDist().inv_cdf(1 - math.exp(-2))
         for theta in (0.5, 2.0):
-            lower, excess = _bid_at_score(Exponential(theta), z, _log_ndtr(-z))
+            lower, excess = bid_at_score(Exponential(theta), z, log_ndtr(-z))
             assert lower == 0.0
             assert excess == pytest.approx(2 / theta, rel=1e-12)
 
     def test_lognormal_median_at_score_zero(self):
         # X = exp(sigma Z - mu): the median exp(-mu) sits at z = 0
-        assert _bid_at_score(Lognormal(0.7, 1.3), 0.0, _log_ndtr(-0.0)) == (0.0, math.exp(-0.7))
-        assert _bid_at_score(Lognormal(0.0, 1.0), 800.0, _log_ndtr(-800.0)) == (0.0, math.inf)
+        assert bid_at_score(Lognormal(0.7, 1.3), 0.0, log_ndtr(-0.0)) == (0.0, math.exp(-0.7))
+        assert bid_at_score(Lognormal(0.0, 1.0), 800.0, log_ndtr(-800.0)) == (0.0, math.inf)
 
     def test_lognormal_sampling_matches_parameterization(self):
         # mean of log X must be -mu, sd sigma
@@ -119,7 +154,7 @@ class TestDistributions:
     def test_shifted(self):
         # a shifted point mass sits on its lower bound 3 at every score
         d = Shifted(PointMass(1.0), 2.0)
-        assert all(_bid_at_score(d, z, _log_ndtr(-z)) == (3.0, 0.0) for z in (-40.0, 0.0, 8.0))
+        assert all(bid_at_score(d, z, log_ndtr(-z)) == (3.0, 0.0) for z in (-40.0, 0.0, 8.0))
         rng = np.random.Generator(np.random.Philox(key=1))
         assert np.all(sample_draws(d, rng, 5) == 3.0)
 
@@ -203,14 +238,14 @@ class TestLogNdtr:
         with mp.workdps(40):
             tail = mp.ncdf(-mp.mpf(z))
             want = mp.log1p(-tail) if z > 0 else mp.log(mp.ncdf(mp.mpf(z)))
-        assert _log_ndtr(z) == pytest.approx(float(want), rel=1e-12)
+        assert log_ndtr(z) == pytest.approx(float(want), rel=1e-12)
 
     @pytest.mark.parametrize("z", [-30.0, -31.5, -36.0])
     def test_series_matches_erfc_where_both_work(self, z):
         # the asymptotic series takes over at -30; erfc is still a normal
         # double down to about -37
         direct = math.log(0.5 * math.erfc(-z / math.sqrt(2)))
-        assert _log_ndtr(z) == pytest.approx(direct, rel=1e-14)
+        assert log_ndtr(z) == pytest.approx(direct, rel=1e-14)
 
 
 def bits(x: float) -> bytes:
@@ -229,8 +264,8 @@ EDGE_SCORES = [
 
 
 def assert_pair_is_log_ndtr(z):
-    lower, upper = _log_ndtr_pair(z)
-    assert (bits(lower), bits(upper)) == (bits(_log_ndtr(z)), bits(_log_ndtr(-z)))
+    lower, upper = log_ndtr_pair(z)
+    assert (bits(lower), bits(upper)) == (bits(log_ndtr(z)), bits(log_ndtr(-z)))
 
 
 class TestLogNdtrPair:
@@ -243,14 +278,13 @@ class TestLogNdtrPair:
         assert_pair_is_log_ndtr(z)
 
 
-def scalar_log_integrands(dist, N, lam):
-    """k_quadrature's log-integrands by the scalar definitions: _log_ndtr_pair,
-    then _bid_at_score's dispatch on the law at every z."""
+def reference_log_integrands(dist, N, lam):
+    """k_quadrature's log-integrands by the one-sided log-CDF: three
+    log_ndtr calls per z, and a fourth in an exponential law's quantile."""
 
     def logs(z):
-        log_cdf, log_sf = _log_ndtr_pair(z)
-        common = -lam * _bid_at_score(dist, z, log_sf)[1] + (N - 2) * log_cdf - 0.5 * z * z
-        return common + log_cdf, common + log_sf
+        common = -lam * bid_at_score(dist, z, log_ndtr(-z))[1] + (N - 2) * log_ndtr(z) - 0.5 * z * z
+        return common + log_ndtr(z), common + log_ndtr(-z)
 
     return logs
 
@@ -262,13 +296,12 @@ SWITCH_SCORES = [
     -30.0, math.nextafter(-30.0, 0.0), math.nextafter(-30.0, -math.inf), -30.5,
     40.0, -40.0,
 ]
+# the innermost laws k_quadrature integrates
 LAWS = {
     "lognormal": Lognormal(0.3, 0.8),
     # s = sigma z - mu reaches 709 at z = 9, past which the excess is inf
     "lognormal-inf": Lognormal(-700.0, 1.0),
     "exponential": Exponential(2.5),
-    "point-mass": PointMass(1.5),
-    "shifted-twice": Shifted(Shifted(Lognormal(0.3, 0.8), 1.0), -0.5),
 }
 
 
@@ -276,7 +309,7 @@ class TestLogIntegrands:
     @pytest.mark.parametrize("N", [2, 50])
     @pytest.mark.parametrize("law", LAWS.values(), ids=LAWS.keys())
     def test_match_the_scalar_definitions_bit_for_bit(self, law, N):
-        fast, scalar = auction._log_integrands(law, N, 1.7), scalar_log_integrands(law, N, 1.7)
+        fast, scalar = auction._log_integrands(law, N, 1.7), reference_log_integrands(law, N, 1.7)
         for z in SWITCH_SCORES:
             assert [bits(x) for x in fast(z)] == [bits(x) for x in scalar(z)], z
 
@@ -287,33 +320,8 @@ class TestLogIntegrands:
 
     @given(st.sampled_from(list(LAWS.values())), st.floats(-45, 45))
     def test_match_the_scalar_definitions_anywhere(self, law, z):
-        fast, scalar = auction._log_integrands(law, 5, 0.3), scalar_log_integrands(law, 5, 0.3)
+        fast, scalar = auction._log_integrands(law, 5, 0.3), reference_log_integrands(law, 5, 0.3)
         assert [bits(x) for x in fast(z)] == [bits(x) for x in scalar(z)]
-
-
-def reference_bid_at_score(dist, z):
-    """_bid_at_score where an exponential law's quantile takes its own
-    _log_ndtr(-z)."""
-    if isinstance(dist, Lognormal):
-        s = dist.sigma * z - dist.mu
-        return 0.0, math.exp(s) if s < 709.0 else math.inf
-    if isinstance(dist, Exponential):
-        return 0.0, -_log_ndtr(-z) / dist.theta
-    if isinstance(dist, PointMass):
-        return dist.v, 0.0
-    lower, excess = reference_bid_at_score(dist.base, z)
-    return lower + dist.offset, excess
-
-
-def reference_log_integrands(dist, N, lam):
-    """k_quadrature's log-integrands by the one-sided log-CDF: three
-    _log_ndtr calls per z, and a fourth in an exponential law's quantile."""
-
-    def logs(z):
-        common = -lam * reference_bid_at_score(dist, z)[1] + (N - 2) * _log_ndtr(z) - 0.5 * z * z
-        return common + _log_ndtr(z), common + _log_ndtr(-z)
-
-    return logs
 
 
 def quadrature_outcome(model, lam, tol=1e-10):
@@ -408,16 +416,24 @@ def benchmark_shaped_cases():
                 yield AuctionModel(Exponential(1.0), law, N), lam
 
 
+def degenerate(law):
+    """Whether law is a PointMass, shifted or not."""
+    while isinstance(law, Shifted):
+        law = law.base
+    return isinstance(law, PointMass)
+
+
 def evaluated_scores(cases, tol=1e-10):
-    """(the scores each k_quadrature call evaluates its log-integrands at,
-    one list per case, and each case's quadrature_outcome)."""
+    """(per case, one list for each log-integrands the k_quadrature call
+    built, of the scores it evaluated them at; and each case's
+    quadrature_outcome)."""
     calls = []
     log_integrands = auction._log_integrands
 
     def spy(dist, N, lam):
         logs = log_integrands(dist, N, lam)
         seen = []
-        calls.append(seen)
+        calls[-1].append(seen)
 
         def counted(z):
             seen.append(z)
@@ -425,8 +441,11 @@ def evaluated_scores(cases, tol=1e-10):
 
         return counted
 
+    outcomes = []
     with mock.patch.object(auction, "_log_integrands", spy):
-        outcomes = [quadrature_outcome(model, lam, tol) for model, lam in cases]
+        for model, lam in cases:
+            calls.append([])
+            outcomes.append(quadrature_outcome(model, lam, tol))
     return calls, outcomes
 
 
@@ -439,12 +458,32 @@ class TestKQuadrature:
     def test_point_mass_degenerate(self):
         model = AuctionModel(Exponential(1.0), PointMass(0.0), 4)
         for lam in (0.5, 2.0):
-            assert k_quadrature(model, lam) == pytest.approx(1.0, abs=1e-10)
+            assert k_quadrature(model, lam) == 1.0
 
     def test_point_mass_positive_location(self):
         model = AuctionModel(PointMass(0.0), PointMass(2.0), 3)
         # both order statistics are the constant 2, so K = 1
-        assert k_quadrature(model, 1.0) == pytest.approx(1.0, abs=1e-10)
+        assert k_quadrature(model, 1.0) == 1.0
+
+    @pytest.mark.parametrize(
+        "law",
+        [
+            PointMass(0.0),
+            Shifted(PointMass(1.5), 2.0),
+            Shifted(Shifted(PointMass(1.5), 2.0), -0.5),
+            # 0.1 + 0.2 is 0.30000000000000004, so the lower bound is exactly
+            # 0 when the offsets add innermost first, as the bids do; added
+            # outermost first it would be -2.8e-17
+            Shifted(Shifted(PointMass(0.1), 0.2), -0.30000000000000004),
+        ],
+        ids=["point-mass", "shifted", "shifted-twice", "offsets-cancel"],
+    )
+    def test_degenerate_law_gives_exactly_one(self, law):
+        # all N bids coincide, so K = 1 at any lambda and any positive tol
+        for N in (2, 50, 1000):
+            for lam in (1e-4, 1.0, 1e6):
+                for tol in (1e-10, 1e-300):
+                    assert k_quadrature(AuctionModel(PointMass(0.0), law, N), lam, tol) == 1.0
 
     def test_common_law_is_irrelevant(self):
         lam = 1.3
@@ -459,15 +498,33 @@ class TestKQuadrature:
         assert abs(quad_val - est) < 3 * se
 
     def test_domain(self):
-        model = AuctionModel(PointMass(0.0), Exponential(1.0), 2)
-        for lam in (0.0, -1.0, math.nan, math.inf, -math.inf):
-            with pytest.raises(DomainError):
-                k_quadrature(model, lam)
+        # a degenerate law's exact answer comes after every check
+        for law in (Exponential(1.0), PointMass(2.0), Shifted(PointMass(0.5), 1.0)):
+            model = AuctionModel(PointMass(0.0), law, 2)
+            for lam in (0.0, -1.0, math.nan, math.inf, -math.inf):
+                with pytest.raises(DomainError, match="lambda must be finite"):
+                    k_quadrature(model, lam)
+            for tol in (0.0, -1e-10, math.nan):
+                with pytest.raises(DomainError, match="tolerance must be positive"):
+                    k_quadrature(model, 1.0, tol)
+            with pytest.raises(DomainError, match="quadrature needs N within the double range"):
+                k_quadrature(AuctionModel(PointMass(0.0), law, 10 ** 400), 1.0)
 
     def test_support_below_zero(self):
-        model = AuctionModel(PointMass(0.0), Shifted(Exponential(1.0), -0.5), 3)
-        with pytest.raises(DomainError):
-            k_quadrature(model, 1.0)
+        for law in (Shifted(Exponential(1.0), -0.5), Shifted(PointMass(0.5), -1.0)):
+            with pytest.raises(DomainError, match="nonnegative idiosyncratic law"):
+                k_quadrature(AuctionModel(PointMass(0.0), law, 3), 1.0)
+
+    def test_support_sign_is_the_reference_lower_bound(self):
+        # k_quadrature refuses a law exactly where the scalar definition's
+        # lower bound is negative
+        laws = [model.idiosyncratic for model, _ in seeded_laws(31, 500)]
+        laws += [Shifted(Shifted(PointMass(0.1), 0.2), -0.30000000000000004),
+                 Shifted(Shifted(PointMass(0.1), -0.30000000000000004), 0.2)]
+        for law in laws:
+            below = bid_at_score(law, 0.0, log_ndtr(-0.0))[0] < 0
+            outcome = quadrature_outcome(AuctionModel(PointMass(0.0), law, 3), 1.0, tol=1e-300)
+            assert (outcome[0] == "DomainError") == below, law
 
     def test_unreachable_tolerance_raises(self):
         # two levels of the rule never agree to better than rounding
@@ -484,17 +541,27 @@ class TestKQuadrature:
 
     def test_unreachable_tolerance_raises_on_every_model(self):
         # levels that agree bit for bit still carry the sums' rounding, so
-        # no model meets a tolerance far below it
+        # no model meets a tolerance far below it; a degenerate law's K is
+        # exactly 1, with no error to estimate
         cases = list(benchmark_shaped_cases())
         calls, outcomes = evaluated_scores(cases, tol=1e-300)
-        met = [o for o in outcomes if not (isinstance(o, tuple) and "exceeds tolerance" in o[1])]
+        flags = [degenerate(model.idiosyncratic) for model, _ in cases]
+        assert [o for o, d in zip(outcomes, flags) if d] == [float.hex(1.0)] * 270
+        integrated = [(c[0], o) for c, o, d in zip(calls, outcomes, flags) if not d]
+        assert len(integrated) == 450
+        met = [o for _, o in integrated if not (isinstance(o, tuple) and "exceeds tolerance" in o[1])]
         assert met == []
-        # refining stops once two levels agree to rounding; all nine levels
-        # take about 8200 evaluations per lambda
-        assert sum(map(len, calls)) / len(cases) <= 2000
+        # refining stops once an estimate stops shrinking: about 300
+        # evaluations per lambda, where refining until two levels agree to
+        # rounding took about 1800, and all nine levels about 8200
+        assert sum(len(zs) for zs, _ in integrated) / len(integrated) <= 400
         for model, lam in seeded_laws(29, 100):
-            with pytest.raises(QuadratureFailure):
-                k_quadrature(model, lam, tol=1e-300)
+            if degenerate(model.idiosyncratic):
+                assert quadrature_outcome(model, lam, tol=1e-300) in (
+                    float.hex(1.0), ("DomainError", "quadrature requires a nonnegative idiosyncratic law"))
+            else:
+                with pytest.raises(QuadratureFailure, match="exceeds tolerance"):
+                    k_quadrature(model, lam, tol=1e-300)
 
     def test_rounding_floor_leaves_reachable_tolerances_alone(self):
         # 2**-51 relative: K = 1/2 meets 5e-16 but not 1e-16
@@ -506,12 +573,15 @@ class TestKQuadrature:
     def test_each_z_is_evaluated_once_and_searches_stay_cheap(self):
         cases = list(benchmark_shaped_cases())
         calls, outcomes = evaluated_scores(cases)
-        assert len(calls) == len(cases)
+        # a degenerate law evaluates no score; every other builds its
+        # log-integrands once
+        assert [len(c) for c in calls] == [0 if degenerate(m.idiosyncratic) else 1 for m, _ in cases]
         assert all(isinstance(o, str) for o in outcomes)
-        assert all(len(set(zs)) == len(zs) for zs in calls)
-        # about 110 per lambda; full-precision searches took about 290, and
+        integrated = [zs for [zs] in filter(None, calls)]
+        assert all(len(set(zs)) == len(zs) for zs in integrated)
+        # about 100 per lambda; full-precision searches took about 290, and
         # edges left unhalved about 170
-        assert sum(map(len, calls)) / len(cases) <= 140
+        assert sum(map(len, integrated)) / len(integrated) <= 140
 
     @pytest.mark.parametrize("lam", [2e4, 1e5])
     @pytest.mark.parametrize("mu", [-4.0, 0.0, 4.0])
@@ -592,8 +662,7 @@ class TestKQuadrature:
         base = Lognormal(0.3, 0.8)
         for lam in (1e-4, 1.0, 1e3, 1e6):
             for point in (PointMass(0.0), Shifted(PointMass(1.5), 2.0)):
-                k = k_quadrature(AuctionModel(PointMass(0.0), point, N), lam)
-                assert k == pytest.approx(1.0, abs=1e-15)
+                assert k_quadrature(AuctionModel(PointMass(0.0), point, N), lam) == 1.0
             shifted = k_quadrature(AuctionModel(PointMass(0.0), Shifted(base, 7.0), N), lam)
             assert shifted == k_quadrature(AuctionModel(PointMass(0.0), base, N), lam)
 
