@@ -21,7 +21,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from .algebra import Frozen, Rational, _int_text, _rational_text
-from .errors import DomainError, OutOfRange, QuadratureFailure
+from .errors import DomainError, InsufficientSamples, OutOfRange, QuadratureFailure
 from .identify import IdentifyResult, RatioSpec, identify
 from .transforms import RatioExpansion
 
@@ -120,7 +120,10 @@ class McConfig(Frozen):
 
     Draws come from a counter-based stream partitioned into chunks, so the
     output is fully determined by (samples, seed, chunk) no matter how the
-    chunks are scheduled.
+    chunks are scheduled.  chunk only keys the stream: whatever chunk and
+    the number of bidders N are, the scratch beside the output table is
+    one block of about 2**16 draws (512 KB), or one row of N draws when N
+    is larger.
     """
 
     __slots__ = ("samples", "seed", "chunk")
@@ -141,21 +144,27 @@ class McConfig(Frozen):
 
 
 def sample_draws(dist: DistSpec, rng: np.random.Generator, size) -> np.ndarray:
-    """Draw from a distribution; consumes the generator in a fixed order."""
+    """Draw from a distribution; consumes the generator in a fixed order,
+    so consecutive calls give the draws of one call of their total size.
+    Draws numpy cannot allocate raise OutOfRange naming their shape."""
     import numpy as np
 
-    if isinstance(dist, Exponential):
-        return rng.exponential(scale=1.0 / dist.theta, size=size)
-    if isinstance(dist, Lognormal):
-        # exp(sigma*z - mu) in place: the same roundings, no temporaries
-        z = rng.standard_normal(size)
-        z *= dist.sigma
-        z -= dist.mu
-        return np.exp(z, out=z)
-    if isinstance(dist, PointMass):
-        return np.full(size, dist.v, dtype=float)
-    if isinstance(dist, Shifted):
-        return sample_draws(dist.base, rng, size) + dist.offset
+    try:
+        if isinstance(dist, Exponential):
+            return rng.exponential(scale=1.0 / dist.theta, size=size)
+        if isinstance(dist, Lognormal):
+            # exp(sigma*z - mu) in place: the same roundings, no temporaries
+            z = rng.standard_normal(size)
+            z *= dist.sigma
+            z -= dist.mu
+            return np.exp(z, out=z)
+        if isinstance(dist, PointMass):
+            return np.full(size, dist.v, dtype=float)
+        if isinstance(dist, Shifted):
+            return sample_draws(dist.base, rng, size) + dist.offset
+    except MemoryError:
+        shape = size if isinstance(size, tuple) else (size,)
+        raise OutOfRange(f"draws of shape {shape} do not fit in memory") from None
     raise DomainError(f"unknown distribution {dist!r}")
 
 
@@ -389,6 +398,11 @@ def k_quadrature(model: AuctionModel, lam: float, tol: float = 1e-10) -> float:
     return k
 
 
+# Draws per block: Monte Carlo draws a chunk in consecutive blocks of
+# max(1, _BLOCK // N) rows of N bids, about 512 KB of scratch.
+_BLOCK = 2 ** 16
+
+
 def _chunked(cfg: McConfig):
     """Yield (chunk_index, rows, generator) triples; one independent
     counter-based stream per chunk so scheduling cannot change results."""
@@ -400,12 +414,33 @@ def _chunked(cfg: McConfig):
         yield start, rows, rng
 
 
+def _blocks(start: int, rows: int, width: int):
+    """Yield (lo, hi) row ranges splitting rows [start, start + rows) into
+    consecutive blocks of max(1, _BLOCK // width) rows of width draws.  A
+    generator fills in sequence, so drawing the blocks in order gives the
+    bits of one (rows, width) draw."""
+    step = max(1, _BLOCK // width)
+    for lo in range(start, start + rows, step):
+        yield lo, min(lo + step, start + rows)
+
+
+def _empty(shape: tuple) -> np.ndarray:
+    """np.empty(shape), or OutOfRange naming the shape where numpy cannot
+    allocate it."""
+    import numpy as np
+
+    try:
+        return np.empty(shape)
+    except MemoryError:
+        raise OutOfRange(f"an array of shape {shape} does not fit in memory") from None
+
+
 def _check_arrays(cfg: McConfig, N: int) -> None:
-    """Raise DomainError unless the (samples, 2) table and the (chunk rows,
-    N) draws each fit one array of doubles, whose byte count numpy keeps
-    within sys.maxsize."""
-    rows = min(cfg.chunk, cfg.samples)
-    if 8 * max(2 * cfg.samples, rows * N) > sys.maxsize:
+    """Raise DomainError unless the (samples, 2) table and one block of
+    draws, at most max(_BLOCK, N) doubles, each fit one array, whose byte
+    count numpy keeps within sys.maxsize."""
+    if 8 * max(2 * cfg.samples, N) > sys.maxsize:
+        rows = min(cfg.chunk, cfg.samples)
         raise DomainError(
             f"{cfg.samples} samples in chunks of {rows} rows of {_int_text(N)} bids do not fit one array"
         )
@@ -415,21 +450,30 @@ def simulate_bids(model: AuctionModel, cfg: McConfig) -> np.ndarray:
     """Simulate the two highest bids; returns an array of shape (samples, 2)
     with columns (highest, second highest).  Fully determined by cfg.
 
-    The common part is added after the sort, to the top two columns only:
-    fl(c + x) is monotone in x, so this commutes with the sort bit for bit.
-    Raises OutOfRange if a bid overflows the double range.
+    Each chunk draws its common parts, then its idiosyncratic bids in
+    consecutive blocks of max(1, _BLOCK // N) rows, which are sorted one
+    at a time: the scratch beside the table is one block, whatever chunk
+    and N are, and chunk only keys the stream.  The common part is added
+    after the sort, to the top two columns only: fl(c + x) is monotone in
+    x, so this commutes with the sort bit for bit.
+    Raises OutOfRange if a bid overflows the double range, or if numpy
+    cannot allocate the table or a block.
     """
     N = model.n_bidders
     _check_arrays(cfg, N)
     import numpy as np
 
-    out = np.empty((cfg.samples, 2))
+    out = _empty((cfg.samples, 2))
     with np.errstate(over="ignore"):
         for start, rows, rng in _chunked(cfg):
-            common = sample_draws(model.common, rng, rows)
-            eps = sample_draws(model.idiosyncratic, rng, (rows, N))
-            eps.sort(axis=1)
-            out[start : start + rows] = common[:, None] + eps[:, :-3:-1]
+            # the common parts wait in the top column until their block's sort
+            for lo, hi in _blocks(start, rows, 1):
+                out[lo:hi, 0] = sample_draws(model.common, rng, hi - lo)
+            for lo, hi in _blocks(start, rows, N):
+                eps = sample_draws(model.idiosyncratic, rng, (hi - lo, N))
+                eps.sort(axis=1)
+                out[lo:hi, 1] = out[lo:hi, 0] + eps[:, -2]
+                out[lo:hi, 0] += eps[:, -1]
     bad = ~np.isfinite(out).all(axis=1)
     if bad.any():
         row = int(bad.argmax())
@@ -440,12 +484,33 @@ def simulate_bids(model: AuctionModel, cfg: McConfig) -> np.ndarray:
     return out
 
 
+# Fewest effective draws k_monte_carlo estimates from.  Below about 10 the
+# delta-method error bar misses the true K by many standard errors; the floor
+# sits at the top of the 10-30 band where seeded corpora stop missing.
+_MIN_ESS = 30
+
+
+def _effective_size(w: np.ndarray) -> float:
+    """The effective sample size (sum w)^2 / sum w^2 of nonnegative
+    weights, taken relative to the largest so the squares cannot underflow;
+    0.0 when every weight is 0."""
+    top = w.max()
+    if top == 0:
+        return 0.0
+    u = w / top
+    return float(u.sum() ** 2 / (u @ u))
+
+
 def k_monte_carlo(samples: np.ndarray, lam: float) -> tuple[float, float]:
     """Estimate K from a simulated table of (highest, second highest).
 
     Returns (estimate, stderr) where the standard error comes from the
     delta method for a ratio of two correlated sample means.  Weights are
-    taken relative to the smallest second bid, so they cannot all underflow.
+    taken relative to the smallest second bid, so they cannot all underflow
+    in the second column.  Raises InsufficientSamples when either weight
+    column has an effective sample size (Kong 1992) below _MIN_ESS: then a
+    few draws carry the weights, and the estimate and its error bar are
+    both wrong.  A column whose weights all underflow has size 0.
     """
     import numpy as np
 
@@ -458,10 +523,14 @@ def k_monte_carlo(samples: np.ndarray, lam: float) -> tuple[float, float]:
         raise DomainError("sample table holds a non-finite bid")
     x, y = np.exp(-lam * (table - table[:, 1].min())).T
     n = len(x)
+    ess = min(_effective_size(x), _effective_size(y))
+    if not ess >= _MIN_ESS:
+        raise InsufficientSamples(
+            f"effective sample size {ess:.4g} of {n} rows is below {_MIN_ESS} "
+            f"at lambda {_shown(lam)}: too few draws carry the weights"
+        )
     xbar, ybar = x.mean(), y.mean()
     ratio = xbar / ybar
-    if n == 1:
-        return float(ratio), 0.0
     var_x = x.var(ddof=1)
     var_y = y.var(ddof=1)
     cov_xy = float(np.cov(x, y, ddof=1)[0, 1])
@@ -476,26 +545,28 @@ def memoryless_check(theta: float, N: int, cfg: McConfig, control: bool = False)
     The two distributions coincide exactly for exponential laws, so the
     statistic stays at noise level.  With control=True the fresh draw is
     omitted; the distributions then differ and the statistic is large.
+    Each chunk draws the first set's blocks, then the second set's, then
+    the fresh draws, as simulate_bids does, so the scratch beside the two
+    columns is one block.
     """
-    import numpy as np
-
     if not (_finite(theta) and theta > 0):
         raise DomainError(f"theta must be finite and positive, got {_shown(theta)}")
     if N < 2:
         raise DomainError("need N >= 2")
     _check_arrays(cfg, N)
-    scale = 1.0 / theta
-    top = np.empty(cfg.samples)
-    second_side = np.empty(cfg.samples)
+    law = Exponential(theta)
+    top = _empty((cfg.samples,))
+    second_side = _empty((cfg.samples,))
     for start, rows, rng in _chunked(cfg):
-        draws_a = rng.exponential(scale, (rows, N))
-        top[start : start + rows] = draws_a.max(axis=1)
-        draws_b = rng.exponential(scale, (rows, N))
-        draws_b.sort(axis=1)
-        second = draws_b[:, -2]
+        for lo, hi in _blocks(start, rows, N):
+            top[lo:hi] = sample_draws(law, rng, (hi - lo, N)).max(axis=1)
+        for lo, hi in _blocks(start, rows, N):
+            draws = sample_draws(law, rng, (hi - lo, N))
+            draws.sort(axis=1)
+            second_side[lo:hi] = draws[:, -2]
         if not control:
-            second = second + rng.exponential(scale, rows)
-        second_side[start : start + rows] = second
+            for lo, hi in _blocks(start, rows, 1):
+                second_side[lo:hi] += sample_draws(law, rng, hi - lo)
     return ks_statistic(top, second_side)
 
 

@@ -58,5 +58,9 @@ class QuadratureFailure(LaplaceRatioError):
     """A quadrature's error estimate exceeds the requested tolerance."""
 
 
+class InsufficientSamples(LaplaceRatioError):
+    """Too few effective Monte Carlo draws carry an estimate's weights."""
+
+
 class FormatError(LaplaceRatioError):
     """A document failed to parse; the message carries the offending path."""

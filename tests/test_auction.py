@@ -37,6 +37,7 @@ from laplaceratio.auction import (
 from laplaceratio.errors import (
     DomainError,
     InconsistentRatio,
+    InsufficientSamples,
     LaplaceRatioError,
     OutOfRange,
     QuadratureFailure,
@@ -718,7 +719,9 @@ class TestSimulateBids:
         table = simulate_bids(model, McConfig(10_000, seed=3))
         assert np.all(table[:, 0] >= table[:, 1])
 
-    @pytest.mark.parametrize("N", [2, 5, 50])
+    # N = 1000 and 3000 draw each 300-row chunk in blocks of 65 and 21 rows,
+    # the last one partial
+    @pytest.mark.parametrize("N", [2, 5, 50, 1000, 3000])
     @pytest.mark.parametrize(
         "common",
         [Exponential(1.0), Lognormal(0.5, 0.8), PointMass(2.0), Shifted(Lognormal(-1.0, 0.5), 3.5)],
@@ -727,6 +730,19 @@ class TestSimulateBids:
         model = AuctionModel(common, Lognormal(0.2, 0.9), N)
         cfg = McConfig(1_000, seed=7, chunk=300)
         got = simulate_bids(model, cfg)
+        want = reference_simulate_bids(model, cfg)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("block", [1, 2, 7, 64])
+    @pytest.mark.parametrize("N", [2, 3, 8])
+    @pytest.mark.parametrize("samples, chunk", [(1, 5), (23, 100_000), (100, 9), (100, 64)])
+    def test_matches_the_full_sort_in_small_blocks(self, block, N, samples, chunk):
+        # blocks of one row, blocks that split a chunk unevenly, common draws
+        # that span several blocks
+        model = AuctionModel(Shifted(Lognormal(0.1, 0.4), -0.5), Exponential(0.7), N)
+        cfg = McConfig(samples, seed=11, chunk=chunk)
+        with mock.patch.object(auction, "_BLOCK", block):
+            got = simulate_bids(model, cfg)
         want = reference_simulate_bids(model, cfg)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -745,6 +761,45 @@ class TestSimulateBids:
             simulate_bids(AuctionModel(PointMass(0.0), Exponential(1.0), N), cfg)
         with pytest.raises(DomainError, match="do not fit one array"):
             memoryless_check(1.0, N, cfg)
+
+    def test_draws_numpy_cannot_allocate_are_typed(self):
+        # one block of 10^15 bids passes the index-range check, but no
+        # machine holds its 8 PB
+        model = AuctionModel(Exponential(1.0), Exponential(1.0), 10 ** 15)
+        message = r"^draws of shape \(1, 1000000000000000\) do not fit in memory$"
+        with pytest.raises(OutOfRange, match=message):
+            simulate_bids(model, McConfig(5, seed=1))
+        with pytest.raises(OutOfRange, match=message):
+            memoryless_check(1.0, 10 ** 15, McConfig(5, seed=1))
+
+    def test_a_table_numpy_cannot_allocate_is_typed(self):
+        cfg = McConfig(2 ** 58, seed=1)
+        with pytest.raises(OutOfRange, match=r"^an array of shape \(288230376151711744, 2\) "):
+            simulate_bids(AuctionModel(PointMass(0.0), Exponential(1.0), 3), cfg)
+        with pytest.raises(OutOfRange, match=r"^an array of shape \(288230376151711744,\) "):
+            memoryless_check(1.0, 3, cfg)
+
+    def test_scratch_is_one_block(self):
+        # drawing each chunk as one (rows, N) array peaks at 15.5 MB for
+        # simulate_bids and 31 MB for memoryless_check here
+        import tracemalloc
+
+        model = AuctionModel(Exponential(1.0), Lognormal(0.0, 1.0), 500)
+        cfg = McConfig(4_000, seed=1)
+        calls = [
+            lambda: simulate_bids(model, cfg),
+            lambda: memoryless_check(1.0, 500, cfg),
+            lambda: memoryless_check(1.0, 500, cfg, control=True),
+        ]
+        for call in calls:
+            call()  # numpy's first-call caches stay out of the count
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * 2 ** 20
 
     def test_overflow_raises_out_of_range(self, recwarn):
         law = Lognormal(-708.0, 1.0)
@@ -787,6 +842,25 @@ def reference_draws(dist, rng, size):
     return sample_draws(dist, rng, size)
 
 
+def reference_memoryless_check(theta, N, cfg, control=False, statistic=ks_statistic):
+    """memoryless_check drawing each chunk's sets as whole (rows, N) arrays;
+    statistic takes the two columns."""
+    scale = 1.0 / theta
+    top = np.empty(cfg.samples)
+    second_side = np.empty(cfg.samples)
+    for ci, start in enumerate(range(0, cfg.samples, cfg.chunk)):
+        rows = min(cfg.chunk, cfg.samples - start)
+        rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(ci))
+        top[start : start + rows] = rng.exponential(scale, (rows, N)).max(axis=1)
+        draws_b = rng.exponential(scale, (rows, N))
+        draws_b.sort(axis=1)
+        second = draws_b[:, -2]
+        if not control:
+            second = second + rng.exponential(scale, rows)
+        second_side[start : start + rows] = second
+    return statistic(top, second_side)
+
+
 class TestKMonteCarlo:
     def test_degenerate_table(self):
         table = np.full((50, 2), 7.0)
@@ -821,13 +895,69 @@ class TestKMonteCarlo:
         assert 0 < se < 1e-2
         assert abs(est - 0.5) < 4 * se
 
-    def test_finite_where_rare_draws_carry_k(self):
-        # at lam = 300 the weights underflow too, and K = 1/301 is carried by
-        # draws with all five bids near 0, which 20 000 rows do not see: the
-        # estimate is finite, not nan, but cannot be near 1/301
-        model = AuctionModel(PointMass(5.0), Exponential(1.0), 5)
-        est, se = k_monte_carlo(simulate_bids(model, McConfig(20_000, seed=3)), 300.0)
-        assert math.isfinite(est) and math.isfinite(se)
+    @pytest.mark.parametrize(
+        "common, idio, N, lam, seed, ess",
+        [
+            (PointMass(5.0), Exponential(1.0), 5, 300.0, 3, "1.004"),
+            (Exponential(1.0), Lognormal(0.0, 1.0), 50, 100.0, 3, "1.697"),
+            (Exponential(1.0), Lognormal(1.0, 0.5), 5, 1000.0, 3, "1"),
+            (Exponential(1.0), Lognormal(-1.0, 1.5), 50, 1000.0, 5, "0"),
+        ],
+    )
+    def test_refused_where_rare_draws_carry_k(self, common, idio, N, lam, seed, ess):
+        # K is carried by draws with all N bids near 0, which 20 000 rows do
+        # not see: the estimate came out orders of magnitude low, with an
+        # error bar as small.  In the last row every top-bid weight
+        # underflows, which gave (0.0, 0.0).
+        table = simulate_bids(AuctionModel(common, idio, N), McConfig(20_000, seed=seed))
+        with pytest.raises(InsufficientSamples, match=f"^effective sample size {ess} of 20000 rows is below 30 "):
+            k_monte_carlo(table, lam)
+
+    def test_the_effective_size_floor(self):
+        # rows at bid 0 carry weight 1 and rows at 10^6 weight 0, so the
+        # effective sample size is the count of rows at 0
+        def table(carried):
+            return np.array([[0.0, 0.0]] * carried + [[1e6, 1e6]] * 100)
+
+        assert k_monte_carlo(table(30), 1.0)[0] == 1.0
+        with pytest.raises(InsufficientSamples, match="effective sample size 29 of 129 rows"):
+            k_monte_carlo(table(29), 1.0)
+        with pytest.raises(InsufficientSamples, match="effective sample size 1 of 1 rows"):
+            k_monte_carlo(np.array([[2.0, 1.0]]), 1.0)
+        # top-bid weights near 1e-200, whose squares underflow: the size is
+        # taken relative to the largest weight, so it stays 50
+        far = np.array([[460.0, 0.0]] * 50)
+        assert k_monte_carlo(far, 1.0)[0] == pytest.approx(math.exp(-460.0), rel=1e-12)
+
+    def test_returned_estimates_lie_within_five_standard_errors(self):
+        # a seeded corpus across laws, N and lambda: each estimate either
+        # lies within 5 SE of the true K or is refused
+        rng = random.Random(4)
+        returned = refused = 0
+        for _ in range(500):
+            idio = rng.choice(
+                [
+                    Exponential(rng.uniform(0.3, 3.0)),
+                    Lognormal(rng.choice([-1.0, 0.0, 1.0]), rng.choice([0.5, 1.0, 1.5])),
+                    Shifted(Lognormal(rng.uniform(-1, 1), rng.uniform(0.3, 1.5)), rng.uniform(0, 2)),
+                ]
+            )
+            common = rng.choice([PointMass(rng.uniform(0, 5)), Exponential(rng.uniform(0.5, 2))])
+            model = AuctionModel(common, idio, rng.choice([2, 5, 50]))
+            lam = 10 ** rng.uniform(-2, 3)
+            table = simulate_bids(model, McConfig(2_000, seed=rng.getrandbits(63)))
+            try:
+                est, se = k_monte_carlo(table, lam)
+            except InsufficientSamples:
+                refused += 1
+                continue
+            returned += 1
+            if isinstance(idio, Exponential):
+                want = k_analytic_exponential(idio.theta, lam)
+            else:
+                want = k_quadrature(model, lam)
+            assert abs(est - want) <= 5 * se, (model, lam, est, se, want)
+        assert returned > 250 and refused > 150
 
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
@@ -855,6 +985,34 @@ class TestMemorylessCheck:
         cfg = McConfig(100_000, seed=23)
         critical = 1.63 * math.sqrt(2 / cfg.samples)
         assert memoryless_check(1.0, 3, cfg, control=True) > critical
+
+    @pytest.mark.parametrize("control", [False, True])
+    @pytest.mark.parametrize(
+        "N, samples, chunk, block",
+        [
+            (2, 1, 100_000, None),
+            (3, 1_001, 300, None),
+            (10, 777, 100_000, None),
+            (1_000, 500, 100_000, None),
+            (3_000, 200, 70, None),
+            (2, 100, 9, 1),
+            (5, 100, 64, 7),
+            (4, 1, 3, 3),
+        ],
+    )
+    def test_matches_the_whole_chunk_draws(self, N, samples, chunk, block, control):
+        # both columns bit for bit, then the statistic
+        def columns(a, b):
+            return np.stack([a, b]).view(np.uint64)
+
+        cfg = McConfig(samples, seed=19, chunk=chunk)
+        with mock.patch.object(auction, "_BLOCK", block or auction._BLOCK):
+            with mock.patch.object(auction, "ks_statistic", columns):
+                got = memoryless_check(1.7, N, cfg, control=control)
+            stat = memoryless_check(1.7, N, cfg, control=control)
+        want = reference_memoryless_check(1.7, N, cfg, control, columns)
+        assert np.array_equal(got, want)
+        assert stat.hex() == reference_memoryless_check(1.7, N, cfg, control).hex()
 
     @pytest.mark.parametrize(
         "theta",

@@ -576,6 +576,15 @@ class TestAuctionCommands:
         assert (code, out) == (1, "")
         assert err.startswith("DomainError: ") and err.endswith(" do not fit one array\n")
 
+    def test_auction_sim_block_numpy_cannot_allocate_is_typed(self, capsys, model_file):
+        # 5 * 10^15 doubles fit the index range, so only the allocation of
+        # one block of 10^15 bids can refuse them
+        law = {"kind": "exponential", "theta": 1.0}
+        path = model_file("m.json", {"common": law, "idiosyncratic": law, "N": 10 ** 15})
+        code, out, err = run_cli(capsys, "auction-sim", "--model", path, "--samples", "5", "--seed", "1")
+        assert (code, out) == (1, "")
+        assert err == "OutOfRange: draws of shape (1, 1000000000000000) do not fit in memory\n"
+
     def test_auction_identify(self, capsys, tmp_path):
         H = ratio_expansion(Poly([0, 1]), 1, 2, 8)
         path = tmp_path / "H.json"
