@@ -57,6 +57,7 @@ __all__ = [
     "k_from_h",
     "k_monte_carlo",
     "k_quadrature",
+    "k_value",
     "laplace_piecewise",
     "laplace_poly",
     "leading_coefficient",

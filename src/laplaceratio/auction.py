@@ -116,31 +116,22 @@ class AuctionModel(Frozen):
 
 
 class McConfig(Frozen):
-    """Deterministic Monte Carlo configuration.
+    """Deterministic Monte Carlo configuration: (samples, seed) fully
+    determine the draws, which come in chunks of _CHUNK rows, one
+    counter-based stream per chunk, however the chunks are scheduled."""
 
-    Draws come from a counter-based stream partitioned into chunks, so the
-    output is fully determined by (samples, seed, chunk) no matter how the
-    chunks are scheduled.  chunk only keys the stream: whatever chunk and
-    the number of bidders N are, the scratch beside the output table is
-    one block of about 2**16 draws (512 KB), or one row of N draws when N
-    is larger.
-    """
+    __slots__ = ("samples", "seed")
 
-    __slots__ = ("samples", "seed", "chunk")
-
-    def __init__(self, samples: int, seed: int, chunk: int = 100_000):
-        for name, value in (("samples", samples), ("seed", seed), ("chunk", chunk)):
+    def __init__(self, samples: int, seed: int):
+        for name, value in (("samples", samples), ("seed", seed)):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise DomainError(f"{name} must be an integer, got {value!r}")
         if samples < 1:
             raise DomainError("samples must be positive")
-        if chunk < 1:
-            raise DomainError("chunk must be positive")
         if not 0 <= seed < 2 ** 64:
             raise DomainError("seed must fit in 64 unsigned bits")
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "chunk", chunk)
 
 
 def sample_draws(dist: DistSpec, rng: np.random.Generator, size) -> np.ndarray:
@@ -272,6 +263,25 @@ def _log_integrands(dist: DistSpec, N: int, lam: float):
     return logs
 
 
+def _check_k_arguments(lam: float, tol: float) -> None:
+    """Raise DomainError unless lam is finite and positive and tol > 0."""
+    if not (_finite(lam) and lam > 0):
+        raise DomainError(f"lambda must be finite and positive, got {_shown(lam)}")
+    if not tol > 0:
+        raise DomainError("tolerance must be positive")
+
+
+def k_value(model: AuctionModel, lam: float, tol: float = 1e-10) -> float:
+    """K at lam: k_analytic_exponential, which meets any tol > 0, for a bare
+    Exponential idiosyncratic law, else k_quadrature (a Shifted exponential
+    too).  Every law gets k_quadrature's checks of lam and tol."""
+    _check_k_arguments(lam, tol)
+    dist = model.idiosyncratic
+    if isinstance(dist, Exponential):
+        return k_analytic_exponential(dist.theta, lam)
+    return k_quadrature(model, lam, tol)
+
+
 # k_quadrature's least relative error estimate: one ulp of each of its two
 # sums, relative to the sum
 _SUMS_ROUNDING = 2 * sys.float_info.epsilon
@@ -308,10 +318,7 @@ def k_quadrature(model: AuctionModel, lam: float, tol: float = 1e-10) -> float:
     lower bound, so A = 1/N = (N-1) B and K is exactly 1 for any tol > 0,
     with no quadrature.
     """
-    if not (_finite(lam) and lam > 0):
-        raise DomainError(f"lambda must be finite and positive, got {_shown(lam)}")
-    if not tol > 0:
-        raise DomainError("tolerance must be positive")
+    _check_k_arguments(lam, tol)
     dist, N = model.idiosyncratic, model.n_bidders
     # the lower bound adds the offsets innermost first, as the bids do
     offsets = []
@@ -398,18 +405,20 @@ def k_quadrature(model: AuctionModel, lam: float, tol: float = 1e-10) -> float:
     return k
 
 
+# Rows per chunk, each drawn from its own stream keyed by seed and index.
+_CHUNK = 100_000
 # Draws per block: Monte Carlo draws a chunk in consecutive blocks of
 # max(1, _BLOCK // N) rows of N bids, about 512 KB of scratch.
 _BLOCK = 2 ** 16
 
 
 def _chunked(cfg: McConfig):
-    """Yield (chunk_index, rows, generator) triples; one independent
+    """Yield (start_row, rows, generator) triples; one independent
     counter-based stream per chunk so scheduling cannot change results."""
     import numpy as np
 
-    for ci, start in enumerate(range(0, cfg.samples, cfg.chunk)):
-        rows = min(cfg.chunk, cfg.samples - start)
+    for ci, start in enumerate(range(0, cfg.samples, _CHUNK)):
+        rows = min(_CHUNK, cfg.samples - start)
         rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(ci))
         yield start, rows, rng
 
@@ -440,10 +449,8 @@ def _check_arrays(cfg: McConfig, N: int) -> None:
     draws, at most max(_BLOCK, N) doubles, each fit one array, whose byte
     count numpy keeps within sys.maxsize."""
     if 8 * max(2 * cfg.samples, N) > sys.maxsize:
-        rows = min(cfg.chunk, cfg.samples)
-        raise DomainError(
-            f"{cfg.samples} samples in chunks of {rows} rows of {_int_text(N)} bids do not fit one array"
-        )
+        raise DomainError(f"{cfg.samples} samples in chunks of {min(_CHUNK, cfg.samples)} rows"
+                          f" of {_int_text(N)} bids do not fit one array")
 
 
 def simulate_bids(model: AuctionModel, cfg: McConfig) -> np.ndarray:
@@ -452,10 +459,9 @@ def simulate_bids(model: AuctionModel, cfg: McConfig) -> np.ndarray:
 
     Each chunk draws its common parts, then its idiosyncratic bids in
     consecutive blocks of max(1, _BLOCK // N) rows, which are sorted one
-    at a time: the scratch beside the table is one block, whatever chunk
-    and N are, and chunk only keys the stream.  The common part is added
-    after the sort, to the top two columns only: fl(c + x) is monotone in
-    x, so this commutes with the sort bit for bit.
+    at a time: the scratch beside the table is one block, whatever N is.
+    The common part is added after the sort, to the top two columns only:
+    fl(c + x) is monotone in x, so this commutes with the sort bit for bit.
     Raises OutOfRange if a bid overflows the double range, or if numpy
     cannot allocate the table or a block.
     """
@@ -551,8 +557,8 @@ def memoryless_check(theta: float, N: int, cfg: McConfig, control: bool = False)
     """
     if not (_finite(theta) and theta > 0):
         raise DomainError(f"theta must be finite and positive, got {_shown(theta)}")
-    if N < 2:
-        raise DomainError("need N >= 2")
+    if not isinstance(N, int) or N < 2:
+        raise DomainError("need an integer N >= 2")
     _check_arrays(cfg, N)
     law = Exponential(theta)
     top = _empty((cfg.samples,))

@@ -113,13 +113,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("auction-k", "top-two transform ratio K for a bid model", cmd_auction_k, rows=True)
     p.add_argument("--model", required=True, help="auction model JSON")
     add_lambda_flags(p)
-    p.add_argument("--tol", type=float, default=1e-10, help="quadrature tolerance")
+    p.add_argument("--tol", type=float, default=1e-10, help="tolerance on K")
 
     p = add("auction-sim", "simulate top-two bids to CSV", cmd_auction_sim, rows=True)
     p.add_argument("--model", required=True, help="auction model JSON")
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--chunk", type=int, default=100_000)
 
     p = add("auction-identify", "recover the bid-distribution germ from K data", cmd_auction_identify)
     p.add_argument("--input", action="append", required=True, help="ratio expansion JSON")
@@ -332,20 +331,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_auction_k(args) -> int:
-    from .auction import Exponential, k_analytic_exponential, k_quadrature
+    from .auction import k_value
 
     model = ff.model_from_document(ff.load_json(args.model), where=args.model)
     lams = _lambda_grid(args)
     if not lams:
         raise FormatError("auction-k needs --lambda or --lambda-grid")
-    rows = []
-    for lam in lams:
-        if isinstance(model.idiosyncratic, Exponential):
-            k = k_analytic_exponential(model.idiosyncratic.theta, lam)
-        else:
-            k = k_quadrature(model, lam, tol=args.tol)
-        rows.append([lam, k])
-    _emit_rows(args, ["lambda", "k"], rows)
+    _emit_rows(args, ["lambda", "k"], [[lam, k_value(model, lam, args.tol)] for lam in lams])
     return 0
 
 
@@ -353,8 +345,7 @@ def cmd_auction_sim(args) -> int:
     from .auction import McConfig, simulate_bids
 
     model = ff.model_from_document(ff.load_json(args.model), where=args.model)
-    cfg = McConfig(samples=args.samples, seed=args.seed, chunk=args.chunk)
-    table = simulate_bids(model, cfg)
+    table = simulate_bids(model, McConfig(samples=args.samples, seed=args.seed))
     if args.output:
         ff.save_samples(args.output, table)
     else:
@@ -376,10 +367,7 @@ def cmd_auction_identify(args) -> int:
 
 def cmd_selftest(args) -> int:
     from .auction import (
-        AuctionModel,
-        Exponential,
         McConfig,
-        PointMass,
         h_from_k,
         k_from_h,
         k_monte_carlo,
@@ -447,7 +435,8 @@ def cmd_selftest(args) -> int:
     )
     check("K and power-ratio conversions invert each other", kh_ok)
 
-    model = AuctionModel(PointMass(0.0), Exponential(1.0), 5)
+    law = {"kind": "exponential", "theta": 1.0}
+    model = ff.model_from_document({"common": {"kind": "point_mass", "v": 0.0}, "idiosyncratic": law, "N": 5})
     check(
         "quadrature matches the exponential closed form",
         abs(k_quadrature(model, 1.0, tol=1e-10) - 0.5) <= 1e-10,

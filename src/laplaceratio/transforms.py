@@ -335,6 +335,8 @@ def laplace_piecewise(pp: PiecewisePoly, lam: float) -> float:
     Each piece contributes a closed-form integral, so there is no
     quadrature error beyond double-precision rounding.
     """
+    if not -math.inf < lam < math.inf:
+        raise DomainError(f"lambda must be finite and positive, got {lam!r}")
     if lam <= 0:
         raise DivergentTransform(f"transform requires lambda > 0, got {lam}")
     total = 0.0

@@ -29,6 +29,7 @@ from laplaceratio.auction import (
     k_from_h,
     k_monte_carlo,
     k_quadrature,
+    k_value,
     ks_statistic,
     memoryless_check,
     sample_draws,
@@ -224,6 +225,31 @@ class TestKAnalyticExponential:
             k_analytic_exponential(1.0, bad)
         with pytest.raises(DomainError):
             k_analytic_exponential(bad, 1.0)
+
+
+class TestKValue:
+    def test_closed_form_for_a_bare_exponential_only(self):
+        # a Shifted exponential goes to quadrature, as every other law does
+        others = [Shifted(Exponential(2.0), 0.5), Lognormal(0.3, 0.8), Shifted(PointMass(0.5), 1.0)]
+        for N in (2, 5):
+            for lam in (0.1, 1.0, 30.0):
+                model = AuctionModel(PointMass(0.0), Exponential(2.0), N)
+                assert k_value(model, lam, 1e-300).hex() == k_analytic_exponential(2.0, lam).hex()
+                for idio in others:
+                    model = AuctionModel(Exponential(1.0), idio, N)
+                    assert k_value(model, lam, 1e-9).hex() == k_quadrature(model, lam, 1e-9).hex()
+
+    def test_domain(self):
+        # every law checks lambda and tol with k_quadrature's messages
+        laws = [Exponential(1.0), Lognormal(0.0, 1.0), PointMass(2.0), Shifted(Exponential(1.0), 1.0)]
+        for law in laws:
+            model = AuctionModel(PointMass(0.0), law, 3)
+            for lam in (0.0, -1.0, math.nan, math.inf, -math.inf, 10 ** 400):
+                with pytest.raises(DomainError, match="^lambda must be finite and positive, got "):
+                    k_value(model, lam)
+            for tol in (0.0, -1.0, math.nan, -math.inf):
+                with pytest.raises(DomainError, match="^tolerance must be positive$"):
+                    k_value(model, 1.0, tol)
 
 
 CATALOGUE = Path(__file__).resolve().parents[1] / "benchmarks" / "k_catalogue.json"
@@ -683,10 +709,8 @@ class TestSimulateBids:
         [
             ((10.5, 1), "samples must be an integer, got 10.5"),
             ((10, 1.5), "seed must be an integer, got 1.5"),
-            ((10, 1, 2.5), "chunk must be an integer, got 2.5"),
             ((True, 1), "samples must be an integer, got True"),
             ((10, False), "seed must be an integer, got False"),
-            ((10, 1, True), "chunk must be an integer, got True"),
             (("10", 1), "samples must be an integer, got '10'"),
         ],
     )
@@ -703,15 +727,10 @@ class TestSimulateBids:
 
     def test_deterministic(self):
         model = AuctionModel(Exponential(1.0), Lognormal(0.0, 1.0), 3)
-        cfg = McConfig(5_000, seed=42, chunk=1_024)
-        a = simulate_bids(model, cfg)
-        b = simulate_bids(model, cfg)
-        assert np.array_equal(a, b)
-
-    def test_chunk_is_part_of_the_key(self):
-        model = AuctionModel(PointMass(0.0), Exponential(1.0), 2)
-        a = simulate_bids(model, McConfig(2_000, seed=9, chunk=500))
-        b = simulate_bids(model, McConfig(2_000, seed=9, chunk=500))
+        cfg = McConfig(5_000, seed=42)
+        with mock.patch.object(auction, "_CHUNK", 1_024):
+            a = simulate_bids(model, cfg)
+            b = simulate_bids(model, cfg)
         assert np.array_equal(a, b)
 
     def test_top_at_least_second(self):
@@ -728,9 +747,10 @@ class TestSimulateBids:
     )
     def test_matches_the_full_sort(self, common, N):
         model = AuctionModel(common, Lognormal(0.2, 0.9), N)
-        cfg = McConfig(1_000, seed=7, chunk=300)
-        got = simulate_bids(model, cfg)
-        want = reference_simulate_bids(model, cfg)
+        cfg = McConfig(1_000, seed=7)
+        with mock.patch.object(auction, "_CHUNK", 300):
+            got = simulate_bids(model, cfg)
+        want = reference_simulate_bids(model, cfg, chunk=300)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("block", [1, 2, 7, 64])
@@ -740,23 +760,30 @@ class TestSimulateBids:
         # blocks of one row, blocks that split a chunk unevenly, common draws
         # that span several blocks
         model = AuctionModel(Shifted(Lognormal(0.1, 0.4), -0.5), Exponential(0.7), N)
-        cfg = McConfig(samples, seed=11, chunk=chunk)
+        cfg = McConfig(samples, seed=11)
         with mock.patch.object(auction, "_BLOCK", block):
-            got = simulate_bids(model, cfg)
-        want = reference_simulate_bids(model, cfg)
+            with mock.patch.object(auction, "_CHUNK", chunk):
+                got = simulate_bids(model, cfg)
+        want = reference_simulate_bids(model, cfg, chunk)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
-    @pytest.mark.parametrize(
-        "N, samples, chunk",
-        [(10 ** 20, 5, 100_000), (3, 10 ** 20, 100_000), (3, 10 ** 20, 10 ** 20), (2 ** 60, 4, 4)],
-    )
-    def test_arrays_past_the_index_range_are_refused_first(self, monkeypatch, N, samples, chunk):
+    def test_the_stream_is_keyed_by_samples_and_seed(self):
+        # three chunks of 100 000 rows, the last one partial, against the
+        # stream spelled out with a literal chunk size
+        model = AuctionModel(Exponential(1.0), Lognormal(0.2, 0.9), 3)
+        cfg = McConfig(250_000, seed=7)
+        got = simulate_bids(model, cfg)
+        want = reference_simulate_bids(model, cfg, chunk=100_000)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("N, samples", [(10 ** 20, 5), (3, 10 ** 20), (2 ** 60, 4)])
+    def test_arrays_past_the_index_range_are_refused_first(self, monkeypatch, N, samples):
         def no_array(*args, **kwargs):
             raise AssertionError("numpy was asked for an array")
 
         monkeypatch.setattr(np, "empty", no_array)
         monkeypatch.setattr(np.random, "Generator", no_array)
-        cfg = McConfig(samples, seed=1, chunk=chunk)
+        cfg = McConfig(samples, seed=1)
         with pytest.raises(DomainError, match="do not fit one array"):
             simulate_bids(AuctionModel(PointMass(0.0), Exponential(1.0), N), cfg)
         with pytest.raises(DomainError, match="do not fit one array"):
@@ -817,12 +844,12 @@ class TestSimulateBids:
         assert abs(gap.mean() - 1.0) < 3 * stderr
 
 
-def reference_simulate_bids(model, cfg):
+def reference_simulate_bids(model, cfg, chunk=100_000):
     """simulate_bids as a full sort of common + idiosyncratic bids, with the
-    counter-based stream of each chunk spelled out."""
+    counter-based stream of each chunk of chunk rows spelled out."""
     out = np.empty((cfg.samples, 2))
-    for ci, start in enumerate(range(0, cfg.samples, cfg.chunk)):
-        rows = min(cfg.chunk, cfg.samples - start)
+    for ci, start in enumerate(range(0, cfg.samples, chunk)):
+        rows = min(chunk, cfg.samples - start)
         rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(ci))
         common = reference_draws(model.common, rng, rows)
         eps = reference_draws(model.idiosyncratic, rng, (rows, model.n_bidders))
@@ -842,14 +869,14 @@ def reference_draws(dist, rng, size):
     return sample_draws(dist, rng, size)
 
 
-def reference_memoryless_check(theta, N, cfg, control=False, statistic=ks_statistic):
-    """memoryless_check drawing each chunk's sets as whole (rows, N) arrays;
-    statistic takes the two columns."""
+def reference_memoryless_check(theta, N, cfg, control=False, statistic=ks_statistic, chunk=100_000):
+    """memoryless_check drawing the sets of each chunk of chunk rows as
+    whole (rows, N) arrays; statistic takes the two columns."""
     scale = 1.0 / theta
     top = np.empty(cfg.samples)
     second_side = np.empty(cfg.samples)
-    for ci, start in enumerate(range(0, cfg.samples, cfg.chunk)):
-        rows = min(cfg.chunk, cfg.samples - start)
+    for ci, start in enumerate(range(0, cfg.samples, chunk)):
+        rows = min(chunk, cfg.samples - start)
         rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(ci))
         top[start : start + rows] = rng.exponential(scale, (rows, N)).max(axis=1)
         draws_b = rng.exponential(scale, (rows, N))
@@ -986,6 +1013,8 @@ class TestMemorylessCheck:
         critical = 1.63 * math.sqrt(2 / cfg.samples)
         assert memoryless_check(1.0, 3, cfg, control=True) > critical
 
+    # chunk None leaves _CHUNK as it is, against the reference's literal
+    # 100 000 rows; 250 000 samples span three chunks
     @pytest.mark.parametrize("control", [False, True])
     @pytest.mark.parametrize(
         "N, samples, chunk, block",
@@ -998,6 +1027,7 @@ class TestMemorylessCheck:
             (2, 100, 9, 1),
             (5, 100, 64, 7),
             (4, 1, 3, 3),
+            (3, 250_000, None, None),
         ],
     )
     def test_matches_the_whole_chunk_draws(self, N, samples, chunk, block, control):
@@ -1005,23 +1035,36 @@ class TestMemorylessCheck:
         def columns(a, b):
             return np.stack([a, b]).view(np.uint64)
 
-        cfg = McConfig(samples, seed=19, chunk=chunk)
+        cfg = McConfig(samples, seed=19)
         with mock.patch.object(auction, "_BLOCK", block or auction._BLOCK):
-            with mock.patch.object(auction, "ks_statistic", columns):
-                got = memoryless_check(1.7, N, cfg, control=control)
-            stat = memoryless_check(1.7, N, cfg, control=control)
-        want = reference_memoryless_check(1.7, N, cfg, control, columns)
+            with mock.patch.object(auction, "_CHUNK", chunk or auction._CHUNK):
+                with mock.patch.object(auction, "ks_statistic", columns):
+                    got = memoryless_check(1.7, N, cfg, control=control)
+                stat = memoryless_check(1.7, N, cfg, control=control)
+        chunk = chunk or 100_000
+        want = reference_memoryless_check(1.7, N, cfg, control, columns, chunk)
         assert np.array_equal(got, want)
-        assert stat.hex() == reference_memoryless_check(1.7, N, cfg, control).hex()
+        assert stat.hex() == reference_memoryless_check(1.7, N, cfg, control, chunk=chunk).hex()
 
     @pytest.mark.parametrize(
-        "theta",
-        [math.nan, math.inf, -math.inf, 10 ** 400, 0],
-        ids=["nan", "inf", "-inf", "int", "zero"],
+        "theta, N, message",
+        [
+            (math.nan, 3, "theta must be finite and positive"),
+            (math.inf, 3, "theta must be finite and positive"),
+            (-math.inf, 3, "theta must be finite and positive"),
+            (10 ** 400, 3, "theta must be finite and positive"),
+            (0, 3, "theta must be finite and positive"),
+            (1.0, 3.0, "need an integer N >= 2"),
+            (1.0, "3", "need an integer N >= 2"),
+            (1.0, None, "need an integer N >= 2"),
+            (1.0, 1, "need an integer N >= 2"),
+        ],
+        ids=["nan", "inf", "-inf", "int", "zero", "N-float", "N-str", "N-none", "N-one"],
     )
-    def test_refuses_what_the_laws_refuse(self, theta):
-        with pytest.raises(DomainError, match="theta must be finite and positive"):
-            memoryless_check(theta, 3, McConfig(10, seed=1))
+    def test_refuses_what_the_laws_refuse(self, theta, N, message):
+        # a float, text or None for N once raised TypeError from range or <
+        with pytest.raises(DomainError, match=message):
+            memoryless_check(theta, N, McConfig(10, seed=1))
 
 
 class TestKsStatistic:

@@ -237,7 +237,6 @@ def cases(draw):
         else:
             argv += ["--samples", value(draw, st.integers(1, 300))]
             argv += ["--seed", value(draw, st.integers(0, 2**64))]
-            argv += ["--chunk", value(draw, st.integers(1, 400))]
             if draw(st.booleans()):
                 argv += ["--output", "{tmp}/bids.csv"]
     if command in ("transform", "ratio", "auction-k", "auction-sim") and draw(st.booleans()):

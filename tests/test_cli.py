@@ -472,6 +472,26 @@ class TestAuctionCommands:
         assert code == 0
         assert out.strip().splitlines()[1] == "1.0,0.5"
 
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_auction_k_refuses_a_tolerance_that_is_not_positive_for_every_law(
+        self, capsys, model_file, tol
+    ):
+        # the closed form once ignored --tol
+        common = {"kind": "point_mass", "v": 0}
+        laws = [{"kind": "exponential", "theta": 1.0}, {"kind": "lognormal", "mu": 0.0, "sigma": 1.0}]
+        for idio in laws:
+            path = model_file("m.json", {"common": common, "idiosyncratic": idio, "N": 5})
+            argv = ["auction-k", "--model", path, "--lambda", "1.0", "--tol", tol]
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out, err) == (1, "", "DomainError: tolerance must be positive\n")
+
+    def test_auction_k_closed_form_meets_any_positive_tolerance(self, capsys, model_file):
+        law = {"kind": "exponential", "theta": 1.0}
+        path = model_file("m.json", {"common": law, "idiosyncratic": law, "N": 5})
+        argv = ["auction-k", "--model", path, "--lambda", "1.0", "--tol", "1e-300"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, out) == (0, "lambda,k\n1.0,0.5\n")
+
     def test_auction_k_quadrature_grid(self, capsys, model_file):
         path = model_file(
             "m.json",
@@ -530,7 +550,7 @@ class TestAuctionCommands:
                 "N": 5,
             },
         )
-        argv = ["auction-sim", "--model", path, "--samples", "300", "--seed", "3", "--chunk", "128"]
+        argv = ["auction-sim", "--model", path, "--samples", "300", "--seed", "3"]
         csv_path = tmp_path / "bids.csv"
         assert main(argv + ["--output", str(csv_path)]) == 0
         code, out, _ = run_cli(capsys, *argv)
@@ -556,14 +576,7 @@ class TestAuctionCommands:
         assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
         assert not csv_path.exists()
 
-    @pytest.mark.parametrize(
-        "N, extra",
-        [
-            (10 ** 20, []),
-            (3, ["--samples", str(10 ** 20)]),
-            (3, ["--samples", str(10 ** 20), "--chunk", str(10 ** 20)]),
-        ],
-    )
+    @pytest.mark.parametrize("N, extra", [(10 ** 20, []), (3, ["--samples", str(10 ** 20)])])
     def test_auction_sim_past_one_array_is_typed(self, capsys, model_file, monkeypatch, N, extra):
         def no_array(*args, **kwargs):
             raise AssertionError("numpy was asked for an array")

@@ -94,13 +94,10 @@ class AuctionModelTwin:
 class McConfigTwin:
     samples: int
     seed: int
-    chunk: int = 100_000
 
     def __post_init__(self):
         if self.samples < 1:
             raise DomainError("samples must be positive")
-        if self.chunk < 1:
-            raise DomainError("chunk must be positive")
         if not 0 <= self.seed < 2 ** 64:
             raise DomainError("seed must fit in 64 unsigned bits")
 
@@ -117,7 +114,7 @@ VALID = {
     PointMass: [(0.0,), (1.0,), (2,)],
     Shifted: [(Exponential(1.0), 2.0), (PointMass(1.0), 2.0), (Exponential(1.0), -0.5)],
     AuctionModel: [(PointMass(0.0), Exponential(1.0), 5), (PointMass(0.0), Exponential(1.0), 3)],
-    McConfig: [(10, 1), (10, 1, 100_000), (10, 1, 3), (1, 2 ** 64 - 1)],
+    McConfig: [(10, 1), (1, 2 ** 64 - 1)],
 }
 # arguments the twins refuse too: the message must be unchanged
 REFUSED = {
@@ -127,7 +124,7 @@ REFUSED = {
     Lognormal: [(0.0, 0.0), (0.0, -1.0), (math.nan, -1.0), (0.0, math.nan)],
     PointMass: [(-2,), (-math.inf,)],
     AuctionModel: [(PointMass(0.0), Exponential(1.0), 1), (PointMass(0.0), Exponential(1.0), 2.0)],
-    McConfig: [(0, 1), (10, 1, 0), (10, -1), (10, 2 ** 64)],
+    McConfig: [(0, 1), (10, -1), (10, 2 ** 64)],
 }
 
 
@@ -165,7 +162,7 @@ HUGE_FIELDS = [
     (RatioExpansion, (-HUGE, TAIL)),
     (RatioSpec, (2, HUGE)),
     (IdentifyResult, (Poly([0, 1]), True, HUGE, 1)),
-    (McConfig, (HUGE, 1, HUGE)),
+    (McConfig, (HUGE, 1)),
 ]
 
 
@@ -205,11 +202,10 @@ def test_assignment_and_deletion_raise_attribute_error():
     assert (spec.n, spec.m) == (2, 1)
 
 
-def test_positional_keyword_and_default_arguments():
+def test_positional_and_keyword_arguments():
     for cls in (McConfig, McConfigTwin):
-        assert cls(10, 1) == cls(samples=10, seed=1) == cls(10, seed=1, chunk=100_000)
-        assert cls(10, 1).chunk == 100_000
-    assert repr(McConfig(seed=1, samples=10)) == "McConfig(samples=10, seed=1, chunk=100000)"
+        assert cls(10, 1) == cls(samples=10, seed=1) == cls(10, seed=1)
+    assert repr(McConfig(seed=1, samples=10)) == "McConfig(samples=10, seed=1)"
     new, twin = build_both(RatioExpansion, (0, TAIL))
     assert RatioExpansion(tail=TAIL, lead=0) == new
     assert RatioExpansionTwin(tail=TAIL, lead=0) == twin

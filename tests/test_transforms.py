@@ -381,6 +381,15 @@ class TestLaplacePiecewise:
         with pytest.raises(DivergentTransform):
             laplace_piecewise(step_example(3), 0.0)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_refuses_a_lambda_that_is_not_finite(self, lam):
+        # nan and inf once gave nan, which ratio_eval_piecewise reported as nan/nan
+        message = f"^lambda must be finite and positive, got {lam!r}$"
+        with pytest.raises(DomainError, match=message):
+            laplace_piecewise(step_example(3), lam)
+        with pytest.raises(DomainError, match=message):
+            ratio_eval_piecewise(step_example(3), 2, 1, lam)
+
     def test_exact_rule_for_monomials(self):
         # L{x^j} on the whole half line equals j!/lam^(j+1)
         pp = PiecewisePoly([0], [Poly([0, 0, 1])])
