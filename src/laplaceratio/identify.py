@@ -239,7 +239,16 @@ def verify_identity(f: Poly, g: Poly, spec: RatioSpec) -> bool:
       is nonzero with the sign of n-m;
     - so g_k and the expansion fix g, and sigma*f with sigma = +-1 and
       sigma^(n-m) = 1 has both: g = sigma*f.
+
+    g = -f is read off the coefficients without building -f: a Fraction is
+    kept reduced with a positive denominator, so -x and y are equal iff
+    their numerators are opposite and their denominators equal.
     """
     if f.is_zero or g.is_zero:
         return True  # both sides are the zero function
-    return g == f or ((spec.n - spec.m) % 2 == 0 and g == -f)
+    a, b = f.coeffs, g.coeffs
+    if a == b:
+        return True
+    if (spec.n - spec.m) % 2 or len(a) != len(b):
+        return False
+    return all(x.numerator == -y.numerator and x.denominator == y.denominator for x, y in zip(a, b))

@@ -343,6 +343,24 @@ class TestIdentify:
         assert ratio_expansion(result.poly, n, m, len(rest)) == H
 
 
+@st.composite
+def negation_pairs(draw):
+    # g is f or -f as it is, perturbed in one coefficient or scaled, or is
+    # unrelated; coefficients small or p/q of 60 bits
+    coeffs = st.one_of(small_fractions, wide_coeffs)
+    f = draw(st.lists(coeffs, max_size=8).map(Poly))
+    signed = draw(st.sampled_from((f, -f)))
+    g = draw(
+        st.one_of(
+            st.just(signed),
+            st.builds(lambda i, c: signed + Poly.monomial(i, c), st.integers(0, 8), coeffs),
+            st.builds(lambda c: signed * c, coeffs),
+            st.lists(coeffs, max_size=8).map(Poly),
+        )
+    )
+    return f, g
+
+
 class TestVerifyIdentity:
     def test_equal_functions(self):
         f = Poly([1, 1])
@@ -354,6 +372,19 @@ class TestVerifyIdentity:
     def test_sign_symmetry_even(self):
         p = Poly([2, 0, -1])
         assert verify_identity(p, -p, RatioSpec(3, 1))
+
+    @given(negation_pairs(), st.sampled_from(ODD_SPECS + EVEN_SPECS))
+    @example((Poly([1, F(-2, 3), 5]), Poly([-1, F(2, 3)])), RatioSpec(3, 1))  # -f cut short
+    @example((Poly([F(1, 3), 2]), Poly([F(-1, 4), -2])), RatioSpec(3, 1))  # unequal denominators
+    @example((Poly([F(1, 3), 2]), Poly([F(-2, 3), -2])), RatioSpec(3, 1))  # unequal numerators
+    @settings(max_examples=150, deadline=None)
+    def test_matches_comparing_with_minus_f(self, pair, spec):
+        # the coefficient check gives the booleans of the expression it
+        # replaced, which built -f
+        f, g = pair
+        even = (spec.n - spec.m) % 2 == 0
+        want = f.is_zero or g.is_zero or g == f or (even and g == -f)
+        assert verify_identity(f, g, spec) is want
 
     @given(poly_strategy(4), poly_strategy(4), st.sampled_from(ODD_SPECS + EVEN_SPECS))
     @settings(max_examples=60, deadline=None)

@@ -1,5 +1,7 @@
 import math
+from contextlib import contextmanager
 from fractions import Fraction as F
+from itertools import accumulate
 from math import factorial
 from unittest import mock
 
@@ -22,6 +24,7 @@ from laplaceratio.transforms import (
     PiecewisePoly,
     RationalFunction,
     RatioExpansion,
+    _power_pair,
     convolution_residual,
     delay,
     laplace_piecewise,
@@ -554,6 +557,40 @@ def residual_cases(draw):
     return f, g, n, m, t
 
 
+@st.composite
+def step_residual_cases(draw):
+    # exact_verify's shape: a step function f and g = delay(c*f, a), c = 1
+    # included, with steps of width j/8 and a constant tail
+    widths = draw(st.lists(st.fractions(F(1, 8), 2, max_denominator=8), max_size=8))
+    bps = [F(0), *accumulate(widths)]
+    values = draw(st.lists(residual_coeffs, min_size=len(bps), max_size=len(bps)))
+    f = PiecewisePoly(bps, [Poly([v]) for v in values])
+    c = draw(st.one_of(st.just(F(1)), residual_coeffs.filter(bool)))
+    a = draw(st.fractions(0, 4, max_denominator=8))
+    g = delay(PiecewisePoly(bps, [p * c for p in f.pieces]), a)
+    n, m = draw(exponent_pairs)
+    last = max(f.breakpoints[-1], g.breakpoints[-1])
+    t = draw(
+        st.one_of(
+            st.just(F(0)),
+            # cell edges: where an edge of one function meets the other's
+            st.sampled_from([x + y for x in f.breakpoints for y in g.breakpoints]),
+            st.fractions(0, 4, max_denominator=16).filter(bool).map(lambda x: last + x),
+            st.fractions(0, 12, max_denominator=64),
+        )
+    )
+    return f, g, n, m, t
+
+
+@contextmanager
+def builds_nothing():
+    # no exact power and no product may be built
+    with mock.patch.object(
+        algebra, "_power_nums", side_effect=AssertionError("power built")
+    ), mock.patch.object(algebra, "_product_nums", side_effect=AssertionError("product built")):
+        yield
+
+
 class TestConvolutionResidual:
     @given(residual_cases())
     @example(
@@ -589,6 +626,51 @@ class TestConvolutionResidual:
         with mock.patch.object(algebra, "_power_nums", wraps=algebra._power_nums) as spy:
             assert convolution_residual(f, g, 3, 2, F(7, 2)) == want
         assert 0 < spy.call_count <= 2 * (len(f.pieces) + len(g.pieces))
+        # a constant's powers are scalar powers, so step functions build none
+        f, g = step_example(5), delay(step_example(3), F(1, 3))
+        want = two_pass_residual(f, g, 3, 2, F(7, 2))
+        assert want
+        with mock.patch.object(algebra, "_power_nums", wraps=algebra._power_nums) as spy:
+            assert convolution_residual(f, g, 3, 2, F(7, 2)) == want
+        assert spy.call_count == 0
+
+    def test_a_constant_takes_scalar_powers_in_the_kernels_slots(self):
+        # the general route clears the coefficients and takes the kernel's
+        # powers: slot 0, then count - 1 zeros
+        for c in (F(2, 3), F(-5), F(2 ** 60 + 1, 3 ** 38)):
+            nums, d = algebra._cleared([c])
+            for a, b in ((3, 5), (5, 3), (1, 2)):
+                for count in (None, 1, 4):
+                    top = max(a, b)
+                    want = (
+                        [x * d ** (top - a) for x in algebra._power_nums(nums, a, count)],
+                        [x * d ** (top - b) for x in algebra._power_nums(nums, b, count)],
+                        d ** top,
+                    )
+                    with builds_nothing():
+                        assert _power_pair((c,), a, b, count) == want
+
+    @given(step_residual_cases())
+    @settings(deadline=None)
+    def test_step_pairs_match_the_two_pass_formula(self, case):
+        # every cell lies between two constants, so no kernel product runs
+        f, g, n, m, t = case
+        want = two_pass_residual(f, g, n, m, F(t))
+        with builds_nothing():
+            assert convolution_residual(f, g, n, m, t) == want
+
+    def test_constant_and_polynomial_cells_in_one_call(self):
+        # at t = 11/4 the cells are [0, 1/2), [1/2, 3/4), [3/4, 3/2),
+        # [3/2, 7/4), [7/4, 11/4): two between constants, three with a
+        # polynomial piece, which take two kernel products each
+        f = PiecewisePoly([0, 1, 2], [Poly([2]), Poly([1, 1]), Poly([3])])
+        g = PiecewisePoly([0, F(1, 2), F(3, 2)], [Poly([1]), Poly([F(1, 3)]), Poly([0, 1])])
+        for n, m in ((3, 2), (1, 4)):
+            want = two_pass_residual(f, g, n, m, F(11, 4))
+            assert want
+            with mock.patch.object(algebra, "_product_nums", wraps=algebra._product_nums) as spy:
+                assert convolution_residual(f, g, n, m, F(11, 4)) == want
+            assert spy.call_count == 2 * 3
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_overflow_is_typed(self, sign):
