@@ -517,6 +517,9 @@ def k_monte_carlo(samples: np.ndarray, lam: float) -> tuple[float, float]:
     column has an effective sample size (Kong 1992) below _MIN_ESS: then a
     few draws carry the weights, and the estimate and its error bar are
     both wrong.  A column whose weights all underflow has size 0.
+
+    The scratch beside the table is its weights, one array the table's
+    size that the covariance centres in place, plus one column.
     """
     import numpy as np
 
@@ -527,8 +530,15 @@ def k_monte_carlo(samples: np.ndarray, lam: float) -> tuple[float, float]:
         raise DomainError("expected a nonempty (rows, 2) sample table")
     if not np.isfinite(table).all():
         raise DomainError("sample table holds a non-finite bid")
-    x, y = np.exp(-lam * (table - table[:, 1].min())).T
-    n = len(x)
+    n = len(table)
+    # C order, as np.cov's concatenate gives: without out= the difference
+    # takes table.T's layout, over which means and dot products round
+    # differently
+    w = _empty((2, n))
+    np.subtract(table.T, table[:, 1].min(), out=w)
+    w *= -lam
+    np.exp(w, out=w)
+    x, y = w
     ess = min(_effective_size(x), _effective_size(y))
     if not ess >= _MIN_ESS:
         raise InsufficientSamples(
@@ -539,7 +549,11 @@ def k_monte_carlo(samples: np.ndarray, lam: float) -> tuple[float, float]:
     ratio = xbar / ybar
     var_x = x.var(ddof=1)
     var_y = y.var(ddof=1)
-    cov_xy = float(np.cov(x, y, ddof=1)[0, 1])
+    # np.cov(x, y, ddof=1)'s arithmetic on w itself, which it would copy
+    w -= np.average(w, axis=1)[:, None]
+    c = np.dot(w, w.T)
+    c *= np.true_divide(1, n - 1)
+    cov_xy = float(c[0, 1])
     var_ratio = (var_x - 2.0 * ratio * cov_xy + ratio ** 2 * var_y) / (n * ybar ** 2)
     return float(ratio), float(math.sqrt(max(var_ratio, 0.0)))
 
@@ -553,7 +567,8 @@ def memoryless_check(theta: float, N: int, cfg: McConfig, control: bool = False)
     omitted; the distributions then differ and the statistic is large.
     Each chunk draws the first set's blocks, then the second set's, then
     the fresh draws, as simulate_bids does, so the scratch beside the two
-    columns is one block.
+    columns is one block while drawing; ks_statistic then takes two sorted
+    copies and two integer columns of one of them.
     """
     if not (_finite(theta) and theta > 0):
         raise DomainError(f"theta must be finite and positive, got {_shown(theta)}")
@@ -579,16 +594,42 @@ def memoryless_check(theta: float, N: int, cfg: McConfig, control: bool = False)
 def ks_statistic(a, b) -> float:
     """Two-sample Kolmogorov-Smirnov statistic sup|F_a - F_b|.
 
-    The ECDF gap is taken in integer counts, |c_a n_b - c_b n_a|, over every
-    sample point, and divided once, so the result is correctly rounded.
+    The ECDF gap is taken in integer counts, |c_a n_b - c_b n_a|, over a's
+    points and then over b's, and divided once, so the result is correctly
+    rounded.  The scratch is two sorted copies plus two integer columns of
+    one sample.  Raises DomainError for a sample that is empty, not
+    one-dimensional or holds a non-finite value.
     """
     import numpy as np
 
-    a, b = np.sort(a), np.sort(b)
-    both = np.concatenate([a, b])
-    ca = np.searchsorted(a, both, side="right")
-    cb = np.searchsorted(b, both, side="right")
-    return float(np.abs(ca * len(b) - cb * len(a)).max() / (len(a) * len(b)))
+    a, b = np.asarray(a), np.asarray(b)
+    # the common type the points are compared in
+    dtype = np.result_type(a, b)
+    a, b = a.astype(dtype), b.astype(dtype)
+    for sample in (a, b):
+        if sample.ndim != 1 or len(sample) == 0:
+            raise DomainError("expected a nonempty one-dimensional sample")
+        sample.sort()
+        # sorting puts -inf first and inf and nan last; comparisons, unlike
+        # np.isfinite, also take an object array of ints past int64
+        if not (-math.inf < sample[0] and sample[-1] < math.inf):
+            raise DomainError("sample holds a non-finite value")
+    gap = max(_count_gap(a, b, a), _count_gap(a, b, b))
+    return float(gap / (len(a) * len(b)))
+
+
+def _count_gap(a: np.ndarray, b: np.ndarray, points: np.ndarray):
+    """max |c_a n_b - c_b n_a| over points, where c_a and c_b count the
+    sorted samples a and b at or below each point; in place, so two integer
+    columns the length of points exist at once."""
+    import numpy as np
+
+    ca = np.searchsorted(a, points, side="right")
+    cb = np.searchsorted(b, points, side="right")
+    ca *= len(b)
+    cb *= len(a)
+    ca -= cb
+    return np.abs(ca, out=ca).max()
 
 
 def auction_identify(H: RatioExpansion, N: int, target_degree: int) -> IdentifyResult:

@@ -809,8 +809,6 @@ class TestSimulateBids:
     def test_scratch_is_one_block(self):
         # drawing each chunk as one (rows, N) array peaks at 15.5 MB for
         # simulate_bids and 31 MB for memoryless_check here
-        import tracemalloc
-
         model = AuctionModel(Exponential(1.0), Lognormal(0.0, 1.0), 500)
         cfg = McConfig(4_000, seed=1)
         calls = [
@@ -819,14 +817,7 @@ class TestSimulateBids:
             lambda: memoryless_check(1.0, 500, cfg, control=True),
         ]
         for call in calls:
-            call()  # numpy's first-call caches stay out of the count
-            tracemalloc.start()
-            try:
-                call()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= 2 * 2 ** 20
+            assert peak_bytes(call) <= 2 * 2 ** 20
 
     def test_overflow_raises_out_of_range(self, recwarn):
         law = Lognormal(-708.0, 1.0)
@@ -886,6 +877,65 @@ def reference_memoryless_check(theta, N, cfg, control=False, statistic=ks_statis
             second = second + rng.exponential(scale, rows)
         second_side[start : start + rows] = second
     return statistic(top, second_side)
+
+
+def reference_k_monte_carlo(samples, lam):
+    """k_monte_carlo with its weights as one expression and the covariance
+    from np.cov, which copies them."""
+    table = np.asarray(samples, dtype=float)
+    if table.ndim != 2 or table.shape[1] != 2 or table.shape[0] == 0:
+        raise DomainError("expected a nonempty (rows, 2) sample table")
+    if not np.isfinite(table).all():
+        raise DomainError("sample table holds a non-finite bid")
+    x, y = np.exp(-lam * (table - table[:, 1].min())).T
+    n = len(x)
+    ess = min(auction._effective_size(x), auction._effective_size(y))
+    if not ess >= auction._MIN_ESS:
+        raise InsufficientSamples(
+            f"effective sample size {ess:.4g} of {n} rows is below {auction._MIN_ESS} "
+            f"at lambda {auction._shown(lam)}: too few draws carry the weights"
+        )
+    xbar, ybar = x.mean(), y.mean()
+    ratio = xbar / ybar
+    var_x = x.var(ddof=1)
+    var_y = y.var(ddof=1)
+    cov_xy = float(np.cov(x, y, ddof=1)[0, 1])
+    var_ratio = (var_x - 2.0 * ratio * cov_xy + ratio ** 2 * var_y) / (n * ybar ** 2)
+    return float(ratio), float(math.sqrt(max(var_ratio, 0.0)))
+
+
+def reference_ks_statistic(a, b):
+    """ks_statistic counting both samples at every point of their union."""
+    a, b = np.sort(a), np.sort(b)
+    both = np.concatenate([a, b])
+    ca = np.searchsorted(a, both, side="right")
+    cb = np.searchsorted(b, both, side="right")
+    return float(np.abs(ca * len(b) - cb * len(a)).max() / (len(a) * len(b)))
+
+
+def outcome(f, *args):
+    """f(*args) as float.hex text, or the type and message it raised."""
+    try:
+        result = f(*args)
+    except LaplaceRatioError as err:
+        return type(err).__name__, str(err)
+    if isinstance(result, tuple):
+        return tuple(v.hex() for v in result)
+    return result.hex()
+
+
+def peak_bytes(call):
+    """tracemalloc's peak over a second call of call; numpy's first-call
+    caches stay out of the count."""
+    import tracemalloc
+
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestKMonteCarlo:
@@ -989,6 +1039,36 @@ class TestKMonteCarlo:
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
             k_monte_carlo(np.empty((0, 2)), 1.0)
+
+    # rows 1-31 straddle the effective-size floor; 8191-8193 and 65 537 cross
+    # numpy's 8192-element reduction blocks
+    @pytest.mark.parametrize("rows", [*range(1, 32), 8191, 8192, 8193, 65_537, 200_000])
+    def test_matches_the_reference_bit_for_bit(self, rows):
+        # lambda 300 leaves a few draws carrying the weights; at 1e5 every
+        # top-bid weight underflows, so the size is 0
+        rng = random.Random(rows)
+        N = rng.choice([2, 3, 5, 50])
+        model = AuctionModel(Exponential(1.0), Lognormal(rng.uniform(-1, 1), rng.uniform(0.3, 1.5)), N)
+        table = simulate_bids(model, McConfig(rows, seed=rng.getrandbits(32)))
+        tables = [table, np.asfortranarray(table), np.repeat(table, 2, axis=0)[::2]]
+        if rows <= 8193:
+            tables += [np.round(4 * table).astype(int), table.tolist()]
+        for lam in (0.05, 1.0, 7.5, 300.0, 1e5):
+            want = outcome(reference_k_monte_carlo, table, lam)
+            for t in tables:
+                assert outcome(k_monte_carlo, t, lam) == outcome(reference_k_monte_carlo, t, lam)
+            assert outcome(k_monte_carlo, tables[1], lam) == want
+        if rows == 200_000:
+            assert isinstance(want, tuple)
+        few = outcome(k_monte_carlo, table, 300.0)
+        assert few[0] == "InsufficientSamples" and not few[1].startswith("effective sample size 0 ")
+        assert outcome(k_monte_carlo, table, 1e5)[1].startswith("effective sample size 0 ")
+
+    def test_scratch_is_the_weights_and_one_column(self):
+        # np.cov's copies of the weights peak at 2.50 tables here
+        model = AuctionModel(PointMass(0.0), Exponential(1.0), 2)
+        table = simulate_bids(model, McConfig(400_000, seed=3))
+        assert peak_bytes(lambda: k_monte_carlo(table, 1.0)) <= 1.6 * table.nbytes
 
     def test_estimate_in_unit_interval(self):
         model = AuctionModel(Exponential(0.5), Lognormal(0.0, 1.0), 4)
@@ -1095,6 +1175,48 @@ class TestKsStatistic:
     def test_disjoint_and_identical(self):
         assert ks_statistic([0.0, 1.0], [2.0, 3.0, 4.0]) == 1.0
         assert ks_statistic([1.0, 2.0, 2.0], [2.0, 1.0, 2.0]) == 0.0
+
+    def test_matches_the_reference_bit_for_bit(self):
+        # ties within and across samples, unequal sizes, ints and lists
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            n1, n2 = rng.integers(1, 2_000, size=2)
+            digits = rng.choice([0, 1, 2, 8])
+            a = np.round(rng.standard_normal(n1), digits)
+            b = np.round(rng.normal(rng.uniform(-0.3, 0.3), rng.uniform(0.5, 2), n2), digits)
+            pairs = [(a, b), (b, a), (a.tolist(), b), (a, b[: len(b) // 2 + 1].tolist())]
+            pairs.append((np.round(10 * a).astype(int), b))
+            pairs.append((np.round(10 * a).astype(int), np.round(10 * b).astype(int).tolist()))
+            for x, y in pairs:
+                assert outcome(ks_statistic, x, y) == outcome(reference_ks_statistic, x, y)
+        # ints past int64 make an object array, which np.isfinite refuses
+        assert ks_statistic([10 ** 30, 1, 5], [2.0, 3.0]) == reference_ks_statistic([10 ** 30, 1, 5], [2.0, 3.0])
+
+    @pytest.mark.parametrize(
+        "a, b, message",
+        [
+            ([], [1.0], "expected a nonempty one-dimensional sample"),
+            ([1.0, 2.0], np.empty(0), "expected a nonempty one-dimensional sample"),
+            ([[1.0, 2.0]], [1.0], "expected a nonempty one-dimensional sample"),
+            (3.0, [1.0], "expected a nonempty one-dimensional sample"),
+            ([math.nan], [1.0], "sample holds a non-finite value"),
+            ([1.0, 2.0], [0.5, math.nan, 3.0], "sample holds a non-finite value"),
+            ([1.0, math.inf], [1.0], "sample holds a non-finite value"),
+            ([1.0], [-math.inf, 2.0], "sample holds a non-finite value"),
+        ],
+    )
+    def test_refuses_an_empty_or_non_finite_sample(self, a, b, message, recwarn):
+        # an empty sample gave nan with a RuntimeWarning, and [nan] gave 1.0
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            ks_statistic(a, b)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("n1, n2", [(400_000, 400_000), (400_000, 150_000), (150_000, 400_000)])
+    def test_scratch_is_two_sorted_copies_and_two_columns(self, n1, n2):
+        # counting at every point of the union peaks at 12 columns here
+        rng = np.random.default_rng(8)
+        a, b = rng.standard_normal(n1), rng.standard_normal(n2)
+        assert peak_bytes(lambda: ks_statistic(a, b)) <= 4.5 * 8 * max(n1, n2)
 
 
 class TestAuctionIdentify:
