@@ -116,17 +116,24 @@ def _power_pair(coeffs, a: int, b: int, count: int | None = None):
     its one slot, then count - 1 zeros."""
     if not coeffs:
         return None
-    top = max(a, b)
     if len(coeffs) == 1:
-        (c,) = coeffs
-        p, d = c.numerator, c.denominator
+        A, B, den = _scalar_pair(coeffs[0], a, b)
         pad = [0] * ((count or 1) - 1)
-        return [p ** a * d ** (top - a)] + pad, [p ** b * d ** (top - b)] + pad, d ** top
+        return [A] + pad, [B] + pad, den
+    top = max(a, b)
     nums, d = algebra._cleared(coeffs)
     sa, sb = d ** (top - a), d ** (top - b)
     pa = [c * sa for c in algebra._power_nums(nums, a, count)]
     pb = [c * sb for c in algebra._power_nums(nums, b, count)]
     return pa, pb, d ** top
+
+
+def _scalar_pair(c: Rational, a: int, b: int) -> tuple:
+    """(A, B, den), integers with c^a = A/den and c^b = B/den, den the
+    denominator of c to the power max(a, b)."""
+    p, d = c.as_integer_ratio()
+    top = max(a, b)
+    return p ** a * d ** (top - a), p ** b * d ** (top - b), d ** top
 
 
 def _check_exponents(n: int, m: int) -> None:
@@ -262,9 +269,16 @@ class PiecewisePoly:
     applies on [breakpoints[i], breakpoints[i+1]) and the last piece on
     [b_last, infinity).  The last piece may be any polynomial; the
     transform exists for every lambda > 0 either way.
+
+    Instances are immutable, as the Frozen classes are, so what the
+    transforms derive from the function alone can be kept with it.  The
+    private _derived is None until a transform asks; then a dict that holds
+    under None the _grid, under an exponent a the power self ** a, and
+    under an ordered exponent pair (a, b) the _pairs of the pieces that
+    have come into force.  It takes no part in ==, repr or pickling.
     """
 
-    __slots__ = ("breakpoints", "pieces")
+    __slots__ = ("breakpoints", "pieces", "_derived")
 
     def __init__(self, breakpoints, pieces):
         bps = tuple(as_rational(b) for b in breakpoints)
@@ -276,8 +290,16 @@ class PiecewisePoly:
         for a, b in zip(bps, bps[1:]):
             if b <= a:
                 raise DomainError("breakpoints must be strictly increasing")
-        self.breakpoints = bps
-        self.pieces = ps
+        object.__setattr__(self, "breakpoints", bps)
+        object.__setattr__(self, "pieces", ps)
+        object.__setattr__(self, "_derived", None)
+
+    __setattr__ = Frozen.__setattr__
+    __delattr__ = Frozen.__delattr__
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, without the memo
+        return PiecewisePoly, (self.breakpoints, self.pieces)
 
     def piece_at(self, x) -> Poly:
         """The polynomial in force at point x >= 0."""
@@ -310,6 +332,64 @@ class PiecewisePoly:
         )
         sep = ", " if cells else ""
         return f"PiecewisePoly({cells}{sep}[{self.breakpoints[-1]}, inf): {self.pieces[-1]})"
+
+    def _memo(self) -> dict:
+        memo = self._derived
+        if memo is None:
+            memo = {}
+            object.__setattr__(self, "_derived", memo)
+        return memo
+
+    def _power(self, a: int) -> "PiecewisePoly":
+        """self ** a, built once."""
+        memo = self._memo()
+        got = memo.get(a)
+        if got is None:
+            got = memo[a] = self ** a
+        return got
+
+    def _grid(self) -> tuple:
+        """(edges, D, lcms, degrees), derived once: the breakpoints as
+        integers over D, the lcm of their denominators; lcms[i], the lcm of
+        the denominators of the first i; and the degree of each piece."""
+        memo = self._memo()
+        got = memo.get(None)
+        if got is None:
+            ratios = [b.as_integer_ratio() for b in self.breakpoints]
+            lcms = list(accumulate((d for _, d in ratios), lcm, initial=1))
+            D = lcms[-1]
+            edges = [b * (D // d) for b, d in ratios]
+            got = memo[None] = edges, D, lcms, [len(p.coeffs) - 1 for p in self.pieces]
+        return got
+
+    def _pairs(self, a: int, b: int, count: int, constant_only: bool = False) -> list:
+        """The powers of at least the first count pieces as
+        convolution_residual reads them, each derived once: a constant's
+        _scalar_pair, None for zero, and _power_pair of any other piece.
+        With constant_only such a piece may have _PER_T in its place, as
+        the residual builds f's per t, after composing with t - s.  A list
+        in the memo is replaced, never changed, so a caller's stays valid."""
+        memo = self._memo()
+        got = memo.get((a, b), [])
+        if len(got) < count:
+            new = []
+            for p in self.pieces[len(got) : count]:
+                if len(p.coeffs) == 1:
+                    new.append(_scalar_pair(p.coeffs[0], a, b))
+                elif constant_only and p.coeffs:
+                    new.append(_PER_T)
+                else:
+                    new.append(_power_pair(p.coeffs, a, b))
+            got = memo[a, b] = got + new
+        if not constant_only and _PER_T in got:
+            got = memo[a, b] = [
+                _power_pair(p.coeffs, a, b) if pair is _PER_T else pair
+                for p, pair in zip(self.pieces, got)
+            ]
+        return got
+
+
+_PER_T = object()  # in a list of _pairs, a piece whose powers depend on t
 
 
 def step_example(n_max: int) -> PiecewisePoly:
@@ -371,10 +451,10 @@ def laplace_piecewise(pp: PiecewisePoly, lam: float) -> float:
 def ratio_eval_piecewise(pp: PiecewisePoly, n: int, m: int, lam: float) -> float:
     """Power ratio L{pp^n}/L{pp^m} at a single lambda > 0."""
     _check_exponents(n, m)
-    den = laplace_piecewise(pp ** m, lam)
+    den = laplace_piecewise(pp._power(m), lam)
     if den == 0.0:
         raise ZeroDenominator(f"L{{f^{m}}}({lam}) = 0")
-    num = laplace_piecewise(pp ** n, lam)
+    num = laplace_piecewise(pp._power(n), lam)
     h = num / den
     if not math.isfinite(h):
         raise OutOfRange(
@@ -428,9 +508,15 @@ def convolution_residual(f: PiecewisePoly, g: PiecewisePoly, n: int, m: int, t: 
     over s in [0, t], on one cell grid whose edges, 0, t, g's breakpoints
     and t less f's, are integers over D, the lcm of the denominators of t
     and of the breakpoints below t; one two-pointer walk merges the two
-    edge lists.  Each piece in force is cleared once (f's after composing
-    with t - s) and raised to its n-th and m-th powers once; a constant
-    piece's powers are scalar powers.  The s^k term c_k s^k of a cell's
+    edge lists.  Each piece in force is cleared and raised to its n-th and
+    m-th powers once; a constant piece's powers are bare integers.  What
+    depends on f or g alone comes from their memo (see PiecewisePoly),
+    derived on first use and kept for later calls: the breakpoints as
+    integers over one denominator, with the lcms of their denominators,
+    the piece degrees, and the powers of g's pieces and of f's constant
+    ones.  Only the work that depends on t is done per call: an integer
+    bisect, D, the edges, and the powers of f's other pieces, which
+    compose with t - s.  The s^k term c_k s^k of a cell's
     p^n q^m - p^m q^n integrates over [L/D, H/D] to
     c_k (H^(k+1) - L^(k+1)) / ((k+1) D^(k+1)), whose numerator joins an
     integer sum kept per denominator; a cell between two constant pieces
@@ -442,20 +528,29 @@ def convolution_residual(f: PiecewisePoly, g: PiecewisePoly, n: int, m: int, t: 
     tq = as_rational_number(t)
     if tq < 0:
         raise DomainError("the residual is defined for t >= 0")
-    nf, ng = bisect_left(f.breakpoints, tq), bisect_left(g.breakpoints, tq)
-    fb, gb = f.breakpoints[:nf], g.breakpoints[:ng]
-    D = lcm(tq.denominator, *(b.denominator for b in fb + gb))
-    T = tq.numerator * (D // tq.denominator)
+    (fi, Df, f_lcms, fdeg), (gi, Dg, g_lcms, gdeg) = f._grid(), g._grid()
+    tn, td = tq.numerator, tq.denominator
+    # the pieces in force on [0, t): b / Df < tn / td iff b < ceil(tn Df / td)
+    nf, ng = bisect_left(fi, -(-tn * Df // td)), bisect_left(gi, -(-tn * Dg // td))
+    D = lcm(td, f_lcms[nf], g_lcms[ng])
+    T = tn * (D // td)
     # cell edges in units of 1/D, ascending, each list closed by T; the
     # pieces in force before fe[i] and ge[j] are fp[i] and gp[j]
-    fe = [T - b.numerator * (D // b.denominator) for b in reversed(fb[1:])] + [T]
-    ge = [b.numerator * (D // b.denominator) for b in gb[1:]] + [T]
-    fp = [_power_pair(p.compose_linear(tq, -1).coeffs, n, m) for p in reversed(f.pieces[:nf])]
-    gp = [_power_pair(q.coeffs, m, n) for q in g.pieces[:ng]]
+    fe = [T - b * D // Df for b in reversed(fi[1:nf])] + [T]
+    ge = [b * D // Dg for b in gi[1:ng]] + [T]
     # slot k of an integrand is its s^k coefficient; no cell has more than
     # top, one past max(n, m) times the top degrees in force on each side
-    degrees = sum(max([0, *(p.degree for p in ps)]) for ps in (f.pieces[:nf], g.pieces[:ng]))
-    top = max(n, m) * degrees + 1
+    f_top, g_top = max([0, *fdeg[:nf]]), max([0, *gdeg[:ng]])
+    top = max(n, m) * (f_top + g_top) + 1
+    fp = f._pairs(n, m, nf, constant_only=True)[:nf]
+    if f_top:
+        # f's pieces that are not constant compose with t - s
+        fp = [
+            pair if len(p.coeffs) < 2 else _power_pair(p.compose_linear(tq, -1).coeffs, n, m)
+            for p, pair in zip(f.pieces, fp)
+        ]
+    fp.reverse()
+    gp = g._pairs(m, n, ng)
     sums = {}
     i = j = lo = 0
     lo_pows = [0] * top  # the powers of the last edge a polynomial cell ended on
@@ -468,10 +563,15 @@ def convolution_residual(f: PiecewisePoly, g: PiecewisePoly, n: int, m: int, t: 
             acc = sums.get(df * dg)
             if acc is None:
                 acc = sums[df * dg] = [0] * top
-            if len(fn) == 1 == len(gm):
+            if fn.__class__ is int is gm.__class__:
                 # both pieces constant: the integrand is one slot
-                acc[0] += (fn[0] * gm[0] - fm[0] * gn[0]) * (hi - lo)
+                acc[0] += (fn * gm - fm * gn) * (hi - lo)
             else:
+                # a constant's powers take one slot each
+                if fn.__class__ is int:
+                    fn, fm = [fn], [fm]
+                if gm.__class__ is int:
+                    gm, gn = [gm], [gn]
                 if lo_pows[0] != lo:
                     lo_pows = list(islice(accumulate(repeat(lo), mul), top))
                 hi_pows = list(islice(accumulate(repeat(hi), mul), top))

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from contextlib import contextmanager
 from fractions import Fraction as F
 from itertools import accumulate
@@ -10,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from laplaceratio import algebra
+from laplaceratio import algebra, transforms
 from laplaceratio.algebra import Poly, Series, convolve
 from laplaceratio.errors import (
     DivergentTransform,
@@ -358,6 +360,35 @@ class TestPiecewise:
         assert pp(F(1)) == 2
         assert pp(F(31, 32)) == F(1, 16)  # truncated staircase keeps the last step
 
+    def test_fields_refuse_assignment_and_deletion(self):
+        pp = PiecewisePoly([0, 1], [Poly([1]), Poly([0, 2])])
+        for name in ("breakpoints", "pieces"):
+            with pytest.raises(AttributeError):
+                setattr(pp, name, (F(0),))
+            with pytest.raises(AttributeError):
+                delattr(pp, name)
+        assert pp == PiecewisePoly([0, 1], [Poly([1]), Poly([0, 2])])
+
+    @pytest.mark.parametrize("trip", ["pickle", "copy", "deepcopy"])
+    def test_round_trips_to_an_equal_value_whatever_was_derived(self, trip):
+        # a function the transforms have used pickles, copies and prints as
+        # one that they have not
+        fresh = PiecewisePoly([0, F(1, 3), 2], [Poly([2]), Poly([1, F(-1, 2)]), Poly()])
+        used = PiecewisePoly(fresh.breakpoints, fresh.pieces)
+        convolution_residual(used, step_example(3), 3, 2, F(5, 2))
+        ratio_eval_piecewise(used, 2, 1, 1.5)
+        assert pickle.dumps(used) == pickle.dumps(fresh)
+        assert repr(used) == repr(fresh)
+        back = {
+            "pickle": lambda pp: pickle.loads(pickle.dumps(pp)),
+            "copy": copy.copy,
+            "deepcopy": copy.deepcopy,
+        }[trip](used)
+        assert back == fresh and repr(back) == repr(fresh)
+        assert convolution_residual(back, step_example(3), 3, 2, F(5, 2)) == convolution_residual(
+            fresh, step_example(3), 3, 2, F(5, 2)
+        )
+
 
 class TestLaplacePiecewise:
     def test_constant_tail(self):
@@ -434,6 +465,19 @@ class TestRatioEvalPiecewise:
         rf = ratio_rational(f, 2, 1)
         for lam in (0.5, 1.0, 2.0, 10.0):
             assert ratio_eval_piecewise(pp, 2, 1, lam) == pytest.approx(rf(lam), rel=1e-12)
+
+    def test_a_lambda_grid_builds_each_power_once(self):
+        # (3, 1) then (1, 3) over three lambdas: pp**3 and pp**1, once each,
+        # and the same doubles as on a fresh function per call
+        grid = [(3, 1, lam) for lam in (0.1, 1.0, 7.5)] + [(1, 3, lam) for lam in (0.1, 1.0, 7.5)]
+        want = [ratio_eval_piecewise(step_example(6), n, m, lam) for n, m, lam in grid]
+        pp = step_example(6)
+        with mock.patch.object(
+            PiecewisePoly, "__pow__", autospec=True, side_effect=PiecewisePoly.__pow__
+        ) as spy:
+            got = [ratio_eval_piecewise(pp, n, m, lam) for n, m, lam in grid]
+        assert got == want
+        assert sorted(c.args[1] for c in spy.call_args_list) == [1, 3]
 
     def test_overflowing_transforms_are_typed_error(self):
         # both transforms overflow to inf at a subnormal lambda: inf/inf is
@@ -633,6 +677,47 @@ class TestConvolutionResidual:
         with mock.patch.object(algebra, "_power_nums", wraps=algebra._power_nums) as spy:
             assert convolution_residual(f, g, 3, 2, F(7, 2)) == want
         assert spy.call_count == 0
+
+    def test_a_second_call_builds_only_the_powers_that_depend_on_t(self):
+        # the powers of g's pieces and of f's constant ones are kept from the
+        # first call; at another t only f's polynomial pieces, composed with
+        # t - s, are raised again
+        f = PiecewisePoly([0, 1, 2, 3], [Poly([2]), Poly([1, 1]), Poly([F(1, 3)]), Poly([0, 1, 1])])
+        g = PiecewisePoly([0, F(1, 2), F(3, 2)], [Poly([1, 2]), Poly([3]), Poly([0, F(1, 2), 1])])
+        t, u = F(9, 2), F(7, 2)
+        fresh = [PiecewisePoly(pp.breakpoints, pp.pieces) for pp in (f, g)]
+        assert convolution_residual(f, g, 3, 2, t) == convolution_residual(*fresh, 3, 2, t)
+        with mock.patch.object(
+            transforms, "_power_pair", wraps=transforms._power_pair
+        ) as pairs, mock.patch.object(algebra, "_power_nums", wraps=algebra._power_nums) as powers:
+            got = convolution_residual(f, g, 3, 2, u)
+        assert got == two_pass_residual(f, g, 3, 2, u)
+        composed = [p.compose_linear(u, -1).coeffs for p in f.pieces if p.degree > 0]
+        assert sorted(c.args[0] for c in pairs.call_args_list) == sorted(composed)
+        assert powers.call_count == 2 * len(composed)
+
+    @given(residual_cases(), st.fractions(0, 12, max_denominator=64))
+    @settings(deadline=None)
+    def test_repeated_calls_match_fresh_copies_and_the_two_pass_formula(self, case, u):
+        # one pair queried at t, u and t again, with (n, m), then (m, n),
+        # then with the roles of f and g swapped, and with f is g: every
+        # double is that of a first call on fresh copies
+        f, g, n, m, t = case
+        want = {}
+        for s in (t, u):
+            want["fg", n, m, s] = two_pass_residual(f, g, n, m, F(s))
+            want["fg", m, n, s] = -want["fg", n, m, s]
+            want["gf", n, m, s] = two_pass_residual(g, f, n, m, F(s))
+            want["ff", n, m, s] = 0.0
+        roles = {"fg": (f, g), "gf": (g, f), "ff": (f, f)}
+        for key, a, b in (("fg", n, m), ("fg", m, n), ("gf", n, m), ("ff", n, m)):
+            p, q = roles[key]
+            for s in (t, u, t):
+                got = convolution_residual(p, q, a, b, s)
+                p1 = copy.copy(p)
+                q1 = p1 if q is p else copy.copy(q)
+                assert repr(got) == repr(convolution_residual(p1, q1, a, b, s))
+                assert got == want[key, a, b, s]
 
     def test_a_constant_takes_scalar_powers_in_the_kernels_slots(self):
         # the general route clears the coefficients and takes the kernel's
