@@ -1,8 +1,11 @@
 """Exact arithmetic core: rational scalars, dense polynomials and truncated
 power series.
 
-Everything here is immutable after construction and every operation is a
-pure function, so values can be shared freely between concurrent tasks.
+Poly and Series are Frozen values: immutable after construction, with
+fields that refuse assignment, and every operation on them is a pure
+function, so values can be shared freely between concurrent tasks.
+Numerators, the one mutable class, is an accumulator that a single
+computation owns.
 """
 
 from __future__ import annotations
@@ -376,7 +379,68 @@ def factorials(top: int) -> list:
     return list(accumulate(range(1, top + 1), mul, initial=1))
 
 
-class Poly:
+def _field_text(name: str, value) -> str:
+    """name=repr(value), with an int of any length printed by _int_text."""
+    return f"{name}={_int_text(value) if isinstance(value, int) else repr(value)}"
+
+
+class Frozen:
+    """Base of the immutable value classes, here and in the other modules.
+
+    A subclass names its fields in __slots__, in its __init__'s parameter
+    order, and its __init__ stores them with _set_fields once its checks
+    pass; a slot whose name starts with an underscore is private state,
+    not a field.  Instances then behave as those of
+    dataclasses.dataclass(frozen=True) do: == holds between instances of
+    one class with equal fields, the hash is that of the field tuple, repr
+    reads Name(field=value, ...), and assignment and deletion raise
+    AttributeError.  Pickle and copy rebuild through __init__ from the
+    fields alone.  A subclass may print its own repr or compare in its own
+    way, and one that is not to be hashed sets __hash__ = None.  Importing
+    dataclasses loads inspect and its chain, a large share of a CLI call's
+    start-up, so it is not used.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = cls._names = tuple(s for s in cls.__slots__ if not s.startswith("_"))
+        get = attrgetter(*names)
+        # the field tuple, which a dataclass compares and hashes; attrgetter
+        # returns a lone field bare
+        cls._fields = get if len(names) > 1 else staticmethod(lambda obj: (get(obj),))
+
+    def _set_fields(self, *values):
+        """Store __init__'s checked values, one per field in slot order."""
+        for name, value in zip(self._names, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            fields = self._fields
+            return fields(self) == fields(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self):
+        fields = map(_field_text, self._names, self._fields(self))
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, since __setattr__ refuses
+        return type(self), self._fields(self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Poly(Frozen):
     """Dense polynomial over Rational; coeffs[i] is the x**i coefficient.
 
     Trailing zeros are trimmed, so the zero polynomial has an empty
@@ -389,7 +453,7 @@ class Poly:
         cs = [as_rational(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
-        self.coeffs = tuple(cs)
+        self._set_fields(tuple(cs))
 
     @classmethod
     def monomial(cls, degree: int, coeff=1) -> "Poly":
@@ -422,14 +486,6 @@ class Poly:
         for c in reversed(self.coeffs):
             result = result * x + c
         return result
-
-    def __eq__(self, other):
-        if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __neg__(self):
         return Poly(-c for c in self.coeffs)
@@ -555,7 +611,7 @@ def convolve(p: Poly, q: Poly) -> Poly:
     return Poly([0] + [Rational(c, den * w) for c, w in zip(slots, islice(fact, 1, None))])
 
 
-class Series:
+class Series(Frozen):
     """Power series in u truncated at a fixed order: the tail of a ratio
     expansion.  coeffs always has length order+1; shorter input is padded
     with zeros and longer input is cut.
@@ -567,16 +623,7 @@ class Series:
         if order < 0:
             raise DomainError("series order must be nonnegative")
         cs = [as_rational(c) for c in islice(coeffs, order + 1)]
-        self.coeffs = tuple(cs) + (Rational(0),) * (order + 1 - len(cs))
-        self.order = order
-
-    def __eq__(self, other):
-        if isinstance(other, Series):
-            return self.order == other.order and self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.coeffs, self.order))
+        self._set_fields(tuple(cs) + (Rational(0),) * (order + 1 - len(cs)), order)
 
     def __truediv__(self, other):
         """Formal long division to the smaller order; the denominator needs
@@ -592,54 +639,3 @@ class Series:
 
     def __repr__(self):
         return f"Series([{', '.join(map(_rational_text, self.coeffs))}], order={self.order})"
-
-
-def _field_text(name: str, value) -> str:
-    """name=repr(value), with an int of any length printed by _int_text."""
-    return f"{name}={_int_text(value) if isinstance(value, int) else repr(value)}"
-
-
-class Frozen:
-    """Base of the immutable value classes of the other modules.
-
-    A subclass names its fields in __slots__, in its __init__'s parameter
-    order, and its __init__ stores each field with object.__setattr__ once
-    its checks pass.  Instances then behave as those of
-    dataclasses.dataclass(frozen=True) do: == holds between instances of
-    one class with equal fields, the hash is that of the field tuple, repr
-    reads Name(field=value, ...), and assignment and deletion raise
-    AttributeError.  Importing dataclasses loads inspect and its chain, a
-    large share of a CLI call's start-up, so it is not used.
-    """
-
-    __slots__ = ()
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        get = attrgetter(*cls.__slots__)
-        # the field tuple, which a dataclass compares and hashes; attrgetter
-        # returns a lone field bare
-        cls._fields = get if len(cls.__slots__) > 1 else staticmethod(lambda obj: (get(obj),))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            fields = self._fields
-            return fields(self) == fields(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._fields(self))
-
-    def __repr__(self):
-        fields = map(_field_text, self.__slots__, self._fields(self))
-        return f"{type(self).__qualname__}({', '.join(fields)})"
-
-    def __reduce__(self):
-        # pickle and copy rebuild through __init__, since __setattr__ refuses
-        return type(self), self._fields(self)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")

@@ -55,7 +55,7 @@ class Exponential(Frozen):
             raise DomainError(f"exponential rate must be positive, got {_shown(theta)}")
         if not _finite(theta):
             raise DomainError(f"exponential rate must be finite, got {_shown(theta)}")
-        object.__setattr__(self, "theta", theta)
+        self._set_fields(theta)
 
 
 class Lognormal(Frozen):
@@ -70,8 +70,7 @@ class Lognormal(Frozen):
             raise DomainError(
                 f"lognormal mu and sigma must be finite, got ({_shown(mu)}, {_shown(sigma)})"
             )
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma", sigma)
+        self._set_fields(mu, sigma)
 
 
 class PointMass(Frozen):
@@ -84,7 +83,7 @@ class PointMass(Frozen):
             raise DomainError(f"point mass location must be nonnegative, got {_shown(v)}")
         if not _finite(v):
             raise DomainError(f"point mass location must be finite, got {_shown(v)}")
-        object.__setattr__(self, "v", v)
+        self._set_fields(v)
 
 
 class Shifted(Frozen):
@@ -95,8 +94,7 @@ class Shifted(Frozen):
     def __init__(self, base: DistSpec, offset: float):
         if not _finite(offset):
             raise DomainError(f"shift offset must be finite, got {_shown(offset)}")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "offset", offset)
+        self._set_fields(base, offset)
 
 
 DistSpec = Exponential | Lognormal | PointMass | Shifted
@@ -110,9 +108,7 @@ class AuctionModel(Frozen):
     def __init__(self, common: DistSpec, idiosyncratic: DistSpec, n_bidders: int):
         if not isinstance(n_bidders, int) or n_bidders < 2:
             raise DomainError("an auction needs at least 2 bidders")
-        object.__setattr__(self, "common", common)
-        object.__setattr__(self, "idiosyncratic", idiosyncratic)
-        object.__setattr__(self, "n_bidders", n_bidders)
+        self._set_fields(common, idiosyncratic, n_bidders)
 
 
 class McConfig(Frozen):
@@ -130,8 +126,7 @@ class McConfig(Frozen):
             raise DomainError("samples must be positive")
         if not 0 <= seed < 2 ** 64:
             raise DomainError("seed must fit in 64 unsigned bits")
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "seed", seed)
+        self._set_fields(samples, seed)
 
 
 def sample_draws(dist: DistSpec, rng: np.random.Generator, size) -> np.ndarray:

@@ -120,7 +120,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
 
-    p = add("auction-identify", "recover the bid-distribution germ from K data", cmd_auction_identify)
+    p = add(
+        "auction-identify",
+        "recover the bid-distribution germ from a power-ratio expansion with exponents (N-1, N)",
+        cmd_auction_identify,
+    )
     p.add_argument("--input", action="append", required=True, help="ratio expansion JSON")
     p.add_argument("--n", type=int, required=True, help="number of bidders N")
     p.add_argument("--target-degree", type=int, required=True)
@@ -246,6 +250,13 @@ def _load_functions(args, count: int = 1):
     return fns if count > 1 else fns[0]
 
 
+def _load_expansion(args):
+    """The ratio expansion of the one --input."""
+    if len(args.input) != 1:
+        raise FormatError(f"{args.command} takes exactly one --input")
+    return ff.ratio_expansion_from_document(ff.load_json(args.input[0]), where=args.input[0])
+
+
 def _transform_value_poly(p: Poly, lam: float) -> float:
     # L{p} summed exactly at u = 1/lambda and rounded once; an overflowing
     # value gives a non-finite row, which _emit_rows rejects
@@ -310,11 +321,7 @@ def cmd_ratio(args) -> int:
 
 
 def cmd_identify(args) -> int:
-    if len(args.input) != 1:
-        raise FormatError("identify takes exactly one --input")
-    doc = ff.load_json(args.input[0])
-    H = ff.ratio_expansion_from_document(doc, where=args.input[0])
-    result = identify(H, RatioSpec(args.n, args.m), args.target_degree)
+    result = identify(_load_expansion(args), RatioSpec(args.n, args.m), args.target_degree)
     _emit_json(args, ff.identify_result_to_document(result))
     return 0
 
@@ -356,11 +363,7 @@ def cmd_auction_sim(args) -> int:
 def cmd_auction_identify(args) -> int:
     from .auction import auction_identify
 
-    if len(args.input) != 1:
-        raise FormatError("auction-identify takes exactly one --input")
-    doc = ff.load_json(args.input[0])
-    H = ff.ratio_expansion_from_document(doc, where=args.input[0])
-    result = auction_identify(H, args.n, args.target_degree)
+    result = auction_identify(_load_expansion(args), args.n, args.target_degree)
     _emit_json(args, ff.identify_result_to_document(result))
     return 0
 

@@ -37,8 +37,7 @@ class RatioSpec(Frozen):
 
     def __init__(self, n: int, m: int):
         _check_exponents(n, m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
+        self._set_fields(n, m)
 
 
 class IdentifyResult(Frozen):
@@ -52,10 +51,7 @@ class IdentifyResult(Frozen):
     __slots__ = ("poly", "ambiguous_sign", "recovered_degree", "k")
 
     def __init__(self, poly: Poly, ambiguous_sign: bool, recovered_degree: int, k: int):
-        object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "ambiguous_sign", ambiguous_sign)
-        object.__setattr__(self, "recovered_degree", recovered_degree)
-        object.__setattr__(self, "k", k)
+        self._set_fields(poly, ambiguous_sign, recovered_degree, k)
 
 
 def infer_order(H: RatioExpansion, spec: RatioSpec) -> int:

@@ -62,8 +62,7 @@ class RatioExpansion(Frozen):
     def __init__(self, lead: int, tail: Series):
         if not tail.coeffs[0]:
             raise DomainError("ratio expansion tail must have a nonzero constant term")
-        object.__setattr__(self, "lead", lead)
-        object.__setattr__(self, "tail", tail)
+        self._set_fields(lead, tail)
 
 
 def ratio_expansion(f: Poly, n: int, m: int, order: int) -> RatioExpansion:
@@ -143,12 +142,13 @@ def _check_exponents(n: int, m: int) -> None:
         raise DomainError("exponents must be distinct")
 
 
-class RationalFunction:
+class RationalFunction(Frozen):
     """Exact ratio of two polynomials in lambda.
 
     Stored with the common integer content removed and a positive leading
     denominator coefficient.  Equality means equality as rational
-    functions (by cross multiplication), not of the stored pair.
+    functions (by cross multiplication), not of the stored pair, so
+    instances are not hashable.
     """
 
     __slots__ = ("numer", "denom")
@@ -157,13 +157,13 @@ class RationalFunction:
         if denom.is_zero:
             raise DomainError("rational function denominator must be nonzero")
         nums, _ = algebra._cleared(numer.coeffs + denom.coeffs)
-        self.numer, self.denom = _content_free(nums[: len(numer.coeffs)], nums[len(numer.coeffs) :])
+        self._set_fields(*_content_free(nums[: len(numer.coeffs)], nums[len(numer.coeffs) :]))
 
     @classmethod
     def _from_ints(cls, numer: list, denom: list) -> "RationalFunction":
         """From integer coefficient lists, denom not all zero."""
         rf = cls.__new__(cls)
-        rf.numer, rf.denom = _content_free(numer, denom)
+        rf._set_fields(*_content_free(numer, denom))
         return rf
 
     def __eq__(self, other):
@@ -262,7 +262,7 @@ def sin_closed_form() -> RationalFunction:
     return RationalFunction(Poly([2, 0, 2]), Poly([0, 4, 0, 1]))
 
 
-class PiecewisePoly:
+class PiecewisePoly(Frozen):
     """Right-continuous piecewise polynomial on [0, infinity).
 
     breakpoints are strictly increasing rationals starting at 0; piece i
@@ -270,10 +270,10 @@ class PiecewisePoly:
     [b_last, infinity).  The last piece may be any polynomial; the
     transform exists for every lambda > 0 either way.
 
-    Instances are immutable, as the Frozen classes are, so what the
-    transforms derive from the function alone can be kept with it.  The
-    private _derived is None until a transform asks; then a dict that holds
-    under None the _grid, under an exponent a the power self ** a, and
+    A Frozen value, with its pieces Frozen too, so what the transforms
+    derive from the function alone can be kept with it.  The private slot
+    _derived, which is not a field, holds a dict, empty until a transform
+    asks: under None the _grid, under an exponent a the power self ** a, and
     under an ordered exponent pair (a, b) the _pairs of the pieces that
     have come into force.  It takes no part in ==, repr or pickling.
     """
@@ -290,16 +290,8 @@ class PiecewisePoly:
         for a, b in zip(bps, bps[1:]):
             if b <= a:
                 raise DomainError("breakpoints must be strictly increasing")
-        object.__setattr__(self, "breakpoints", bps)
-        object.__setattr__(self, "pieces", ps)
-        object.__setattr__(self, "_derived", None)
-
-    __setattr__ = Frozen.__setattr__
-    __delattr__ = Frozen.__delattr__
-
-    def __reduce__(self):
-        # pickle and copy rebuild through __init__, without the memo
-        return PiecewisePoly, (self.breakpoints, self.pieces)
+        self._set_fields(bps, ps)
+        object.__setattr__(self, "_derived", {})
 
     def piece_at(self, x) -> Poly:
         """The polynomial in force at point x >= 0."""
@@ -318,11 +310,6 @@ class PiecewisePoly:
             raise DomainError("piecewise powers take a positive integer exponent")
         return PiecewisePoly(self.breakpoints, [p ** n for p in self.pieces])
 
-    def __eq__(self, other):
-        if isinstance(other, PiecewisePoly):
-            return self.breakpoints == other.breakpoints and self.pieces == other.pieces
-        return NotImplemented
-
     __hash__ = None
 
     def __repr__(self):
@@ -333,16 +320,9 @@ class PiecewisePoly:
         sep = ", " if cells else ""
         return f"PiecewisePoly({cells}{sep}[{self.breakpoints[-1]}, inf): {self.pieces[-1]})"
 
-    def _memo(self) -> dict:
-        memo = self._derived
-        if memo is None:
-            memo = {}
-            object.__setattr__(self, "_derived", memo)
-        return memo
-
     def _power(self, a: int) -> "PiecewisePoly":
         """self ** a, built once."""
-        memo = self._memo()
+        memo = self._derived
         got = memo.get(a)
         if got is None:
             got = memo[a] = self ** a
@@ -352,7 +332,7 @@ class PiecewisePoly:
         """(edges, D, lcms, degrees), derived once: the breakpoints as
         integers over D, the lcm of their denominators; lcms[i], the lcm of
         the denominators of the first i; and the degree of each piece."""
-        memo = self._memo()
+        memo = self._derived
         got = memo.get(None)
         if got is None:
             ratios = [b.as_integer_ratio() for b in self.breakpoints]
@@ -369,7 +349,7 @@ class PiecewisePoly:
         With constant_only such a piece may have _PER_T in its place, as
         the residual builds f's per t, after composing with t - s.  A list
         in the memo is replaced, never changed, so a caller's stays valid."""
-        memo = self._memo()
+        memo = self._derived
         got = memo.get((a, b), [])
         if len(got) < count:
             new = []

@@ -1,6 +1,8 @@
 """The value classes on algebra.Frozen against dataclasses.dataclass(frozen=True)
 twins: the classes as they were written with dataclasses, checks included.
-Each pair must agree on repr, ==, hash, construction and refusals."""
+Each pair must agree on repr, ==, hash, construction and refusals.  The
+classes that print their own repr have no twin; they are checked for
+Frozen's refusals, round trips and hashing alone."""
 
 import copy
 import math
@@ -15,7 +17,12 @@ from laplaceratio.algebra import Frozen, Poly, Series
 from laplaceratio.auction import AuctionModel, Exponential, Lognormal, McConfig, PointMass, Shifted
 from laplaceratio.errors import DomainError
 from laplaceratio.identify import IdentifyResult, RatioSpec
-from laplaceratio.transforms import RatioExpansion, _check_exponents
+from laplaceratio.transforms import (
+    PiecewisePoly,
+    RationalFunction,
+    RatioExpansion,
+    _check_exponents,
+)
 
 
 @dataclass(frozen=True)
@@ -126,6 +133,22 @@ REFUSED = {
     AuctionModel: [(PointMass(0.0), Exponential(1.0), 1), (PointMass(0.0), Exponential(1.0), 2.0)],
     McConfig: [(0, 1), (10, -1), (10, 2 ** 64)],
 }
+# the classes with their own repr and no twin, with accepted arguments;
+# the first two of each list build equal values
+OWN_REPR = {
+    Poly: [([1, Fraction(-1, 2)],), ([1, Fraction(-1, 2), 0],), ((),), ([0, 1],)],
+    Series: [([1, 2], 3), ([1, 2, 0, 0, 7], 3), ([1, 2], 2), ([], 0)],
+    PiecewisePoly: [
+        ([0, 1], [Poly([1]), Poly([0, 2])]),
+        (["0", Fraction(1)], [[1], [0, 2]]),
+        ([0], [Poly()]),
+    ],
+    RationalFunction: [
+        (Poly([2, 0, 2]), Poly([0, 4, 0, 1])),
+        (Poly([1, 0, 1]), Poly([0, 2, 0, Fraction(1, 2)])),
+        (Poly([0, 1]), Poly([0, 2])),
+    ],
+}
 
 
 def twin_of(cls):
@@ -133,9 +156,9 @@ def twin_of(cls):
 
 
 def twin_args(args):
-    """The arguments with each value class among them replaced by its twin."""
+    """The arguments with each value class that has a twin replaced by it."""
     return tuple(
-        twin_of(type(a))(*twin_args(a._fields(a))) if isinstance(a, Frozen) else a for a in args
+        twin_of(type(a))(*twin_args(a._fields(a))) if type(a) in VALID else a for a in args
     )
 
 
@@ -239,12 +262,45 @@ def test_validation_messages_are_unchanged(cls):
         assert str(new_err.value) == str(twin_err.value)
 
 
-@pytest.mark.parametrize("cls", VALID, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("cls", [*VALID, *OWN_REPR], ids=lambda c: c.__name__)
 def test_pickle_and_copy_round_trip(cls):
-    for args in VALID[cls]:
+    for args in {**VALID, **OWN_REPR}[cls]:
         obj = cls(*args)
         for back in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
             assert type(back) is cls and back == obj and repr(back) == repr(obj)
+
+
+@pytest.mark.parametrize("cls", OWN_REPR, ids=lambda c: c.__name__)
+def test_own_repr_classes_refuse_assignment_and_deletion(cls):
+    obj = cls(*OWN_REPR[cls][0])
+    for name in cls._names:
+        before = getattr(obj, name)
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(obj, name, before)
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+            delattr(obj, name)
+        assert getattr(obj, name) is before
+    with pytest.raises(AttributeError, match="^cannot assign to field 'other'$"):
+        obj.other = 1
+
+
+@pytest.mark.parametrize("cls", [Poly, Series], ids=lambda c: c.__name__)
+def test_equal_polys_and_series_hash_equal(cls):
+    first, second, *others = (cls(*args) for args in OWN_REPR[cls])
+    assert first == second and hash(first) == hash(second)
+    assert len({first, second, *others}) == 1 + len(others)
+    for other in others:
+        assert first != other
+    assert first != first._fields(first) and first.__eq__(first._fields(first)) is NotImplemented
+
+
+@pytest.mark.parametrize("cls", [PiecewisePoly, RationalFunction], ids=lambda c: c.__name__)
+def test_piecewise_and_rational_functions_stay_unhashable(cls):
+    first, second, *others = (cls(*args) for args in OWN_REPR[cls])
+    assert first == second
+    assert cls.__hash__ is None
+    with pytest.raises(TypeError, match="unhashable type"):
+        hash(first)
 
 
 def test_every_value_class_is_covered():
@@ -255,4 +311,4 @@ def test_every_value_class_is_covered():
             yield from subclasses(sub)
 
     library = {c for c in subclasses(Frozen) if c.__module__.startswith("laplaceratio.")}
-    assert library == set(VALID)
+    assert library == set(VALID) | set(OWN_REPR)

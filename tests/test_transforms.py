@@ -313,6 +313,10 @@ class TestRatioRational:
         c = RationalFunction(Poly([1, 1]), Poly([1, 1]))
         assert a == b
         assert a != c
+        # x/(2x) keeps its stored pair, which is not that of 1/2
+        d = RationalFunction(Poly([0, 1]), Poly([0, 2]))
+        e = RationalFunction(Poly([1]), Poly([2]))
+        assert d == e and (d.numer, d.denom) != (e.numer, e.denom)
 
 
 class TestSinIdentity:
@@ -368,6 +372,25 @@ class TestPiecewise:
             with pytest.raises(AttributeError):
                 delattr(pp, name)
         assert pp == PiecewisePoly([0, 1], [Poly([1]), Poly([0, 2])])
+
+    def test_pieces_refuse_assignment_so_what_was_derived_stays_valid(self):
+        # the powers a transform keeps with f would outlive a change to a piece
+        def make_f():
+            return PiecewisePoly([0, 1], [Poly([1]), Poly([2])])
+
+        f, g = make_f(), PiecewisePoly([0, 2], [Poly([3]), Poly([1])])
+        assert convolution_residual(f, g, 2, 1, 3) == -12.0
+        ratio_eval_piecewise(f, 2, 1, 1.0)
+        with pytest.raises(AttributeError, match="cannot assign to field 'coeffs'"):
+            f.pieces[0].coeffs = (F(5),)
+        with pytest.raises(AttributeError, match="cannot delete field 'coeffs'"):
+            del f.pieces[0].coeffs
+        fresh = make_f()
+        for used_value, fresh_value in [
+            (convolution_residual(f, g, 2, 1, 3), convolution_residual(fresh, g, 2, 1, 3)),
+            (ratio_eval_piecewise(f, 2, 1, 1.0), ratio_eval_piecewise(fresh, 2, 1, 1.0)),
+        ]:
+            assert repr(used_value) == repr(fresh_value)
 
     @pytest.mark.parametrize("trip", ["pickle", "copy", "deepcopy"])
     def test_round_trips_to_an_equal_value_whatever_was_derived(self, trip):
