@@ -53,7 +53,9 @@ print(f"  without the fresh draw (control):          {memoryless_check(1.0, 4, c
 
 print()
 print("=== K and the power ratio convert back and forth ===")
-for h in (0.0, 0.5, 3.0):
+# K = 1 / (N h - (N-1)); h = 1 for a degenerate law, and h = 1.5 for the
+# exponential law at lambda = 2 theta, whose K is 1/3
+for h in (1.0, 1.5, 3.0):
     k = k_from_h(h, 4)
     print(f"  h={h} -> K={k:.6f} -> h={h_from_k(k, 4):.6f}")
 

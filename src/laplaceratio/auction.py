@@ -3,11 +3,15 @@
 Bids are X_i = X* + eps_i with a common part X* and i.i.d. idiosyncratic
 parts eps_i with CDF F.  The ratio K of the Laplace transforms of the
 highest and second-highest bid does not depend on X* and relates to the
-power ratio of F through
+power ratio of F through the order-statistic identity
 
-    K = H / (N + (N-1) H)      with H = L{F^(N-1)} / L{F^N},
+    K = 1 / (N H - (N-1))      with H = L{F^(N-1)} / L{F^N},
 
-so recovering F from K reduces to recovering F from its power ratio.
+so recovering F from K reduces to recovering F from its power ratio.  The
+top two bids have CDFs F^N and N F^(N-1) - (N-1) F^N (David & Nagaraja
+2.1), and a variable Y >= 0 with CDF G has E exp(-lam Y) = lam L{G}(lam).
+As F^(N-1) >= F^N, H >= 1 and K lies in (0, 1], with H = K = 1 exactly
+for a degenerate law.
 
 Only the Monte Carlo functions, which draw or hold sample arrays, import
 numpy, and they do so on first call; the laws, the quadrature and the
@@ -172,24 +176,25 @@ def _check_bidders(N: int) -> None:
 
 
 def k_from_h(h: float, N: int) -> float:
-    """Top-two transform ratio K from the power ratio value h >= 0:
-    K = h / (N + (N-1) h), increasing in h with range [0, 1/(N-1))."""
-    if h < 0:
-        raise DomainError(f"power ratio value must be nonnegative, got {_shown(h)}")
+    """Top-two transform ratio K from the power ratio value h >= 1:
+    K = 1 / (N h - (N-1)), decreasing in h with range (0, 1]."""
+    if h < 1:
+        raise DomainError(f"power ratio value must be at least 1, got {_shown(h)}")
     if not _finite(h):
         raise DomainError(f"power ratio value must be finite, got {_shown(h)}")
     _check_bidders(N)
-    return h / (N + (N - 1) * h)
+    return 1.0 / (N * (h - 1) + 1)
 
 
 def h_from_k(k: float, N: int) -> float:
-    """Inverse of k_from_h: h = N k / (1 - (N-1) k)."""
+    """Inverse of k_from_h: h = (1 + (N-1) k) / (N k), for 0 < k <= 1."""
     _check_bidders(N)
-    if not 0 <= k < 1.0 / (N - 1):
-        raise OutOfRange(
-            f"K = {k} is outside [0, {1.0 / (N - 1)}): no distribution produces it"
-        )
-    return N * k / (1.0 - (N - 1) * k)
+    if not 0 < k <= 1:
+        raise OutOfRange(f"K = {_shown(k)} is outside (0, 1]: no distribution produces it")
+    h = 1.0 + (1 - k) / (N * k)
+    if not _finite(h):
+        raise OutOfRange(f"K = {_shown(k)} gives a power ratio beyond the double range")
+    return h
 
 
 def k_analytic_exponential(theta: float, lam: float) -> float:

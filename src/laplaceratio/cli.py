@@ -16,7 +16,7 @@ from decimal import Context, Decimal
 from fractions import Fraction
 
 from . import fileformats as ff
-from .algebra import Poly
+from .algebra import Poly, beta_rational
 from .errors import DomainError, FormatError, LaplaceRatioError, OutOfRange
 from .identify import RatioSpec, identify, pivot_value, verify_identity
 from .transforms import (
@@ -228,12 +228,12 @@ def _log10(x: float) -> float:
     return float(Decimal(x).log10(Context(prec=40)))
 
 
-def _load_functions(args, count: int = 1):
-    """Resolve --input/--builtin into exactly `count` functions."""
+def _load_function(args):
+    """Resolve --input/--builtin into exactly one function."""
     fns = [ff.function_from_document(ff.load_json(path), where=path) for path in args.input]
-    if getattr(args, "builtin", None):
+    if args.builtin:
         if args.builtin == "sin":
-            order = getattr(args, "order", None)
+            order = args.order
             if order is None:
                 raise FormatError("--builtin sin needs --order (Maclaurin degree context)")
             # degree order+1 keeps every coefficient of a ratio's tail to
@@ -243,11 +243,9 @@ def _load_functions(args, count: int = 1):
         else:
             doc = {"kind": "builtin", "name": "step_example", "n_max": args.n_max}
         fns.append(ff.function_from_document(doc))
-    if len(fns) != count:
-        raise FormatError(
-            f"{args.command} needs exactly {count} function(s); got {len(fns)}"
-        )
-    return fns if count > 1 else fns[0]
+    if len(fns) != 1:
+        raise FormatError(f"{args.command} needs exactly 1 function(s); got {len(fns)}")
+    return fns[0]
 
 
 def _load_expansion(args):
@@ -271,7 +269,7 @@ def _transform_value_poly(p: Poly, lam: float) -> float:
 
 
 def cmd_transform(args) -> int:
-    fn = _load_functions(args)
+    fn = _load_function(args)
     lams = _lambda_grid(args)
     if lams:
         if isinstance(fn, Poly):
@@ -301,7 +299,7 @@ def cmd_transform(args) -> int:
 
 
 def cmd_ratio(args) -> int:
-    fn = _load_functions(args)
+    fn = _load_function(args)
     lams = _lambda_grid(args)
     if isinstance(fn, Poly) and not lams:
         if args.order is None:
@@ -372,6 +370,7 @@ def cmd_selftest(args) -> int:
     from .auction import (
         McConfig,
         h_from_k,
+        k_analytic_exponential,
         k_from_h,
         k_monte_carlo,
         k_quadrature,
@@ -431,12 +430,18 @@ def cmd_selftest(args) -> int:
         all(convolution_residual(step, step, 2, 1, t) == 0.0 for t in (0.5, 1.0, 2.0)),
     )
 
-    kh_ok = all(
-        math.isclose(h_from_k(k_from_h(h, N), N), h, rel_tol=1e-12, abs_tol=1e-12)
-        for h in (0.0, 0.3, 1.0, 17.5)
+    # the unit exponential law's transforms L{(1 - e^(-x))^j}(a) = B(a, j + 1)
+    # give its power ratio H exactly; its K is 1 / (1 + a)
+    exponential = [
+        (float(beta_rational(a, N) / beta_rational(a, N + 1)), k_analytic_exponential(1.0, a), N)
+        for a in (1, 2, 5)
         for N in (2, 5, 10)
+    ]
+    kh_ok = all(
+        math.isclose(k_from_h(h, N), k, rel_tol=1e-12) and math.isclose(h_from_k(k, N), h, rel_tol=1e-12)
+        for h, k, N in exponential
     )
-    check("K and power-ratio conversions invert each other", kh_ok)
+    check("K and the exponential law's power ratio convert by the order-statistic identity", kh_ok)
 
     law = {"kind": "exponential", "theta": 1.0}
     model = ff.model_from_document({"common": {"kind": "point_mass", "v": 0.0}, "idiosyncratic": law, "N": 5})

@@ -274,8 +274,9 @@ class PiecewisePoly(Frozen):
     derive from the function alone can be kept with it.  The private slot
     _derived, which is not a field, holds a dict, empty until a transform
     asks: under None the _grid, under an exponent a the power self ** a, and
-    under an ordered exponent pair (a, b) the _pairs of the pieces that
-    have come into force.  It takes no part in ==, repr or pickling.
+    under (a, b, constant_only) the _pairs of every piece.  Each entry is
+    written once, whole, and never changed.  It takes no part in ==, repr
+    or pickling.
     """
 
     __slots__ = ("breakpoints", "pieces", "_derived")
@@ -342,34 +343,21 @@ class PiecewisePoly(Frozen):
             got = memo[None] = edges, D, lcms, [len(p.coeffs) - 1 for p in self.pieces]
         return got
 
-    def _pairs(self, a: int, b: int, count: int, constant_only: bool = False) -> list:
-        """The powers of at least the first count pieces as
-        convolution_residual reads them, each derived once: a constant's
-        _scalar_pair, None for zero, and _power_pair of any other piece.
-        With constant_only such a piece may have _PER_T in its place, as
-        the residual builds f's per t, after composing with t - s.  A list
-        in the memo is replaced, never changed, so a caller's stays valid."""
+    def _pairs(self, a: int, b: int, constant_only: bool = False) -> list:
+        """The powers of every piece as convolution_residual reads them,
+        derived once: a constant's _scalar_pair, None for zero, and
+        _power_pair of any other piece, or None with constant_only, as the
+        residual builds f's per t after composing with t - s."""
         memo = self._derived
-        got = memo.get((a, b), [])
-        if len(got) < count:
-            new = []
-            for p in self.pieces[len(got) : count]:
-                if len(p.coeffs) == 1:
-                    new.append(_scalar_pair(p.coeffs[0], a, b))
-                elif constant_only and p.coeffs:
-                    new.append(_PER_T)
-                else:
-                    new.append(_power_pair(p.coeffs, a, b))
-            got = memo[a, b] = got + new
-        if not constant_only and _PER_T in got:
-            got = memo[a, b] = [
-                _power_pair(p.coeffs, a, b) if pair is _PER_T else pair
-                for p, pair in zip(self.pieces, got)
+        key = a, b, constant_only
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = [
+                _scalar_pair(p.coeffs[0], a, b) if len(p.coeffs) == 1
+                else None if constant_only else _power_pair(p.coeffs, a, b)
+                for p in self.pieces
             ]
         return got
-
-
-_PER_T = object()  # in a list of _pairs, a piece whose powers depend on t
 
 
 def step_example(n_max: int) -> PiecewisePoly:
@@ -491,14 +479,14 @@ def convolution_residual(f: PiecewisePoly, g: PiecewisePoly, n: int, m: int, t: 
     edge lists.  Each piece in force is cleared and raised to its n-th and
     m-th powers once; a constant piece's powers are bare integers.  What
     depends on f or g alone comes from their memo (see PiecewisePoly),
-    derived on first use and kept for later calls: the breakpoints as
-    integers over one denominator, with the lcms of their denominators,
-    the piece degrees, and the powers of g's pieces and of f's constant
-    ones.  Only the work that depends on t is done per call: an integer
-    bisect, D, the edges, and the powers of f's other pieces, which
-    compose with t - s.  The s^k term c_k s^k of a cell's
-    p^n q^m - p^m q^n integrates over [L/D, H/D] to
-    c_k (H^(k+1) - L^(k+1)) / ((k+1) D^(k+1)), whose numerator joins an
+    derived whole on first use and kept for later calls: the breakpoints
+    as integers over one denominator, with the lcms of their denominators,
+    the piece degrees, and, per role, the powers of all of g's pieces,
+    those past t too, and of f's constant ones.  Only the work that
+    depends on t is done per call: an integer bisect, D, the edges, and
+    the powers of f's other pieces, which compose with t - s.  The s^k
+    term c_k s^k of a cell's p^n q^m - p^m q^n integrates over [L/D, H/D]
+    to c_k (H^(k+1) - L^(k+1)) / ((k+1) D^(k+1)), whose numerator joins an
     integer sum kept per denominator; a cell between two constant pieces
     adds the one product (p^n q^m - p^m q^n) (H - L) to the s^0 sum.  The
     total is divided once, so it is correctly rounded; outside the double
@@ -522,7 +510,7 @@ def convolution_residual(f: PiecewisePoly, g: PiecewisePoly, n: int, m: int, t: 
     # top, one past max(n, m) times the top degrees in force on each side
     f_top, g_top = max([0, *fdeg[:nf]]), max([0, *gdeg[:ng]])
     top = max(n, m) * (f_top + g_top) + 1
-    fp = f._pairs(n, m, nf, constant_only=True)[:nf]
+    fp = f._pairs(n, m, constant_only=True)[:nf]
     if f_top:
         # f's pieces that are not constant compose with t - s
         fp = [
@@ -530,7 +518,7 @@ def convolution_residual(f: PiecewisePoly, g: PiecewisePoly, n: int, m: int, t: 
             for p, pair in zip(f.pieces, fp)
         ]
     fp.reverse()
-    gp = g._pairs(m, n, ng)
+    gp = g._pairs(m, n)
     sums = {}
     i = j = lo = 0
     lo_pows = [0] * top  # the powers of the last edge a polynomial cell ended on

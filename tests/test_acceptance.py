@@ -213,15 +213,27 @@ def test_criterion_7_auction_closed_form(report):
 
 
 def test_criterion_8_k_h_algebra(report):
+    # the exponential law with rate theta has L{(1 - e^(-theta x))^j}(lam) =
+    # B(lam/theta, j + 1) / theta and K = theta / (theta + lam); at
+    # lam = a theta, K = 1 / (1 + a)
     rng = random.Random(777)
     ok = True
     for _ in range(1000):
-        h = rng.uniform(0.0, 100.0)
-        N = rng.randint(2, 10)
-        back = h_from_k(k_from_h(h, N), N)
-        if not math.isclose(back, h, rel_tol=1e-12, abs_tol=1e-12):
+        a, N = rng.randint(1, 20), rng.randint(2, 10)
+        h = float(beta_rational(a, N) / beta_rational(a, N + 1))
+        k = 1 / (1 + a)
+        if not math.isclose(k_from_h(h, N), k, rel_tol=1e-12):
             ok = False
-    report("8 K-H algebra", ok, "1000 random round trips to 1e-12")
+        if not math.isclose(h_from_k(k, N), h, rel_tol=1e-12):
+            ok = False
+        h = rng.uniform(1.0, 100.0)
+        if not math.isclose(h_from_k(k_from_h(h, N), N), h, rel_tol=1e-12):
+            ok = False
+    report(
+        "8 K-H algebra",
+        ok,
+        "1000 exponential laws' H and K convert to each other, 1000 random round trips, to 1e-12",
+    )
 
 
 def test_criterion_9_memoryless_identity(report):

@@ -43,7 +43,7 @@ from laplaceratio.errors import (
     OutOfRange,
     QuadratureFailure,
 )
-from laplaceratio.transforms import RatioExpansion, ratio_expansion
+from laplaceratio.transforms import RatioExpansion, RationalFunction, ratio_expansion
 
 
 def log_ndtr(z: float) -> float:
@@ -162,25 +162,47 @@ class TestDistributions:
 
 
 class TestKHAlgebra:
+    # for the exponential law with rate theta, L{(1 - e^(-theta x))^j}(lam) =
+    # B(lam/theta, j + 1) / theta, so H = (lam + N theta) / (N theta), and
+    # K = theta / (theta + lam)
     def test_k_from_h_values(self):
-        assert k_from_h(0.0, 5) == 0.0
-        assert k_from_h(1.0, 2) == pytest.approx(1 / 3)
+        # a degenerate law has H = K = 1
+        assert k_from_h(1.0, 5) == 1.0
+        # theta = 1, N = 5, lambda = 2: H = 7/5 and K = 1/3
+        assert k_from_h(1.4, 5) == pytest.approx(1 / 3, rel=1e-15)
+        assert k_from_h(F(7, 5), 5) == pytest.approx(1 / 3, rel=1e-15)
 
     def test_k_from_h_limit(self):
-        assert k_from_h(1e12, 2) == pytest.approx(1.0, rel=1e-10)
-        assert k_from_h(1e12, 2) < 1.0
+        assert k_from_h(1e12, 2) == pytest.approx(1 / (2e12 - 1), rel=1e-15)
+        assert k_from_h(1 + 2 ** -52, 2) == pytest.approx(1.0, rel=1e-15)
+        assert k_from_h(1 + 2 ** -52, 2) < 1.0
 
     def test_h_from_k_values(self):
-        assert h_from_k(1 / 3, 2) == pytest.approx(1.0)
-        assert h_from_k(0.0, 9) == 0.0
+        assert h_from_k(1 / 3, 5) == pytest.approx(1.4, rel=1e-15)
+        assert h_from_k(1.0, 9) == 1.0
+        # theta = 1, N = 3, lambda = 2/3: K = 3/5 and H = 11/9
+        assert h_from_k(0.6, 3) == pytest.approx(11 / 9, rel=1e-15)
 
-    def test_h_from_k_out_of_range(self):
-        with pytest.raises(OutOfRange):
-            h_from_k(0.6, 3)  # bound is 1/2
+    @pytest.mark.parametrize(
+        "k",
+        [0.0, -0.1, 1 + 2 ** -52, 2.0, math.nan, math.inf, 10 ** 700],
+        ids=["zero", "negative", "above_one", "two", "nan", "inf", "int"],
+    )
+    def test_h_from_k_out_of_range(self, k):
+        # the message prints an int of any length
+        with pytest.raises(OutOfRange, match=r"is outside \(0, 1\]: no distribution produces it"):
+            h_from_k(k, 3)
 
-    def test_domains(self):
-        with pytest.raises(DomainError):
-            k_from_h(-0.1, 2)
+    def test_h_beyond_the_double_range(self):
+        # (1 - K) / (N K) overflows for the least subnormal K
+        with pytest.raises(OutOfRange, match="gives a power ratio beyond the double range"):
+            h_from_k(5e-324, 2)
+
+    @pytest.mark.parametrize("h", [-0.1, 0.0, 0.5, 1 - 2 ** -53, F(999, 1000)])
+    def test_h_below_one_refused(self, h):
+        # no CDF gives H < 1, as F^(N-1) >= F^N
+        with pytest.raises(DomainError, match="power ratio value must be at least 1, got"):
+            k_from_h(h, 2)
 
     @pytest.mark.parametrize("h", [math.nan, math.inf, 10 ** 400], ids=["nan", "inf", "int"])
     def test_non_finite_h_refused(self, h):
@@ -195,14 +217,43 @@ class TestKHAlgebra:
         with pytest.raises(DomainError, match="need N within the double range, got 1000"):
             h_from_k(0.1, 10 ** 400)
 
-    @given(st.floats(0, 100), st.integers(2, 10))
+    @given(st.floats(1, 100), st.integers(2, 10))
     def test_roundtrip(self, h, N):
         assert h_from_k(k_from_h(h, N), N) == pytest.approx(h, rel=1e-12, abs=1e-12)
 
-    @given(st.integers(2, 10), st.floats(0.0, 0.999))
-    def test_inverse_other_way(self, N, frac):
-        k = frac / (N - 1)
-        assert k_from_h(h_from_k(k, N), N) == pytest.approx(k, rel=1e-12, abs=1e-15)
+    @given(st.integers(2, 10), st.floats(1e-3, 1.0))
+    def test_inverse_other_way(self, N, k):
+        assert k_from_h(h_from_k(k, N), N) == pytest.approx(k, rel=1e-12)
+
+    def test_k_from_h_matches_k_value(self):
+        # H from the transforms of F^(N-1) and F^N: in closed form for the
+        # exponential and point-mass laws, by mpmath for the lognormal; a
+        # shift multiplies both transforms by e^(-lam offset), so it leaves
+        # H alone; K from the library's k_value
+        rng = random.Random(39)
+        laws = (
+            [lambda: Exponential(rng.uniform(0.1, 10))] * 8
+            + [lambda: Shifted(Exponential(rng.uniform(0.1, 10)), rng.uniform(0, 5))] * 6
+            + [lambda: PointMass(rng.uniform(0, 5))]
+            + [lambda: Shifted(PointMass(rng.uniform(0, 5)), rng.uniform(0, 5))]
+            + [lambda: Lognormal(rng.uniform(-2, 2), rng.uniform(0.1, 2))]
+            + [lambda: Shifted(Lognormal(rng.uniform(-2, 2), rng.uniform(0.1, 2)), rng.uniform(0, 5))]
+        )
+        kinds = set()
+        for i in range(200):
+            law = laws[i % len(laws)]()
+            N, lam = rng.choice([2, 3, 5, 10, 50, 200]), 10.0 ** rng.uniform(-3, 3)
+            base = law.base if isinstance(law, Shifted) else law
+            kinds.add(type(base))
+            if isinstance(base, Exponential):
+                H = float((F(lam) + N * F(base.theta)) / (N * F(base.theta)))
+            elif isinstance(base, PointMass):
+                H = 1.0  # F^j = F
+            else:
+                H = h_lognormal_oracle(base.mu, base.sigma, N, lam)
+            want = k_value(AuctionModel(PointMass(0.0), law, N), lam, tol=1e-13)
+            assert k_from_h(H, N) == pytest.approx(want, rel=1e-10), (law, N, lam)
+        assert kinds == {Exponential, PointMass, Lognormal}
 
 
 class TestKAnalyticExponential:
@@ -384,6 +435,44 @@ def seeded_laws(seed, count):
         yield AuctionModel(PointMass(0.0), law, N), 10 ** rng.uniform(-4, 6)
 
 
+def lognormal_transforms(mu, sigma, lam):
+    """(k, j) -> (top, I): the integral over the normal score z of
+    exp(-lam x) Phi(z)^k Phi(-z)^j phi(z), x = exp(sigma z - mu), less
+    log sqrt(2 pi), is exp(top) I; run under mpmath's working precision."""
+    import mpmath as mp
+
+    mu, sigma, lam = mp.mpf(mu), mp.mpf(sigma), mp.mpf(lam)
+
+    def log_integrand(z, k, j):
+        # exp(-lam x) Phi(z)^k Phi(-z)^j phi(z), less log sqrt(2 pi)
+        tail = j and mp.log(mp.ncdf(-z))
+        return -lam * mp.exp(sigma * z - mu) + k * mp.log(mp.ncdf(z)) + tail - z * z / 2
+
+    def slope(z, k, j):
+        phi = mp.npdf(z)
+        tail = j and phi / mp.ncdf(-z)
+        return -lam * sigma * mp.exp(sigma * z - mu) + k * phi / mp.ncdf(z) - tail - z
+
+    def transform(k, j):
+        # bisect the decreasing slope for the peak, then integrate around it
+        lo, hi = mp.mpf(-1), mp.mpf(1)
+        while slope(lo, k, j) < 0:
+            lo *= 2
+        while slope(hi, k, j) > 0:
+            hi *= 2
+        while hi - lo > 1e-9:
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if slope(mid, k, j) > 0 else (lo, mid)
+        peak = (lo + hi) / 2
+        top = log_integrand(peak, k, j)
+        edges = [peak - 8 + mp.mpf(16) * i / 40 for i in range(41)]
+        integral = mp.quad(lambda z: mp.exp(log_integrand(z, k, j) - top), edges,
+                           method="gauss-legendre")
+        return top, integral
+
+    return transform
+
+
 def k_lognormal_oracle(mu, sigma, N, lam):
     """K for Lognormal(mu, sigma) by mpmath at 20 digits.  Each of A and B
     is integrated in normal scores, relative to its peak, over 40
@@ -392,38 +481,25 @@ def k_lognormal_oracle(mu, sigma, N, lam):
     import mpmath as mp
 
     with mp.workdps(20):
-        mu, sigma, lam = mp.mpf(mu), mp.mpf(sigma), mp.mpf(lam)
-
-        def log_integrand(z, k, j):
-            # exp(-lam x) Phi(z)^k Phi(-z)^j phi(z), less log sqrt(2 pi)
-            tail = j and mp.log(mp.ncdf(-z))
-            return -lam * mp.exp(sigma * z - mu) + k * mp.log(mp.ncdf(z)) + tail - z * z / 2
-
-        def slope(z, k, j):
-            phi = mp.npdf(z)
-            tail = j and phi / mp.ncdf(-z)
-            return -lam * sigma * mp.exp(sigma * z - mu) + k * phi / mp.ncdf(z) - tail - z
-
-        def transform(k, j):
-            # bisect the decreasing slope for the peak, then integrate around it
-            lo, hi = mp.mpf(-1), mp.mpf(1)
-            while slope(lo, k, j) < 0:
-                lo *= 2
-            while slope(hi, k, j) > 0:
-                hi *= 2
-            while hi - lo > 1e-9:
-                mid = (lo + hi) / 2
-                lo, hi = (mid, hi) if slope(mid, k, j) > 0 else (lo, mid)
-            peak = (lo + hi) / 2
-            top = log_integrand(peak, k, j)
-            edges = [peak - 8 + mp.mpf(16) * i / 40 for i in range(41)]
-            integral = mp.quad(lambda z: mp.exp(log_integrand(z, k, j) - top), edges,
-                               method="gauss-legendre")
-            return top, integral
-
+        transform = lognormal_transforms(mu, sigma, lam)
         top_a, a = transform(N - 1, 0)
         top_b, b = transform(N - 2, 1)
         return float(mp.exp(top_a - top_b) * a / ((N - 1) * b))
+
+
+def h_lognormal_oracle(mu, sigma, N, lam):
+    """H = L{F^(N-1)}/L{F^N} for Lognormal(mu, sigma) by mpmath at 20
+    digits.  By parts, L{F^j}(lam) = (j / lam) I_(j-1), where I_k is the
+    integral over the normal score z of exp(-lam x) Phi(z)^k phi(z), so
+    H = (N-1) I_(N-2) / (N I_(N-1)); each I_k as k_lognormal_oracle
+    integrates A and B."""
+    import mpmath as mp
+
+    with mp.workdps(20):
+        transform = lognormal_transforms(mu, sigma, lam)
+        top_a, a = transform(N - 2, 0)
+        top_b, b = transform(N - 1, 0)
+        return float(mp.exp(top_a - top_b) * (N - 1) * a / (N * b))
 
 
 # the lambdas of the benchmark's K-curves
@@ -1231,6 +1307,16 @@ class TestAuctionIdentify:
         f = Poly([0, 1, F(1, 2)])
         H = ratio_expansion(f, 2, 3, 12)
         assert auction_identify(H, 3, 2).poly == f
+
+    @pytest.mark.parametrize("N, theta", [(2, F(1)), (5, F(3, 2)), (3, F(1, 3))])
+    def test_exponential_germ_from_its_exact_power_ratio(self, N, theta):
+        # the exponential law's H = (lambda + N theta) / (N theta), expanded
+        # exactly, gives back the Taylor germ of its CDF 1 - e^(-theta x)
+        H = RationalFunction(Poly([N * theta, 1]), Poly([N * theta])).expansion(8)
+        want = Poly([0] + [-(-theta) ** k / math.factorial(k) for k in range(1, 6)])
+        result = auction_identify(H, N, 5)
+        assert result.poly == want
+        assert not result.ambiguous_sign
 
     def test_inconsistent_lead_propagates(self):
         from laplaceratio.algebra import Series

@@ -50,9 +50,9 @@ PINNED_LINES = {
         "  lambda=0.5: closed 0.6666666667  quadrature 0.6666666667",
         "  lambda=1.0: closed 0.5000000000  quadrature 0.5000000000",
         "  lambda=2.0: closed 0.3333333333  quadrature 0.3333333333",
-        "  h=0.0 -> K=0.000000 -> h=0.000000",
-        "  h=0.5 -> K=0.090909 -> h=0.500000",
-        "  h=3.0 -> K=0.230769 -> h=3.000000",
+        "  h=1.0 -> K=1.000000 -> h=1.000000",
+        "  h=1.5 -> K=0.333333 -> h=1.500000",
+        "  h=3.0 -> K=0.111111 -> h=3.000000",
         "  recovered germ coefficients: ['0', '1']",
         "  source x + 1/2*x^2 - 1/6*x^3 -> recovered x + 1/2*x^2 - 1/6*x^3",
     ],

@@ -701,13 +701,15 @@ class TestConvolutionResidual:
             assert convolution_residual(f, g, 3, 2, F(7, 2)) == want
         assert spy.call_count == 0
 
-    def test_a_second_call_builds_only_the_powers_that_depend_on_t(self):
-        # the powers of g's pieces and of f's constant ones are kept from the
-        # first call; at another t only f's polynomial pieces, composed with
+    @pytest.mark.parametrize("t", [F(9, 2), F(1, 4)], ids=["all_in_force", "g_first_piece_only"])
+    def test_a_second_call_builds_only_the_powers_that_depend_on_t(self, t):
+        # the powers of all of g's pieces and of f's constant ones are kept
+        # from the first call, even one at which only g's first piece is in
+        # force; at another t only f's polynomial pieces, composed with
         # t - s, are raised again
         f = PiecewisePoly([0, 1, 2, 3], [Poly([2]), Poly([1, 1]), Poly([F(1, 3)]), Poly([0, 1, 1])])
         g = PiecewisePoly([0, F(1, 2), F(3, 2)], [Poly([1, 2]), Poly([3]), Poly([0, F(1, 2), 1])])
-        t, u = F(9, 2), F(7, 2)
+        u = F(7, 2)
         fresh = [PiecewisePoly(pp.breakpoints, pp.pieces) for pp in (f, g)]
         assert convolution_residual(f, g, 3, 2, t) == convolution_residual(*fresh, 3, 2, t)
         with mock.patch.object(
