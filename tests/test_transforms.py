@@ -27,6 +27,7 @@ from laplaceratio.transforms import (
     RationalFunction,
     RatioExpansion,
     _power_pair,
+    _scalar_pair,
     convolution_residual,
     delay,
     laplace_piecewise,
@@ -349,6 +350,15 @@ class TestPiecewise:
         pp = PiecewisePoly([0, 1], [Poly([1]), Poly([5])])
         assert pp(F(1)) == 5
         assert pp(F(99, 100)) == 1
+
+    def test_a_value_past_the_double_range_is_refused_at_a_float_point(self):
+        # a float point asks for a double, which these values overflow
+        pp = PiecewisePoly([0, 1], [Poly([10 ** 400]), Poly([0, -(10 ** 400)])])
+        for x in (0.0, 1.0, 2.5):
+            with pytest.raises(OutOfRange, match=f"value at x = {x!r} is not a finite double"):
+                pp(x)
+        assert pp(F(5, 2)) == -(10 ** 400) * F(5, 2)
+        assert pp(0) == 10 ** 400
 
     def test_power_is_pointwise(self):
         pp = PiecewisePoly([0, 1], [Poly([0, 1]), Poly([3])])
@@ -745,20 +755,18 @@ class TestConvolutionResidual:
                 assert got == want[key, a, b, s]
 
     def test_a_constant_takes_scalar_powers_in_the_kernels_slots(self):
-        # the general route clears the coefficients and takes the kernel's
-        # powers: slot 0, then count - 1 zeros
+        # the kernel's one-slot case gives the scalar pair, then count - 1
+        # zeros, and packs nothing
         for c in (F(2, 3), F(-5), F(2 ** 60 + 1, 3 ** 38)):
-            nums, d = algebra._cleared([c])
             for a, b in ((3, 5), (5, 3), (1, 2)):
+                A, B, den = _scalar_pair(c, a, b)
                 for count in (None, 1, 4):
-                    top = max(a, b)
-                    want = (
-                        [x * d ** (top - a) for x in algebra._power_nums(nums, a, count)],
-                        [x * d ** (top - b) for x in algebra._power_nums(nums, b, count)],
-                        d ** top,
-                    )
-                    with builds_nothing():
-                        assert _power_pair((c,), a, b, count) == want
+                    pad = [0] * ((count or 1) - 1)
+                    with mock.patch.object(
+                        algebra, "_slots", side_effect=AssertionError("packed")
+                    ) as packed:
+                        assert _power_pair((c,), a, b, count) == ([A] + pad, [B] + pad, den)
+                    assert packed.call_count == 0
 
     @given(step_residual_cases())
     @settings(deadline=None)
