@@ -23,10 +23,10 @@ from decimal import (
 )
 from fractions import Fraction
 from itertools import accumulate, islice
-from math import factorial, gcd, lcm
+from math import factorial, gcd, isfinite, lcm
 from operator import attrgetter, mul
 
-from .errors import DomainError, ZeroLeadingCoefficient
+from .errors import DomainError, OutOfRange, ZeroLeadingCoefficient
 
 # The exact scalar used throughout: arbitrary precision, always in lowest
 # terms, denominator > 0.  fractions.Fraction already guarantees all of
@@ -50,6 +50,16 @@ def as_rational(value) -> Rational:
         parts = _rational_parts(value)
         return Rational(value) if parts is None else Rational(*parts)
     raise TypeError(f"expected an exact rational-like value, got {type(value).__name__}")
+
+
+def as_rational_number(x) -> Rational:
+    """Exact conversion accepting finite floats too (binary floats are
+    exact); a NaN or an infinity raises DomainError."""
+    if isinstance(x, float):
+        if not isfinite(x):
+            raise DomainError(f"expected a finite number, got {x!r}")
+        return Rational(x)
+    return as_rational(x)
 
 
 def _rational_parts(text: str):
@@ -467,6 +477,15 @@ class Poly(Frozen):
         return Rational(0)
 
     def __call__(self, x):
+        """The value at x, exact at an exact point.  At a float, the value
+        at the float's exact value, rounded once; OutOfRange names x where
+        that is past the double range, and a NaN or an infinity raises
+        DomainError."""
+        if isinstance(x, float):
+            try:
+                return float(self(as_rational_number(x)))
+            except OverflowError:
+                raise OutOfRange(f"the value at x = {x!r} is not a finite double") from None
         result = Rational(0)
         for c in reversed(self.coeffs):
             result = result * x + c

@@ -175,9 +175,18 @@ def _check_bidders(N: int) -> None:
         raise DomainError(f"need N within the double range, got {_shown(N)}")
 
 
+def _nonzero_k(k: float, where: str) -> float:
+    """k, or OutOfRange where a K, which is positive, rounded to 0.0: below
+    the least subnormal double, no double in K's range (0, 1] holds it."""
+    if k == 0:
+        raise OutOfRange(f"K {where} is below the least subnormal double")
+    return k
+
+
 def k_from_h(h: float, N: int) -> float:
     """Top-two transform ratio K from the power ratio value h >= 1:
-    K = 1 / (N h - (N-1)), decreasing in h with range (0, 1]."""
+    K = 1 / (N h - (N-1)), decreasing in h with range (0, 1].  A K below
+    the least subnormal double raises OutOfRange."""
     if h < 1:
         raise DomainError(f"power ratio value must be at least 1, got {_shown(h)}")
     if not _finite(h):
@@ -188,7 +197,8 @@ def k_from_h(h: float, N: int) -> float:
     except OverflowError:  # an exact N (h - 1) + 1 past the double range
         k = 0.0
     # past where N (h - 1) overflows a double, K may still be a subnormal
-    return k or (1 / N) / ((float(h) - 1) + 1 / N)
+    return _nonzero_k(k or (1 / N) / ((float(h) - 1) + 1 / N),
+                      f"at power ratio value {_shown(h)} with N = {_shown(N)}")
 
 
 def h_from_k(k: float, N: int) -> float:
@@ -205,12 +215,13 @@ def h_from_k(k: float, N: int) -> float:
 def k_analytic_exponential(theta: float, lam: float) -> float:
     """Closed form of K when the idiosyncratic law is exponential: by the
     memoryless property the top two bids differ by an independent fresh
-    draw, so K equals the draw's transform theta/(theta+lam) for every N."""
+    draw, so K equals the draw's transform theta/(theta+lam) for every N.
+    A K below the least subnormal double raises OutOfRange."""
     if not (_finite(theta) and theta > 0 and _finite(lam) and lam > 0):
         raise DomainError(
             f"theta and lambda must be finite and positive, got ({_shown(theta)}, {_shown(lam)})"
         )
-    return theta / (theta + lam)
+    return _nonzero_k(theta / (theta + lam), f"at theta = {_shown(theta)}, lambda = {_shown(lam)}")
 
 
 def _boundary(inside, z: float, step: float, placed) -> float:
@@ -232,39 +243,63 @@ def _boundary(inside, z: float, step: float, placed) -> float:
 
 
 def _log_integrands(dist: DistSpec, N: int, lam: float):
-    """z -> the log-integrands of k_quadrature's A and B at normal score z,
-    less the constant log sqrt(2 pi); each z takes one erfc.
+    """The batched kernel zs -> (as_, bs): the log-integrands of
+    k_quadrature's A and B at each normal score z of zs, in order, less the
+    constant log sqrt(2 pi); each z takes one erfc.
 
     dist is an exponential or lognormal law: k_quadrature passes the
     innermost law of a Shifted chain, whose offsets only move the lower
-    bound, which cancels.  log Phi(z) and log Phi(-z) come from one erfc,
-    and every value is bit for bit the one the scalar definitions (the
-    one-sided log-CDF and the law's quantile, kept in the tests as the
-    reference) give."""
+    bound, which cancels.  Each law has its own loop, with the law's excess
+    over that bound inlined.  log Phi(z) and log Phi(-z) come from one
+    erfc, and every value is bit for bit the one the scalar definitions
+    (the one-sided log-CDF and the law's quantile, kept in the tests as the
+    reference) give: the loops take the same floating-point operations in
+    the same order, whatever the batch."""
+    erfc, exp, log, log1p = math.erfc, math.exp, math.log, math.log1p
+    root2, inf = math.sqrt(2.0), math.inf
+    # -lam * x is (-lam) * x, and an int times a float converts it as
+    # float() does
+    neg_lam, n2 = -lam, float(N - 2)
     if isinstance(dist, Lognormal):
         mu, sigma = dist.mu, dist.sigma
 
-        def excess(z, log_sf):
-            s = sigma * z - mu
-            return math.exp(s) if s < 709.0 else math.inf
+        def logs(zs):
+            as_, bs = [], []
+            for z in zs:
+                # with t = |z|: log Phi(-t) from erfc, log Phi(t) from log1p
+                if z < 0:
+                    tail = erfc(-z / root2)
+                    log_sf = log1p(-0.5 * tail)
+                    log_cdf = log(0.5 * tail) if -z < 30 else _log_ndtr_series(z)
+                else:
+                    tail = erfc(z / root2)
+                    log_cdf = log1p(-0.5 * tail) if z > 0 else log(0.5 * tail)
+                    log_sf = log(0.5 * tail) if z < 30 else _log_ndtr_series(-z)
+                s = sigma * z - mu
+                common = neg_lam * (exp(s) if s < 709.0 else inf) + n2 * log_cdf - 0.5 * z * z
+                as_.append(common + log_cdf)
+                bs.append(common + log_sf)
+            return as_, bs
     elif isinstance(dist, Exponential):
         theta = dist.theta
 
-        def excess(z, log_sf):
-            return -log_sf / theta
+        def logs(zs):
+            as_, bs = [], []
+            for z in zs:
+                if z < 0:
+                    tail = erfc(-z / root2)
+                    log_sf = log1p(-0.5 * tail)
+                    log_cdf = log(0.5 * tail) if -z < 30 else _log_ndtr_series(z)
+                else:
+                    tail = erfc(z / root2)
+                    log_cdf = log1p(-0.5 * tail) if z > 0 else log(0.5 * tail)
+                    log_sf = log(0.5 * tail) if z < 30 else _log_ndtr_series(-z)
+                common = neg_lam * (-log_sf / theta) + n2 * log_cdf - 0.5 * z * z
+                as_.append(common + log_cdf)
+                bs.append(common + log_sf)
+            return as_, bs
     else:
         raise DomainError(f"unknown distribution {dist!r}")
-    erfc, log, log1p, root2 = math.erfc, math.log, math.log1p, math.sqrt(2.0)
-
-    def logs(z):
-        t = -z if z < 0 else z
-        tail = erfc(t / root2)
-        upper = log1p(-0.5 * tail) if t > 0 else log(0.5 * tail)
-        lower = log(0.5 * tail) if t < 30 else _log_ndtr_series(-t)
-        log_cdf, log_sf = (lower, upper) if z < 0 else (upper, lower)
-        common = -lam * excess(z, log_sf) + (N - 2) * log_cdf - 0.5 * z * z
-        return common + log_cdf, common + log_sf
-
     return logs
 
 
@@ -303,11 +338,15 @@ def k_quadrature(model: AuctionModel, lam: float, tol: float = 1e-10) -> float:
     (Trefethen & Weideman 2014) on the bracket where either log-integrand
     is within 45 of its peak.
 
-    The searches are only as fine as their results need, and each z is
-    evaluated once per call.  A peak only scales its sum and cancels in K,
-    so each peak search halves until the tangent at the point found puts
-    its value within 1 of the peak's; the cut then falls 45 to 46 below
-    the true peak.  Any bracket edge past the cut serves, so each edge
+    The log-integrands come from _log_integrands' batched kernel, whose
+    values are bit for bit the scalar definitions' whatever the batch.
+    Each grid level is one kernel call; the searches keep their points in
+    a per-call memo, and a slope sends its two probes, z and z + 1e-7, in
+    one call.  The searches are only as fine as their results need, and
+    each z is evaluated once per call.  A peak only scales its sum and
+    cancels in K, so each peak search halves until the tangent at the
+    point found puts its value within 1 of the peak's; the cut then falls
+    45 to 46 below the true peak.  Any bracket edge past the cut serves, so each edge
     search halves until the edge lies within a sixteenth of its distance
     from the peak, which keeps the grid from spanning much beyond the cut.
 
@@ -317,7 +356,8 @@ def k_quadrature(model: AuctionModel, lam: float, tol: float = 1e-10) -> float:
     one ulp of each sum, 2**-51, and under quadrature a tol below that
     floor times K always raises.  Refining also stops once a level's estimate fails to shrink
     below the previous level's, since the levels then differ by rounding
-    alone.  QuadratureFailure means the estimate exceeds tol.
+    alone.  QuadratureFailure means the estimate exceeds tol, and
+    OutOfRange a K below the least subnormal double.
 
     A degenerate law (a PointMass, shifted or not) puts all N bids at its
     lower bound, so A = 1/N = (N-1) B and K is exactly 1 for any tol > 0,
@@ -343,13 +383,14 @@ def k_quadrature(model: AuctionModel, lam: float, tol: float = 1e-10) -> float:
         return 1.0
 
     logs = _log_integrands(dist, N, lam)
+    # the searches' points, which they revisit, and the grid its bracket edges
     memo = {}
 
     def at(z):
-        # the searches revisit their points, and the grid its bracket edges
         pair = memo.get(z)
         if pair is None:
-            pair = memo[z] = logs(z)
+            (a,), (b,) = logs((z,))
+            pair = memo[z] = a, b
         return pair
 
     def argmax(i):
@@ -357,7 +398,16 @@ def k_quadrature(model: AuctionModel, lam: float, tol: float = 1e-10) -> float:
         # keeps its sign, then halve until the tangent at out puts out's
         # value within 1 of the peak's
         def slope(z):
-            return (at(z + 1e-7)[i] - at(z)[i]) / 1e-7
+            w = z + 1e-7
+            if w in memo or z in memo or w == z:
+                # the searches revisit both probes, or, rarely, one; past
+                # |z| = 2**30, z + 1e-7 is z
+                right, left = at(w), at(z)
+            else:
+                # both probes in one kernel call
+                (ra, la), (rb, lb) = logs((w, z))
+                right, left = memo[w], memo[z] = (ra, rb), (la, lb)
+            return (right[i] - left[i]) / 1e-7
 
         up = slope(0.0) > 0
         return _boundary(lambda z: (slope(z) > 0) == up, 0.0, 1.0 if up else -1.0,
@@ -367,12 +417,23 @@ def k_quadrature(model: AuctionModel, lam: float, tol: float = 1e-10) -> float:
     peak_a, peak_b = at(za)[0], at(zb)[1]
 
     def sums(zs):
+        # one kernel call per grid level, for the points the searches left
+        # unevaluated; the memo gives the others: the first level's lo, hi
+        # where lo + 16 h meets it, and the dyadic points the walks and
+        # halvings share with the grid when lo and h are dyadic too.  fsum
+        # is exact, so the order of the terms is immaterial
+        if memo.keys().isdisjoint(zs):
+            a, b = logs(zs)
+        else:
+            known = [memo[z] for z in zs if z in memo]
+            a, b = logs([z for z in zs if z not in memo])
+            a += [x for x, _ in known]
+            b += [y for _, y in known]
         # each integrand relative to its peak, so nothing underflows; one
         # that overflows there means the peak search stopped short
-        pairs = [at(z) for z in zs]
         try:
-            return (math.fsum(map(math.exp, [a - peak_a for a, _ in pairs])),
-                    math.fsum(map(math.exp, [b - peak_b for _, b in pairs])))
+            return (math.fsum(map(math.exp, [x - peak_a for x in a])),
+                    math.fsum(map(math.exp, [x - peak_b for x in b])))
         except OverflowError:
             raise QuadratureFailure("the peak search stopped short of a log-integrand's peak") from None
 
@@ -391,10 +452,10 @@ def k_quadrature(model: AuctionModel, lam: float, tol: float = 1e-10) -> float:
     # both integrands are negligible at lo and hi, so the trapezoid rule is
     # the plain sum over the grid, and the step cancels in the ratio
     n, h = 16, (hi - lo) / 16
-    sa, sb = sums(lo + i * h for i in range(n + 1))
+    sa, sb = sums([lo + i * h for i in range(n + 1)])
     rel_err = math.inf
     for _ in range(9):
-        ma, mb = sums(lo + (i + 0.5) * h for i in range(n))
+        ma, mb = sums([lo + (i + 0.5) * h for i in range(n)])
         # two levels that agree bit for bit still differ from the integrals
         # by the sums' rounding, so the estimate never falls below it
         prev = rel_err
@@ -407,7 +468,7 @@ def k_quadrature(model: AuctionModel, lam: float, tol: float = 1e-10) -> float:
     k = min(1.0, math.exp(peak_a - peak_b) * sa / ((N - 1) * sb))
     if k * rel_err > tol:
         raise QuadratureFailure(f"estimated error {k * rel_err:.3e} exceeds tolerance {tol:.3e}")
-    return k
+    return _nonzero_k(k, f"at lambda = {_shown(lam)}")
 
 
 # Rows per chunk, each drawn from its own stream keyed by seed and index.

@@ -27,6 +27,7 @@ from .algebra import (
     _quotient,
     _rational_text,
     as_rational,
+    as_rational_number,
     factorials,
 )
 from .errors import (
@@ -201,15 +202,6 @@ def _content_free(numer: list, denom: list) -> tuple:
     return Poly([c // g for c in numer]), Poly([c // g for c in denom])
 
 
-def as_rational_number(x) -> Rational:
-    """Exact conversion accepting finite floats too (binary floats are exact)."""
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            raise DomainError(f"expected a finite number, got {x!r}")
-        return Rational(x)
-    return as_rational(x)
-
-
 def ratio_rational(f: Poly, n: int, m: int) -> RationalFunction:
     """Exact closed form of L{f^n}/L{f^m} as a rational function of lambda."""
     _check_exponents(n, m)
@@ -295,14 +287,10 @@ class PiecewisePoly(Frozen):
         return self.pieces[bisect_right(self.breakpoints, xq) - 1]
 
     def __call__(self, x):
+        # the piece in force at x, evaluated as Poly evaluates: a float x
+        # gives the exact value rounded once
         xq = as_rational_number(x)
-        value = self.piece_at(xq)(xq)
-        if not isinstance(x, float):
-            return value
-        try:
-            return float(value)
-        except OverflowError:
-            raise OutOfRange(f"the value at x = {x!r} is not a finite double") from None
+        return self.piece_at(xq)(x if isinstance(x, float) else xq)
 
     def __pow__(self, n: int) -> "PiecewisePoly":
         if not isinstance(n, int) or n < 1:
@@ -391,7 +379,9 @@ def laplace_piecewise(pp: PiecewisePoly, lam: float) -> float:
     catastrophically on a piece with lambda * width < degree + 1, or one
     that starts at x > 0, so the result can be far from the true value
     there (x^12 on [0, 1/100) at lambda = 1 gives -2.6e-8, not 7.6e-28).
-    A needed boundary power that overflows a double raises OutOfRange.
+    A needed boundary power that overflows a double, or a value past the
+    double range (step_example(10) at lambda = 5e-324 is about 2/lambda),
+    raises OutOfRange: the result is always finite.
     """
     if not -math.inf < lam < math.inf:
         raise DomainError(f"lambda must be finite and positive, got {lam!r}")
@@ -408,9 +398,11 @@ def laplace_piecewise(pp: PiecewisePoly, lam: float) -> float:
             )
             total += sum(float(c) * moments[j] for j, c in enumerate(piece.coeffs))
     except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
         raise OutOfRange(
             f"the float path overflowed a double evaluating the transform at lambda = {lam!r}"
-        ) from None
+        )
     return total
 
 
@@ -455,7 +447,9 @@ def shift_vanishing(pp: PiecewisePoly, a) -> PiecewisePoly:
 
 def delay(pp: PiecewisePoly, a) -> PiecewisePoly:
     """Shift right by a: zero on [0, a), then f(x - a).  Inverse of
-    shift_vanishing on its domain."""
+    shift_vanishing on its domain.  a is exact, as as_rational reads it: a
+    float shift, finite or not (1e308, nan), raises TypeError, as every
+    exact entry point refuses floats."""
     aq = as_rational(a)
     if aq < 0:
         raise DomainError("delay distance must be nonnegative")

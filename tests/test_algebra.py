@@ -1,4 +1,6 @@
 import decimal
+import math
+import re
 import sys
 from fractions import Fraction as F
 from math import factorial, lcm
@@ -21,7 +23,7 @@ from laplaceratio.algebra import (
     _product_nums,
     factorials,
 )
-from laplaceratio.errors import DomainError, ZeroLeadingCoefficient
+from laplaceratio.errors import DomainError, OutOfRange, ZeroLeadingCoefficient
 from laplaceratio.identify import power_term
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=6)
@@ -125,6 +127,28 @@ class TestPoly:
     def test_eval_horner(self):
         p = Poly([1, -2, 1])
         assert p(F(3)) == 4
+
+    def test_a_float_point_gives_the_exact_value_rounded_once(self):
+        # Horner in doubles rounds twice, to one ulp below
+        p = Poly([1, 1, 1])
+        x = float.fromhex("0x1.c81394a2171eap-2")
+        assert p(x) == float(1 + F(x) + F(x) ** 2) == 1.6437569466828108
+        assert (x + 1) * x + 1 == 1.6437569466828106
+        assert isinstance(Poly()(2.5), float) and Poly()(2.5) == 0.0
+        assert p(F(1, 2)) == F(7, 4) and isinstance(p(2), F)
+
+    @pytest.mark.parametrize(
+        "p, x", [(Poly([10 ** 400]), 1.0), (Poly([0, 0, 1]), 1e200)], ids=["constant", "square"]
+    )
+    def test_a_value_past_the_double_range_is_refused_at_a_float_point(self, p, x):
+        with pytest.raises(OutOfRange, match=f"^the value at x = {re.escape(repr(x))} is not a finite double$"):
+            p(x)
+        assert p(F(x)) == p.coeffs[-1] * F(x) ** p.degree
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_a_float_point_that_is_not_finite_is_refused(self, x):
+        with pytest.raises(DomainError, match="^expected a finite number, got "):
+            Poly([1, 1])(x)
 
     def test_compose_linear(self):
         # p(x) = x^2 composed with 1 + 2x gives 1 + 4x + 4x^2

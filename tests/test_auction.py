@@ -207,6 +207,12 @@ class TestKHAlgebra:
         assert math.isclose(k, float(1 / (10 * (F(h) - 1) + 1)), rel_tol=1e-12)
         assert math.isclose(h_from_k(k, 10), float(h), rel_tol=1e-12)
 
+    def test_k_below_the_least_subnormal_refused(self):
+        # 1 / (10**20 (1e308 - 1) + 1) is about 1e-328, which no double holds
+        with pytest.raises(OutOfRange, match="^K at power ratio value 1e\\+308 with N = "
+                           "100000000000000000000 is below the least subnormal double$"):
+            k_from_h(1e308, 10 ** 20)
+
     @pytest.mark.parametrize("h", [-0.1, 0.0, 0.5, 1 - 2 ** -53, F(999, 1000)])
     def test_h_below_one_refused(self, h):
         # no CDF gives H < 1, as F^(N-1) >= F^N
@@ -279,6 +285,13 @@ class TestKAnalyticExponential:
         with pytest.raises(DomainError):
             k_analytic_exponential(-1.0, 1.0)
 
+    def test_k_below_the_least_subnormal_refused(self):
+        # 1e-320 / 1e308 is about 1e-628, which no double holds
+        with pytest.raises(OutOfRange, match="^K at theta = 1e-320, lambda = 1e\\+308 is below "
+                           "the least subnormal double$"):
+            k_analytic_exponential(1e-320, 1e308)
+        assert k_analytic_exponential(1.0, 1e308) == 1e-308
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(DomainError):
@@ -310,6 +323,12 @@ class TestKValue:
             for tol in (0.0, -1.0, math.nan, -math.inf):
                 with pytest.raises(DomainError, match="^tolerance must be positive$"):
                     k_value(model, 1.0, tol)
+
+    def test_k_below_the_least_subnormal_refused(self):
+        # k_quadrature's final product underflows to 0.0, outside (0, 1]
+        model = AuctionModel(Exponential(1.0), Lognormal(0, 1), 5)
+        with pytest.raises(OutOfRange, match="^K at lambda = 1e\\+308 is below the least subnormal double$"):
+            k_value(model, 1e308)
 
 
 CATALOGUE = Path(__file__).resolve().parents[1] / "benchmarks" / "k_catalogue.json"
@@ -388,6 +407,8 @@ LAWS = {
     "lognormal": Lognormal(0.3, 0.8),
     # s = sigma z - mu reaches 709 at z = 9, past which the excess is inf
     "lognormal-inf": Lognormal(-700.0, 1.0),
+    # an excess below e^-15 hides no bit of the log-CDF terms, even at |z| = 30
+    "lognormal-small": Lognormal(60.0, 1.0),
     "exponential": Exponential(2.5),
 }
 
@@ -398,17 +419,36 @@ class TestLogIntegrands:
     def test_match_the_scalar_definitions_bit_for_bit(self, law, N):
         fast, scalar = auction._log_integrands(law, N, 1.7), reference_log_integrands(law, N, 1.7)
         for z in SWITCH_SCORES:
-            assert [bits(x) for x in fast(z)] == [bits(x) for x in scalar(z)], z
+            assert [bits(x) for [x] in fast((z,))] == [bits(x) for x in scalar(z)], z
+        # one batch gives each score the value it gets alone
+        assert [[bits(x) for x in xs] for xs in fast(SWITCH_SCORES)] == [
+            [bits(x) for x in xs] for xs in zip(*map(scalar, SWITCH_SCORES))]
 
     def test_lognormal_excess_overflows_to_inf(self):
         logs = auction._log_integrands(LAWS["lognormal-inf"], 5, 1.7)
-        assert math.isfinite(logs(8.0)[0])
-        assert logs(40.0) == (-math.inf, -math.inf)
+        assert math.isfinite(logs((8.0,))[0][0])
+        assert logs((40.0,)) == ([-math.inf], [-math.inf])
 
     @given(st.sampled_from(list(LAWS.values())), st.floats(-45, 45))
     def test_match_the_scalar_definitions_anywhere(self, law, z):
         fast, scalar = auction._log_integrands(law, 5, 0.3), reference_log_integrands(law, 5, 0.3)
-        assert [bits(x) for x in fast(z)] == [bits(x) for x in scalar(z)]
+        assert [bits(x) for [x] in fast((z,))] == [bits(x) for x in scalar(z)]
+
+
+def batched(log_integrands):
+    """A scalar log-integrands builder, z -> (a, b), as the batched kernel
+    zs -> (as_, bs) that k_quadrature calls."""
+
+    def build(dist, N, lam):
+        logs = log_integrands(dist, N, lam)
+
+        def kernel(zs):
+            pairs = [logs(z) for z in zs]
+            return [a for a, _ in pairs], [b for _, b in pairs]
+
+        return kernel
+
+    return build
 
 
 def quadrature_outcome(model, lam, tol=1e-10):
@@ -423,7 +463,7 @@ def assert_reference_doubles(models_and_lambdas):
     """k_quadrature gives the reference integrands' doubles and errors."""
     cases = list(models_and_lambdas)
     got = [quadrature_outcome(*case) for case in cases]
-    with mock.patch.object(auction, "_log_integrands", reference_log_integrands):
+    with mock.patch.object(auction, "_log_integrands", batched(reference_log_integrands)):
         want = [quadrature_outcome(*case) for case in cases]
     assert got == want
 
@@ -496,6 +536,18 @@ def k_lognormal_oracle(mu, sigma, N, lam):
         return float(mp.exp(top_a - top_b) * a / ((N - 1) * b))
 
 
+def assert_matches_lognormal_oracle(mu, sigma, N, lam):
+    """k_quadrature is within 1e-10 of k_lognormal_oracle, or raises
+    OutOfRange where the oracle's K is below the least subnormal double."""
+    model = AuctionModel(PointMass(0.0), Lognormal(mu, sigma), N)
+    want = k_lognormal_oracle(mu, sigma, N, lam)
+    if want == 0:
+        with pytest.raises(OutOfRange, match="below the least subnormal double"):
+            k_quadrature(model, lam)
+    else:
+        assert abs(k_quadrature(model, lam) - want) <= 1e-10
+
+
 def h_lognormal_oracle(mu, sigma, N, lam):
     """H = L{F^(N-1)}/L{F^N} for Lognormal(mu, sigma) by mpmath at 20
     digits.  By parts, L{F^j}(lam) = (j / lam) I_(j-1), where I_k is the
@@ -535,10 +587,10 @@ def degenerate(law):
     return isinstance(law, PointMass)
 
 
-def evaluated_scores(cases, tol=1e-10):
-    """(per case, one list for each log-integrands the k_quadrature call
-    built, of the scores it evaluated them at; and each case's
-    quadrature_outcome)."""
+def evaluated_batches(cases, tol=1e-10):
+    """(per case, one list for each log-integrands kernel the k_quadrature
+    call built, of the batches of scores it called the kernel on; and each
+    case's quadrature_outcome)."""
     calls = []
     log_integrands = auction._log_integrands
 
@@ -547,9 +599,9 @@ def evaluated_scores(cases, tol=1e-10):
         seen = []
         calls[-1].append(seen)
 
-        def counted(z):
-            seen.append(z)
-            return logs(z)
+        def counted(zs):
+            seen.append(list(zs))
+            return logs(zs)
 
         return counted
 
@@ -559,6 +611,13 @@ def evaluated_scores(cases, tol=1e-10):
             calls.append([])
             outcomes.append(quadrature_outcome(model, lam, tol))
     return calls, outcomes
+
+
+def evaluated_scores(cases, tol=1e-10):
+    """As evaluated_batches, with each kernel's batches joined into the one
+    list of every score it evaluated."""
+    calls, outcomes = evaluated_batches(cases, tol)
+    return [[[z for batch in kernel for z in batch] for kernel in c] for c in calls], outcomes
 
 
 class TestKQuadrature:
@@ -695,13 +754,31 @@ class TestKQuadrature:
         # edges left unhalved about 170
         assert sum(map(len, integrated)) / len(integrated) <= 140
 
+    def test_each_grid_level_is_one_kernel_call(self):
+        cases = [case for case in benchmark_shaped_cases() if not degenerate(case[0].idiosyncratic)]
+        calls, outcomes = evaluated_batches(cases)
+        assert all(isinstance(o, str) for o in outcomes)
+        for [batches] in calls:
+            sizes = [len(batch) for batch in batches]
+            # the searches pass one score, or the slope's two probes, per call
+            searches = sizes[:next(i for i, size in enumerate(sizes) if size > 2)]
+            assert set(searches) <= {1, 2}
+            # then one call per level, of its 17, 16, 32, ... points less
+            # those the searches evaluated: the first level's lo at least
+            grid = sizes[len(searches):]
+            whole = [17] + [16 * 2 ** k for k in range(len(grid) - 1)]
+            assert len(grid) >= 3
+            assert grid[0] < whole[0]
+            assert all(2 < size <= n for size, n in zip(grid, whole))
+            assert sum(whole) - sum(grid) <= sum(searches)
+
     @pytest.mark.parametrize("lam", [2e4, 1e5])
     @pytest.mark.parametrize("mu", [-4.0, 0.0, 4.0])
     def test_narrow_peaks_match_peak_centred_oracle(self, mu, lam):
         # N = 1000 and sigma = 0.05 put peaks about 0.02 wide as far out
         # as z = -40, where the searches start at 0 with a step of 1
-        model = AuctionModel(PointMass(0.0), Lognormal(mu, 0.05), 1000)
-        assert abs(k_quadrature(model, lam) - k_lognormal_oracle(mu, 0.05, 1000, lam)) <= 1e-10
+        # at (-4, 1e5), K is 4.9e-335
+        assert_matches_lognormal_oracle(mu, 0.05, 1000, lam)
 
     @pytest.mark.parametrize(
         "mu, sigma, lam",
@@ -755,8 +832,7 @@ class TestKQuadrature:
     # here it gives 6.585e-4 for 6.348e-4
     @example(0.0, 0.05, 1000, 2e4)
     def test_lognormal_domain_matches_peak_centred_oracle(self, mu, sigma, N, lam):
-        model = AuctionModel(PointMass(0.0), Lognormal(mu, sigma), N)
-        assert abs(k_quadrature(model, lam) - k_lognormal_oracle(mu, sigma, N, lam)) <= 1e-10
+        assert_matches_lognormal_oracle(mu, sigma, N, lam)
 
     @settings(max_examples=150, deadline=None)
     @given(

@@ -474,6 +474,12 @@ class TestLaplacePiecewise:
             with pytest.raises(OutOfRange, match=f"float path overflowed .* lambda = {lam!r}$"):
                 laplace_piecewise(pp, lam)
 
+    @pytest.mark.parametrize("lam", [5e-324, 1e-320])
+    def test_a_value_past_the_double_range_is_refused(self, lam):
+        # the transform is about 2/lambda, which no double holds
+        with pytest.raises(OutOfRange, match=f"float path overflowed .* lambda = {lam!r}$"):
+            laplace_piecewise(step_example(10), lam)
+
 
 class TestRatioEvalPiecewise:
     def test_constant_scaling(self):
@@ -552,6 +558,12 @@ class TestShifts:
     def test_delay_midpiece_roundtrip(self):
         pp = PiecewisePoly([0, 2], [Poly([0, 0, 1]), Poly([4])])
         assert shift_vanishing(delay(pp, F(3, 7)), F(3, 7)) == pp
+
+    @pytest.mark.parametrize("a", [0.25, 1e308, math.nan, math.inf])
+    def test_delay_refuses_a_float_shift(self, a):
+        # an exact entry point takes no float, finite or not
+        with pytest.raises(TypeError, match="^expected an exact rational-like value, got float$"):
+            delay(step_example(3), a)
 
     @pytest.mark.parametrize("nm", [(2, 1), (3, 2)])
     def test_translation_invariance_of_ratio(self, nm):
