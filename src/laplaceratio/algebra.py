@@ -482,8 +482,9 @@ class Poly(Frozen):
         that is past the double range, and a NaN or an infinity raises
         DomainError."""
         if isinstance(x, float):
+            value = self(as_rational_number(x))
             try:
-                return float(self(as_rational_number(x)))
+                return float(value)
             except OverflowError:
                 raise OutOfRange(f"the value at x = {x!r} is not a finite double") from None
         result = Rational(0)
