@@ -249,11 +249,11 @@ def _log_integrands(dist: DistSpec, N: int, lam: float):
 
     dist is an exponential or lognormal law: k_quadrature passes the
     innermost law of a Shifted chain, whose offsets only move the lower
-    bound, which cancels.  Each law has its own loop, with the law's excess
-    over that bound inlined.  log Phi(z) and log Phi(-z) come from one
-    erfc, and every value is bit for bit the one the scalar definitions
+    bound, which cancels.  One loop serves both laws, with the law's
+    excess over that bound inlined.  log Phi(z) and log Phi(-z) come from
+    one erfc, and every value is bit for bit the one the scalar definitions
     (the one-sided log-CDF and the law's quantile, kept in the tests as the
-    reference) give: the loops take the same floating-point operations in
+    reference) give: the loop takes the same floating-point operations in
     the same order, whatever the batch."""
     erfc, exp, log, log1p = math.erfc, math.exp, math.log, math.log1p
     root2, inf = math.sqrt(2.0), math.inf
@@ -261,45 +261,35 @@ def _log_integrands(dist: DistSpec, N: int, lam: float):
     # float() does
     neg_lam, n2 = -lam, float(N - 2)
     if isinstance(dist, Lognormal):
-        mu, sigma = dist.mu, dist.sigma
-
-        def logs(zs):
-            as_, bs = [], []
-            for z in zs:
-                # with t = |z|: log Phi(-t) from erfc, log Phi(t) from log1p
-                if z < 0:
-                    tail = erfc(-z / root2)
-                    log_sf = log1p(-0.5 * tail)
-                    log_cdf = log(0.5 * tail) if -z < 30 else _log_ndtr_series(z)
-                else:
-                    tail = erfc(z / root2)
-                    log_cdf = log1p(-0.5 * tail) if z > 0 else log(0.5 * tail)
-                    log_sf = log(0.5 * tail) if z < 30 else _log_ndtr_series(-z)
-                s = sigma * z - mu
-                common = neg_lam * (exp(s) if s < 709.0 else inf) + n2 * log_cdf - 0.5 * z * z
-                as_.append(common + log_cdf)
-                bs.append(common + log_sf)
-            return as_, bs
+        lognormal, mu, sigma, theta = True, dist.mu, dist.sigma, None
     elif isinstance(dist, Exponential):
-        theta = dist.theta
-
-        def logs(zs):
-            as_, bs = [], []
-            for z in zs:
-                if z < 0:
-                    tail = erfc(-z / root2)
-                    log_sf = log1p(-0.5 * tail)
-                    log_cdf = log(0.5 * tail) if -z < 30 else _log_ndtr_series(z)
-                else:
-                    tail = erfc(z / root2)
-                    log_cdf = log1p(-0.5 * tail) if z > 0 else log(0.5 * tail)
-                    log_sf = log(0.5 * tail) if z < 30 else _log_ndtr_series(-z)
-                common = neg_lam * (-log_sf / theta) + n2 * log_cdf - 0.5 * z * z
-                as_.append(common + log_cdf)
-                bs.append(common + log_sf)
-            return as_, bs
+        lognormal, mu, sigma, theta = False, None, None, dist.theta
     else:
         raise DomainError(f"unknown distribution {dist!r}")
+
+    def logs(zs):
+        as_, bs = [], []
+        for z in zs:
+            # with t = |z|: log Phi(-t) from erfc, log Phi(t) from log1p
+            if z < 0:
+                tail = erfc(-z / root2)
+                log_sf = log1p(-0.5 * tail)
+                log_cdf = log(0.5 * tail) if -z < 30 else _log_ndtr_series(z)
+            else:
+                tail = erfc(z / root2)
+                log_cdf = log1p(-0.5 * tail) if z > 0 else log(0.5 * tail)
+                log_sf = log(0.5 * tail) if z < 30 else _log_ndtr_series(-z)
+            # the law's excess over its lower bound
+            if lognormal:
+                s = sigma * z - mu
+                x = exp(s) if s < 709.0 else inf
+            else:
+                x = -log_sf / theta
+            common = neg_lam * x + n2 * log_cdf - 0.5 * z * z
+            as_.append(common + log_cdf)
+            bs.append(common + log_sf)
+        return as_, bs
+
     return logs
 
 
@@ -340,10 +330,10 @@ def k_quadrature(model: AuctionModel, lam: float, tol: float = 1e-10) -> float:
 
     The log-integrands come from _log_integrands' batched kernel, whose
     values are bit for bit the scalar definitions' whatever the batch.
-    Each grid level is one kernel call; the searches keep their points in
-    a per-call memo, and a slope sends its two probes, z and z + 1e-7, in
-    one call.  The searches are only as fine as their results need, and
-    each z is evaluated once per call.  A peak only scales its sum and
+    Each grid level is one kernel call, on the points the memo lacks; the
+    searches evaluate one point per call and keep their points in a
+    per-call memo.  The searches are only as fine as their results need,
+    and each z is evaluated once per call.  A peak only scales its sum and
     cancels in K, so each peak search halves until the tangent at the
     point found puts its value within 1 of the peak's; the cut then falls
     45 to 46 below the true peak.  Any bracket edge past the cut serves, so each edge
@@ -398,16 +388,7 @@ def k_quadrature(model: AuctionModel, lam: float, tol: float = 1e-10) -> float:
         # keeps its sign, then halve until the tangent at out puts out's
         # value within 1 of the peak's
         def slope(z):
-            w = z + 1e-7
-            if w in memo or z in memo or w == z:
-                # the searches revisit both probes, or, rarely, one; past
-                # |z| = 2**30, z + 1e-7 is z
-                right, left = at(w), at(z)
-            else:
-                # both probes in one kernel call
-                (ra, la), (rb, lb) = logs((w, z))
-                right, left = memo[w], memo[z] = (ra, rb), (la, lb)
-            return (right[i] - left[i]) / 1e-7
+            return (at(z + 1e-7)[i] - at(z)[i]) / 1e-7
 
         up = slope(0.0) > 0
         return _boundary(lambda z: (slope(z) > 0) == up, 0.0, 1.0 if up else -1.0,
@@ -422,13 +403,10 @@ def k_quadrature(model: AuctionModel, lam: float, tol: float = 1e-10) -> float:
         # where lo + 16 h meets it, and the dyadic points the walks and
         # halvings share with the grid when lo and h are dyadic too.  fsum
         # is exact, so the order of the terms is immaterial
-        if memo.keys().isdisjoint(zs):
-            a, b = logs(zs)
-        else:
-            known = [memo[z] for z in zs if z in memo]
-            a, b = logs([z for z in zs if z not in memo])
-            a += [x for x, _ in known]
-            b += [y for _, y in known]
+        known = [memo[z] for z in zs if z in memo]
+        a, b = logs([z for z in zs if z not in memo])
+        a += [x for x, _ in known]
+        b += [y for _, y in known]
         # each integrand relative to its peak, so nothing underflows; one
         # that overflows there means the peak search stopped short
         try:

@@ -760,9 +760,9 @@ class TestKQuadrature:
         assert all(isinstance(o, str) for o in outcomes)
         for [batches] in calls:
             sizes = [len(batch) for batch in batches]
-            # the searches pass one score, or the slope's two probes, per call
-            searches = sizes[:next(i for i, size in enumerate(sizes) if size > 2)]
-            assert set(searches) <= {1, 2}
+            # the searches pass one score per call
+            searches = sizes[:next(i for i, size in enumerate(sizes) if size > 1)]
+            assert set(searches) == {1}
             # then one call per level, of its 17, 16, 32, ... points less
             # those the searches evaluated: the first level's lo at least
             grid = sizes[len(searches):]
