@@ -59,6 +59,8 @@ class Exponential(Frozen):
             raise DomainError(f"exponential rate must be positive, got {_shown(theta)}")
         if not _finite(theta):
             raise DomainError(f"exponential rate must be finite, got {_shown(theta)}")
+        if not float(theta):
+            raise DomainError(f"exponential rate {_shown(theta)} is below the least subnormal double")
         self._set_fields(theta)
 
 
@@ -145,13 +147,13 @@ def sample_draws(dist: DistSpec, rng: np.random.Generator, size) -> np.ndarray:
         if isinstance(dist, Lognormal):
             # exp(sigma*z - mu) in place: the same roundings, no temporaries
             z = rng.standard_normal(size)
-            z *= dist.sigma
-            z -= dist.mu
+            z *= float(dist.sigma)
+            z -= float(dist.mu)
             return np.exp(z, out=z)
         if isinstance(dist, PointMass):
             return np.full(size, dist.v, dtype=float)
         if isinstance(dist, Shifted):
-            return sample_draws(dist.base, rng, size) + dist.offset
+            return sample_draws(dist.base, rng, size) + float(dist.offset)
     except MemoryError:
         shape = size if isinstance(size, tuple) else (size,)
         raise OutOfRange(f"draws of shape {shape} do not fit in memory") from None
@@ -206,10 +208,10 @@ def h_from_k(k: float, N: int) -> float:
     _check_bidders(N)
     if not 0 < k <= 1:
         raise OutOfRange(f"K = {_shown(k)} is outside (0, 1]: no distribution produces it")
-    h = 1.0 + (1 - k) / (N * k)
+    h = (1 - k) / (N * k) if N * k else math.inf  # N k underflows where h overflows
     if not _finite(h):
         raise OutOfRange(f"K = {_shown(k)} gives a power ratio beyond the double range")
-    return h
+    return 1.0 + h
 
 
 def k_analytic_exponential(theta: float, lam: float) -> float:
@@ -224,73 +226,51 @@ def k_analytic_exponential(theta: float, lam: float) -> float:
     return _nonzero_k(theta / (theta + lam), f"at theta = {_shown(theta)}, lambda = {_shown(lam)}")
 
 
-def _boundary(inside, z: float, step: float, placed) -> float:
-    """A point past where inside, true at z, turns false beyond z in step's
-    direction.  A doubling walk brackets the turn between a point z inside
-    and a point out past it, and halving narrows the bracket until
-    placed(z, out) holds or no double lies between them; out is returned."""
-    while inside(z + step):
-        z, step = z + step, 2 * step
-        if math.isinf(z):
-            raise QuadratureFailure("a log-integrand does not turn within the double range")
-    out = z + step
-    while not placed(z, out):
-        mid = 0.5 * (z + out)
-        if mid == z or mid == out:
-            break
-        z, out = (mid, out) if inside(mid) else (z, mid)
-    return out
-
-
 def _log_integrands(dist: DistSpec, N: int, lam: float):
-    """The batched kernel zs -> (as_, bs): the log-integrands of
-    k_quadrature's A and B at each normal score z of zs, in order, less the
-    constant log sqrt(2 pi); each z takes one erfc.
+    """The scalar kernel z -> (a, b): the log-integrands of k_quadrature's
+    A and B at the normal score z, less the constant log sqrt(2 pi); each z
+    takes one erfc.
 
     dist is an exponential or lognormal law: k_quadrature passes the
     innermost law of a Shifted chain, whose offsets only move the lower
-    bound, which cancels.  One loop serves both laws, with the law's
+    bound, which cancels.  One definition serves both laws, with the law's
     excess over that bound inlined.  log Phi(z) and log Phi(-z) come from
     one erfc, and every value is bit for bit the one the scalar definitions
     (the one-sided log-CDF and the law's quantile, kept in the tests as the
-    reference) give: the loop takes the same floating-point operations in
-    the same order, whatever the batch."""
+    reference) give: the kernel takes the same floating-point operations in
+    the same order."""
     erfc, exp, log, log1p = math.erfc, math.exp, math.log, math.log1p
     root2, inf = math.sqrt(2.0), math.inf
-    # -lam * x is (-lam) * x, and an int times a float converts it as
-    # float() does
-    neg_lam, n2 = -lam, float(N - 2)
+    # -lam * x is (-lam) * x, and an int or ratio meets a float as its
+    # float(), so the parameters' doubles give the same values
+    neg_lam, n2 = -float(lam), float(N - 2)
     if isinstance(dist, Lognormal):
-        lognormal, mu, sigma, theta = True, dist.mu, dist.sigma, None
+        lognormal, mu, sigma, theta = True, float(dist.mu), float(dist.sigma), None
     elif isinstance(dist, Exponential):
-        lognormal, mu, sigma, theta = False, None, None, dist.theta
+        lognormal, mu, sigma, theta = False, None, None, float(dist.theta)
     else:
         raise DomainError(f"unknown distribution {dist!r}")
 
-    def logs(zs):
-        as_, bs = [], []
-        for z in zs:
-            # with t = |z|: log Phi(-t) from erfc, log Phi(t) from log1p
-            if z < 0:
-                tail = erfc(-z / root2)
-                log_sf = log1p(-0.5 * tail)
-                log_cdf = log(0.5 * tail) if -z < 30 else _log_ndtr_series(z)
-            else:
-                tail = erfc(z / root2)
-                log_cdf = log1p(-0.5 * tail) if z > 0 else log(0.5 * tail)
-                log_sf = log(0.5 * tail) if z < 30 else _log_ndtr_series(-z)
-            # the law's excess over its lower bound
-            if lognormal:
-                s = sigma * z - mu
-                x = exp(s) if s < 709.0 else inf
-            else:
-                x = -log_sf / theta
-            common = neg_lam * x + n2 * log_cdf - 0.5 * z * z
-            as_.append(common + log_cdf)
-            bs.append(common + log_sf)
-        return as_, bs
+    def pair(z):
+        # with t = |z|: log Phi(-t) from erfc, log Phi(t) from log1p
+        if z < 0:
+            tail = erfc(-z / root2)
+            log_sf = log1p(-0.5 * tail)
+            log_cdf = log(0.5 * tail) if -z < 30 else _log_ndtr_series(z)
+        else:
+            tail = erfc(z / root2)
+            log_cdf = log1p(-0.5 * tail) if z > 0 else log(0.5 * tail)
+            log_sf = log(0.5 * tail) if z < 30 else _log_ndtr_series(-z)
+        # the law's excess over its lower bound
+        if lognormal:
+            s = sigma * z - mu
+            x = exp(s) if s < 709.0 else inf
+        else:
+            x = -log_sf / theta
+        common = neg_lam * x + n2 * log_cdf - 0.5 * z * z
+        return common + log_cdf, common + log_sf
 
-    return logs
+    return pair
 
 
 def _check_k_arguments(lam: float, tol: float) -> None:
@@ -328,17 +308,16 @@ def k_quadrature(model: AuctionModel, lam: float, tol: float = 1e-10) -> float:
     (Trefethen & Weideman 2014) on the bracket where either log-integrand
     is within 45 of its peak.
 
-    The log-integrands come from _log_integrands' batched kernel, whose
-    values are bit for bit the scalar definitions' whatever the batch.
-    Each grid level is one kernel call, on the points the memo lacks; the
-    searches evaluate one point per call and keep their points in a
-    per-call memo.  The searches are only as fine as their results need,
-    and each z is evaluated once per call.  A peak only scales its sum and
-    cancels in K, so each peak search halves until the tangent at the
-    point found puts its value within 1 of the peak's; the cut then falls
-    45 to 46 below the true peak.  Any bracket edge past the cut serves, so each edge
-    search halves until the edge lies within a sixteenth of its distance
-    from the peak, which keeps the grid from spanning much beyond the cut.
+    The log-integrands come from _log_integrands' scalar kernel, one call
+    per point.  The searches keep their points in a per-call memo, and
+    each grid level takes from it the points it holds, so each z is
+    evaluated once per call.  The searches are only as fine as their
+    results need.  A peak only scales its sum and cancels in K, so each
+    peak search halves until the tangent at the point found puts its value
+    within 1 of the peak's; the cut then falls 45 to 46 below the true
+    peak.  Any bracket edge past the cut serves, so each edge search
+    halves until the edge lies within a sixteenth of its distance from the
+    peak, which keeps the grid from spanning much beyond the cut.
 
     The step is halved until two levels agree to tol relative to K; their
     difference is the error estimate.  Two levels that agree bit for bit
@@ -365,53 +344,55 @@ def k_quadrature(model: AuctionModel, lam: float, tol: float = 1e-10) -> float:
         lower += offset
     if lower < 0:
         raise DomainError("quadrature requires a nonnegative idiosyncratic law")
-    try:
-        float(N)
-    except OverflowError:
-        raise DomainError(f"quadrature needs N within the double range, got {_int_text(N)}") from None
+    if not _finite(N):
+        raise DomainError(f"quadrature needs N within the double range, got {_int_text(N)}")
     if isinstance(dist, PointMass):
         return 1.0
 
-    logs = _log_integrands(dist, N, lam)
+    pair = _log_integrands(dist, N, lam)
     # the searches' points, which they revisit, and the grid its bracket edges
     memo = {}
 
     def at(z):
-        pair = memo.get(z)
-        if pair is None:
-            (a,), (b,) = logs((z,))
-            pair = memo[z] = a, b
-        return pair
+        return memo.get(z) or memo.setdefault(z, pair(z))
 
     def argmax(i):
         # log-integrand i is strictly concave: walk from 0 while its slope
-        # keeps its sign, then halve until the tangent at out puts out's
-        # value within 1 of the peak's
+        # keeps its sign, then halve the bracket on the turn until the
+        # tangent at out puts out's value within 1 of the peak's
         def slope(z):
             return (at(z + 1e-7)[i] - at(z)[i]) / 1e-7
 
         up = slope(0.0) > 0
-        return _boundary(lambda z: (slope(z) > 0) == up, 0.0, 1.0 if up else -1.0,
-                         lambda z, out: abs(slope(out) * (out - z)) <= 1.0)
+        z, step = 0.0, 1.0 if up else -1.0
+        while ((s := slope(z + step)) > 0) == up:
+            z, step = z + step, 2 * step
+            if math.isinf(z):
+                raise QuadratureFailure("a log-integrand does not turn within the double range")
+        out = z + step  # s is the slope at out, taken once
+        while not abs(s * (out - z)) <= 1.0:
+            mid = 0.5 * (z + out)
+            if mid == z or mid == out:
+                break
+            if ((s_mid := slope(mid)) > 0) == up:
+                z = mid
+            else:
+                out, s = mid, s_mid
+        return out
 
     za, zb = argmax(0), argmax(1)
     peak_a, peak_b = at(za)[0], at(zb)[1]
 
     def sums(zs):
-        # one kernel call per grid level, for the points the searches left
-        # unevaluated; the memo gives the others: the first level's lo, hi
-        # where lo + 16 h meets it, and the dyadic points the walks and
-        # halvings share with the grid when lo and h are dyadic too.  fsum
-        # is exact, so the order of the terms is immaterial
-        known = [memo[z] for z in zs if z in memo]
-        a, b = logs([z for z in zs if z not in memo])
-        a += [x for x, _ in known]
-        b += [y for _, y in known]
-        # each integrand relative to its peak, so nothing underflows; one
-        # that overflows there means the peak search stopped short
+        # the memo gives the points the searches evaluated: the first
+        # level's lo, hi where lo + 16 h meets it, and the dyadic points the
+        # walks and halvings share with the grid when lo and h are dyadic
+        # too.  Each integrand is taken relative to its peak, so nothing
+        # underflows; one that overflows there means the search stopped short
+        values = [memo.get(z) or pair(z) for z in zs]
         try:
-            return (math.fsum(map(math.exp, [x - peak_a for x in a])),
-                    math.fsum(map(math.exp, [x - peak_b for x in b])))
+            return (math.fsum([math.exp(a - peak_a) for a, _ in values]),
+                    math.fsum([math.exp(b - peak_b) for _, b in values]))
         except OverflowError:
             raise QuadratureFailure("the peak search stopped short of a log-integrand's peak") from None
 
@@ -420,10 +401,22 @@ def k_quadrature(model: AuctionModel, lam: float, tol: float = 1e-10) -> float:
         return max(a - peak_a, b - peak_b) > -45.0
 
     def edge(start, step):
-        # any point past the cut will do; halving puts it within a sixteenth
-        # of its distance from start, so the grid spans little beyond the cut
-        return _boundary(near_peaks, start, step,
-                         lambda z, out: abs(out - z) <= abs(out - start) / 16)
+        # any point past the cut will do: walk out while either
+        # log-integrand is within 45 of its peak, then halve the bracket on
+        # the cut until out lies within a sixteenth of its distance from
+        # start, so the grid spans little beyond the cut
+        z = start
+        while near_peaks(z + step):
+            z, step = z + step, 2 * step
+            if math.isinf(z):
+                raise QuadratureFailure("a log-integrand does not turn within the double range")
+        out = z + step
+        while not abs(out - z) <= abs(out - start) / 16:
+            mid = 0.5 * (z + out)
+            if mid == z or mid == out:
+                break
+            z, out = (mid, out) if near_peaks(mid) else (z, mid)
+        return out
 
     lo = edge(min(za, zb), -1.0)
     hi = edge(max(za, zb), 1.0)
@@ -445,7 +438,7 @@ def k_quadrature(model: AuctionModel, lam: float, tol: float = 1e-10) -> float:
     # the top bid is never below the second, so K <= 1 holds exactly
     k = min(1.0, math.exp(peak_a - peak_b) * sa / ((N - 1) * sb))
     if k * rel_err > tol:
-        raise QuadratureFailure(f"estimated error {k * rel_err:.3e} exceeds tolerance {tol:.3e}")
+        raise QuadratureFailure(f"estimated error {k * rel_err:.3e} exceeds tolerance {float(tol):.3e}")
     return _nonzero_k(k, f"at lambda = {_shown(lam)}")
 
 
@@ -569,7 +562,10 @@ def k_monte_carlo(samples: np.ndarray, lam: float) -> tuple[float, float]:
 
     if not (_finite(lam) and lam > 0):
         raise DomainError(f"lambda must be finite and positive, got {_shown(lam)}")
-    table = np.asarray(samples, dtype=float)
+    try:
+        table = np.asarray(samples, dtype=float)
+    except OverflowError:  # an int or ratio past the double range
+        raise DomainError("sample table holds a non-finite bid") from None
     if table.ndim != 2 or table.shape[1] != 2 or table.shape[0] == 0:
         raise DomainError("expected a nonempty (rows, 2) sample table")
     if not np.isfinite(table).all():
@@ -579,9 +575,10 @@ def k_monte_carlo(samples: np.ndarray, lam: float) -> tuple[float, float]:
     # takes table.T's layout, over which means and dot products round
     # differently
     w = _empty((2, n))
-    np.subtract(table.T, table[:, 1].min(), out=w)
-    w *= -lam
-    np.exp(w, out=w)
+    with np.errstate(over="ignore"):  # an exponent past the double range weighs 0
+        np.subtract(table.T, table[:, 1].min(), out=w)
+        w *= -float(lam)
+        np.exp(w, out=w)
     x, y = w
     ess = min(_effective_size(x), _effective_size(y))
     if not ess >= _MIN_ESS:
@@ -619,6 +616,8 @@ def memoryless_check(theta: float, N: int, cfg: McConfig, control: bool = False)
     if not isinstance(N, int) or N < 2:
         raise DomainError("need an integer N >= 2")
     _check_arrays(cfg, N)
+    import numpy as np
+
     law = Exponential(theta)
     top = _empty((cfg.samples,))
     second_side = _empty((cfg.samples,))
@@ -631,7 +630,8 @@ def memoryless_check(theta: float, N: int, cfg: McConfig, control: bool = False)
             second_side[lo:hi] = draws[:, -2]
         if not control:
             for lo, hi in _blocks(start, rows, 1):
-                second_side[lo:hi] += sample_draws(law, rng, hi - lo)
+                with np.errstate(over="ignore"):  # ks_statistic refuses an inf sum
+                    second_side[lo:hi] += sample_draws(law, rng, hi - lo)
     return ks_statistic(top, second_side)
 
 

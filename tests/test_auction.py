@@ -3,6 +3,7 @@ import math
 import random
 import struct
 import sys
+import warnings
 from fractions import Fraction as F
 from pathlib import Path
 from statistics import NormalDist
@@ -115,6 +116,13 @@ class TestDistributions:
         with pytest.raises(DomainError, match="must be (finite|positive|nonnegative), got"):
             law(x)
 
+    @pytest.mark.parametrize("theta", [F(1, 10 ** 400), F(3, 10 ** 5000)], ids=["ratio", "5000-digits"])
+    def test_exponential_rate_below_the_least_subnormal_refused(self, theta):
+        # the rate's double is 0: simulate_bids and k_quadrature divided by
+        # it and raised ZeroDivisionError
+        with pytest.raises(DomainError, match="^exponential rate .* is below the least subnormal double$"):
+            Exponential(theta)
+
     def test_largest_double_accepted(self):
         big = int(sys.float_info.max)
         assert Exponential(big).theta == big
@@ -197,6 +205,13 @@ class TestKHAlgebra:
         # (1 - K) / (N K) overflows for the least subnormal K
         with pytest.raises(OutOfRange, match="gives a power ratio beyond the double range"):
             h_from_k(5e-324, 2)
+
+    @pytest.mark.parametrize("N", [2, 2.0])
+    def test_h_beyond_the_double_range_from_an_exact_k(self, N):
+        # an exact (1 - K) / (N K) past the double range raised OverflowError,
+        # and an N K whose double is 0 ZeroDivisionError
+        with pytest.raises(OutOfRange, match="gives a power ratio beyond the double range"):
+            h_from_k(F(1, 10 ** 400), N)
 
     @pytest.mark.parametrize(
         "h", [1e308, 1.7e308, 10 ** 308, F(10 ** 308)], ids=["1e308", "1.7e308", "int", "ratio"]
@@ -419,36 +434,17 @@ class TestLogIntegrands:
     def test_match_the_scalar_definitions_bit_for_bit(self, law, N):
         fast, scalar = auction._log_integrands(law, N, 1.7), reference_log_integrands(law, N, 1.7)
         for z in SWITCH_SCORES:
-            assert [bits(x) for [x] in fast((z,))] == [bits(x) for x in scalar(z)], z
-        # one batch gives each score the value it gets alone
-        assert [[bits(x) for x in xs] for xs in fast(SWITCH_SCORES)] == [
-            [bits(x) for x in xs] for xs in zip(*map(scalar, SWITCH_SCORES))]
+            assert [bits(x) for x in fast(z)] == [bits(x) for x in scalar(z)], z
 
     def test_lognormal_excess_overflows_to_inf(self):
-        logs = auction._log_integrands(LAWS["lognormal-inf"], 5, 1.7)
-        assert math.isfinite(logs((8.0,))[0][0])
-        assert logs((40.0,)) == ([-math.inf], [-math.inf])
+        pair = auction._log_integrands(LAWS["lognormal-inf"], 5, 1.7)
+        assert math.isfinite(pair(8.0)[0])
+        assert pair(40.0) == (-math.inf, -math.inf)
 
     @given(st.sampled_from(list(LAWS.values())), st.floats(-45, 45))
     def test_match_the_scalar_definitions_anywhere(self, law, z):
         fast, scalar = auction._log_integrands(law, 5, 0.3), reference_log_integrands(law, 5, 0.3)
-        assert [bits(x) for [x] in fast((z,))] == [bits(x) for x in scalar(z)]
-
-
-def batched(log_integrands):
-    """A scalar log-integrands builder, z -> (a, b), as the batched kernel
-    zs -> (as_, bs) that k_quadrature calls."""
-
-    def build(dist, N, lam):
-        logs = log_integrands(dist, N, lam)
-
-        def kernel(zs):
-            pairs = [logs(z) for z in zs]
-            return [a for a, _ in pairs], [b for _, b in pairs]
-
-        return kernel
-
-    return build
+        assert [bits(x) for x in fast(z)] == [bits(x) for x in scalar(z)]
 
 
 def quadrature_outcome(model, lam, tol=1e-10):
@@ -463,7 +459,7 @@ def assert_reference_doubles(models_and_lambdas):
     """k_quadrature gives the reference integrands' doubles and errors."""
     cases = list(models_and_lambdas)
     got = [quadrature_outcome(*case) for case in cases]
-    with mock.patch.object(auction, "_log_integrands", batched(reference_log_integrands)):
+    with mock.patch.object(auction, "_log_integrands", reference_log_integrands):
         want = [quadrature_outcome(*case) for case in cases]
     assert got == want
 
@@ -587,21 +583,31 @@ def degenerate(law):
     return isinstance(law, PointMass)
 
 
-def evaluated_batches(cases, tol=1e-10):
+def grid_level(frame):
+    """The points of the grid level whose sum a kernel call from frame
+    serves, read from k_quadrature's sums, or None for a search's call."""
+    while frame.f_code.co_name != "k_quadrature":
+        if frame.f_code.co_name == "sums":
+            return frame.f_locals["zs"]
+        frame = frame.f_back
+    return None
+
+
+def evaluated_points(cases, tol=1e-10):
     """(per case, one list for each log-integrands kernel the k_quadrature
-    call built, of the batches of scores it called the kernel on; and each
-    case's quadrature_outcome)."""
+    call built, of (z, level) for each score it evaluated, in order, with
+    level as grid_level gives it; and each case's quadrature_outcome)."""
     calls = []
     log_integrands = auction._log_integrands
 
     def spy(dist, N, lam):
-        logs = log_integrands(dist, N, lam)
+        pair = log_integrands(dist, N, lam)
         seen = []
         calls[-1].append(seen)
 
-        def counted(zs):
-            seen.append(list(zs))
-            return logs(zs)
+        def counted(z):
+            seen.append((z, grid_level(sys._getframe(1))))
+            return pair(z)
 
         return counted
 
@@ -614,10 +620,55 @@ def evaluated_batches(cases, tol=1e-10):
 
 
 def evaluated_scores(cases, tol=1e-10):
-    """As evaluated_batches, with each kernel's batches joined into the one
-    list of every score it evaluated."""
-    calls, outcomes = evaluated_batches(cases, tol)
-    return [[[z for batch in kernel for z in batch] for kernel in c] for c in calls], outcomes
+    """As evaluated_points, with the scores alone."""
+    calls, outcomes = evaluated_points(cases, tol)
+    return [[[z for z, _ in kernel] for kernel in c] for c in calls], outcomes
+
+
+def reference_boundary(inside, z, step, placed):
+    """A point past where inside, true at z, turns false beyond z in step's
+    direction: a doubling walk brackets the turn, and halving narrows the
+    bracket until placed(z, out) holds or no double lies between them.
+    Both of k_quadrature's searches, written once."""
+    while inside(z + step):
+        z, step = z + step, 2 * step
+    out = z + step
+    while not placed(z, out):
+        mid = 0.5 * (z + out)
+        if mid == z or mid == out:
+            break
+        z, out = (mid, out) if inside(mid) else (z, mid)
+    return out
+
+
+def reference_searches(dist, N, lam):
+    """(the scores k_quadrature's peak and edge searches evaluate, in order,
+    and its first grid level), by reference_boundary on the reference
+    log-integrands."""
+    logs, memo = reference_log_integrands(dist, N, lam), {}
+
+    def at(z):
+        if z not in memo:
+            memo[z] = logs(z)
+        return memo[z]
+
+    def argmax(i):
+        def slope(z):
+            return (at(z + 1e-7)[i] - at(z)[i]) / 1e-7
+
+        up = slope(0.0) > 0
+        return reference_boundary(lambda z: (slope(z) > 0) == up, 0.0, 1.0 if up else -1.0,
+                                  lambda z, out: abs(slope(out) * (out - z)) <= 1.0)
+
+    za, zb = argmax(0), argmax(1)
+    peak_a, peak_b = at(za)[0], at(zb)[1]
+
+    def edge(start, step):
+        return reference_boundary(lambda z: max(at(z)[0] - peak_a, at(z)[1] - peak_b) > -45.0, start, step,
+                                  lambda z, out: abs(out - z) <= abs(out - start) / 16)
+
+    lo, hi = edge(min(za, zb), -1.0), edge(max(za, zb), 1.0)
+    return list(memo), [lo + i * ((hi - lo) / 16) for i in range(17)]
 
 
 class TestKQuadrature:
@@ -734,6 +785,12 @@ class TestKQuadrature:
                 with pytest.raises(QuadratureFailure, match="exceeds tolerance"):
                     k_quadrature(model, lam, tol=1e-300)
 
+    def test_a_ratio_tolerance_is_named_in_the_failure(self):
+        # formatting a Fraction tolerance raised TypeError before Python 3.12
+        model = AuctionModel(PointMass(0.0), Lognormal(0.0, 1.0), 5)
+        with pytest.raises(QuadratureFailure, match="exceeds tolerance 1.000e-20$"):
+            k_quadrature(model, 1.0, tol=F(1, 10 ** 20))
+
     def test_rounding_floor_leaves_reachable_tolerances_alone(self):
         # 2**-51 relative: K = 1/2 meets 5e-16 but not 1e-16
         model = AuctionModel(PointMass(0.0), Exponential(1.0), 5)
@@ -754,23 +811,34 @@ class TestKQuadrature:
         # edges left unhalved about 170
         assert sum(map(len, integrated)) / len(integrated) <= 140
 
-    def test_each_grid_level_is_one_kernel_call(self):
+    def test_each_grid_level_evaluates_the_points_the_memo_lacks(self):
         cases = [case for case in benchmark_shaped_cases() if not degenerate(case[0].idiosyncratic)]
-        calls, outcomes = evaluated_batches(cases)
+        calls, outcomes = evaluated_points(cases)
         assert all(isinstance(o, str) for o in outcomes)
-        for [batches] in calls:
-            sizes = [len(batch) for batch in batches]
-            # the searches pass one score per call
-            searches = sizes[:next(i for i, size in enumerate(sizes) if size > 1)]
-            assert set(searches) == {1}
-            # then one call per level, of its 17, 16, 32, ... points less
-            # those the searches evaluated: the first level's lo at least
-            grid = sizes[len(searches):]
-            whole = [17] + [16 * 2 ** k for k in range(len(grid) - 1)]
-            assert len(grid) >= 3
-            assert grid[0] < whole[0]
-            assert all(2 < size <= n for size, n in zip(grid, whole))
-            assert sum(whole) - sum(grid) <= sum(searches)
+        for [points] in calls:
+            searched = [z for z, level in points if level is None]
+            # the searches come first, then the grid levels in turn
+            assert all(level is None for _, level in points[:len(searched)])
+            levels = []
+            for _, level in points[len(searched):]:
+                if not levels or level is not levels[-1]:
+                    levels.append(level)
+            assert [len(level) for level in levels] == [17] + [16 * 2 ** k for k in range(len(levels) - 1)]
+            assert len(levels) >= 3
+            # each level evaluates, in order and once each, its points that
+            # the searches did not: the first level's lo at least
+            memo = set(searched)
+            assert levels[0][0] in memo
+            assert [z for z, _ in points[len(searched):]] == [
+                z for level in levels for z in level if z not in memo]
+
+    def test_searches_take_the_reference_probes_and_bracket(self):
+        cases = [case for case in benchmark_shaped_cases() if not degenerate(case[0].idiosyncratic)]
+        calls, _ = evaluated_points(cases)
+        for (model, lam), [points] in zip(cases, calls):
+            searched, first_level = reference_searches(model.idiosyncratic, model.n_bidders, lam)
+            assert [z for z, level in points[:len(searched)]] == searched
+            assert points[len(searched)][1] == first_level
 
     @pytest.mark.parametrize("lam", [2e4, 1e5])
     @pytest.mark.parametrize("mu", [-4.0, 0.0, 4.0])
@@ -987,6 +1055,16 @@ class TestSimulateBids:
         assert "inf" in str(err.value)
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    def test_exact_parameters_draw_as_their_doubles(self):
+        # a ratio or int parameter made numpy's in-place arithmetic an object
+        # array, which raised UFuncTypeError
+        def model(x):
+            return AuctionModel(Shifted(PointMass(x(1, 3)), x(1, 7)),
+                                Shifted(Lognormal(x(2, 3), x(3, 4)), x(5, 1)), 4)
+
+        exact = simulate_bids(model(F), McConfig(50, seed=3))
+        assert exact.tobytes() == simulate_bids(model(lambda p, q: p / q), McConfig(50, seed=3)).tobytes()
+
     def test_memoryless_gap_mean(self):
         # gap between the top two of N exponentials is a fresh exponential
         model = AuctionModel(PointMass(0.0), Exponential(1.0), 2)
@@ -1125,6 +1203,27 @@ class TestKMonteCarlo:
             table[row, col] = bad
             with pytest.raises(DomainError):
                 k_monte_carlo(table, 1.0)
+
+    def test_a_ratio_lambda_is_taken_as_its_double(self):
+        # numpy refused the object array that a Fraction weight made
+        table = np.array([[2.0, 1.0], [3.0, 1.5]] * 20)
+        assert k_monte_carlo(table, F(1, 3)) == k_monte_carlo(table, 1 / 3)
+
+    def test_a_bid_past_the_double_range_is_refused(self):
+        # np.asarray raised OverflowError
+        with pytest.raises(DomainError, match="sample table holds a non-finite bid"):
+            k_monte_carlo([[10 ** 400, 1]] * 40, 1.0)
+
+    @pytest.mark.parametrize(
+        "table, lam",
+        [([[1e308, 1e308], [1e308, -1e308]] * 20, 1.0), ([[2.0, 1.0], [5.0, 0.0]] * 20, 1e308)],
+        ids=["difference", "exponent"],
+    )
+    def test_weights_past_the_double_range_leave_no_warning(self, table, lam, recwarn):
+        # the difference or -lam times it overflows to inf, whose weight is 0
+        with pytest.raises(InsufficientSamples, match="^effective sample size 0 of 40 rows"):
+            k_monte_carlo(table, lam)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_weights_below_the_double_range(self):
         # exp(-lam * bid) underflows for every row, but the ratio does not
@@ -1287,6 +1386,13 @@ class TestMemorylessCheck:
         assert np.array_equal(got, want)
         assert stat.hex() == reference_memoryless_check(1.7, N, cfg, control, chunk=chunk).hex()
 
+    def test_draws_past_the_double_range_are_refused_without_a_warning(self, recwarn):
+        # second-largest plus fresh draws overflow; numpy warned before the
+        # sample was refused
+        with pytest.raises(DomainError, match="sample holds a non-finite value"):
+            memoryless_check(2.2250738585072014e-308, 3, McConfig(19, seed=19))
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     @pytest.mark.parametrize(
         "theta, N, message",
         [
@@ -1324,7 +1430,12 @@ class TestKsStatistic:
         a, b = rng.standard_normal(n1), 0.3 + rng.standard_normal(n2)
         if digits is not None:  # rounded draws give ties within and across samples
             a, b = np.round(a, digits), np.round(b, digits)
-        assert ks_statistic(a, b) == ks_2samp(a, b).statistic
+        with warnings.catch_warnings():
+            # the reference's p-value can warn (ties, one-point samples);
+            # only its statistic is compared
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want = ks_2samp(a, b).statistic
+        assert ks_statistic(a, b) == want
 
     def test_large_samples_match_scipy(self):
         from scipy.stats import ks_2samp
