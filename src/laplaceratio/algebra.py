@@ -198,6 +198,12 @@ def _rational_text(q) -> str:
     return num if q.denominator == 1 else f"{num}/{_int_text(q.denominator)}"
 
 
+def _shown(x):
+    """x for a message: ints and ratios of any length as _rational_text
+    prints them, where str() can refuse."""
+    return _rational_text(x) if isinstance(x, (int, Rational)) else x
+
+
 def _decimal_pack(nums, width: int, ctx: Context) -> Decimal:
     """Sum of nums[i] * 10**(width*i): the positive slots' digit string
     less the negative slots' one."""

@@ -24,7 +24,7 @@ import math
 import sys
 from typing import TYPE_CHECKING
 
-from .algebra import Frozen, Rational, _int_text, _rational_text
+from .algebra import Frozen, Rational, _int_text, _rational_text, _shown
 from .errors import DomainError, InsufficientSamples, OutOfRange, QuadratureFailure
 from .identify import IdentifyResult, RatioSpec, identify
 from .transforms import RatioExpansion
@@ -41,12 +41,6 @@ def _finite(x) -> bool:
         return math.isfinite(x)
     except OverflowError:
         return False
-
-
-def _shown(x):
-    """x for a message: ints and ratios of any length as _rational_text
-    prints them, where str() can refuse."""
-    return _rational_text(x) if isinstance(x, (int, Rational)) else x
 
 
 class Exponential(Frozen):
@@ -553,7 +547,9 @@ def k_monte_carlo(samples: np.ndarray, lam: float) -> tuple[float, float]:
     in the second column.  Raises InsufficientSamples when either weight
     column has an effective sample size (Kong 1992) below _MIN_ESS: then a
     few draws carry the weights, and the estimate and its error bar are
-    both wrong.  A column whose weights all underflow has size 0.
+    both wrong.  A column whose weights all underflow has size 0.  A row
+    whose top bid is below its second raises DomainError naming the first
+    such row, counted from 0.
 
     The scratch beside the table is its weights, one array the table's
     size that the covariance centres in place, plus one column.
@@ -570,6 +566,11 @@ def k_monte_carlo(samples: np.ndarray, lam: float) -> tuple[float, float]:
         raise DomainError("expected a nonempty (rows, 2) sample table")
     if not np.isfinite(table).all():
         raise DomainError("sample table holds a non-finite bid")
+    below = table[:, 0] < table[:, 1]
+    if below.any():
+        i = int(below.argmax())
+        top, second = table[i].tolist()
+        raise DomainError(f"sample table row {i} has its top bid {top!r} below its second {second!r}")
     n = len(table)
     # C order, as np.cov's concatenate gives: without out= the difference
     # takes table.T's layout, over which means and dot products round

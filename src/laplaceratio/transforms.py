@@ -26,6 +26,7 @@ from .algebra import (
     Series,
     _quotient,
     _rational_text,
+    _shown,
     as_rational,
     as_rational_number,
     factorials,
@@ -172,11 +173,11 @@ class RationalFunction(Frozen):
         x = as_rational_number(lam)
         den = self.denom(x)
         if not den:
-            raise ZeroDenominator(f"denominator vanishes at lambda = {lam}")
+            raise ZeroDenominator(f"denominator vanishes at lambda = {_shown(lam)}")
         try:
             return float(self.numer(x) / den)
         except OverflowError:
-            raise OutOfRange(f"the ratio at lambda = {lam!r} is not a finite double") from None
+            raise OutOfRange(f"the ratio at lambda = {_shown(lam)} is not a finite double") from None
 
     def expansion(self, order: int) -> RatioExpansion:
         """Expand at lambda = infinity as a RatioExpansion."""
@@ -258,10 +259,10 @@ class PiecewisePoly(Frozen):
     A Frozen value, with its pieces Frozen too, so what the transforms
     derive from the function alone can be kept with it.  The private slot
     _derived, which is not a field, holds a dict, empty until a transform
-    asks: under None the _grid, under an exponent a the power self ** a, and
-    under (a, b, constant_only) the _pairs of every piece.  Each entry is
-    written once, whole, and never changed.  It takes no part in ==, repr
-    or pickling.
+    asks: under None the _grid, under an exponent a the power self ** a
+    that __pow__ returns, and under (a, b, constant_only) the _pairs of
+    every piece.  Each entry is written once, whole, and never changed.
+    It takes no part in ==, repr or pickling.
     """
 
     __slots__ = ("breakpoints", "pieces", "_derived")
@@ -292,41 +293,34 @@ class PiecewisePoly(Frozen):
         xq = as_rational_number(x)
         return self.piece_at(xq)(x if isinstance(x, float) else xq)
 
-    def __pow__(self, n: int) -> "PiecewisePoly":
-        if not isinstance(n, int) or n < 1:
+    def __pow__(self, a: int) -> "PiecewisePoly":
+        """The pointwise power, built on first use and kept in the memo."""
+        if not isinstance(a, int) or a < 1:
             raise DomainError("piecewise powers take a positive integer exponent")
-        return PiecewisePoly(self.breakpoints, [p ** n for p in self.pieces])
+        memo = self._derived
+        got = memo.get(a)
+        if got is None:
+            got = memo[a] = PiecewisePoly(self.breakpoints, [p ** a for p in self.pieces])
+        return got
 
     __hash__ = None
 
     def __repr__(self):
-        cells = ", ".join(
-            f"[{b}, {e}): {p}"
-            for b, e, p in zip(self.breakpoints, self.breakpoints[1:], self.pieces)
-        )
-        sep = ", " if cells else ""
-        return f"PiecewisePoly({cells}{sep}[{self.breakpoints[-1]}, inf): {self.pieces[-1]})"
-
-    def _power(self, a: int) -> "PiecewisePoly":
-        """self ** a, built once."""
-        memo = self._derived
-        got = memo.get(a)
-        if got is None:
-            got = memo[a] = self ** a
-        return got
+        ends = [*map(_rational_text, self.breakpoints[1:]), "inf"]
+        cells = (f"[{_rational_text(b)}, {e}): {p}" for b, e, p in zip(self.breakpoints, ends, self.pieces))
+        return f"PiecewisePoly({', '.join(cells)})"
 
     def _grid(self) -> tuple:
-        """(edges, D, lcms, degrees), derived once: the breakpoints as
-        integers over D, the lcm of their denominators; lcms[i], the lcm of
-        the denominators of the first i; and the degree of each piece."""
+        """(edges, D, degrees), derived once: the breakpoints as integers
+        over D, the lcm of their denominators, and the degree of each
+        piece."""
         memo = self._derived
         got = memo.get(None)
         if got is None:
             ratios = [b.as_integer_ratio() for b in self.breakpoints]
-            lcms = list(accumulate((d for _, d in ratios), lcm, initial=1))
-            D = lcms[-1]
+            D = lcm(*(d for _, d in ratios))
             edges = [b * (D // d) for b, d in ratios]
-            got = memo[None] = edges, D, lcms, [len(p.coeffs) - 1 for p in self.pieces]
+            got = memo[None] = edges, D, [len(p.coeffs) - 1 for p in self.pieces]
         return got
 
     def _pairs(self, a: int, b: int, constant_only: bool = False) -> list:
@@ -350,8 +344,8 @@ def step_example(n_max: int) -> PiecewisePoly:
     """Built-in staircase fixture: value 2**-i on [1 - 2**-i, 1 - 2**-(i+1))
     for i < n_max, with the staircase truncated after n_max steps and the
     constant 2 on [1, infinity)."""
-    if n_max < 1:
-        raise DomainError("n_max must be at least 1")
+    if not isinstance(n_max, int) or n_max < 1:
+        raise DomainError(f"n_max must be an integer of at least 1, got {_shown(n_max)}")
     breakpoints = [1 - Rational(1, 2 ** i) for i in range(n_max + 1)] + [Rational(1)]
     pieces = [Poly([Rational(1, 2 ** i)]) for i in range(n_max + 1)] + [Poly([2])]
     return PiecewisePoly(breakpoints, pieces)
@@ -381,12 +375,14 @@ def laplace_piecewise(pp: PiecewisePoly, lam: float) -> float:
     there (x^12 on [0, 1/100) at lambda = 1 gives -2.6e-8, not 7.6e-28).
     A needed boundary power that overflows a double, or a value past the
     double range (step_example(10) at lambda = 5e-324 is about 2/lambda),
-    raises OutOfRange: the result is always finite.
+    raises OutOfRange: the result is always finite.  An int or ratio
+    lambda is taken as its double; a positive one whose double is 0 raises
+    OutOfRange too.
     """
     if not -math.inf < lam < math.inf:
-        raise DomainError(f"lambda must be finite and positive, got {lam!r}")
+        raise DomainError(f"lambda must be finite and positive, got {_shown(lam)}")
     if lam <= 0:
-        raise DivergentTransform(f"transform requires lambda > 0, got {lam}")
+        raise DivergentTransform(f"transform requires lambda > 0, got {_shown(lam)}")
     total = 0.0
     ends = list(pp.breakpoints[1:]) + [None]
     try:
@@ -397,11 +393,11 @@ def laplace_piecewise(pp: PiecewisePoly, lam: float) -> float:
                 float(start), None if end is None else float(end), piece.degree, lam
             )
             total += sum(float(c) * moments[j] for j, c in enumerate(piece.coeffs))
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):  # or a positive exact lambda whose double is 0
         total = math.inf
     if not math.isfinite(total):
         raise OutOfRange(
-            f"the float path overflowed a double evaluating the transform at lambda = {lam!r}"
+            f"the float path overflowed a double evaluating the transform at lambda = {_shown(lam)}"
         )
     return total
 
@@ -409,14 +405,14 @@ def laplace_piecewise(pp: PiecewisePoly, lam: float) -> float:
 def ratio_eval_piecewise(pp: PiecewisePoly, n: int, m: int, lam: float) -> float:
     """Power ratio L{pp^n}/L{pp^m} at a single lambda > 0."""
     _check_exponents(n, m)
-    den = laplace_piecewise(pp._power(m), lam)
+    den = laplace_piecewise(pp ** m, lam)
     if den == 0.0:
-        raise ZeroDenominator(f"L{{f^{m}}}({lam}) = 0")
-    num = laplace_piecewise(pp._power(n), lam)
+        raise ZeroDenominator(f"L{{f^{m}}}({_shown(lam)}) = 0")
+    num = laplace_piecewise(pp ** n, lam)
     h = num / den
     if not math.isfinite(h):
         raise OutOfRange(
-            f"L{{f^{n}}}/L{{f^{m}}} at lambda = {lam!r} is {num!r}/{den!r}, not a finite double"
+            f"L{{f^{n}}}/L{{f^{m}}} at lambda = {_shown(lam)} is {num!r}/{den!r}, not a finite double"
         )
     return h
 
@@ -466,19 +462,20 @@ def convolution_residual(f: PiecewisePoly, g: PiecewisePoly, n: int, m: int, t: 
 
     Both convolutions integrate powers of p(s) = f(t-s) and q(s) = g(s)
     over s in [0, t], on one cell grid whose edges, 0, t, g's breakpoints
-    and t less f's, are integers over D, the lcm of the denominators of t
-    and of the breakpoints below t; one two-pointer walk merges the two
-    edge lists.  Each piece in force is cleared and raised to its n-th and
-    m-th powers once; a constant piece's powers are bare integers.  What
-    depends on f or g alone comes from their memo (see PiecewisePoly),
-    derived whole on first use and kept for later calls: the breakpoints
-    as integers over one denominator, with the lcms of their denominators,
-    the piece degrees, and, per role, the powers of all of g's pieces,
-    those past t too, and of f's constant ones.  Only the work that
-    depends on t is done per call: an integer bisect, D, the edges, and
-    the powers of f's other pieces, which compose with t - s.  The s^k
-    term c_k s^k of a cell's p^n q^m - p^m q^n integrates over [L/D, H/D]
-    to c_k (H^(k+1) - L^(k+1)) / ((k+1) D^(k+1)), whose numerator joins an
+    and t less f's, are integers over D = lcm(den t, D_f, D_g), D_f and
+    D_g the lcms of f's and g's breakpoint denominators (a D larger than
+    the cells need scales every integer by one factor); one two-pointer
+    walk merges the two edge lists.  Each piece in force is cleared and
+    raised to its n-th and m-th powers once; a constant piece's powers
+    are bare integers.  What depends on f or g alone comes from their
+    memo (see PiecewisePoly), derived whole on first use and kept for
+    later calls: the breakpoints as integers over D_f or D_g, the piece
+    degrees, and, per role, the powers of all of g's pieces, those past t
+    too, and of f's constant ones.  Only the work that depends on t is
+    done per call: an integer bisect, D, the edges, and the powers of f's
+    other pieces, which compose with t - s.  The s^k term c_k s^k of a
+    cell's p^n q^m - p^m q^n integrates over [L/D, H/D] to
+    c_k (H^(k+1) - L^(k+1)) / ((k+1) D^(k+1)), whose numerator joins an
     integer sum kept per denominator; a cell between two constant pieces
     adds the one product (p^n q^m - p^m q^n) (H - L) to the s^0 sum.  The
     total is divided once, so it is correctly rounded; outside the double
@@ -488,11 +485,11 @@ def convolution_residual(f: PiecewisePoly, g: PiecewisePoly, n: int, m: int, t: 
     tq = as_rational_number(t)
     if tq < 0:
         raise DomainError("the residual is defined for t >= 0")
-    (fi, Df, f_lcms, fdeg), (gi, Dg, g_lcms, gdeg) = f._grid(), g._grid()
+    (fi, Df, fdeg), (gi, Dg, gdeg) = f._grid(), g._grid()
     tn, td = tq.numerator, tq.denominator
     # the pieces in force on [0, t): b / Df < tn / td iff b < ceil(tn Df / td)
     nf, ng = bisect_left(fi, -(-tn * Df // td)), bisect_left(gi, -(-tn * Dg // td))
-    D = lcm(td, f_lcms[nf], g_lcms[ng])
+    D = lcm(td, Df, Dg)
     T = tn * (D // td)
     # cell edges in units of 1/D, ascending, each list closed by T; the
     # pieces in force before fe[i] and ge[j] are fp[i] and gp[j]
@@ -557,5 +554,5 @@ def convolution_residual(f: PiecewisePoly, g: PiecewisePoly, n: int, m: int, t: 
     try:
         return total / whole
     except OverflowError:
-        raise OutOfRange(f"the residual at t = {t!r} is not a finite double") from None
+        raise OutOfRange(f"the residual at t = {_shown(t)} is not a finite double") from None
 

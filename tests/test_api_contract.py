@@ -8,13 +8,20 @@ arguments and a check of its result.  The strategies reach the edges of
 each domain: signed zeros, subnormals, 1e308, NaN and the infinities, ints
 past the double range, and Fractions, some with 5000-digit parts.  This
 module checks contracts, not values; values stay with their own tests and
-mpmath oracles.  It covers the auction names; Monte Carlo sizes stay small,
-so a call draws at most a few thousand bids.
+mpmath oracles.  It covers the auction names and the piecewise ones;
+Monte Carlo sizes stay small, so a call draws at most a few thousand bids.
+
+The exact entry points (breakpoints, coefficients, shifts) refuse a float
+with TypeError, which is their documented answer, so their arguments are
+drawn from exact values only.  Exact work grows without bound in an
+exponent or a staircase's length (ROADMAP item 12), so those are drawn
+small, beside the edges that are refused first.
 """
 
 import math
 import warnings
 from fractions import Fraction as F
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -33,7 +40,7 @@ from laplaceratio.auction import (
 )
 from laplaceratio.errors import LaplaceRatioError
 from laplaceratio.identify import IdentifyResult
-from laplaceratio.transforms import RatioExpansion, Series
+from laplaceratio.transforms import PiecewisePoly, Poly, RatioExpansion, Series
 
 # a 5000-digit integer, past the default int <-> str digit limit
 BIG = 7 * (10 ** 5000 - 1) // 9
@@ -49,6 +56,9 @@ def among(values):
     """A draw from values, by index: Hypothesis prints a strategy's values,
     and str() refuses a 5000-digit int."""
     return st.sampled_from(range(len(values))).map(lambda i: values[i])
+
+
+EXACT_EDGES = [x for x in EDGES if not isinstance(x, float)] + [F(5e-324), F(1e308)]
 
 
 # any number a caller may pass: each edge, any double, a small int, a ratio
@@ -104,14 +114,15 @@ configs = st.builds(McConfig, st.integers(1, 60), st.integers(0, 2 ** 64 - 1))
 
 def row(pair):
     """A (highest, second highest) row: the larger first, where they
-    compare."""
-    a, b = pair
-    return [b, a] if b > a else [a, b]
+    compare, and the smaller first in one row of five."""
+    a, b, swap = pair
+    return [b, a] if (b > a) != (swap == 0) else [a, b]
 
 
+rows = st.tuples(number, number, st.integers(0, 4)).map(row)
 tables = st.one_of(
-    st.lists(st.tuples(number, number).map(row), min_size=1, max_size=60),
-    st.integers(30, 60).flatmap(lambda n: st.tuples(number, number).map(lambda r: [row(r)] * n)),
+    st.lists(rows, min_size=1, max_size=60),
+    st.integers(30, 60).flatmap(lambda n: rows.map(lambda r: [r] * n)),
 )
 expansions = st.builds(
     RatioExpansion,
@@ -119,6 +130,32 @@ expansions = st.builds(
     st.lists(st.fractions(max_denominator=9), min_size=1, max_size=6)
     .filter(lambda c: c[0] != 0).map(lambda c: Series(c, len(c) - 1)),
 )
+
+
+# the exact half's arguments: each exact edge, a small int, a ratio
+exact = st.one_of(among(EXACT_EDGES), st.integers(-5, 5), st.fractions(max_denominator=10 ** 6))
+exact_positive = st.one_of(
+    among([x for x in EXACT_EDGES if x > 0]),
+    st.fractions(min_value=F(1, 10 ** 6), max_denominator=10 ** 6),
+)
+# pieces of degree <= 2, the zero polynomial included
+pieces = st.lists(exact, max_size=3).map(Poly)
+# 1-4 pieces over breakpoints 0 < b1 < ... that exact widths space out
+functions = st.lists(st.tuples(exact_positive, pieces), max_size=3).flatmap(
+    lambda cells: pieces.map(
+        lambda first: PiecewisePoly(
+            [0, *accumulate(w for w, _ in cells)], [first, *(p for _, p in cells)]
+        )
+    )
+)
+# exponents: the refused edges, and the small ones whose powers stay cheap
+exponent = st.one_of(among([-1, 0, 2.0, math.nan, F(5, 2), True]), st.integers(1, 4))
+# staircase lengths likewise
+steps = st.one_of(among([-1, 0, 2.0, math.nan, F(5, 2), True, F(3)]), st.integers(1, 40))
+
+
+def is_finite(x):
+    return isinstance(x, float) and math.isfinite(x)
 
 
 def is_k(k):
@@ -164,15 +201,31 @@ CONTRACTS = {
     "k_value": (st.tuples(models, number, number), is_k),
     "memoryless_check": (st.tuples(number, count, configs, st.booleans()), is_statistic),
     "simulate_bids": (st.tuples(mc_models, configs), is_bids),
+    "PiecewisePoly": (st.tuples(st.lists(exact, max_size=4), st.lists(pieces, max_size=4)),
+                      instance_of(PiecewisePoly)),
+    "convolution_residual": (st.tuples(functions, functions, exponent, exponent, st.one_of(number, exact)),
+                             is_finite),
+    "delay": (st.tuples(functions, exact), instance_of(PiecewisePoly)),
+    "laplace_piecewise": (st.tuples(functions, number), is_finite),
+    "ratio_eval_piecewise": (st.tuples(functions, exponent, exponent, number), is_finite),
+    "shift_vanishing": (st.tuples(functions, exact), instance_of(PiecewisePoly)),
+    "step_example": (st.tuples(steps), instance_of(PiecewisePoly)),
 }
 
 AUCTION_NAMES = sorted(name for name in laplaceratio.__all__
                        if getattr(getattr(laplaceratio, name), "__module__", None) == auction.__name__)
+PIECEWISE_NAMES = ["PiecewisePoly", "convolution_residual", "delay", "laplace_piecewise",
+                   "ratio_eval_piecewise", "shift_vanishing", "step_example"]
 
 
 def test_the_table_covers_every_auction_name():
     assert len(AUCTION_NAMES) == 15
-    assert sorted(CONTRACTS) == AUCTION_NAMES
+    assert sorted(set(CONTRACTS) - set(PIECEWISE_NAMES)) == AUCTION_NAMES
+
+
+def test_the_table_covers_the_piecewise_names():
+    assert set(PIECEWISE_NAMES) <= set(laplaceratio.__all__)
+    assert set(PIECEWISE_NAMES) <= set(CONTRACTS)
 
 
 @pytest.mark.parametrize("name", sorted(CONTRACTS))

@@ -1215,6 +1215,24 @@ class TestKMonteCarlo:
             k_monte_carlo([[10 ** 400, 1]] * 40, 1.0)
 
     @pytest.mark.parametrize(
+        "table, row, top, second",
+        [
+            # gave (2.718..., 0.0), an estimate above 1
+            ([[0.0, 1.0]] * 40, 0, "0.0", "1.0"),
+            # warned of inf/inf in the effective size, then reported it as nan
+            ([[1.0, 800.0]] * 40, 0, "1.0", "800.0"),
+            (np.array([[2.0, 1.0]] * 37 + [[5.0, 5.0], [-1e-300, 0.0], [3.0, 4.0]]), 38, "-1e-300", "0.0"),
+        ],
+        ids=["estimate_above_one", "nan_size", "later_row"],
+    )
+    def test_a_top_bid_below_its_second_is_refused(self, table, row, top, second, recwarn):
+        message = f"^sample table row {row} has its top bid {top} below its second {second}$"
+        for lam in (1.0, 1e-300, 1e308):
+            with pytest.raises(DomainError, match=message):
+                k_monte_carlo(table, lam)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize(
         "table, lam",
         [([[1e308, 1e308], [1e308, -1e308]] * 20, 1.0), ([[2.0, 1.0], [5.0, 0.0]] * 20, 1e308)],
         ids=["difference", "exponent"],

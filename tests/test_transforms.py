@@ -366,6 +366,38 @@ class TestPiecewise:
         for x in (F(1, 3), F(2), F(7, 8)):
             assert cubed(x) == pp(x) ** 3
 
+    def test_a_power_is_built_once_and_kept(self):
+        pp = PiecewisePoly([0, 1], [Poly([0, 1]), Poly([3])])
+        cubed = pp ** 3
+        with mock.patch.object(Poly, "__pow__", side_effect=AssertionError("power built")):
+            assert pp ** 3 is cubed
+        assert pp ** 2 is pp ** 2 and pp ** 2 is not cubed
+        assert cubed == PiecewisePoly([0, 1], [Poly([0, 0, 0, 1]), Poly([27])])
+        # the kept power takes no part in ==, repr or pickling
+        assert pp == PiecewisePoly([0, 1], [Poly([0, 1]), Poly([3])])
+        assert pickle.loads(pickle.dumps(pp)) ** 3 == cubed
+
+    @pytest.mark.parametrize("a", [0, -1, 1.0, F(2), None])
+    def test_a_power_takes_a_positive_integer(self, a):
+        pp = step_example(2)
+        with pytest.raises(DomainError, match="piecewise powers take a positive integer exponent"):
+            pp ** a
+        assert pp._derived == {}
+
+    def test_repr_prints_breakpoints_of_any_length(self):
+        # str() of a 5000-digit ratio raised ValueError under the default
+        # int <-> str digit limit
+        q = 10 ** 4999 + 9
+        pp = PiecewisePoly([0, F(1, q), 1], [Poly([1]), Poly([0, 2]), Poly()])
+        assert repr(pp) == f"PiecewisePoly([0, 1/1{'0' * 4998}9): 1, [1/1{'0' * 4998}9, 1): 2*x, [1, inf): 0)"
+        assert repr(step_example(2)) == "PiecewisePoly([0, 1/2): 1, [1/2, 3/4): 1/2, [3/4, 1): 1/4, [1, inf): 2)"
+
+    @pytest.mark.parametrize("n_max", [2.0, math.nan, F(5, 2), F(3), 0, -1])
+    def test_step_example_takes_a_positive_integer(self, n_max):
+        # a float or a ratio raised range()'s TypeError
+        with pytest.raises(DomainError, match="^n_max must be an integer of at least 1, got "):
+            step_example(n_max)
+
     def test_step_example_values(self):
         pp = step_example(4)
         assert pp(F(0)) == 1
@@ -474,6 +506,26 @@ class TestLaplacePiecewise:
             with pytest.raises(OutOfRange, match=f"float path overflowed .* lambda = {lam!r}$"):
                 laplace_piecewise(pp, lam)
 
+    @pytest.mark.parametrize(
+        "lam, shown",
+        [(F(3, 10 ** 5000 + 1), f"3/1{'0' * 4999}1"), (10 ** 400, f"1{'0' * 400}"), (F(10 ** 400, 3), f"1{'0' * 400}/3")],
+        ids=["double_is_zero", "int_past_the_range", "ratio_past_the_range"],
+    )
+    def test_an_exact_lambda_without_a_positive_double_is_refused(self, lam, shown):
+        # a positive lambda whose double is 0 raised ZeroDivisionError; one
+        # past the double range printed its digits, where str() can refuse
+        message = f"float path overflowed .* lambda = {shown}$"
+        with pytest.raises(OutOfRange, match=message):
+            laplace_piecewise(step_example(3), lam)
+        with pytest.raises(OutOfRange, match=message):
+            ratio_eval_piecewise(step_example(3), 2, 1, lam)
+
+    def test_an_exact_lambda_is_taken_as_its_double(self):
+        pp = PiecewisePoly([0, F(1, 3), 2], [Poly([1, 2]), Poly([F(1, 2)]), Poly([0, 0, 1])])
+        for lam in (F(1, 3), F(10 ** 5000, 10 ** 5000 + 1), 7):
+            assert repr(laplace_piecewise(pp, lam)) == repr(laplace_piecewise(pp, float(lam)))
+            assert repr(ratio_eval_piecewise(pp, 3, 1, lam)) == repr(ratio_eval_piecewise(pp, 3, 1, float(lam)))
+
     @pytest.mark.parametrize("lam", [5e-324, 1e-320])
     def test_a_value_past_the_double_range_is_refused(self, lam):
         # the transform is about 2/lambda, which no double holds
@@ -507,16 +559,21 @@ class TestRatioEvalPiecewise:
 
     def test_a_lambda_grid_builds_each_power_once(self):
         # (3, 1) then (1, 3) over three lambdas: pp**3 and pp**1, once each,
-        # and the same doubles as on a fresh function per call
+        # that is, each piece raised to 3 and to 1 once, and the same
+        # doubles as on a fresh function per call
         grid = [(3, 1, lam) for lam in (0.1, 1.0, 7.5)] + [(1, 3, lam) for lam in (0.1, 1.0, 7.5)]
         want = [ratio_eval_piecewise(step_example(6), n, m, lam) for n, m, lam in grid]
         pp = step_example(6)
-        with mock.patch.object(
-            PiecewisePoly, "__pow__", autospec=True, side_effect=PiecewisePoly.__pow__
-        ) as spy:
+        with mock.patch.object(Poly, "__pow__", autospec=True, side_effect=Poly.__pow__) as spy:
             got = [ratio_eval_piecewise(pp, n, m, lam) for n, m, lam in grid]
         assert got == want
-        assert sorted(c.args[1] for c in spy.call_args_list) == [1, 3]
+        pieces = len(pp.pieces)
+        assert sorted(c.args[1] for c in spy.call_args_list) == [1] * pieces + [3] * pieces
+
+    def test_a_zero_transform_names_lambda_of_any_length(self):
+        lam = F(10 ** 5000, 10 ** 5000 + 1)
+        with pytest.raises(ZeroDenominator, match=rf"^L{{f\^1}}\(1{'0' * 5000}/1{'0' * 4999}1\) = 0$"):
+            ratio_eval_piecewise(PiecewisePoly([0, 1], [Poly(), Poly()]), 2, 1, lam)
 
     def test_overflowing_transforms_are_typed_error(self):
         # both transforms overflow to inf at a subnormal lambda: inf/inf is
@@ -671,6 +728,24 @@ def step_residual_cases(draw):
     return f, g, n, m, t
 
 
+@st.composite
+def late_denominator_cases(draw):
+    # breakpoints below t in eighths, and past t over new denominators
+    # (thirds, sevenths, ninths, a 40-bit prime), which the grid's common
+    # denominator takes in although no cell edge needs them
+    t = draw(st.fractions(F(1, 8), 4, max_denominator=8))
+    late = st.builds(lambda k, d: t + F(k, d), st.integers(1, 20), st.sampled_from([3, 7, 9, 2 ** 40 - 87]))
+
+    def function():
+        early = [F(k, 8) for k in draw(st.lists(st.integers(1, 31), max_size=3)) if F(k, 8) < t]
+        bps = sorted({F(0), *early, *draw(st.lists(late, min_size=1, max_size=3))})
+        return PiecewisePoly(bps, draw(st.lists(residual_polys, min_size=len(bps), max_size=len(bps))))
+
+    f, g = function(), function()
+    n, m = draw(exponent_pairs)
+    return f, g, n, m, float(t) if draw(st.booleans()) else t
+
+
 @contextmanager
 def builds_nothing():
     # no exact power and no product may be built
@@ -695,6 +770,21 @@ class TestConvolutionResidual:
     def test_matches_the_two_pass_formula(self, case):
         f, g, n, m, t = case
         assert convolution_residual(f, g, n, m, t) == two_pass_residual(f, g, n, m, F(t))
+
+    @given(late_denominator_cases())
+    @settings(deadline=None)
+    def test_breakpoints_past_t_change_no_bit(self, case):
+        # the exact value, and that of the same functions cut at their
+        # last breakpoint below t, whose denominators are all eighths
+        f, g, n, m, t = case
+
+        def cut(pp):
+            kept = sum(b < t for b in pp.breakpoints)
+            return PiecewisePoly(pp.breakpoints[:kept], pp.pieces[:kept])
+
+        got = convolution_residual(f, g, n, m, t)
+        assert got == two_pass_residual(f, g, n, m, F(t))
+        assert repr(got) == repr(convolution_residual(cut(f), cut(g), n, m, t))
 
     def test_breakpoint_denominator_of_5000_digits(self):
         # no int <-> str conversion on the way, so the lowest digit limit is met
@@ -809,6 +899,15 @@ class TestConvolutionResidual:
         f, g = (big, one) if sign > 0 else (one, big)
         with pytest.raises(OutOfRange):
             convolution_residual(f, g, 2, 1, 1)
+
+    def test_overflow_names_t_of_any_length(self):
+        # an exact t is named as p/q, where repr() of 5000 digits raised
+        # ValueError under the default int <-> str digit limit
+        f, g = PiecewisePoly([0], [Poly([10 ** 200])]), PiecewisePoly([0], [Poly([1])])
+        with pytest.raises(OutOfRange, match="^the residual at t = 1/3 is not a finite double$"):
+            convolution_residual(f, g, 2, 1, F(1, 3))
+        with pytest.raises(OutOfRange, match=f"^the residual at t = 1{'0' * 5000}/1{'0' * 4999}1 is not"):
+            convolution_residual(f, g, 2, 1, F(10 ** 5000, 10 ** 5000 + 1))
 
     def test_identical_functions_give_zero(self):
         pp = step_example(6)
