@@ -521,12 +521,6 @@ class Poly(Frozen):
         if isinstance(other, Poly):
             if self.is_zero or other.is_zero:
                 return Poly()
-            # a constant operand is a scalar product: the kernel took 2.5-3x
-            # as long on 41 coefficients of 60 bits times a constant
-            if len(self.coeffs) == 1:
-                return other * self.coeffs[0]
-            if len(other.coeffs) == 1:
-                return self * other.coeffs[0]
             na, da = _cleared(self.coeffs)
             nb, db = _cleared(other.coeffs)
             den = da * db

@@ -261,8 +261,10 @@ class PiecewisePoly(Frozen):
     _derived, which is not a field, holds a dict, empty until a transform
     asks: under None the _grid, under an exponent a the power self ** a
     that __pow__ returns, and under (a, b, constant_only) the _pairs of
-    every piece.  Each entry is written once, whole, and never changed.
-    It takes no part in ==, repr or pickling.
+    every piece.  Only _derive reads or writes it, and stores each entry
+    once, whole, with setdefault, so every caller gets the first value
+    stored, even when two threads build one at once.  It takes no part in
+    ==, repr or pickling.
     """
 
     __slots__ = ("breakpoints", "pieces", "_derived")
@@ -297,11 +299,7 @@ class PiecewisePoly(Frozen):
         """The pointwise power, built on first use and kept in the memo."""
         if not isinstance(a, int) or a < 1:
             raise DomainError("piecewise powers take a positive integer exponent")
-        memo = self._derived
-        got = memo.get(a)
-        if got is None:
-            got = memo[a] = PiecewisePoly(self.breakpoints, [p ** a for p in self.pieces])
-        return got
+        return self._derive(a, _power_of, a)
 
     __hash__ = None
 
@@ -310,34 +308,43 @@ class PiecewisePoly(Frozen):
         cells = (f"[{_rational_text(b)}, {e}): {p}" for b, e, p in zip(self.breakpoints, ends, self.pieces))
         return f"PiecewisePoly({', '.join(cells)})"
 
+    def _derive(self, key, build, *args):
+        """The memo's entry under key, build(self, *args) on first use."""
+        got = self._derived.get(key)
+        if got is None:
+            got = self._derived.setdefault(key, build(self, *args))
+        return got
+
     def _grid(self) -> tuple:
         """(edges, D, degrees), derived once: the breakpoints as integers
         over D, the lcm of their denominators, and the degree of each
         piece."""
-        memo = self._derived
-        got = memo.get(None)
-        if got is None:
-            ratios = [b.as_integer_ratio() for b in self.breakpoints]
-            D = lcm(*(d for _, d in ratios))
-            edges = [b * (D // d) for b, d in ratios]
-            got = memo[None] = edges, D, [len(p.coeffs) - 1 for p in self.pieces]
-        return got
+        return self._derive(None, _grid_of)
 
     def _pairs(self, a: int, b: int, constant_only: bool = False) -> list:
         """The powers of every piece as convolution_residual reads them,
         derived once: a constant's _scalar_pair, None for zero, and
         _power_pair of any other piece, or None with constant_only, as the
         residual builds f's per t after composing with t - s."""
-        memo = self._derived
-        key = a, b, constant_only
-        got = memo.get(key)
-        if got is None:
-            got = memo[key] = [
-                _scalar_pair(p.coeffs[0], a, b) if len(p.coeffs) == 1
-                else None if constant_only else _power_pair(p.coeffs, a, b)
-                for p in self.pieces
-            ]
-        return got
+        return self._derive((a, b, constant_only), _pairs_of, a, b, constant_only)
+
+
+def _power_of(pp: PiecewisePoly, a: int) -> PiecewisePoly:
+    return PiecewisePoly(pp.breakpoints, [p ** a for p in pp.pieces])
+
+
+def _grid_of(pp: PiecewisePoly) -> tuple:
+    ratios = [b.as_integer_ratio() for b in pp.breakpoints]
+    D = lcm(*(d for _, d in ratios))
+    return [b * (D // d) for b, d in ratios], D, [len(p.coeffs) - 1 for p in pp.pieces]
+
+
+def _pairs_of(pp: PiecewisePoly, a: int, b: int, constant_only: bool) -> list:
+    return [
+        _scalar_pair(p.coeffs[0], a, b) if len(p.coeffs) == 1
+        else None if constant_only else _power_pair(p.coeffs, a, b)
+        for p in pp.pieces
+    ]
 
 
 def step_example(n_max: int) -> PiecewisePoly:
@@ -510,7 +517,6 @@ def convolution_residual(f: PiecewisePoly, g: PiecewisePoly, n: int, m: int, t: 
     gp = g._pairs(m, n)
     sums = {}
     i = j = lo = 0
-    lo_pows = [0] * top  # the powers of the last edge a polynomial cell ended on
     while lo < T:
         a, b = fe[i], ge[j]
         hi = a if a < b else b
@@ -529,15 +535,13 @@ def convolution_residual(f: PiecewisePoly, g: PiecewisePoly, n: int, m: int, t: 
                     fn, fm = [fn], [fm]
                 if gm.__class__ is int:
                     gm, gn = [gm], [gn]
-                if lo_pows[0] != lo:
-                    lo_pows = list(islice(accumulate(repeat(lo), mul), top))
-                hi_pows = list(islice(accumulate(repeat(hi), mul), top))
-                widths = list(map(sub, hi_pows, lo_pows))
+                # slot k is hi^(k+1) - lo^(k+1)
+                his = islice(accumulate(repeat(hi), mul), top)
+                widths = list(map(sub, his, accumulate(repeat(lo), mul)))
                 for k, c in enumerate(algebra._product_nums(fn, gm)):
                     acc[k] += c * widths[k]
                 for k, c in enumerate(algebra._product_nums(fm, gn)):
                     acc[k] -= c * widths[k]
-                lo_pows = hi_pows
         if a == hi:
             i += 1
         if b == hi:

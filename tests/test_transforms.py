@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import threading
 from contextlib import contextmanager
 from fractions import Fraction as F
 from itertools import accumulate
@@ -376,6 +377,33 @@ class TestPiecewise:
         # the kept power takes no part in ==, repr or pickling
         assert pp == PiecewisePoly([0, 1], [Poly([0, 1]), Poly([3])])
         assert pickle.loads(pickle.dumps(pp)) ** 3 == cubed
+
+    def test_two_threads_asking_first_get_the_one_power_kept(self):
+        # both threads build the power at once, held together inside
+        # Poly.__pow__; the memo keeps the first one stored and hands that
+        # one to both
+        pp = PiecewisePoly([0, 1], [Poly([0, 1]), Poly([3])])
+        together = threading.Barrier(2, timeout=10)
+        power = Poly.__pow__
+
+        def held(p, n):
+            together.wait()
+            return power(p, n)
+
+        got = [None, None]
+
+        def ask(i):
+            got[i] = pp ** 3
+
+        with mock.patch.object(Poly, "__pow__", held):
+            threads = [threading.Thread(target=ask, args=(i,)) for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        assert got[0] is not None and got[0] is got[1]
+        assert pp._derived[3] is got[0]
+        assert pp ** 3 is got[0]
 
     @pytest.mark.parametrize("a", [0, -1, 1.0, F(2), None])
     def test_a_power_takes_a_positive_integer(self, a):
