@@ -38,7 +38,8 @@ def as_rational(value) -> Rational:
     """Coerce an int, a string like '7' or '-3/4', or a Rational.
 
     Integer and 'p/q' strings of any length are read by _rational_parts;
-    other strings go to Fraction as they are.  Floats are rejected on
+    other strings go to Fraction as they are, and text that neither reads,
+    or a zero denominator, raises DomainError.  Floats are rejected on
     purpose: silently converting them would smuggle binary rounding into
     the exact layer.
     """
@@ -48,7 +49,10 @@ def as_rational(value) -> Rational:
         return Rational(value)
     if isinstance(value, str):
         parts = _rational_parts(value)
-        return Rational(value) if parts is None else Rational(*parts)
+        try:
+            return Rational(value) if parts is None else Rational(*parts)
+        except (ValueError, ZeroDivisionError):
+            raise DomainError(f"{value!r} is not an exact rational") from None
     raise TypeError(f"expected an exact rational-like value, got {type(value).__name__}")
 
 
@@ -200,8 +204,20 @@ def _rational_text(q) -> str:
 
 def _shown(x):
     """x for a message: ints and ratios of any length as _rational_text
-    prints them, where str() can refuse."""
-    return _rational_text(x) if isinstance(x, (int, Rational)) else x
+    prints them, where str() can refuse, and a bool as itself."""
+    return _rational_text(x) if _is_integer(x) or isinstance(x, Rational) else x
+
+
+def _is_integer(x) -> bool:
+    """True for an int that is not a bool, the only value an integer
+    parameter takes."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _require_integer(value, name: str) -> None:
+    """DomainError unless value is an int that is not a bool."""
+    if not _is_integer(value):
+        raise DomainError(f"{name} must be an integer, got {_shown(value)}")
 
 
 def _decimal_pack(nums, width: int, ctx: Context) -> Decimal:
@@ -304,8 +320,8 @@ def _product_nums(na, nb) -> list:
 
 def _power_nums(na, n: int, count: int | None = None) -> list:
     """The lowest count slots (count >= 1; by default all n*(len(na)-1)+1)
-    of the n-th power (n >= 1) of a nonempty integer coefficient list, zero
-    past the last.
+    of the n-th power (n >= 0) of a nonempty integer coefficient list, zero
+    past the last; the 0-th power is the unit [1, 0, ...].
 
     Only na's first count entries reach those slots, and each slot is a sum
     of at most len(na)**(n-1) products of n entries.  Left-to-right
@@ -315,7 +331,7 @@ def _power_nums(na, n: int, count: int | None = None) -> list:
     if count is None:
         count = n * (len(na) - 1) + 1
     na = na[:count]
-    if len(na) == 1:
+    if len(na) == 1 or not n:
         return [na[0] ** n] + [0] * (count - 1)
     slots = min(count, n * (len(na) - 1) + 1)
     w = n * _bits(na) + (n - 1) * len(na).bit_length() + 1
@@ -458,6 +474,9 @@ class Poly(Frozen):
 
     @classmethod
     def monomial(cls, degree: int, coeff=1) -> "Poly":
+        _require_integer(degree, "monomial degree")
+        if degree < 0:
+            raise DomainError(f"monomial degree must be nonnegative, got {_shown(degree)}")
         return cls((0,) * degree + (coeff,))
 
     @property
@@ -532,7 +551,7 @@ class Poly(Frozen):
         return self.__mul__(other)
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
+        if not _is_integer(n) or n < 0:
             raise DomainError("polynomial powers take a nonnegative integer exponent")
         if n == 0:
             return Poly((1,))
@@ -631,6 +650,7 @@ class Series(Frozen):
     __slots__ = ("coeffs", "order")
 
     def __init__(self, coeffs, order: int):
+        _require_integer(order, "series order")
         if order < 0:
             raise DomainError("series order must be nonnegative")
         cs = [as_rational(c) for c in islice(coeffs, order + 1)]

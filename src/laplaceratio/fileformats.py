@@ -7,9 +7,11 @@ failures name the offending position in the document.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
+import stat
 from typing import TYPE_CHECKING
 
 from .algebra import Poly, Rational, Series, _rational_parts, _rational_text, _text_int
@@ -195,25 +197,27 @@ def model_from_document(doc, where: str = "model") -> AuctionModel:
 
 
 def load_json(path):
+    """The JSON document at path, read once as bytes, so a pipe works too,
+    and decoded as a UTF-8 text file with universal newlines."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh, parse_int=_text_int)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        return json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), parse_int=_text_int)
     except OSError as exc:
         raise FormatError(f"{path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
-        raise _not_utf8(path) from exc
+        raise _not_utf8(path, data) from exc
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
     except RecursionError as exc:
         raise FormatError(f"{path}: JSON nested too deeply") from exc
 
 
-def _not_utf8(path) -> FormatError:
-    """FormatError at the line of path's first byte that is not UTF-8.  A
-    text file decodes chunk by chunk, so the error's own offset counts from
-    its chunk; the whole file is decoded again to place it."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+def _not_utf8(path, data: bytes) -> FormatError:
+    """FormatError at the line of the first byte that is not UTF-8 in data,
+    the bytes read from path.  A text reader decodes chunk by chunk, so the
+    error's own offset counts from its chunk; data is decoded whole to
+    place it."""
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -253,22 +257,28 @@ def load_samples(path) -> np.ndarray:
     """Read a table written by save_samples; blank lines are skipped, and a
     malformed or non-finite cell raises FormatError naming path:line.
 
-    One of two readers runs, picked from the file alone.  numpy's loadtxt
-    reads a regular file whose header cells strip to top and second and
-    whose lines hold no quote and fit within csv.field_size_limit(); it
-    parses each cell with float()'s parser.  The csv module reads every other file, and any that
-    loadtxt refuses, reads as another shape or reads with a non-finite
-    bid; it alone reads quoted cells and words every FormatError.  The
-    arrays, the accepted files and the messages are the csv module's."""
-    table = _numpy_samples(path)
-    if table is not None:
-        return table
+    The path is opened once, so a pipe works too.  One of two readers
+    runs, picked from the file alone.  numpy's loadtxt reads a regular
+    file whose header cells strip to top and second and whose lines hold
+    no quote and fit within csv.field_size_limit(); it parses each cell
+    with float()'s parser.  The csv module reads every other file, from
+    its bytes read whole, and any that loadtxt refuses, reads as another
+    shape or reads with a non-finite bid; it alone reads quoted cells and
+    words every FormatError.  The arrays, the accepted files and the
+    messages are the csv module's."""
     import csv
 
     import numpy as np
 
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, "rb") as raw:
+            if stat.S_ISREG(os.fstat(raw.fileno()).st_mode):
+                table = _numpy_samples(raw)
+                if table is not None:
+                    return table
+                raw.seek(0)
+            data = raw.read()
+        with io.TextIOWrapper(io.BytesIO(data), newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or [h.strip() for h in header] != ["top", "second"]:
@@ -291,7 +301,7 @@ def load_samples(path) -> np.ndarray:
     except OSError as exc:
         raise FormatError(f"{path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
-        raise _not_utf8(path) from exc
+        raise _not_utf8(path, data) from exc
     except csv.Error as exc:
         raise FormatError(f"{path}:{reader.line_num}: {exc}") from exc
     if not values:
@@ -299,26 +309,26 @@ def load_samples(path) -> np.ndarray:
     return np.array(values).reshape(-1, 2)
 
 
-def _numpy_samples(path) -> np.ndarray | None:
-    """The sample table by numpy's reader, or None where load_samples'
-    csv loop must decide.  Only a regular file is read here, since a pipe
-    can be read once only."""
+def _numpy_samples(raw) -> np.ndarray | None:
+    """The sample table by numpy's reader from a regular file opened in
+    binary, or None where load_samples' csv loop must decide.  raw stays
+    open, at an offset the caller seeks back from."""
     import csv
 
     import numpy as np
 
-    if not os.path.isfile(path):
-        return None
+    fh = io.TextIOWrapper(raw, encoding="utf-8")
     try:
-        with open(path, encoding="utf-8") as fh:
-            if not _plain_lines(fh, csv.field_size_limit()):
-                return None
-            fh.seek(0)
-            if [h.strip() for h in fh.readline().split(",")] != ["top", "second"]:
-                return None
-            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=float)
+        if not _plain_lines(fh, csv.field_size_limit()):
+            return None
+        fh.seek(0)
+        if [h.strip() for h in fh.readline().split(",")] != ["top", "second"]:
+            return None
+        table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=float)
     except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
         return None
+    finally:
+        fh.detach()
     if table.shape[1] != 2 or not len(table) or not np.isfinite(table).all():
         return None
     return table

@@ -23,7 +23,10 @@ from .algebra import (
     Poly,
     Rational,
     _int_text,
+    _is_integer,
     _rational_text,
+    _require_integer,
+    _shown,
     beta_rational,
 )
 from .errors import DomainError, InconsistentRatio, InsufficientOrder, IrrationalRoot, NoRealRoot
@@ -77,6 +80,9 @@ def leading_coefficient(H: RatioExpansion, spec: RatioSpec, k: int):
     returned with ambiguous = True.  An irrational root raises
     IrrationalRoot.
     """
+    _require_integer(k, "k")
+    if k < 0:
+        raise DomainError(f"k must be nonnegative, got {_int_text(k)}")
     n, m = spec.n, spec.m
     rhs = (
         H.tail.coeffs[0]
@@ -119,8 +125,8 @@ def pivot_value(k: int, l: int, spec: RatioSpec) -> Rational:
     """The bracket n*B(k(n-1)+l+1, km+1) - m*B(k(m-1)+l+1, kn+1) that makes
     the coefficient at degree l uniquely solvable; nonzero whenever n != m.
     """
-    if not 0 <= k < l:
-        raise DomainError(f"pivot needs l > k >= 0, got (k, l) = ({k}, {l})")
+    if not (_is_integer(k) and _is_integer(l) and 0 <= k < l):
+        raise DomainError(f"pivot needs l > k >= 0, got (k, l) = ({_shown(k)}, {_shown(l)})")
     n, m = spec.n, spec.m
     return n * beta_rational(k * (n - 1) + l + 1, k * m + 1) - m * beta_rational(
         k * (m - 1) + l + 1, k * n + 1
@@ -157,7 +163,7 @@ def _recover(g0: Rational, T, k: int, spec: RatioSpec, count: int) -> list:
     if len(T) <= count:
         raise InsufficientOrder(
             f"tail order {len(T) - 1} too short: "
-            f"coefficient {k + count} first appears at order {count}"
+            f"coefficient {_int_text(k + count)} first appears at order {_int_text(count)}"
         )
     n, m = spec.n, spec.m
     g, Tr = [g0], Numerators(T[:1])
@@ -201,6 +207,7 @@ def identify(H: RatioExpansion, spec: RatioSpec, target_degree: int) -> Identify
     coefficient).  The tail must reach order target_degree - k, the order
     at which the last coefficient first appears.
     """
+    _require_integer(target_degree, "target degree")
     if target_degree < 0:
         raise DomainError("target degree must be nonnegative")
     k = infer_order(H, spec)

@@ -24,8 +24,10 @@ from .algebra import (
     Poly,
     Rational,
     Series,
+    _is_integer,
     _quotient,
     _rational_text,
+    _require_integer,
     _shown,
     as_rational,
     as_rational_number,
@@ -80,6 +82,7 @@ def ratio_expansion(f: Poly, n: int, m: int, order: int) -> RatioExpansion:
     _check_exponents(n, m)
     if f.is_zero:
         raise ZeroFunction("the zero function has no transform ratio")
+    _require_integer(order, "expansion order")
     if order < 0:
         raise DomainError("expansion order must be nonnegative")
     k = f.valuation
@@ -131,8 +134,8 @@ def _scalar_pair(c: Rational, a: int, b: int) -> tuple:
 
 
 def _check_exponents(n: int, m: int) -> None:
-    if not isinstance(n, int) or not isinstance(m, int) or n < 1 or m < 1:
-        raise DomainError(f"exponents must be positive integers, got ({n}, {m})")
+    if not (_is_integer(n) and _is_integer(m)) or n < 1 or m < 1:
+        raise DomainError(f"exponents must be positive integers, got ({_shown(n)}, {_shown(m)})")
     if n == m:
         raise DomainError("exponents must be distinct")
 
@@ -181,6 +184,7 @@ class RationalFunction(Frozen):
 
     def expansion(self, order: int) -> RatioExpansion:
         """Expand at lambda = infinity as a RatioExpansion."""
+        _require_integer(order, "expansion order")
         # the coefficients are integers, highest power of lambda first
         rev_n = [c.numerator for c in reversed(self.numer.coeffs)]
         rev_d = [c.numerator for c in reversed(self.denom.coeffs)]
@@ -220,6 +224,7 @@ def ratio_rational(f: Poly, n: int, m: int) -> RationalFunction:
 
 def sin_maclaurin(degree: int) -> Poly:
     """Maclaurin polynomial of sin truncated at the given degree."""
+    _require_integer(degree, "degree")
     if degree < 0:
         raise DomainError("degree must be nonnegative")
     coeffs = [Rational(0)] * (degree + 1)
@@ -236,6 +241,7 @@ def sin_ratio_check(order: int) -> bool:
     tail coefficients exact up to order degree-1; the comparison runs over
     exactly those orders.
     """
+    _require_integer(order, "order")
     if order < 4:
         raise DomainError("sin_ratio_check needs order >= 4")
     got = ratio_expansion(sin_maclaurin(order), 2, 1, order - 1)
@@ -297,9 +303,9 @@ class PiecewisePoly(Frozen):
 
     def __pow__(self, a: int) -> "PiecewisePoly":
         """The pointwise power, built on first use and kept in the memo."""
-        if not isinstance(a, int) or a < 1:
+        if not _is_integer(a) or a < 1:
             raise DomainError("piecewise powers take a positive integer exponent")
-        return self._derive(a, _power_of, a)
+        return self._derive(a, _power, a)
 
     __hash__ = None
 
@@ -315,31 +321,25 @@ class PiecewisePoly(Frozen):
             got = self._derived.setdefault(key, build(self, *args))
         return got
 
-    def _grid(self) -> tuple:
-        """(edges, D, degrees), derived once: the breakpoints as integers
-        over D, the lcm of their denominators, and the degree of each
-        piece."""
-        return self._derive(None, _grid_of)
 
-    def _pairs(self, a: int, b: int, constant_only: bool = False) -> list:
-        """The powers of every piece as convolution_residual reads them,
-        derived once: a constant's _scalar_pair, None for zero, and
-        _power_pair of any other piece, or None with constant_only, as the
-        residual builds f's per t after composing with t - s."""
-        return self._derive((a, b, constant_only), _pairs_of, a, b, constant_only)
-
-
-def _power_of(pp: PiecewisePoly, a: int) -> PiecewisePoly:
+def _power(pp: PiecewisePoly, a: int) -> PiecewisePoly:
+    """The pointwise power pp ** a, piece by piece."""
     return PiecewisePoly(pp.breakpoints, [p ** a for p in pp.pieces])
 
 
-def _grid_of(pp: PiecewisePoly) -> tuple:
+def _grid(pp: PiecewisePoly) -> tuple:
+    """(edges, D, degrees): the breakpoints as integers over D, the lcm of
+    their denominators, and the degree of each piece."""
     ratios = [b.as_integer_ratio() for b in pp.breakpoints]
     D = lcm(*(d for _, d in ratios))
     return [b * (D // d) for b, d in ratios], D, [len(p.coeffs) - 1 for p in pp.pieces]
 
 
-def _pairs_of(pp: PiecewisePoly, a: int, b: int, constant_only: bool) -> list:
+def _pairs(pp: PiecewisePoly, a: int, b: int, constant_only: bool) -> list:
+    """The powers of every piece as convolution_residual reads them: a
+    constant's _scalar_pair, None for zero, and _power_pair of any other
+    piece, or None with constant_only, as the residual builds f's per t
+    after composing with t - s."""
     return [
         _scalar_pair(p.coeffs[0], a, b) if len(p.coeffs) == 1
         else None if constant_only else _power_pair(p.coeffs, a, b)
@@ -351,7 +351,7 @@ def step_example(n_max: int) -> PiecewisePoly:
     """Built-in staircase fixture: value 2**-i on [1 - 2**-i, 1 - 2**-(i+1))
     for i < n_max, with the staircase truncated after n_max steps and the
     constant 2 on [1, infinity)."""
-    if not isinstance(n_max, int) or n_max < 1:
+    if not _is_integer(n_max) or n_max < 1:
         raise DomainError(f"n_max must be an integer of at least 1, got {_shown(n_max)}")
     breakpoints = [1 - Rational(1, 2 ** i) for i in range(n_max + 1)] + [Rational(1)]
     pieces = [Poly([Rational(1, 2 ** i)]) for i in range(n_max + 1)] + [Poly([2])]
@@ -492,7 +492,7 @@ def convolution_residual(f: PiecewisePoly, g: PiecewisePoly, n: int, m: int, t: 
     tq = as_rational_number(t)
     if tq < 0:
         raise DomainError("the residual is defined for t >= 0")
-    (fi, Df, fdeg), (gi, Dg, gdeg) = f._grid(), g._grid()
+    (fi, Df, fdeg), (gi, Dg, gdeg) = f._derive(None, _grid), g._derive(None, _grid)
     tn, td = tq.numerator, tq.denominator
     # the pieces in force on [0, t): b / Df < tn / td iff b < ceil(tn Df / td)
     nf, ng = bisect_left(fi, -(-tn * Df // td)), bisect_left(gi, -(-tn * Dg // td))
@@ -506,7 +506,7 @@ def convolution_residual(f: PiecewisePoly, g: PiecewisePoly, n: int, m: int, t: 
     # top, one past max(n, m) times the top degrees in force on each side
     f_top, g_top = max([0, *fdeg[:nf]]), max([0, *gdeg[:ng]])
     top = max(n, m) * (f_top + g_top) + 1
-    fp = f._pairs(n, m, constant_only=True)[:nf]
+    fp = f._derive((n, m, True), _pairs, n, m, True)[:nf]
     if f_top:
         # f's pieces that are not constant compose with t - s
         fp = [
@@ -514,7 +514,7 @@ def convolution_residual(f: PiecewisePoly, g: PiecewisePoly, n: int, m: int, t: 
             for p, pair in zip(f.pieces, fp)
         ]
     fp.reverse()
-    gp = g._pairs(m, n)
+    gp = g._derive((m, n, False), _pairs, m, n, False)
     sums = {}
     i = j = lo = 0
     while lo < T:

@@ -175,6 +175,24 @@ class TestPoly:
         with pytest.raises(TypeError):
             Poly([0.5])
 
+    @pytest.mark.parametrize("text", ["abc", "1/0", "", "nan", "1/2/3", "-1/0"])
+    def test_text_that_is_not_a_rational_is_refused(self, text):
+        # Fraction's ValueError or ZeroDivisionError escaped bare
+        with pytest.raises(DomainError, match=" is not an exact rational$"):
+            Poly([1, text])
+
+    @pytest.mark.parametrize("degree", [-1, -3, -(10 ** 5000)], ids=["-1", "-3", "-10**5000"])
+    def test_monomial_refuses_a_negative_degree(self, degree):
+        # it returned the constant coeff
+        with pytest.raises(DomainError, match="^monomial degree must be nonnegative, got -"):
+            Poly.monomial(degree, 5)
+
+    @pytest.mark.parametrize("degree", [2.5, math.nan, F(2), True, None])
+    def test_monomial_takes_an_integer_degree(self, degree):
+        # a float or a ratio raised a bare TypeError, and True gave x
+        with pytest.raises(DomainError, match="^monomial degree must be an integer, got "):
+            Poly.monomial(degree)
+
     @given(st.one_of(wide_polys, full_polys), st.one_of(wide_polys, full_polys))
     @example(DEGREE_40, -DEGREE_40)
     @example(Poly([255] * 3), Poly([-255] * 3))
@@ -188,6 +206,15 @@ class TestPoly:
     @settings(max_examples=100, deadline=None)
     def test_mul_by_constant_poly(self, p, c):
         assert p * Poly([c]) == Poly([c]) * p == mul_by_pairs(p, Poly([c])) == p * c
+
+    def test_a_constant_operand_takes_the_kernels_scalar_slots(self):
+        # a 5000-digit constant times a polynomial, either way round: the
+        # kernel's one-slot case, which packs nothing
+        c, p = F(10 ** 5000 + 1, 3), Poly([F(1, 7), -2, F(5, 2 ** 60 + 1)])
+        with mock.patch.object(algebra, "_slots", side_effect=AssertionError("packed")), \
+                mock.patch.object(algebra, "_product_nums", wraps=algebra._product_nums) as kernel:
+            assert Poly([c]) * p == p * Poly([c]) == p * c
+        assert kernel.call_count == 2
 
     @given(
         st.one_of(st.lists(st.one_of(st.just(F(0)), wide_rationals), max_size=8).map(Poly), full_polys),
@@ -215,6 +242,11 @@ class TestPoly:
             Poly([1, 1]) ** -1
         with pytest.raises(DomainError):
             Poly([1, 1]) ** 1.5
+
+    def test_pow_refuses_a_bool(self):
+        # True was taken as 1
+        with pytest.raises(DomainError, match="nonnegative integer exponent"):
+            Poly([1, 1]) ** True
 
     @given(small_polys, small_polys, small_polys)
     @settings(max_examples=60)
@@ -413,6 +445,13 @@ class TestTruncatedPower:
             assert _power_nums(na, 5, 41) == power_by_pairs(na, 5)[:41]
             assert spy.call_count == 1
 
+    def test_exponent_zero_is_the_unit(self):
+        # a count past one slot raised a bare ValueError (a negative shift)
+        assert _power_nums([3, -1, 4], 0, 5) == [1, 0, 0, 0, 0]
+        assert _power_nums([3, -1, 4], 0) == [1]
+        assert _power_nums([0, 2], 0, 2) == [1, 0]
+        assert _power_nums([7], 0, 3) == [1, 0, 0]
+
     @given(st.integers(1, 64), st.integers(1, 12), st.integers(-(2 ** 1000), 2 ** 1000))
     @example(3, 4, 2 ** 11)  # half the range maps to its negative end
     @example(3, 4, -(2 ** 11))
@@ -514,6 +553,12 @@ class TestConvolve:
 
 
 class TestSeries:
+    @pytest.mark.parametrize("order", [2.5, math.nan, F(3), True, None])
+    def test_order_is_an_integer(self, order):
+        # a float or a ratio raised islice's bare ValueError, and True was 1
+        with pytest.raises(DomainError, match="^series order must be an integer, got "):
+            Series([1], order)
+
     def test_division_long_division_oracle(self):
         # (1 + 2u + 2u^2) / (1 + u) to order 3 is 1 + u + u^2 - u^3,
         # frozen from long division by hand: (1+u)(1+u+u^2-u^3) = 1+2u+2u^2-u^4

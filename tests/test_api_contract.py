@@ -8,14 +8,17 @@ arguments and a check of its result.  The strategies reach the edges of
 each domain: signed zeros, subnormals, 1e308, NaN and the infinities, ints
 past the double range, and Fractions, some with 5000-digit parts.  This
 module checks contracts, not values; values stay with their own tests and
-mpmath oracles.  It covers the auction names and the piecewise ones;
-Monte Carlo sizes stay small, so a call draws at most a few thousand bids.
+mpmath oracles.  It covers every name in laplaceratio.__all__; Monte
+Carlo sizes stay small, so a call draws at most a few thousand bids.
 
 The exact entry points (breakpoints, coefficients, shifts) refuse a float
 with TypeError, which is their documented answer, so their arguments are
-drawn from exact values only.  Exact work grows without bound in an
-exponent or a staircase's length (ROADMAP item 12), so those are drawn
-small, beside the edges that are refused first.
+drawn from exact values only, text among them where a coefficient may be
+text.  An integer parameter (an exponent, a degree, an order, a count)
+takes an int that is not a bool and refuses anything else with
+DomainError.  Exact work grows without bound in an exponent, a degree, an
+order, a staircase's length or a ratio expansion's lead (ROADMAP item
+12), so those are drawn small, beside the edges that are refused first.
 """
 
 import math
@@ -39,8 +42,8 @@ from laplaceratio.auction import (
     Shifted,
 )
 from laplaceratio.errors import LaplaceRatioError
-from laplaceratio.identify import IdentifyResult
-from laplaceratio.transforms import PiecewisePoly, Poly, RatioExpansion, Series
+from laplaceratio.identify import IdentifyResult, RatioSpec
+from laplaceratio.transforms import PiecewisePoly, Poly, RatioExpansion, RationalFunction, Series
 
 # a 5000-digit integer, past the default int <-> str digit limit
 BIG = 7 * (10 ** 5000 - 1) // 9
@@ -152,6 +155,19 @@ functions = st.lists(st.tuples(exact_positive, pieces), max_size=3).flatmap(
 exponent = st.one_of(among([-1, 0, 2.0, math.nan, F(5, 2), True]), st.integers(1, 4))
 # staircase lengths likewise
 steps = st.one_of(among([-1, 0, 2.0, math.nan, F(5, 2), True, F(3)]), st.integers(1, 40))
+# degrees, orders and indices: the refused edges, a 5000-digit one whose
+# message must not go through str(), and small ones
+small_int = st.one_of(
+    among([-1, -BIG, 2.0, 2.5, math.nan, F(5, 2), F(3), True, False, None]),
+    st.integers(0, 8),
+)
+# coefficients: exact values, and text as the library reads it
+TEXTS = ["1/3", " -7 ", "2.5", "1e3", "1" * 5000 + "/3", "abc", "1/0", "", "nan", "1/2/3"]
+coefficient = st.one_of(exact, among(TEXTS))
+polys = st.lists(exact, max_size=4).map(Poly)
+specs = st.tuples(st.integers(1, 4), st.integers(1, 4)).filter(lambda nm: nm[0] != nm[1]).map(
+    lambda nm: RatioSpec(*nm)
+)
 
 
 def is_finite(x):
@@ -210,6 +226,24 @@ CONTRACTS = {
     "ratio_eval_piecewise": (st.tuples(functions, exponent, exponent, number), is_finite),
     "shift_vanishing": (st.tuples(functions, exact), instance_of(PiecewisePoly)),
     "step_example": (st.tuples(steps), instance_of(PiecewisePoly)),
+    "Poly": (st.tuples(st.lists(coefficient, max_size=4)), instance_of(Poly)),
+    "RatioExpansion": (st.tuples(st.integers(-6, 6), st.lists(exact, min_size=1, max_size=4).map(lambda c: Series(c, len(c) - 1))),
+                       instance_of(RatioExpansion)),
+    "RationalFunction": (st.tuples(polys, polys), instance_of(RationalFunction)),
+    "RatioSpec": (st.tuples(exponent, exponent), instance_of(RatioSpec)),
+    "Series": (st.tuples(st.lists(coefficient, max_size=4), small_int), instance_of(Series)),
+    "convolve": (st.tuples(polys, polys), instance_of(Poly)),
+    "identify": (st.tuples(expansions, specs, small_int), instance_of(IdentifyResult)),
+    "infer_order": (st.tuples(expansions, specs), lambda k: isinstance(k, int) and k >= 0),
+    "laplace_poly": (st.tuples(polys), instance_of(Poly)),
+    "leading_coefficient": (st.tuples(expansions, specs, small_int),
+                            lambda r: isinstance(r[0], F) and r[0] and isinstance(r[1], bool)),
+    "pivot_value": (st.tuples(small_int, small_int, specs), lambda v: isinstance(v, F) and v != 0),
+    "ratio_expansion": (st.tuples(polys, exponent, exponent, small_int), instance_of(RatioExpansion)),
+    "ratio_rational": (st.tuples(polys, exponent, exponent), instance_of(RationalFunction)),
+    "sin_maclaurin": (st.tuples(small_int), instance_of(Poly)),
+    "sin_ratio_check": (st.tuples(st.one_of(small_int, st.integers(4, 16))), lambda ok: ok is True),
+    "verify_identity": (st.tuples(polys, polys, specs), instance_of(bool)),
 }
 
 AUCTION_NAMES = sorted(name for name in laplaceratio.__all__
@@ -220,12 +254,24 @@ PIECEWISE_NAMES = ["PiecewisePoly", "convolution_residual", "delay", "laplace_pi
 
 def test_the_table_covers_every_auction_name():
     assert len(AUCTION_NAMES) == 15
-    assert sorted(set(CONTRACTS) - set(PIECEWISE_NAMES)) == AUCTION_NAMES
+    assert set(AUCTION_NAMES) <= set(CONTRACTS)
 
 
 def test_the_table_covers_the_piecewise_names():
     assert set(PIECEWISE_NAMES) <= set(laplaceratio.__all__)
     assert set(PIECEWISE_NAMES) <= set(CONTRACTS)
+
+
+def test_the_table_covers_every_public_name():
+    assert sorted(CONTRACTS) == sorted(laplaceratio.__all__)
+
+
+def test_an_expansion_takes_an_integer_order():
+    # a method, so outside the table: a float or a ratio raised a bare TypeError
+    h = laplaceratio.ratio_rational(Poly([1, 1]), 2, 1)
+    for order in (2.5, math.nan, F(5, 2), True, None):
+        with pytest.raises(LaplaceRatioError):
+            h.expansion(order)
 
 
 @pytest.mark.parametrize("name", sorted(CONTRACTS))

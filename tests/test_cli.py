@@ -667,6 +667,38 @@ class TestOutputModes:
         assert (code, out) == (2, "")
         assert err == f"FormatError: {path}:1: not UTF-8 text: invalid start byte\n"
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_undecodable_named_pipe_is_read_once(self, tmp_path):
+        # the line was placed by opening the pipe again, which waited for a
+        # writer for ever; an empty late write ends a stuck call
+        path = tmp_path / "bad.fifo"
+        os.mkfifo(path)
+        call = subprocess.Popen(
+            [sys.executable, "-m", "laplaceratio.cli", "transform", "--input", str(path), "--order", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        with open(path, "wb") as fh:
+            fh.write(b'{"kind": "poly", "coeffs": ["1\xff"]}')
+        try:
+            out, err = call.communicate(timeout=30)
+            stuck = False
+        except subprocess.TimeoutExpired:
+            with open(path, "wb"):
+                pass
+            out, err = call.communicate()
+            stuck = True
+        assert not stuck
+        assert (call.returncode, out) == (2, b"")
+        assert err == f"FormatError: {path}:1: not UTF-8 text: invalid start byte\n".encode()
+
+    def test_undecodable_stdin_names_the_line(self):
+        call = subprocess.run(
+            [sys.executable, "-m", "laplaceratio.cli", "transform", "--input", "/dev/stdin", "--order", "2"],
+            input=b'{"kind": "poly",\n "coeffs": ["1\xff"]}', capture_output=True, timeout=60,
+        )
+        assert (call.returncode, call.stdout) == (2, b"")
+        assert call.stderr == b"FormatError: /dev/stdin:2: not UTF-8 text: invalid start byte\n"
+
     def test_deeply_nested_input_is_parse_error(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000 + "]" * 100_000)

@@ -62,6 +62,33 @@ class TestParseRational:
         assert format_rational(F(10 ** 5000)) == "1" + "0" * 5000
 
 
+def load_from_pipe(path, load, data: bytes):
+    """load(path) in a thread, on a new named pipe that one writer fills
+    with data and closes, as (what it raised, whether it had to be
+    unblocked).  A reader that opened the pipe a second time would wait
+    for a writer for ever, so an empty late write ends a stuck one."""
+    os.mkfifo(path)
+    raised = []
+
+    def run():
+        try:
+            load(path)
+        except Exception as exc:
+            raised.append(exc)
+
+    loader = threading.Thread(target=run)
+    loader.start()
+    with open(path, "wb") as fh:
+        fh.write(data)
+    loader.join(timeout=10)
+    stuck = loader.is_alive()
+    if stuck:
+        with open(path, "wb"):
+            pass
+        loader.join()
+    return raised, stuck
+
+
 class TestLoadJson:
     def test_integers_of_any_length(self, tmp_path):
         path = tmp_path / "wide.json"
@@ -76,6 +103,16 @@ class TestLoadJson:
         with pytest.raises(FormatError) as err:
             load_json(path)
         assert str(err.value) == f"{path}:1: not UTF-8 text: invalid start byte"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_undecodable_pipe_is_read_once_and_positioned(self, tmp_path):
+        # the line was placed by opening the path again, which waited on a
+        # pipe whose writer had closed
+        path = tmp_path / "bad.fifo"
+        raised, stuck = load_from_pipe(path, load_json, b'{"kind": "poly",\n "coeffs": ["1\xff"]}')
+        assert not stuck
+        assert [type(e) for e in raised] == [FormatError]
+        assert str(raised[0]) == f"{path}:2: not UTF-8 text: invalid start byte"
 
 
 class TestFunctionDocuments:
@@ -322,6 +359,14 @@ class TestSampleCsv:
                 pass
             loader.join()
         assert loaded == [[[2.0, 1.0]]]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_undecodable_pipe_is_read_once_and_positioned(self, tmp_path):
+        path = tmp_path / "bad.fifo"
+        raised, stuck = load_from_pipe(path, load_samples, b"top,second\n2.0,1.0\n3.0,\xff\n")
+        assert not stuck
+        assert [type(e) for e in raised] == [FormatError]
+        assert str(raised[0]) == f"{path}:3: not UTF-8 text: invalid start byte"
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_cell_positioned(self, tmp_path, cell):
@@ -593,7 +638,8 @@ def reference_load_samples(path) -> np.ndarray:
     except OSError as exc:
         raise FormatError(f"{path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
-        raise _not_utf8(path) from exc
+        with open(path, "rb") as raw:
+            raise _not_utf8(path, raw.read()) from exc
     except csv.Error as exc:
         raise FormatError(f"{path}:{reader.line_num}: {exc}") from exc
     if not values:

@@ -1,3 +1,4 @@
+import math
 from contextlib import contextmanager
 from fractions import Fraction as F
 from itertools import product
@@ -74,6 +75,40 @@ class TestRatioSpec:
             RatioSpec(0, 1)
         with pytest.raises(DomainError):
             RatioSpec(-1, 2)
+
+
+class TestIntegerParameters:
+    # a float or a ratio raised a bare TypeError, and True was taken as 1
+    @pytest.mark.parametrize("n, m", [(True, 2), (2, True), (1.0, 2), (2, F(1))])
+    def test_spec_refuses_what_is_not_an_int(self, n, m):
+        with pytest.raises(DomainError, match="^exponents must be positive integers, got "):
+            RatioSpec(n, m)
+
+    @pytest.mark.parametrize("degree", [2.5, math.nan, F(5, 2), True])
+    def test_identify_takes_an_integer_target_degree(self, degree):
+        H = ratio_expansion(Poly([1, 1]), 2, 1, 8)
+        with pytest.raises(DomainError, match="^target degree must be an integer, got "):
+            identify(H, RatioSpec(2, 1), degree)
+
+    def test_a_target_degree_of_any_length_is_named(self):
+        # str() of a 5000-digit count raised ValueError under the default
+        # int <-> str digit limit
+        H = ratio_expansion(Poly([1, 1]), 2, 1, 3)
+        big = 10 ** 5000
+        with pytest.raises(InsufficientOrder, match=f"^tail order 3 too short: coefficient 1{'0' * 4999}0 "):
+            identify(H, RatioSpec(2, 1), big)
+
+    @pytest.mark.parametrize("k", [-1, 2.5, F(1), True])
+    def test_leading_coefficient_takes_a_nonnegative_integer(self, k):
+        # a negative k raised factorial's ValueError, a float its TypeError
+        H = ratio_expansion(Poly([1, 1]), 2, 1, 3)
+        with pytest.raises(DomainError, match="^k must be "):
+            leading_coefficient(H, RatioSpec(2, 1), k)
+
+    @pytest.mark.parametrize("k, l", [(True, 2), (0, True), (-(10 ** 5000), 2)], ids=["True-2", "0-True", "-10**5000-2"])
+    def test_pivot_takes_integers(self, k, l):
+        with pytest.raises(DomainError, match="^pivot needs l > k >= 0"):
+            pivot_value(k, l, RatioSpec(2, 1))
 
 
 class TestInferOrder:

@@ -321,6 +321,26 @@ class TestRatioRational:
         assert d == e and (d.numer, d.denom) != (e.numer, e.denom)
 
 
+INTEGER_CALLS = {
+    "ratio_expansion order": lambda x: ratio_expansion(Poly([1, 1]), 2, 1, x),
+    "expansion order": lambda x: ratio_rational(Poly([1, 1]), 2, 1).expansion(x),
+    "sin_maclaurin degree": sin_maclaurin,
+    "sin_ratio_check order": sin_ratio_check,
+    "exponent": lambda x: ratio_expansion(Poly([1, 1]), x, 1, 3),
+    "step_example length": step_example,
+    "piecewise power": lambda x: step_example(2) ** x,
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 4.5, math.nan, F(9, 2), True])
+@pytest.mark.parametrize("name", sorted(INTEGER_CALLS))
+def test_an_integer_parameter_takes_only_an_int(name, value):
+    # a float or a ratio raised a bare TypeError from a slice, range() or
+    # factorial, and True was taken as 1
+    with pytest.raises(DomainError, match="integer"):
+        INTEGER_CALLS[name](value)
+
+
 class TestSinIdentity:
     def test_holds_at_order_8(self):
         assert sin_ratio_check(8)
