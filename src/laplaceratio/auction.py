@@ -319,8 +319,9 @@ def k_quadrature(model: AuctionModel, lam: float, tol: float = 1e-10) -> float:
     one ulp of each sum, 2**-51, and under quadrature a tol below that
     floor times K always raises.  Refining also stops once a level's estimate fails to shrink
     below the previous level's, since the levels then differ by rounding
-    alone.  QuadratureFailure means the estimate exceeds tol, and
-    OutOfRange a K below the least subnormal double.
+    alone.  QuadratureFailure means the estimate exceeds tol, or that a
+    peak is too narrow for the grid, every term of a level's sum
+    underflowing; OutOfRange means a K below the least subnormal double.
 
     A degenerate law (a PointMass, shifted or not) puts all N bids at its
     lower bound, so A = 1/N = (N-1) B and K is exactly 1 for any tol > 0,
@@ -421,6 +422,11 @@ def k_quadrature(model: AuctionModel, lam: float, tol: float = 1e-10) -> float:
     rel_err = math.inf
     for _ in range(9):
         ma, mb = sums([lo + (i + 0.5) * h for i in range(n)])
+        if not (sa + ma and sb + mb):
+            # a peak narrower than the grid's step, which no term reaches
+            raise QuadratureFailure(
+                "every grid term of a log-integrand underflows: the grid misses its peak"
+            )
         # two levels that agree bit for bit still differ from the integrals
         # by the sums' rounding, so the estimate never falls below it
         prev = rel_err

@@ -27,10 +27,6 @@ if TYPE_CHECKING:
 
 def parse_rational(value, where: str) -> Rational:
     """Parse a JSON value holding a rational: an integer or a 'p/q' string."""
-    if isinstance(value, bool):
-        raise FormatError(f"{where}: expected a rational, got a boolean")
-    if isinstance(value, int):
-        return Rational(value)
     if isinstance(value, str):
         parts = _rational_parts(value)
         if parts is None:
@@ -40,6 +36,10 @@ def parse_rational(value, where: str) -> Rational:
         if not parts[1]:
             raise FormatError(f"{where}: zero denominator in {value!r}")
         return Rational(*parts)
+    if isinstance(value, bool):
+        raise FormatError(f"{where}: expected a rational, got a boolean")
+    if isinstance(value, int):
+        return Rational(value)
     raise FormatError(f"{where}: expected a rational string or integer, got {type(value).__name__}")
 
 
@@ -62,9 +62,16 @@ def _require(doc, key, where, kind=None):
 
 
 def _rational_list(values, where) -> list[Rational]:
+    """parse_rational of each entry of a JSON list.  The entry's label
+    where[i] is built only to word a FormatError, by parsing again."""
     if not isinstance(values, list):
         raise FormatError(f"{where}: expected a list")
-    return [parse_rational(v, f"{where}[{i}]") for i, v in enumerate(values)]
+    try:
+        return [parse_rational(v, where) for v in values]
+    except FormatError:
+        for i, v in enumerate(values):
+            parse_rational(v, f"{where}[{i}]")
+        raise
 
 
 def function_from_document(doc, where: str = "function"):

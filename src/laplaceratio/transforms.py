@@ -28,6 +28,7 @@ from .algebra import (
     _quotient,
     _rational_text,
     _require_integer,
+    _require_size,
     _shown,
     as_rational,
     as_rational_number,
@@ -85,6 +86,7 @@ def ratio_expansion(f: Poly, n: int, m: int, order: int) -> RatioExpansion:
     _require_integer(order, "expansion order")
     if order < 0:
         raise DomainError("expansion order must be nonnegative")
+    _require_size(order, "expansion order")
     k = f.valuation
     A, B = _laplace_pair(f.coeffs[k : k + order + 1], n, m, k, order + 1)
     g = math.gcd(*A, *B)  # the quotient's dot products run on content-free integers
@@ -185,6 +187,7 @@ class RationalFunction(Frozen):
     def expansion(self, order: int) -> RatioExpansion:
         """Expand at lambda = infinity as a RatioExpansion."""
         _require_integer(order, "expansion order")
+        _require_size(order, "expansion order")
         # the coefficients are integers, highest power of lambda first
         rev_n = [c.numerator for c in reversed(self.numer.coeffs)]
         rev_d = [c.numerator for c in reversed(self.denom.coeffs)]
@@ -227,6 +230,7 @@ def sin_maclaurin(degree: int) -> Poly:
     _require_integer(degree, "degree")
     if degree < 0:
         raise DomainError("degree must be nonnegative")
+    _require_size(degree, "degree")
     coeffs = [Rational(0)] * (degree + 1)
     for j in range(0, (degree - 1) // 2 + 1):
         coeffs[2 * j + 1] = Rational((-1) ** j, factorial(2 * j + 1))
@@ -353,6 +357,7 @@ def step_example(n_max: int) -> PiecewisePoly:
     constant 2 on [1, infinity)."""
     if not _is_integer(n_max) or n_max < 1:
         raise DomainError(f"n_max must be an integer of at least 1, got {_shown(n_max)}")
+    _require_size(n_max, "n_max")
     breakpoints = [1 - Rational(1, 2 ** i) for i in range(n_max + 1)] + [Rational(1)]
     pieces = [Poly([Rational(1, 2 ** i)]) for i in range(n_max + 1)] + [Poly([2])]
     return PiecewisePoly(breakpoints, pieces)

@@ -2,6 +2,7 @@ import decimal
 import math
 import re
 import sys
+import unicodedata
 from fractions import Fraction as F
 from math import factorial, lcm
 from unittest import mock
@@ -193,6 +194,11 @@ class TestPoly:
         with pytest.raises(DomainError, match="^monomial degree must be an integer, got "):
             Poly.monomial(degree)
 
+    def test_monomial_past_a_lists_length_is_out_of_range(self):
+        # the tuple of zeros raised a bare OverflowError
+        with pytest.raises(OutOfRange, match="^monomial degree 10{20} needs more entries than a list"):
+            Poly.monomial(10 ** 20)
+
     @given(st.one_of(wide_polys, full_polys), st.one_of(wide_polys, full_polys))
     @example(DEGREE_40, -DEGREE_40)
     @example(Poly([255] * 3), Poly([-255] * 3))
@@ -379,6 +385,22 @@ class TestProductKernel:
             assert not any(ctx.flags.values())
         assert got == nums_by_pairs(na, nb)
 
+    @given(
+        st.integers(2, 80).flatmap(
+            lambda w: st.tuples(
+                st.just(w),
+                st.lists(st.integers(1 - 2 ** (w - 1), 2 ** (w - 1) - 1), min_size=1, max_size=40),
+            )
+        )
+    )
+    @example((3, [-3, 3, 0, -1, 1, 2, -2, 3]))  # one run of _RUN slots
+    @example((3, [-3, 3, 0, -1, 1, 2, -2, 3, -3]))  # a split, then runs
+    @example((64, [-(2 ** 63) + 1] * 17))
+    @settings(max_examples=150, deadline=None)
+    def test_unpack_reads_back_what_pack_packed(self, case):
+        w, nums = case
+        assert algebra._unpack([(algebra._pack(nums, w), len(nums))], w) == nums
+
     @pytest.mark.skipif(
         not hasattr(sys, "set_int_max_str_digits"), reason="no int <-> str digit limit"
     )
@@ -559,6 +581,14 @@ class TestSeries:
         with pytest.raises(DomainError, match="^series order must be an integer, got "):
             Series([1], order)
 
+    def test_order_past_a_lists_length_is_out_of_range(self):
+        # islice raised a bare ValueError
+        with pytest.raises(OutOfRange, match="^series order 10{20} needs more entries than a list"):
+            Series([1], 10 ** 20)
+        # sys.maxsize + 1 entries too
+        with pytest.raises(OutOfRange, match="needs more entries than a list can hold$"):
+            Series([1], sys.maxsize)
+
     def test_division_long_division_oracle(self):
         # (1 + 2u + 2u^2) / (1 + u) to order 3 is 1 + u + u^2 - u^3,
         # frozen from long division by hand: (1+u)(1+u+u^2-u^3) = 1+2u+2u^2-u^4
@@ -623,9 +653,20 @@ class TestNumerators:
     def test_common_denominator_is_running_lcm(self, values):
         seq = Numerators()
         for i, v in enumerate(values):
-            seq.append(v)
+            seq.append(F(v).numerator, F(v).denominator)
             assert seq.den == lcm(1, *(F(w).denominator for w in values[: i + 1]))
             assert [F(a, seq.den) for a in seq.nums] == [F(w) for w in values[: i + 1]]
+        # read whole, the values sit over the same denominator
+        whole = Numerators(values)
+        assert (whole.nums, whole.den) == (seq.nums, seq.den)
+
+    @given(st.integers(-(2 ** 70), 2 ** 70), st.integers(-(2 ** 70), 2 ** 70).filter(bool))
+    @example(6, -4)
+    @example(0, -7)
+    def test_reduced_pair_has_a_positive_denominator(self, num, den):
+        a, b = algebra._reduced(num, den)
+        assert F(a, b) == F(num, den)
+        assert (a, b) == (F(num, den).numerator, F(num, den).denominator)
 
     def test_factorials(self):
         assert factorials(0) == [1]
@@ -660,6 +701,9 @@ def test_text_of_any_length_under_the_lowest_digit_limit():
     try:
         digits = algebra._rational_text(wide)
         assert as_rational("1" * 5000) == (10 ** 5000 - 1) // 9
+        # decimal text of any length too: Fraction's own parser refused it
+        assert Poly(["1" * 5000 + ".5"]) == Poly([F((10 ** 5000 - 1) // 9 * 10 + 5, 10)])
+        assert as_rational(" -0." + "25" * 400) == -F(25 * (10 ** 800 - 1) // 99, 10 ** 800)
         assert as_rational(f" -{digits} ") == -wide
         p = Poly([wide, 0, "-" + "7" * 5000])
         assert repr(p) == f"Poly([{digits}, 0, -{'7' * 5000}])"
@@ -674,3 +718,106 @@ def test_as_rational_accepts_strings():
     assert as_rational(5) == 5
     with pytest.raises(TypeError):
         as_rational(0.25)
+
+
+# The regular expression _rational_parts replaced, kept as its reference.
+OLD_RATIONAL_TEXT = r"\s*([+-]?\d+)(?:/(\d+))?\s*"
+# ASCII digits, ARABIC-INDIC DIGIT THREE, NKO DIGIT ZERO and FULLWIDTH DIGIT
+# ZERO; IDEOGRAPHIC SPACE, the file separator and NEXT LINE
+TEXT_DIGITS = "0123456789\u0663\u07c0\uff10"
+TEXT_SPACES = " \t\n\u3000\x1c\x85"
+# with SUPERSCRIPT TWO, a digit to str.isdigit but not a decimal one
+TEXT_MARKS = "+-/._e\u00b2"
+
+
+def digit_value(text):
+    """The int a [sign]digits string spells, read digit by digit, so that
+    no int <-> str digit limit applies."""
+    value = 0
+    for ch in text.lstrip("+-"):
+        value = 10 * value + unicodedata.decimal(ch)
+    return -value if text.startswith("-") else value
+
+
+def regex_parts(text):
+    match = re.fullmatch(OLD_RATIONAL_TEXT, text)
+    if match is None:
+        return None
+    num, den = match.groups()
+    return digit_value(num), digit_value(den) if den else 1
+
+
+digit_runs = st.one_of(
+    st.text(st.sampled_from(TEXT_DIGITS), min_size=1, max_size=4),
+    # past 640 digits, the lowest int <-> str limit
+    st.builds(
+        lambda run, n: run * n,
+        st.text(st.sampled_from(TEXT_DIGITS), min_size=1, max_size=3),
+        st.integers(641, 700),
+    ),
+)
+text_tokens = st.one_of(st.sampled_from(TEXT_DIGITS + TEXT_SPACES + TEXT_MARKS), digit_runs)
+rational_like_texts = st.one_of(
+    st.lists(text_tokens, max_size=8).map("".join),
+    # mostly well formed: [spaces][sign]digits[/digits][spaces], a mark in between
+    st.builds(
+        lambda pad, sign, num, mark, den, end: pad + sign + num + mark + den + end,
+        st.text(st.sampled_from(TEXT_SPACES), max_size=2),
+        st.sampled_from(("", "+", "-", "--")),
+        digit_runs,
+        st.sampled_from(("/", "/", ".", "", " ", "_", "e")),
+        st.one_of(st.just(""), digit_runs),
+        st.text(st.sampled_from(TEXT_SPACES), max_size=2),
+    ),
+)
+
+
+class TestRationalText:
+    @given(rational_like_texts)
+    @example("\u0663/\u07c0")  # a zero denominator is read, and left to the caller
+    @example("\u3000-12/5\x85\x1c")
+    @example("+" + "7" * 700 + "/" + "\uff10" * 641 + "9")
+    @example("1/2/3")
+    @example("-\u00b2")
+    @example("-")
+    @example("")
+    @settings(max_examples=300, deadline=None)
+    def test_parts_match_the_regular_expression(self, text):
+        assert algebra._rational_parts(text) == regex_parts(text)
+
+    def test_strip_and_isdecimal_are_the_classes_of_the_expression(self):
+        # str.strip removes what \s matches, and str.isdecimal holds for
+        # what \d matches, on every code point
+        space, digit = re.compile(r"\s"), re.compile(r"\d")
+        chars = map(chr, range(sys.maxunicode + 1))
+        odd = [
+            ch
+            for ch in chars
+            if (space.fullmatch(ch) is None) != bool(ch.strip())
+            or (digit.fullmatch(ch) is None) == ch.isdecimal()
+        ]
+        assert odd == []
+
+    @given(rational_like_texts.filter(lambda text: len(text) < 600))
+    @example("-0.25")
+    @example(" +12.50\t")
+    @example("-.5")
+    @example("7.")
+    @example("\u0663.\u0665")
+    @example("1 .5")
+    @example(". 5")
+    @example("1/2.5")
+    @example("1..5")
+    @example(".-5")
+    @example("1.5e3")
+    @settings(max_examples=300, deadline=None)
+    def test_short_text_reads_as_fraction_reads_it(self, text):
+        # integer, p/q and decimal text go through the digit-safe readers,
+        # the rest to Fraction as before: the same value or a DomainError
+        try:
+            want = F(text)
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(DomainError, match=" is not an exact rational$"):
+                as_rational(text)
+        else:
+            assert as_rational(text) == want

@@ -761,6 +761,14 @@ class TestKQuadrature:
         with pytest.raises(QuadratureFailure, match="stopped short"):
             k_quadrature(model, 1e-20)
 
+    def test_a_peak_the_grid_misses_raises(self):
+        # a lognormal this narrow peaks between the grid's points, where
+        # every term underflowed and the error estimate divided 0 by 0
+        model = AuctionModel(Exponential(1e-300), Lognormal(0.0, F(1, 984127)), 2)
+        for tol in (5e-324, 1e-8):
+            with pytest.raises(QuadratureFailure, match="the grid misses its peak$"):
+                k_quadrature(model, 99246435556.0, tol)
+
     def test_unreachable_tolerance_raises_on_every_model(self):
         # levels that agree bit for bit still carry the sums' rounding, so
         # no model meets a tolerance far below it; a degenerate law's K is

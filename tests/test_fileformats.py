@@ -53,6 +53,27 @@ class TestParseRational:
             parse_rational("1/0", "coeffs[0]")
         assert "denominator" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("1.5", "malformed rational '1.5' (use an integer or 'p/q')"),
+            ("7" * 700 + ".5", f"malformed rational '{'7' * 700}.5' (use an integer or 'p/q')"),
+            (" 2/0 ", "zero denominator in ' 2/0 '"),
+            (True, "expected a rational, got a boolean"),
+            (2.5, "expected a rational string or integer, got float"),
+            (None, "expected a rational string or integer, got NoneType"),
+        ],
+    )
+    def test_a_refusal_names_its_entry_alone_or_in_a_list(self, bad, message):
+        # documents take integers and 'p/q' only, not the decimal text
+        # as_rational reads
+        with pytest.raises(FormatError) as err:
+            parse_rational(bad, "doc.tail[2]")
+        assert str(err.value) == f"doc.tail[2]: {message}"
+        with pytest.raises(FormatError) as err:
+            ratio_expansion_from_document({"lead": 0, "tail": ["1", 2, bad, "1.5"]}, "doc")
+        assert str(err.value) == f"doc.tail[2]: {message}"
+
     def test_rationals_of_any_length_round_trip(self):
         # 5000 digits each way, past the default int <-> str limit of 4300
         text = "-" + "9" * 5000 + "/1" + "0" * 4999

@@ -59,6 +59,14 @@ DEGREE_160_WIDE = Poly(
 wide_coeffs = st.builds(F, st.integers(-(2 ** 60), 2 ** 60), st.integers(1, 2 ** 60))
 small_fractions = st.fractions(min_value=-30, max_value=30, max_denominator=30)
 WIDE_SPECS = [RatioSpec(2, 1), RatioSpec(1, 2), RatioSpec(5, 4), RatioSpec(3, 1)]
+# p/q with p and q of exactly 60 bits, p of either sign
+sixty_bit_coeffs = st.builds(
+    lambda sign, p, q: F(sign * p, q),
+    st.sampled_from((1, -1)),
+    st.integers(2 ** 59, 2 ** 60 - 1),
+    st.integers(2 ** 59, 2 ** 60 - 1),
+)
+PAIR_SPECS = WIDE_SPECS + [RatioSpec(4, 2)]
 
 
 def poly_strategy(max_degree=6):
@@ -360,6 +368,25 @@ class TestIdentify:
         H = ratio_expansion(f, spec.n, spec.m, f.degree - k)
         result = identify(H, spec, f.degree)
         assert result.poly == (-f if result.ambiguous_sign and coeffs[0] < 0 else f)
+
+    # every entry p/q of 60 bits each, so every pair _recover reduces is
+    # wide; with a negative leading coefficient and an even difference, a
+    # pair left with a negative denominator gives the wrong sign
+    @given(
+        st.integers(0, 3),
+        st.lists(sixty_bit_coeffs, min_size=1, max_size=22),
+        st.sampled_from(PAIR_SPECS),
+    )
+    @example(3, [-F(2 ** 60 - 1, 2 ** 59 + 1)] + [F(2 ** 60 - 3, 2 ** 59 + 7)] * 21, RatioSpec(3, 1))
+    @example(3, [-F(2 ** 60 - 1, 2 ** 59 + 1)] + [F(2 ** 60 - 3, 2 ** 59 + 7)] * 21, RatioSpec(4, 2))
+    @example(0, [-F(2 ** 59 + 5, 2 ** 60 - 5), F(-(2 ** 59 + 1), 2 ** 59 + 3)] * 11, RatioSpec(5, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_roundtrip_sixty_bit_pairs(self, k, coeffs, spec):
+        f = Poly([0] * k + coeffs)
+        H = ratio_expansion(f, spec.n, spec.m, f.degree - k)
+        result = identify(H, spec, f.degree)
+        assert result.poly == (-f if result.ambiguous_sign and coeffs[0] < 0 else f)
+        assert result.ambiguous_sign == ((spec.n - spec.m) % 2 == 0)
 
     @given(
         st.integers(0, 3),

@@ -341,6 +341,25 @@ def test_an_integer_parameter_takes_only_an_int(name, value):
         INTEGER_CALLS[name](value)
 
 
+# each call with a count past sys.maxsize, and the name its message gives it
+SIZE_CALLS = {
+    "ratio_expansion order": (lambda x: ratio_expansion(Poly([1, 1]), 2, 1, x), "expansion order"),
+    "expansion order": (lambda x: ratio_rational(Poly([1, 1]), 2, 1).expansion(x), "expansion order"),
+    "sin_maclaurin degree": (sin_maclaurin, "degree"),
+    "step_example length": (step_example, "n_max"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIZE_CALLS))
+def test_a_count_past_a_lists_length_is_out_of_range(name):
+    # ratio_expansion and sin_maclaurin raised a bare OverflowError, the
+    # expansion started a division of 10**20 + 1 steps, and
+    # step_example(10**20) ran for minutes building its breakpoints
+    call, label = SIZE_CALLS[name]
+    with pytest.raises(OutOfRange, match=f"^{label} 10{{20}} needs more entries than a list can hold$"):
+        call(10 ** 20)
+
+
 class TestSinIdentity:
     def test_holds_at_order_8(self):
         assert sin_ratio_check(8)
