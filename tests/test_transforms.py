@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import sys
 import threading
 from contextlib import contextmanager
 from fractions import Fraction as F
@@ -8,6 +9,8 @@ from itertools import accumulate
 from math import factorial
 from unittest import mock
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -625,17 +628,33 @@ class TestRatioEvalPiecewise:
             assert ratio_eval_piecewise(pp, 2, 1, lam) == pytest.approx(rf(lam), rel=1e-12)
 
     def test_a_lambda_grid_builds_each_power_once(self):
-        # (3, 1) then (1, 3) over three lambdas: pp**3 and pp**1, once each,
-        # that is, each piece raised to 3 and to 1 once, and the same
-        # doubles as on a fresh function per call
+        # (3, 1) then (1, 3) over three lambdas: the cells of pp**3 and
+        # pp**1, once each, that is, each piece re-centred once per power
+        # and raised to 3 once, and the same doubles as on a fresh function
+        # per call
         grid = [(3, 1, lam) for lam in (0.1, 1.0, 7.5)] + [(1, 3, lam) for lam in (0.1, 1.0, 7.5)]
         want = [ratio_eval_piecewise(step_example(6), n, m, lam) for n, m, lam in grid]
         pp = step_example(6)
-        with mock.patch.object(Poly, "__pow__", autospec=True, side_effect=Poly.__pow__) as spy:
+        with mock.patch.object(algebra, "_composed_nums", side_effect=algebra._composed_nums) as composed, \
+                mock.patch.object(algebra, "_power_nums", side_effect=algebra._power_nums) as powers:
             got = [ratio_eval_piecewise(pp, n, m, lam) for n, m, lam in grid]
         assert got == want
         pieces = len(pp.pieces)
-        assert sorted(c.args[1] for c in spy.call_args_list) == [1] * pieces + [3] * pieces
+        assert composed.call_count == 2 * pieces
+        assert [c.args[1] for c in powers.call_args_list] == [3] * pieces
+        assert sorted(pp._derived) == [("local", 1), ("local", 3)]
+
+    def test_a_power_is_kept_apart_from_the_transforms_cells(self):
+        # the transforms build no pp ** a; asked for, it is built once,
+        # each piece raised once, and kept beside the cells
+        pp = step_example(3)
+        ratio_eval_piecewise(pp, 2, 1, 1.0)
+        with mock.patch.object(Poly, "__pow__", autospec=True, side_effect=Poly.__pow__) as spy:
+            squared = pp ** 2
+            assert pp ** 2 is squared
+        assert [c.args[1] for c in spy.call_args_list] == [2] * len(pp.pieces)
+        assert squared == PiecewisePoly(pp.breakpoints, [p ** 2 for p in pp.pieces])
+        assert sorted(pp._derived, key=repr) == [("local", 1), ("local", 2), 2]
 
     def test_a_zero_transform_names_lambda_of_any_length(self):
         lam = F(10 ** 5000, 10 ** 5000 + 1)
@@ -649,6 +668,143 @@ class TestRatioEvalPiecewise:
         assert ratio_eval_piecewise(pp, 2, 1, 1e-300) == 2.0
         with pytest.raises(OutOfRange):
             ratio_eval_piecewise(pp, 2, 1, 1e-320)
+
+
+def local_oracle(desc, lam, a=1):
+    """(L{f^a}(lam), L{|f|^a}(lam)) in mpmath at 50 digits, for f given
+    piece by piece in local coordinates: (start, width or None for the
+    tail, q) with f(x) = q(x - start) on the piece.  Each piece is cut at
+    the real roots of q inside it, so |f| has one sign on each cut, and
+    integrated through the lower incomplete gamma function."""
+    with mpmath.workdps(50):
+        lam = mpmath.mpf(lam)
+        value = absolute = mpmath.mpf(0)
+        for start, width, q in desc:
+            if not any(q):
+                continue
+            coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in (Poly(q) ** a).coeffs]
+            end = mpmath.inf if width is None else mpmath.mpf(width.numerator) / width.denominator
+            roots = sorted(
+                r.real for r in np.roots([float(c) for c in reversed(q)])
+                if abs(r.imag) <= 1e-9 * (1 + abs(r)) and 0 < r.real < end
+            )
+            weight = mpmath.exp(-lam * start.numerator / start.denominator)
+            cuts = [mpmath.mpf(0), *map(mpmath.mpf, roots), end]
+            for lo, hi in zip(cuts, cuts[1:]):
+                part = mpmath.fsum(
+                    c * mpmath.gammainc(k + 1, lam * lo, lam * hi) / lam ** (k + 1)
+                    for k, c in enumerate(coeffs) if c
+                )
+                value += weight * part
+                absolute += weight * abs(part)
+        return value, absolute
+
+
+def from_local(desc):
+    return PiecewisePoly([start for start, _, _ in desc], [Poly(q).compose_linear(-start, 1) for start, _, q in desc])
+
+
+@st.composite
+def local_functions(draw, signs=True):
+    """A local description (see local_oracle): an optional zero lead-in,
+    one to three pieces of degree <= 8 and widths 1e-6 to 1e3, and a tail
+    of degree <= 3, all coefficients of both signs unless signs is False,
+    and the tail not zero."""
+    coefficient = st.fractions(-9 if signs else 0, 9, max_denominator=9)
+    width = st.builds(lambda m, e: F(m, 100) * F(10) ** e, st.integers(100, 999), st.integers(-6, 2))
+    desc, start = [], F(0)
+    if draw(st.booleans()):
+        lead = draw(width)
+        desc.append((start, lead, [F(0)]))
+        start += lead
+    for _ in range(draw(st.integers(1, 3))):
+        w = draw(width)
+        desc.append((start, w, draw(st.lists(coefficient, min_size=1, max_size=9))))
+        start += w
+    tail = draw(st.lists(coefficient, min_size=1, max_size=4).filter(any))
+    desc.append((start, None, tail))
+    return desc
+
+
+lambdas = st.floats(-6, 6).map(lambda e: 10.0 ** e)
+
+
+class TestLocalCoordinates:
+    """laplace_piecewise and ratio_eval_piecewise against an mpmath oracle:
+    the transform is within 1e-10 L{|f|}(lambda) of the true value, with
+    2**-1022 more where that value lies below the double range."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(local_functions(), lambdas, st.integers(1, 3))
+    def test_transform_meets_its_contract(self, desc, lam, a):
+        value, absolute = local_oracle(desc, lam, a)
+        pp = from_local(desc) ** a
+        got = laplace_piecewise(pp, lam)
+        assert abs(got - float(value)) <= 1e-10 * float(absolute) + sys.float_info.min
+
+    @settings(max_examples=100, deadline=None)
+    @given(local_functions(signs=False), lambdas, exponent_pairs)
+    def test_ratio_of_a_nonnegative_function_is_relative(self, desc, lam, nm):
+        n, m = nm
+        want = local_oracle(desc, lam, n)[0] / local_oracle(desc, lam, m)[0]
+        assert ratio_eval_piecewise(from_local(desc), n, m, lam) == pytest.approx(float(want), rel=3e-10, abs=0)
+
+    def test_a_high_power_on_a_narrow_piece(self):
+        # x^12 on [0, 1/100) at lambda = 1: the upward recurrence alone
+        # gave -2.569e-8
+        pp = PiecewisePoly([0, F(1, 100)], [Poly.monomial(12), Poly()])
+        want, _ = local_oracle([(F(0), F(1, 100), [0] * 12 + [1]), (F(1, 100), None, [0])], 1.0)
+        assert laplace_piecewise(pp, 1.0) == pytest.approx(float(want), rel=1e-14, abs=0)
+        assert float(want) == pytest.approx(7.621211414992145e-28, rel=1e-15, abs=0)
+
+    def test_a_ramp_at_a_small_lambda(self):
+        # x on [0, 1), then 1, at (8, 1): the absolute coordinates gave -21734
+        ramp = PiecewisePoly([0, 1], [Poly([0, 1]), Poly([1])])
+        desc = [(F(0), F(1), [F(0), F(1)]), (F(1), None, [F(1)])]
+        want = local_oracle(desc, 0.01, 8)[0] / local_oracle(desc, 0.01, 1)[0]
+        assert float(want) == pytest.approx(0.9961150047049557, rel=1e-15)
+        assert ratio_eval_piecewise(ramp, 8, 1, 0.01) == pytest.approx(float(want), rel=1e-12)
+
+    def test_a_late_start_keeps_its_ratio(self):
+        # 0 on [0, 1000), then 1: both transforms are e^-1000 / lambda,
+        # below the double range, which raised ZeroDenominator
+        late = PiecewisePoly([0, 1000], [Poly(), Poly([1])])
+        assert ratio_eval_piecewise(late, 2, 1, 1.0) == 1.0
+        assert laplace_piecewise(late, 1.0) == 0.0
+        # a normal transform whose factor e^(-lambda a0) alone is subnormal
+        # keeps its digits
+        late = PiecewisePoly([0, 1000], [Poly(), Poly([10 ** 300])])
+        want = mpmath.mpf(10) ** 300 * mpmath.exp(-740) / mpmath.mpf(0.74)
+        assert laplace_piecewise(late, 0.74) == pytest.approx(float(want), rel=1e-12, abs=0)
+
+    def test_a_subnormal_weight_keeps_its_digits(self):
+        # the first piece rounds to 0.0, so the sum is the tail's alone,
+        # whose weight e^(-740) is subnormal and the transform is not
+        pp = PiecewisePoly([0, 1, 1000], [Poly([F(1, 10 ** 330)]), Poly(), Poly([10 ** 300])])
+        want = mpmath.mpf(10) ** 300 * mpmath.exp(-740) / mpmath.mpf(0.74)
+        assert laplace_piecewise(pp, 0.74) == pytest.approx(float(want), rel=1e-12, abs=0)
+
+    def test_a_piece_wider_than_the_double_range_over_lambda(self):
+        # lambda * width overflows: the piece integrates as far as the
+        # tail does, q_0 / lambda to within e^(-lambda * width)
+        pp = PiecewisePoly([0, 10 ** 10], [Poly([3, 5]), Poly()])
+        assert laplace_piecewise(pp, 1e300) == pytest.approx(3e-300, rel=1e-15, abs=0)
+
+    def test_a_piece_past_the_double_range_counts_only_if_reached(self):
+        # its weight e^(-lambda 10**400) underflows at lambda = 1, as does a
+        # far piece's with coefficients past the double range; at a lambda
+        # that small the weight may not, and the float path refuses
+        for far in ([1], [10 ** 400]):
+            pp = PiecewisePoly([0, 1, 10 ** 400], [Poly([1]), Poly(), Poly(far)])
+            assert laplace_piecewise(pp, 1.0) == -math.expm1(-1.0)
+            assert ratio_eval_piecewise(pp, 2, 1, 1.0) == 1.0
+            with pytest.raises(OutOfRange, match="float path overflowed"):
+                laplace_piecewise(pp, 1e-306)
+
+    def test_a_delayed_copy_has_the_same_ratio_to_the_bit(self):
+        pp = step_example(8)
+        for lam in (0.5, 1.0, 5.0, 900.0):
+            assert ratio_eval_piecewise(delay(pp, F(1, 4)), 3, 2, lam) == ratio_eval_piecewise(pp, 3, 2, lam)
 
 
 class TestShifts:
