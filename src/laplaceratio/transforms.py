@@ -373,26 +373,28 @@ def _double(num: int, den: int):
         return None
 
 
-def _doubles(nums, den: int):
-    """[c / den for c in nums], each correctly rounded, or None if one is
-    past the double range."""
-    try:
-        return [c / den for c in nums]
-    except OverflowError:
-        return None
+# _local scales a cell's coefficients by 2**-E once one of them reaches
+# this many bits, which leaves room for the moments they multiply
+_COEFF_BITS = 512
+_LN2 = math.log(2.0)
+_NORMAL = sys.float_info.min  # the least positive double with all its digits
 
 
 def _local(pp: PiecewisePoly, a: int) -> tuple:
     """(a0, cells): pp ** a in local coordinates, in doubles.
 
-    a0 is the start of pp's first nonzero piece (0.0 if there is none) and
+    a0 is the start of pp's first nonzero piece (0.0 if there is none), and
     each nonzero piece p on [start, start + w) gives one cell (offset,
-    width, coeffs): offset = start - a0 and width = w, and coeffs those of
-    p(start + w*t)**a in t, so the cell holds its values over t in [0, 1).
-    The tail has width None and the coefficients of p(start + t)**a times
-    k!.  Each piece is cleared to integers once, re-centred and raised on
-    integers, and each coefficient rounded once: a double past the double
-    range is None, and so are a cell's coefficients if its width is.
+    sigma, W, coeffs, E): offset = start - a0, and coeffs those of
+    p(start + sigma*t)**a / 2**E in t, which the cell integrates over
+    [0, W).  A piece narrower than 1 has sigma = w and W = 1, so its
+    coefficients carry w^k; a wider one keeps the scale of x, sigma = 1 and
+    W = w, and so does the tail, with W None.  E >= 0 is the least
+    exponent that leaves the cell's coefficients below 2**_COEFF_BITS, 0
+    unless one is past it.  Each piece is cleared to integers once,
+    re-centred and raised on integers, and each coefficient rounded once.
+    An offset past the double range is None, and so are a cell's coeffs
+    if its width is.
     """
     ends = [*pp.breakpoints[1:], None]
     a0, cells = None, []
@@ -404,42 +406,60 @@ def _local(pp: PiecewisePoly, a: int) -> tuple:
             an, ad = a0 = sn, sd
         nums, den = algebra._cleared(piece.coeffs)
         if end is None:
-            D, A, B = sd, sn, sd
+            D, A, B = sd, sn, None
         else:
             D = lcm(sd, end.denominator)
             A = sn * (D // sd)
             B = end.numerator * (D // end.denominator) - A
-        nums, scale = algebra._composed_nums(nums, A, B, D)
+        sigma = D if B is None else min(B, D)
+        nums, scale = algebra._composed_nums(nums, A, sigma, D)
         if a > 1:
             nums = algebra._power_nums(nums, a)
         den = (den * scale) ** a
-        if end is None:
-            width, coeffs = None, _doubles(map(mul, nums, factorials(len(nums) - 1)), den)
+        # |c| / den < 2**(bits(c) - bits(den) + 1)
+        E = max(0, algebra._bits(nums) - den.bit_length() + 1 - _COEFF_BITS)
+        den <<= E
+        coeffs = [c / den for c in nums]
+        if B is None:
+            W = None
         else:
-            width = _double(B, D)
-            coeffs = None if width is None else _doubles(nums, den)
-        cells.append((_double(sn * ad - an * sd, sd * ad), width, coeffs))
+            W = _double(B, D)
+            if W is None:  # a width past the double range
+                coeffs = None
+            else:
+                W = max(W, 1.0)
+        cells.append((_double(sn * ad - an * sd, sd * ad), sigma / D, W, coeffs, E))
     return (0.0 if a0 is None else _double(*a0)), cells
 
 
-def _cell_sum(coeffs, x: float) -> float:
-    """The sum of coeffs[k] g_k(x), g_k(x) the integral of t^k e^(-x t)
-    over [0, 1].
+def _cell_sum(coeffs, y: float, W: float) -> float:
+    """The sum of coeffs[k] M_k, M_k the integral of t^k e^(-y t) over
+    [0, W), for a finite W >= 1.
 
-    Upward, g_k = (k g_(k-1) - e^(-x)) / x, while k <= x, where it damps
-    its rounding; above that downward, g_(k-1) = (x g_k + e^(-x)) / k,
-    from g_d = e^(-x) / (d+1) * sum of x^j / ((d+2)...(d+1+j)), a series
-    of positive terms whose ratios are below 1 (Gautschi, ACM TOMS 5 (1979)
-    466).
+    With x = y W and B_k = W^k e^(-x): upward, M_k = (k M_(k-1) - B_k) / y,
+    while k <= x, where it damps its rounding; above that downward,
+    M_(k-1) = (y M_k + B_k) / k, from M_d = B_(d+1) / (d+1) times the sum
+    of x^j / ((d+2)...(d+1+j)), a series of positive terms whose ratios are
+    below 1 (Gautschi, ACM TOMS 5 (1979) 466).  A B_k or M_k past the
+    double range gives a sum that is not finite, or raises OverflowError.
     """
     d = len(coeffs) - 1
+    x = y * W
     e = math.exp(-x)
-    top = min(d, int(x))
-    g = -math.expm1(-x) / x if x else 1.0
-    total = coeffs[0] * g
+    if W == 1.0:
+        bound = [e] * (d + 2)
+    elif e >= _NORMAL:
+        bound = list(accumulate(repeat(W, d + 1), mul, initial=e))
+    else:
+        # e^(-x) is below the double range, where W^k e^(-x) may not be
+        lw = math.log(W)
+        bound = [math.exp(k * lw - x) for k in range(d + 2)]
+    top = d if x >= d else int(x)
+    m = -math.expm1(-x) / y if y else W
+    total = coeffs[0] * m
     for k in range(1, top + 1):
-        g = (k * g - e) / x
-        total += coeffs[k] * g
+        m = (k * m - bound[k]) / y
+        total += coeffs[k] * m
     if d > top:
         term = series = 1.0
         j = d + 2
@@ -447,21 +467,37 @@ def _cell_sum(coeffs, x: float) -> float:
             term *= x / j
             series += term
             j += 1
-        g = e * series / (d + 1)
-        total += coeffs[d] * g
+        m = bound[d + 1] * series / (d + 1)
+        total += coeffs[d] * m
         for k in range(d, top + 1, -1):
-            g = (x * g + e) / k
-            total += coeffs[k - 1] * g
+            m = (y * m + bound[k]) / k
+            total += coeffs[k - 1] * m
     return total
 
 
-_NORMAL = sys.float_info.min  # the least positive double with all its digits
+def _times_exp(s: float, u: float) -> tuple:
+    """(v, j) with v 2**-j = s e^(-u), u >= 0: v = s e^(-u) while e^(-u)
+    is a normal double, past that s e^(j ln 2 - u), j the least that keeps
+    the factor normal, as a subnormal e^(-u) has lost digits.  Past
+    u = 2**62 it is (0.0, 0): no cell's 2**E lifts e^(-u) back."""
+    if u <= 708.0 or u > 2.0**62:
+        return s * math.exp(-u), 0
+    j = math.ceil((u - 708.0) / _LN2)
+    return s * math.exp(j * _LN2 - u), j
 
 
-def _scaled(s: float, t: float) -> float:
-    """s e^(-t) where e^(-t) is below _NORMAL: through the logarithm, as a
-    subnormal e^(-t) has lost digits that the exponent keeps."""
-    return math.copysign(math.exp(math.log(abs(s)) - t), s) if s else 0.0
+def _added(s: float, es: int, t: float, et: int) -> tuple:
+    """(v, ev) with v 2**ev = s 2**es + t 2**et; for exponents that differ,
+    v is scaled to below 2 in magnitude, so neither sum nor term leaves the
+    doubles on the way."""
+    if es == et:
+        return s + t, es
+    if not t:
+        return s, es
+    if not s:
+        return t, et
+    e = max(math.frexp(s)[1] + es, math.frexp(t)[1] + et)
+    return math.ldexp(s, es - e) + math.ldexp(t, et - e), e
 
 
 def _lambda_double(lam) -> float:
@@ -484,40 +520,53 @@ def _overflowed(lam) -> OutOfRange:
 
 
 def _local_sum(pp: PiecewisePoly, a: int, x: float, lam) -> tuple:
-    """(a0, S) with L{pp^a}(x) = S e^(-x a0), S the sum over the cells of
-    e^(-x offset) times the cell's transform, up to the first cell whose
-    factor underflows.  Raises OutOfRange if a cell reached holds a None,
-    or S is not finite; a cell that starts past the double range is
-    reached only at an x below 746 / (the largest double)."""
+    """(a0, E, S) with L{pp^a}(x) = S 2**E e^(-x a0), S 2**E the sum over
+    the cells of 2**E_cell e^(-x offset) sigma times the cell's _cell_sum
+    at x sigma.  E is 0 unless a cell's E_cell or factor is outside the
+    normal doubles.  A term below 2**-1075 is left out, as a double would
+    lose it: the other cells' moments keep no digits below that.  A cell
+    whose coeffs are None or whose sum is not a double is left out if its
+    factor 2**E_cell e^(-x offset) is below 2**-1076 and raises OutOfRange
+    otherwise, as does an S that is not finite; a cell that starts past
+    the double range counts only at an x below 746 / (the largest
+    double)."""
     a0, cells = pp._derive(("local", a), _local, a)
-    total = 0.0
-    for offset, width, coeffs in cells:
+    total, E = 0.0, 0
+    for offset, sigma, W, coeffs, e in cells:
         if offset is None:
             # past the double range: the factor underflows unless x is tiny
             if x * sys.float_info.max < 746:
                 raise _overflowed(lam)
-            break
-        factor = math.exp(-x * offset)
-        if not factor:
-            break
+            continue
+        u = x * offset
         if coeffs is None:
-            raise _overflowed(lam)
-        if width is None:
-            # the tail: sum of q_k k! / x^(k+1), by Horner's rule in 1/x
-            u, part = 1.0 / x, 0.0
+            part = math.inf
+        elif W is None:
+            # the tail, sigma = 1: the sum of c_k k! / x^(k+1), by Horner's
+            # rule in 1/x with the k! folded into its steps, none stored
+            part, j = 0.0, len(coeffs)
             for c in reversed(coeffs):
-                part = part * u + c
-            part *= u
-        elif x * width == math.inf:
-            # w g_k(x w) is k! / (x^(k+1) w^k) but for e^(-x w), so the
-            # terms past k = 0 carry a factor k! / (x w)^k below k! 10**-308
-            part = coeffs[0] / x
+                part = c + part * j / x
+                j -= 1
+            part /= x
         else:
-            part = width * _cell_sum(coeffs, x * width)
-        total += factor * part if factor >= _NORMAL else _scaled(part, x * offset)
+            try:
+                part = sigma * _cell_sum(coeffs, x * sigma, W)
+            except OverflowError:
+                part = math.inf
+        if not math.isfinite(part):
+            if u - e * _LN2 > 746:
+                continue
+            raise _overflowed(lam)
+        if u <= 708.0 and e == E:
+            total += part * math.exp(-u)
+        else:
+            term, j = _times_exp(part, u)
+            if math.frexp(term)[1] + e - j > -1075:
+                total, E = _added(total, E, term, e - j)
     if not math.isfinite(total):
         raise _overflowed(lam)
-    return a0, total
+    return a0, E, total
 
 
 def laplace_piecewise(pp: PiecewisePoly, lam: float) -> float:
@@ -526,22 +575,37 @@ def laplace_piecewise(pp: PiecewisePoly, lam: float) -> float:
     Each nonzero piece is integrated in its own coordinates, with
     coefficients built exactly and rounded once (_local), and the factor
     e^(-lambda a0) of the first nonzero piece's start a0 comes out of the
-    sum.  The contract: |error| <= 1e-10 * L{|f|}(lambda) + 2**-1022, so
-    for f >= 0 a relative 1e-10 wherever the value is a normal double.  A
-    piece that starts past the double range, or whose coefficients
-    overflow a double, raises OutOfRange unless its factor
-    e^(-lambda (start - a0)) underflows (1 on [0, 10**186) then x^2 at
-    lambda = 7e-184), as does a value past the double range
+    sum.  The contract: |error| <= 1e-10 * L{g}(lambda) + 2**-1022, where g
+    on each piece [s, e) is sum |c_k| (x - s)^k when f is
+    sum c_k (x - s)^k there.  So for an f whose pieces have nonnegative
+    coefficients about their starts (g = f) the error is a relative 1e-10
+    wherever the value is a normal double; a piece whose coefficients
+    cancel can lose more against L{|f|}: (x - 1/2)^20 on [0, 1) at
+    lambda = 1e-3 has L{g} about 5e9 times its transform.  Coefficients
+    past the double range count, scaled by a power of two.  A piece that
+    starts or ends past the double range raises OutOfRange unless its
+    factor e^(-lambda (start - a0)) underflows, as does a piece's sum past
+    the double range before the factor e^(-lambda a0) (1 on [0, 10**186)
+    then x^2 at lambda = 7e-184), a piece wider than 1 with a moment, the
+    integral of (x - s)^k e^(-lambda (x - s)) over it, past the double
+    range (10**-300 x^200 on [0, 100) at lambda = 1, about 3.6e56), and a
+    value past the double range
     (step_example(10) at lambda = 5e-324 is about 2/lambda): the result is
     always finite.  An int or ratio lambda is taken as its double; a
     positive one whose double is 0 raises OutOfRange too.
     """
     x = _lambda_double(lam)
-    a0, total = _local_sum(pp, 1, x, lam)
+    a0, E, total = _local_sum(pp, 1, x, lam)
     if a0 is None:
         raise _overflowed(lam)
-    scale = math.exp(-x * a0)
-    return total * scale if scale >= _NORMAL else _scaled(total, x * a0)
+    u = x * a0
+    if u <= 708.0 and not E:
+        return total * math.exp(-u)
+    value, j = _times_exp(total, u)
+    try:
+        return math.ldexp(value, E - j)
+    except OverflowError:
+        raise _overflowed(lam) from None
 
 
 def ratio_eval_piecewise(pp: PiecewisePoly, n: int, m: int, lam: float) -> float:
@@ -550,21 +614,27 @@ def ratio_eval_piecewise(pp: PiecewisePoly, n: int, m: int, lam: float) -> float
     pp^n and pp^m start at the same a0, so the ratio is S_n / S_m of their
     sums in local coordinates (laplace_piecewise), without e^(-lambda a0):
     a function zero on a long [0, a0) keeps its ratio, and a delayed copy
-    the same ratio to the last bit.  Each sum is within 1e-10 of its
-    L{|f|^a}(lambda) e^(lambda a0), so for f >= 0 the ratio is within
-    about 2e-10 relative.  A sum or a quotient that is not finite raises
-    OutOfRange, and an S_m of 0 ZeroDenominator.
+    the same ratio to the last bit.  Each sum keeps laplace_piecewise's
+    contract, so the ratio is within about 2e-10 relative when the pieces
+    of pp^n and pp^m have nonnegative coefficients about their starts, and
+    within 1e-10 (L{g_n}/L{pp^n} + L{g_m}/L{pp^m}) relative in general,
+    g_n and g_m the contract's g for pp^n and pp^m.  A sum or a quotient
+    that is not finite raises OutOfRange, and an S_m of 0 ZeroDenominator.
     """
     _check_exponents(n, m)
     x = _lambda_double(lam)
-    _, den = _local_sum(pp, m, x, lam)
+    _, em, den = _local_sum(pp, m, x, lam)
     if den == 0.0:
         raise ZeroDenominator(f"L{{f^{m}}}({_shown(lam)}) = 0")
-    _, num = _local_sum(pp, n, x, lam)
-    h = num / den
+    _, en, num = _local_sum(pp, n, x, lam)
+    try:
+        h = math.ldexp(num / den, en - em)
+    except OverflowError:
+        h = math.inf
     if not math.isfinite(h):
+        scaled = f" * 2**{en - em}" if en != em else ""
         raise OutOfRange(
-            f"L{{f^{n}}}/L{{f^{m}}} at lambda = {_shown(lam)} is {num!r}/{den!r}, not a finite double"
+            f"L{{f^{n}}}/L{{f^{m}}} at lambda = {_shown(lam)} is {num!r}/{den!r}{scaled}, not a finite double"
         )
     return h
 

@@ -10,7 +10,6 @@ from math import factorial
 from unittest import mock
 
 import mpmath
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -671,33 +670,24 @@ class TestRatioEvalPiecewise:
 
 
 def local_oracle(desc, lam, a=1):
-    """(L{f^a}(lam), L{|f|^a}(lam)) in mpmath at 50 digits, for f given
-    piece by piece in local coordinates: (start, width or None for the
-    tail, q) with f(x) = q(x - start) on the piece.  Each piece is cut at
-    the real roots of q inside it, so |f| has one sign on each cut, and
-    integrated through the lower incomplete gamma function."""
+    """(L{f^a}(lam), L{g}(lam)) in mpmath at 50 digits, for f given piece
+    by piece in local coordinates: (start, width or None for the tail, q)
+    with f(x) = q(x - start) on the piece, and g the function whose piece
+    is sum |c_k| (x - start)^k where f^a's is sum c_k (x - start)^k.  Each
+    monomial is integrated through the lower incomplete gamma function."""
     with mpmath.workdps(50):
         lam = mpmath.mpf(lam)
-        value = absolute = mpmath.mpf(0)
+        value = condition = mpmath.mpf(0)
         for start, width, q in desc:
-            if not any(q):
-                continue
-            coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in (Poly(q) ** a).coeffs]
             end = mpmath.inf if width is None else mpmath.mpf(width.numerator) / width.denominator
-            roots = sorted(
-                r.real for r in np.roots([float(c) for c in reversed(q)])
-                if abs(r.imag) <= 1e-9 * (1 + abs(r)) and 0 < r.real < end
-            )
             weight = mpmath.exp(-lam * start.numerator / start.denominator)
-            cuts = [mpmath.mpf(0), *map(mpmath.mpf, roots), end]
-            for lo, hi in zip(cuts, cuts[1:]):
-                part = mpmath.fsum(
-                    c * mpmath.gammainc(k + 1, lam * lo, lam * hi) / lam ** (k + 1)
-                    for k, c in enumerate(coeffs) if c
-                )
-                value += weight * part
-                absolute += weight * abs(part)
-        return value, absolute
+            for k, c in enumerate((Poly(q) ** a).coeffs):
+                if c:
+                    term = weight * mpmath.mpf(c.numerator) / c.denominator
+                    term *= mpmath.gammainc(k + 1, 0, lam * end) / lam ** (k + 1)
+                    value += term
+                    condition += abs(term)
+        return value, condition
 
 
 def from_local(desc):
@@ -731,16 +721,140 @@ lambdas = st.floats(-6, 6).map(lambda e: 10.0 ** e)
 
 class TestLocalCoordinates:
     """laplace_piecewise and ratio_eval_piecewise against an mpmath oracle:
-    the transform is within 1e-10 L{|f|}(lambda) of the true value, with
-    2**-1022 more where that value lies below the double range."""
+    the transform is within 1e-10 L{g}(lambda) of the true value, g as in
+    local_oracle, with 2**-1022 more where that value lies below the double
+    range."""
 
     @settings(max_examples=150, deadline=None)
     @given(local_functions(), lambdas, st.integers(1, 3))
     def test_transform_meets_its_contract(self, desc, lam, a):
-        value, absolute = local_oracle(desc, lam, a)
+        value, condition = local_oracle(desc, lam, a)
         pp = from_local(desc) ** a
         got = laplace_piecewise(pp, lam)
-        assert abs(got - float(value)) <= 1e-10 * float(absolute) + sys.float_info.min
+        assert abs(got - float(value)) <= 1e-10 * float(condition) + sys.float_info.min
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 300),
+        st.one_of(st.none(), st.floats(-6, 3).map(lambda e: F(10.0 ** e))),
+        st.sampled_from([F(0), F(1, 3), F(1000)]),
+        st.floats(-3, 6).map(lambda e: 10.0 ** e),
+    )
+    def test_a_high_power_is_relative_wherever_its_sum_is_a_double(self, d, width, start, lam):
+        # x^d about its start, on a piece or the tail: the coefficients
+        # carry w^d, the moments d!/lambda^(d+1), each past the double
+        # range where their products are not.  The sum before the factor
+        # e^(-lambda start) must be a double too; past that is stage B
+        desc = [(F(0), start, [0]), (start, width, [0] * d + [1])] if start else [(F(0), width, [0] * d + [1])]
+        if width is not None:
+            desc.append((start + width, None, [0]))
+        want = local_oracle(desc, lam)[0]
+        if want > 1e-300 and want * mpmath.exp(lam * start) < 1e300:
+            assert laplace_piecewise(from_local(desc), lam) == pytest.approx(float(want), rel=1e-10, abs=0)
+        elif want > sys.float_info.max:
+            with pytest.raises(OutOfRange, match="float path overflowed"):
+                laplace_piecewise(from_local(desc), lam)
+
+    @pytest.mark.parametrize(
+        "call, want",
+        [
+            # the tail's coefficient times d! was stored, past the double range
+            (lambda: laplace_piecewise(PiecewisePoly([0], [Poly.monomial(171)]), 1000.0), F(factorial(171), 1000 ** 172)),
+            (lambda: ratio_eval_piecewise(PiecewisePoly([0], [Poly([0, 1])]), 200, 1, 1000.0), F(factorial(200), 1000 ** 199)),
+            # a piece's coefficient carried w^200, past the double range
+            (lambda: laplace_piecewise(PiecewisePoly([0, 1000], [Poly.monomial(200), Poly()]), 10.0), F(factorial(200), 10 ** 201)),
+            # the moment g_100(10**5) on [0, 1) was below the double range,
+            # and the transform was 0.0
+            (lambda: laplace_piecewise(PiecewisePoly([0, 1000], [Poly.monomial(100), Poly()]), 100.0), F(factorial(100), 100 ** 101)),
+        ],
+        ids=["tail_171_factorial", "ratio_200_to_1", "wide_piece_200", "wide_piece_100"],
+    )
+    def test_a_high_power_keeps_its_double(self, call, want):
+        # each was refused or 0.0, where the global recurrence gave it
+        assert call() == pytest.approx(float(want), rel=1e-13, abs=0)
+
+    def test_a_late_high_power_keeps_its_double(self):
+        # x^150 on [1000, 2000): its local coefficients reach 1000^150, past
+        # the double range, which the transform is not; the global
+        # recurrence gave 0.0 with the factor e^(-1000) underflowed
+        pp = PiecewisePoly([0, 1000, 2000], [Poly(), Poly.monomial(150), Poly()])
+        local = [F(1000) ** (150 - k) * math.comb(150, k) for k in range(151)]
+        want = local_oracle([(F(1000), F(1000), local), (F(2000), None, [0])], 1.0)[0]
+        assert float(want) == pytest.approx(5.970480219688331e15, rel=1e-15)
+        assert laplace_piecewise(pp, 1.0) == pytest.approx(float(want), rel=1e-12, abs=0)
+        assert laplace_piecewise(pp, 10.0) == 0.0  # about 10**450 e^(-10**4)
+
+    @pytest.mark.parametrize("digits", [150, 300])
+    def test_a_far_cell_with_large_coefficients_counts(self, digits):
+        # 10**-300 on [0, 1), then 10**digits from 800: the tail's factor
+        # e^(-800) underflows, its product with 10**digits does not, and
+        # dominates; 10**150 needs no scaling of the tail's coefficient
+        pp = PiecewisePoly([0, 1, 800], [Poly([F(1, 10 ** 300)]), Poly(), Poly([10 ** digits])])
+        want = mpmath.mpf(10) ** -300 * -mpmath.expm1(-1) + mpmath.mpf(10) ** digits * mpmath.exp(-800)
+        assert laplace_piecewise(pp, 1.0) == pytest.approx(float(want), rel=1e-12, abs=0)
+        assert ratio_eval_piecewise(pp, 1, 2, 1.0) == pytest.approx(10.0 ** -digits, rel=1e-12, abs=0)
+
+    def test_a_wide_piece_whose_e_to_the_minus_x_underflows(self):
+        # x^800 on [0, 2) at lambda = 400: e^(-800) underflows, but the
+        # upward recurrence's boundary terms 2^k e^(-800) do not, and they
+        # take about half of 800!/400^801 off the value
+        pp = PiecewisePoly([0, 2], [Poly.monomial(800), Poly()])
+        with mpmath.workdps(40):
+            want = mpmath.gammainc(801, 0, 800) / mpmath.mpf(400) ** 801
+        assert laplace_piecewise(pp, 400.0) == pytest.approx(float(want), rel=1e-12, abs=0)
+
+    def test_a_factor_whose_exponent_is_past_the_range_is_0(self):
+        # lambda times a start past the double range: e^(-inf) is 0, for
+        # the first start a0 and for a later piece's, whose coefficients
+        # are scaled by a power of two
+        pp = PiecewisePoly([0, 10 ** 300], [Poly(), Poly([1])])
+        assert laplace_piecewise(pp, 1e10) == 0.0
+        assert ratio_eval_piecewise(pp, 2, 1, 1e10) == 1.0
+        pp = PiecewisePoly([0, 1, 10 ** 300], [Poly([1]), Poly(), Poly([10 ** 400])])
+        assert laplace_piecewise(pp, 1e10) == 1e-10
+        # lambda (start - a0) / ln 2 past the double range, start - a0 not
+        lam = 1.6118808654986553e308
+        assert laplace_piecewise(step_example(1), lam) == pytest.approx(1 / lam, rel=1e-12, abs=0)
+        assert ratio_eval_piecewise(step_example(1), 2, 1, lam) == 1.0
+
+    def test_a_far_term_below_the_range_is_left_out(self):
+        # x^200 on [0, 3), then x^5, at lambda = 9295: the first piece's
+        # transform, about 1e-422, underflows in its moments, and the
+        # tail's, about 1e-12108, is smaller still.  Kept with a binary
+        # exponent, the tail's term alone made the (2, 1) ratio 243, the
+        # tail's ratio, where it is 1.8e-300
+        pp = PiecewisePoly([0, 3], [Poly.monomial(200), Poly.monomial(5)])
+        assert laplace_piecewise(pp, 9295.0) == 0.0
+        with pytest.raises(ZeroDenominator):
+            ratio_eval_piecewise(pp, 2, 1, 9295.0)
+
+    def test_a_wide_piece_with_a_moment_past_the_range(self):
+        # 10**-300 x^200 on [0, 100): the transform is about 3.6e56, but the
+        # moment it multiplies, the integral of x^200 e^(-x) there, is about
+        # 3.6e356, so the piece is refused until the sums carry log
+        # magnitudes (the global recurrence refused it too)
+        q = Poly([0] * 200 + [F(1, 10 ** 300)])
+        with pytest.raises(OutOfRange, match="float path overflowed .* lambda = 1.0$"):
+            laplace_piecewise(PiecewisePoly([0, 100], [q, Poly()]), 1.0)
+        # the same piece on [10**4, 2 * 10**4) after 1 on [0, 1): its
+        # factor e^(-lambda 10**4) underflows, so it is left out
+        pp = PiecewisePoly([0, 1, 10 ** 4, 2 * 10 ** 4], [Poly([1]), Poly(), q.compose_linear(-(10 ** 4), 1), Poly()])
+        for lam in (0.1, 1.0):
+            assert laplace_piecewise(pp, lam) == pytest.approx(-math.expm1(-lam) / lam, rel=1e-14, abs=0)
+
+    def test_a_cancelling_piece_meets_the_local_bound(self):
+        # (x - 1/2)^2 on [0, 1), then 0, at power 10: the 21 local
+        # coefficients of (t - 1/2)^20 cancel to 4.5e-8 where their
+        # absolute values sum to 237, so the local bound, not L{|f|}, is
+        # what the monomial sum keeps
+        desc = [(F(0), F(1), [F(1, 4), -1, 1]), (F(1), None, [0])]
+        want, condition = local_oracle(desc, 1e-3, 10)
+        assert condition > 1e9 * want
+        got = laplace_piecewise(from_local(desc) ** 10, 1e-3)
+        assert abs(got - float(want)) <= 1e-10 * float(condition)
+        assert ratio_eval_piecewise(from_local(desc), 10, 1, 1e-3) == pytest.approx(
+            float(want / local_oracle(desc, 1e-3)[0]), rel=1e-5, abs=0
+        )
 
     @settings(max_examples=100, deadline=None)
     @given(local_functions(signs=False), lambdas, exponent_pairs)
