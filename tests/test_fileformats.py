@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from laplaceratio.algebra import Poly, Series
 from laplaceratio.auction import AuctionModel, Exponential, Lognormal, PointMass, Shifted
+from laplaceratio import fileformats
 from laplaceratio.errors import DomainError, FormatError, OutOfRange
 from laplaceratio.fileformats import (
     _not_utf8,
@@ -334,11 +335,18 @@ class TestSampleCsv:
             ),
             min_size=1,
             max_size=50,
-        )
+        ),
+        st.integers(1, 60),
     )
-    @example([(-0.0, 5e-324)])
-    @example([(sys.float_info.max, -sys.float_info.max), (2.2250738585072009e-308, -0.0)])
-    def test_bytes_match_the_csv_writer_and_load_is_bit_exact(self, tmp_path, monkeypatch, rows):
+    @example([(-0.0, 5e-324)], 1)
+    @example([(sys.float_info.max, -sys.float_info.max), (2.2250738585072009e-308, -0.0)], 1)
+    @example([(1e-4, 9.999999999999999e-05), (1e16, 9999999999999998.0), (0.5, 1e22)], 2)
+    def test_bytes_match_the_csv_writer_and_load_is_bit_exact(
+        self, tmp_path, monkeypatch, rows, block
+    ):
+        # small blocks put the drawn rows across several, the last one
+        # partial, as SAVE_BLOCK_ROWS does a long table
+        monkeypatch.setattr(fileformats, "SAVE_BLOCK_ROWS", block)
         readers = spy_on_csv_reader(monkeypatch)
         table = np.array(rows, dtype=float)
         path = tmp_path / "samples.csv"
@@ -356,12 +364,78 @@ class TestSampleCsv:
             save_samples(path, np.array([[1.0, 0.5], [bad, 0.5]]))
         assert not path.exists()
 
-    @pytest.mark.parametrize("shape", [(3,), (3, 3), (2, 2, 1), (4, 1)])
+    @pytest.mark.parametrize("shape", [(3,), (3, 3), (2, 2, 1), (4, 1), (0,)])
     def test_save_refuses_other_shapes_and_writes_nothing(self, tmp_path, shape):
         path = tmp_path / "samples.csv"
         with pytest.raises(DomainError, match=r"\(rows, 2\)"):
             save_samples(path, np.ones(shape))
         assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            [[10**400, 1.0]],
+            [[1 + 2j, 0.5]],
+            np.array([[1 + 2j, 0.5]]),
+            [[1.0, 0.5], [2.0]],
+            [["a", "0.5"]],
+        ],
+        ids=["int-past-the-range", "complex", "complex-array", "ragged", "text"],
+    )
+    def test_save_refuses_what_is_not_doubles_and_writes_nothing(self, tmp_path, table):
+        # numpy would raise OverflowError, TypeError or ValueError, or drop
+        # a complex array's imaginary parts with a warning
+        path = tmp_path / "samples.csv"
+        with pytest.raises(DomainError, match="^sample table is not a table of doubles: "):
+            save_samples(path, table)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+    def test_save_refuses_a_table_with_no_rows_and_writes_nothing(self, tmp_path, dtype):
+        # load_samples refuses the header-only file with "no sample rows"
+        path = tmp_path / "samples.csv"
+        with pytest.raises(DomainError, match="^sample table has no rows$"):
+            save_samples(path, np.ones((0, 2), dtype=dtype))
+        assert not path.exists()
+
+    def test_bytes_match_repr_on_two_million_doubles(self, tmp_path):
+        # the encoder against csv.writer and repr, cell by cell: random bit
+        # patterns (every binade, subnormals, both signs), every power of 2
+        # and of 10 with its neighbours, the layout edges, and lognormal
+        # and decimal values mixed in blocks of both layouts
+        rng = np.random.default_rng(47)
+        bits = rng.integers(0, 2**64, size=1_700_000, dtype=np.uint64, endpoint=False)
+        patterns = bits.view(np.float64)
+        powers = [2.0**k for k in range(-1074, 1024)] + [float(f"1e{k}") for k in range(-323, 309)]
+        powers = np.array(powers)
+        edges = [1e-4, 9.999999999999999e-05, 1e16, 9999999999999998.0, 2.0**53 + 2, 2.0**53 - 2]
+        edges += [0.0, -0.0, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max]
+        mixed = np.concatenate(
+            [
+                rng.lognormal(0.0, 8.0, 300_000) * rng.choice([-1.0, 1.0], 300_000),
+                rng.integers(-(10**9), 10**9, 100_000) / 10.0 ** rng.integers(0, 12, 100_000),
+            ]
+        )
+        rng.shuffle(mixed)
+        cells = np.concatenate(
+            [
+                patterns[np.isfinite(patterns)],
+                powers,
+                np.nextafter(powers, 0.0),
+                np.nextafter(powers, np.inf),
+                -powers,
+                edges,
+                mixed,
+            ]
+        )
+        cells = cells[np.isfinite(cells)]
+        assert len(cells) >= 2_000_000
+        cells = np.resize(cells, (len(cells) + 1) // 2 * 2).reshape(-1, 2)
+        path = tmp_path / "samples.csv"
+        for start in range(0, len(cells), 200_000):
+            table = cells[start : start + 200_000]
+            save_samples(path, table)
+            assert path.read_bytes() == reference_sample_bytes(table), start
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
     def test_named_pipe_is_read_once(self, tmp_path):
@@ -599,7 +673,7 @@ class TestSampleReaders:
             load = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert path.read_bytes() == reference_sample_bytes(table)  # 13 blocks, the last partial
+        assert path.read_bytes() == reference_sample_bytes(table)  # 49 blocks, the last partial
         assert np.array_equal(loaded, table)
         assert saved < 2 * table.nbytes, saved / table.nbytes
         assert load < 2 * table.nbytes, load / table.nbytes
@@ -673,6 +747,6 @@ def reference_sample_bytes(table) -> bytes:
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(["top", "second"])
-    for top, second in np.asarray(table, dtype=float):
-        writer.writerow([repr(float(top)), repr(float(second))])
+    for top, second in np.asarray(table, dtype=float).tolist():
+        writer.writerow([repr(top), repr(second)])
     return buf.getvalue().encode("utf-8")

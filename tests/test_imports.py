@@ -27,10 +27,12 @@ print(json.dumps({"codes": codes, "heavy": heavy, "added": added}))
 
 
 def audit(argv, added):
-    """No call loads dataclasses, or csv, since no CLI call reads samples;
-    inspect, which numpy loads, only with numpy."""
+    """No call loads dataclasses, or csv, since no CLI call reads samples,
+    or the sample writer's encoder, since none writes them; inspect, which
+    numpy loads, only with numpy."""
     assert "dataclasses" not in added, argv
     assert "csv" not in added, argv
+    assert "laplaceratio._ryu" not in added, argv
     assert "inspect" not in added or "numpy" in added, argv
 
 
@@ -114,11 +116,36 @@ def test_selftest_loads_numpy(run_fresh):
 
 def test_the_audit_sees_what_a_call_loads():
     # the control for audit: numpy itself loads inspect, and a call that
-    # adds dataclasses or csv, or inspect without numpy, is refused
+    # adds dataclasses, csv or the encoder, or inspect without numpy, is
+    # refused
     audit(["selftest"], ["inspect", "numpy"])
-    for added in (["dataclasses"], ["csv"], ["inspect"]):
+    for added in (["dataclasses"], ["csv"], ["laplaceratio._ryu"], ["inspect"]):
         with pytest.raises(AssertionError):
             audit(["call"], added)
+
+
+def test_only_a_sample_file_loads_the_encoder(tmp_path):
+    # the control for the audit's encoder check: auction-sim loads it when
+    # it writes a file, not when it prints the rows
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"common": {"kind": "exponential", "theta": 1.0},
+                                 "idiosyncratic": {"kind": "exponential", "theta": 1.0}, "N": 3}))
+    call = ["auction-sim", "--model", str(model), "--samples", "10", "--seed", "1"]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from laplaceratio.cli import main\n"
+        "loaded = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        main(argv)\n"
+        "    loaded.append('laplaceratio._ryu' in sys.modules)\n"
+        "print(json.dumps(loaded))\n"
+    )
+    calls = [call, call + ["--output", str(tmp_path / "bids.csv")]]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(calls)], capture_output=True, text=True, check=True
+    )
+    assert json.loads(proc.stdout) == [False, True]
 
 
 def test_tiny_lambda_calls_load_no_dataclasses_inspect_or_csv(run_fresh):
