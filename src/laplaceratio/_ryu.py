@@ -146,7 +146,7 @@ def shortest(x):
     bits[zero] = U(0x3FF0000000000000)  # 1.0 stands in, its digits zeroed below
     ieee = (bits >> U(52)).astype(np.intp)
     mant = bits & U((1 << 52) - 1)
-    del bits
+    del bits  # lanes are dropped once spent, to keep a block's scratch small
     mmshift = (mant != U(0)) | (ieee <= 1)
     mv = mant | ((ieee != 0).astype(U) << U(52))
     del mant
@@ -295,9 +295,10 @@ def lines(table, block_rows):
         layout = np.where(positional, decpt + 3, 20 + (np.abs(decpt - 1) >= 100))
         code = (col * 2 + (x.view(U) >> U(63)).astype(np.intp)) * _LAYOUTS + layout
         code = code * 17 + n - 1
+        del e10, decpt, positional, layout  # a generator's locals outlive its yield
         # the digits left-aligned to 17 places, as 1 + 4 * 4 ASCII digits
         digits *= _POW10[17 - n]
-        del e10, n, decpt, positional, layout
+        del n
         first = digits // U(10**16)
         digits -= first * U(10**16)
         hi8 = digits // U(10**8)
