@@ -41,6 +41,7 @@ import numpy as np
 U = np.uint64
 _LIMB = U((1 << 28) - 1)
 _POW10 = np.array([10**k for k in range(20)], dtype=U)
+_POW5 = np.array([5**k for k in range(22)], dtype=U)
 _SLOT = 64  # bytes per cell
 _LAYOUTS = 22  # decpt -3..16 positional, then exponent |e| < 100, |e| >= 100
 
@@ -103,9 +104,6 @@ def _exponent_tables():
     return tables
 
 
-_POW5 = np.array([5**k for k in range(22)], dtype=U)
-
-
 def _mulshift(m, limbs, shift):
     """(m * mul) >> (118 + shift) per lane, exactly, for m < 2**55 and a
     126-bit mul in 28-bit limbs."""
@@ -120,10 +118,10 @@ def _mulshift(m, limbs, shift):
     return ((t >> U(6)) + ((a1 * limbs[4]) << U(22))) >> shift
 
 
-def _digit_count_less_one(v, table):
+def _digit_count_less_one(v):
     """floor(log10(v)) per lane, 0 for v = 0: from v's binary exponent,
     read off its double, and one comparison."""
-    g = table[(v.astype(np.float64).view(U) >> U(52)).astype(np.intp)]
+    g = _log10_by_exponent()[(v.astype(np.float64).view(U) >> U(52)).astype(np.intp)]
     return g + (v >= _POW10[g + 1])
 
 
@@ -178,7 +176,7 @@ def shortest(x):
     # vp - vm < 10**(t + 1), every r <= t qualifies, and past t only a
     # multiple c of 10**(t + 1) in (vm, vp] can: r = t + 1 + the trailing
     # decimal zeros of c / 10**(t + 1).
-    t = _digit_count_less_one(vp - vm, _log10_by_exponent())
+    t = _digit_count_less_one(vp - vm)
     p = _POW10[t + 1]
     top = vp // p
     up = top > vm // p
@@ -282,12 +280,11 @@ def lines(table, block_rows):
     slots[:, 28] = ord(".")
     words = slots.view(np.uint32)
     column = np.arange(len(slots)) & 1
-    digit_count = _log10_by_exponent()
     for start in range(0, len(table), block_rows):
         x = table[start : start + block_rows].ravel()
         cells = len(x)
         digits, e10 = shortest(x)
-        n = _digit_count_less_one(digits, digit_count) + 1
+        n = _digit_count_less_one(digits) + 1
         decpt = e10 + n
         col = column[:cells]
         slots.view(U)[:cells, 7] = tails[(decpt + 330) * 2 + col]
