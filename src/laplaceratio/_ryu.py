@@ -10,10 +10,10 @@ double 4*m2 * 2**e2 (Ryu's e2) rounds back from any value in the interval
 (4*m2 - 1 - s, 4*m2 + 2) * 2**e2, s = 0 at the bottom of a binade and 1
 elsewhere; each bound, times a 126-bit multiplier (2**k / 5**q or 5**i,
 per IEEE exponent) and shifted right by 118 to 125 bits, gives vm, vr
-and vp in a decimal scale 10**e10.  The multiplier is held as five 28-bit limbs, so
-a limb product is below 2**56 and a column sum of two products and a
-carry stays below 2**58; the product is split once at 2**118 and then
-shifted by the lane's remaining 0 to 7 bits.  The digits to drop are the
+and vp in a decimal scale 10**e10.  The multiplier is held as five
+28-bit limbs, so a limb product is below 2**56 and a column sum of two
+products and a carry stays below 2**58; the product is split once at
+2**118 and then shifted by the lane's remaining 0 to 7 bits.  The digits to drop are the
 largest r with vp // 10**r > vm // 10**r, found from the digit count of
 vp - vm and one division, and vr // 10**r is rounded as Ryu rounds it,
 round-half-even where vr's dropped digits are exact.

@@ -233,9 +233,10 @@ def _not_utf8(path, data: bytes) -> FormatError:
     return FormatError(f"{path}: not UTF-8 text")
 
 
-# rows per write of save_samples: the encoder's scratch, about 400 bytes a
-# row, stays well inside the tracemalloc bound of twice a 100 000-row
-# table's bytes that tests/test_fileformats.py holds save to
+# rows per write of save_samples: the encoder's scratch, about 500 bytes a
+# row, peaks at 0.6 times a 100 000-row table's bytes at 2048 rows (2.4 at
+# 8192), inside the tracemalloc bound of twice the table that
+# tests/test_fileformats.py holds save to
 SAVE_BLOCK_ROWS = 2048
 
 

@@ -14,9 +14,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from laplaceratio import fileformats
 from laplaceratio.algebra import Poly, Series
 from laplaceratio.auction import AuctionModel, Exponential, Lognormal, PointMass, Shifted
-from laplaceratio import fileformats
 from laplaceratio.errors import DomainError, FormatError, OutOfRange
 from laplaceratio.fileformats import (
     _not_utf8,
