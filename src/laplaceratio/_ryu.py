@@ -13,10 +13,11 @@ per IEEE exponent) and shifted right by 118 to 125 bits, gives vm, vr
 and vp in a decimal scale 10**e10.  The multiplier is held as five
 28-bit limbs, so a limb product is below 2**56 and a column sum of two
 products and a carry stays below 2**58; the product is split once at
-2**118 and then shifted by the lane's remaining 0 to 7 bits.  The digits to drop are the
-largest r with vp // 10**r > vm // 10**r, found from the digit count of
-vp - vm and one division, and vr // 10**r is rounded as Ryu rounds it,
-round-half-even where vr's dropped digits are exact.
+2**118 and then shifted by the lane's remaining 0 to 7 bits.  The
+digits to drop are the largest r with vp // 10**r > vm // 10**r, found
+from the digit count of vp - vm and one division, and vr // 10**r is
+rounded as Ryu rounds it, round-half-even where vr's dropped digits are
+exact.
 
 The text is laid out as Python's repr lays out dtoa's digits: positional
 for -4 < decpt <= 16, where the value is 0.DIGITS * 10**decpt, else
@@ -42,6 +43,8 @@ U = np.uint64
 _LIMB = U((1 << 28) - 1)
 _POW10 = np.array([10**k for k in range(20)], dtype=U)
 _POW5 = np.array([5**k for k in range(22)], dtype=U)
+# floor(log10(2**(b - 1023))) for a double's biased exponent b, 0 below 1023
+_LOG10_BY_EXPONENT = ((np.maximum(np.arange(2048) - 1023, 0) * 78913) >> 18).astype(np.intp)
 _SLOT = 64  # bytes per cell
 _LAYOUTS = 22  # decpt -3..16 positional, then exponent |e| < 100, |e| >= 100
 
@@ -121,16 +124,8 @@ def _mulshift(m, limbs, shift):
 def _digit_count_less_one(v):
     """floor(log10(v)) per lane, 0 for v = 0: from v's binary exponent,
     read off its double, and one comparison."""
-    g = _log10_by_exponent()[(v.astype(np.float64).view(U) >> U(52)).astype(np.intp)]
+    g = _LOG10_BY_EXPONENT[(v.astype(np.float64).view(U) >> U(52)).astype(np.intp)]
     return g + (v >= _POW10[g + 1])
-
-
-@functools.cache
-def _log10_by_exponent():
-    """floor(log10(2**(b - 1023))) for a double's biased exponent b, 0
-    below 1023."""
-    b = np.arange(2048) - 1023
-    return np.where(b > 0, (np.maximum(b, 0) * 78913) >> 18, 0).astype(np.intp)
 
 
 def shortest(x):
