@@ -238,6 +238,9 @@ def _not_utf8(path, data: bytes) -> FormatError:
 # 8192), inside the tracemalloc bound of twice the table that
 # tests/test_fileformats.py holds save to
 SAVE_BLOCK_ROWS = 2048
+# bytes per read of load_samples' vectorized reader: about 2048 rows of the
+# 40-byte lines save_samples writes for 17-digit cells
+LOAD_BLOCK_BYTES = 80 * 1024
 
 
 def save_samples(path, table: np.ndarray) -> None:
@@ -279,27 +282,37 @@ def load_samples(path) -> np.ndarray:
     """Read a table written by save_samples; blank lines are skipped, and a
     malformed or non-finite cell raises FormatError naming path:line.
 
-    The path is opened once, so a pipe works too.  One of two readers
-    runs, picked from the file alone.  numpy's loadtxt reads a regular
-    file whose header cells strip to top and second and whose lines hold
-    no quote and fit within csv.field_size_limit(); it parses each cell
-    with float()'s parser.  The csv module reads every other file, from
-    its bytes read whole, and any that loadtxt refuses, reads as another
-    shape or reads with a non-finite bid; it alone reads quoted cells and
-    words every FormatError.  The arrays, the accepted files and the
-    messages are the csv module's."""
+    The path is opened once, so a pipe works too: it is read whole first.
+    Two readers run, the second only where the first declines.  A
+    vectorized reader takes the file LOAD_BLOCK_BYTES at a time while it
+    holds the header top,second and lines of two cells of the grammar
+    [+-]?(d+(.d*)?|.d+)([eE][+-]?d+)?, each within csv.field_size_limit()
+    and finite, with LF or CR LF line ends; it rounds each cell as float()
+    does (Eisel-Lemire on numpy lanes, float() itself where that cannot
+    decide).  Any other file goes to the csv module, from its start: it
+    alone reads quoted cells, padded cells and blank lines, and words
+    every FormatError.  The arrays, the accepted files and the messages
+    are the csv module's."""
     import csv
 
     import numpy as np
 
+    from ._eisel_lemire import read
+
     try:
         with open(path, "rb") as raw:
-            if stat.S_ISREG(os.fstat(raw.fileno()).st_mode):
-                table = _numpy_samples(raw)
-                if table is not None:
-                    return table
+            info = os.fstat(raw.fileno())
+            if stat.S_ISREG(info.st_mode):
+                fh, size = raw, info.st_size
+            else:
+                data = raw.read()
+                fh, size = io.BytesIO(data), len(data)
+            table = read(fh, size, csv.field_size_limit(), LOAD_BLOCK_BYTES)
+            if table is not None:
+                return table
+            if fh is raw:
                 raw.seek(0)
-            data = raw.read()
+                data = raw.read()
         with io.TextIOWrapper(io.BytesIO(data), newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
@@ -329,56 +342,3 @@ def load_samples(path) -> np.ndarray:
     if not values:
         raise FormatError(f"{path}: no sample rows")
     return np.array(values).reshape(-1, 2)
-
-
-def _numpy_samples(raw) -> np.ndarray | None:
-    """The sample table by numpy's reader from a regular file opened in
-    binary, or None where load_samples' csv loop must decide.  raw stays
-    open, at an offset the caller seeks back from."""
-    import csv
-
-    import numpy as np
-
-    fh = io.TextIOWrapper(raw, encoding="utf-8")
-    try:
-        if not _plain_lines(fh, csv.field_size_limit()):
-            return None
-        fh.seek(0)
-        if [h.strip() for h in fh.readline().split(",")] != ["top", "second"]:
-            return None
-        table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=float)
-    except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
-        return None
-    finally:
-        fh.detach()
-    if table.shape[1] != 2 or not len(table) or not np.isfinite(table).all():
-        return None
-    return table
-
-
-def _plain_lines(fh, limit: int) -> bool:
-    """One streaming pass over a text file opened with universal newlines:
-    true if no quote appears, no line is longer than limit, and a line
-    after the first is not empty.  Then csv.reader splits each line at its
-    commas alone, as loadtxt does, and loadtxt has rows to read."""
-    size = max(1, min(limit, 1 << 16))  # a line inside a chunk is shorter than limit
-    line = 0  # length of the line still open at the end of the last chunk
-    header = None  # length of the first line, once it has ended
-    ink = 0  # characters that are not line ends
-    while chunk := fh.read(size):
-        if '"' in chunk:
-            return False
-        ends = chunk.count("\n")
-        ink += len(chunk) - ends
-        if ends:
-            first = line + chunk.index("\n")
-            if first > limit:
-                return False
-            if header is None:
-                header = first
-            line = len(chunk) - chunk.rindex("\n") - 1
-        else:
-            line += len(chunk)
-            if line > limit:
-                return False
-    return header is not None and ink > header

@@ -1,4 +1,5 @@
 import csv
+import decimal
 import io
 import json
 import math
@@ -11,10 +12,10 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from laplaceratio import fileformats
+from laplaceratio import _eisel_lemire, fileformats
 from laplaceratio.algebra import Poly, Series
 from laplaceratio.auction import AuctionModel, Exponential, Lognormal, PointMass, Shifted
 from laplaceratio.errors import DomainError, FormatError, OutOfRange
@@ -337,23 +338,26 @@ class TestSampleCsv:
             max_size=50,
         ),
         st.integers(1, 60),
+        st.integers(64, 300),
     )
-    @example([(-0.0, 5e-324)], 1)
-    @example([(sys.float_info.max, -sys.float_info.max), (2.2250738585072009e-308, -0.0)], 1)
-    @example([(1e-4, 9.999999999999999e-05), (1e16, 9999999999999998.0), (0.5, 1e22)], 2)
+    @example([(-0.0, 5e-324)], 1, 64)
+    @example([(sys.float_info.max, -sys.float_info.max), (2.2250738585072009e-308, -0.0)], 1, 64)
+    @example([(1e-4, 9.999999999999999e-05), (1e16, 9999999999999998.0), (0.5, 1e22)], 2, 64)
     def test_bytes_match_the_csv_writer_and_load_is_bit_exact(
-        self, tmp_path, monkeypatch, rows, block
+        self, tmp_path, monkeypatch, rows, block, read_block
     ):
         # small blocks put the drawn rows across several, the last one
-        # partial, as SAVE_BLOCK_ROWS does a long table
+        # partial, as SAVE_BLOCK_ROWS does a long table, and lines across
+        # the reader's blocks; a line of two 24-byte cells fits in 64 bytes
         monkeypatch.setattr(fileformats, "SAVE_BLOCK_ROWS", block)
+        monkeypatch.setattr(fileformats, "LOAD_BLOCK_BYTES", read_block)
         readers = spy_on_csv_reader(monkeypatch)
         table = np.array(rows, dtype=float)
         path = tmp_path / "samples.csv"
         save_samples(path, table)
         assert path.read_bytes() == reference_sample_bytes(table)
         loaded = load_samples(path)
-        assert not readers  # numpy's reader took the file
+        assert not readers  # the vectorized reader took the file
         assert loaded.shape == table.shape
         assert np.array_equal(loaded.view(np.uint64), table.view(np.uint64))
 
@@ -398,11 +402,13 @@ class TestSampleCsv:
             save_samples(path, np.ones((0, 2), dtype=dtype))
         assert not path.exists()
 
-    def test_bytes_match_repr_on_two_million_doubles(self, tmp_path):
+    def test_bytes_match_repr_on_two_million_doubles(self, tmp_path, monkeypatch):
         # the encoder against csv.writer and repr, cell by cell: random bit
         # patterns (every binade, subnormals, both signs), every power of 2
         # and of 10 with its neighbours, the layout edges, and lognormal
-        # and decimal values mixed in blocks of both layouts
+        # and decimal values mixed in blocks of both layouts; and the
+        # vectorized reader, which reads each file back bit for bit
+        readers = spy_on_csv_reader(monkeypatch)
         rng = np.random.default_rng(47)
         bits = rng.integers(0, 2**64, size=1_700_000, dtype=np.uint64, endpoint=False)
         patterns = bits.view(np.float64)
@@ -436,6 +442,9 @@ class TestSampleCsv:
             table = cells[start : start + 200_000]
             save_samples(path, table)
             assert path.read_bytes() == reference_sample_bytes(table), start
+            loaded = load_samples(path)
+            assert np.array_equal(loaded.view(np.uint64), table.view(np.uint64)), start
+        assert not readers
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
     def test_named_pipe_is_read_once(self, tmp_path):
@@ -540,11 +549,20 @@ class TestSampleCsv:
 PAD = st.sampled_from(["", " ", "\t", "\x0c", "\x85", "\xa0"])
 LINE_END = st.sampled_from(["\r\n", "\n", "\r"])
 written = st.floats(allow_nan=False, allow_infinity=False).map(repr)
-clean_cell = st.one_of(written, st.tuples(PAD, written, PAD).map("".join))
 odd_cell = st.sampled_from(
     ["nan", "-inf", "inf", "1e400", "-1e400", "1e-400", "1_0", "1\x00", "\x00", "", " ",
-     "x", "+.5", "5.", "0x10", "١", "Infinity", "-0"]
+     "x", "+.5", "5.", "0x10", "١", "Infinity", "-0", "1e", "e5", ".", "+", "-", ".e1",
+     "1.2.3", "1e5e5", "1e5.5", "--1", "+-1", "1e--5", "1e+-5", "1e0000000001", "1e-0000000001",
+     "1e99999999999", "5e-324", "2.4703282292062328e-324", "2.4703282292062327e-324",
+     "1.7976931348623158e308", "1.7976931348623159e308", "1" * 25, "0." + "0" * 30 + "1",
+     "1\r", "1 ", " 1"]
 )
+# the forms of a double float() reads and save_samples does not write
+other_form = st.tuples(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(["%.17g", "%.20e", "%+.3E", "%.30e", "%.0f", "%.5f", "%g"]),
+).map(lambda p: p[1] % p[0])
+clean_cell = st.one_of(written, other_form, st.tuples(PAD, written, PAD).map("".join))
 quoted = st.one_of(
     written.map(lambda v: f'"{v}"'),
     st.tuples(written, LINE_END).map(lambda p: f'"{p[0]}{p[1]}"'),
@@ -561,7 +579,8 @@ any_header = st.one_of(
 @st.composite
 def sample_files(draw):
     """(field limit, file bytes): a header and lines with mixed line ends.
-    Half the files hold well-formed rows and blank lines only; the rest
+    Half the files hold well-formed rows, in save_samples' form, in other
+    forms float() reads or padded, and blank lines only; the rest
     draw any header, 1 to 3 cells a row, odd and quoted cells, and lines
     of blanks.  Now and then a row is padded to the limit, to it less one,
     or past it."""
@@ -600,8 +619,8 @@ def field_limit_cell_files():
 
 
 class TestSampleReaders:
-    """load_samples picks numpy's reader or the csv loop from the input;
-    either way it gives the csv loop's answer."""
+    """load_samples runs the vectorized reader and, where it declines, the
+    csv loop; either way it gives the csv loop's answer."""
 
     @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(sample_files())
@@ -616,6 +635,19 @@ class TestSampleReaders:
     @example((40, b"top,second\n1," + b"2" * 38 + b"\n"))
     @example((40, b"top,second\n1," + b"2" * 39 + b"\n"))
     @example((40, b"top,second\n1," + b"0." + b"0" * 40 + b"\n"))
+    @example((None, b"top,second\n1e400,2\n"))
+    @example((None, b"top,second\n2,-1e400\r\n"))
+    @example((None, b"top,second\n1.7976931348623158e308,1.7976931348623159e308\n"))
+    @example((None, b"top,second\n1,2\r3,4\n"))
+    @example((None, b"top,second\n1.5,2.5\r3\n"))
+    @example((None, b"top,second\n1,-2\r3\n"))
+    @example((None, b"top,second\n1,2\n3,4\r"))
+    @example((None, b"top,second\n 1,2\n"))
+    @example((None, b"top,second\n1,2\t\n"))
+    @example((None, b"top,second\n1,2\n\n3,4\n"))
+    @example((None, b"top,second\n1,2,\n"))
+    @example((None, b"top,second\n1e0000000001,-1e-0000000001\n"))
+    @example((None, b"top,second\n.5,5.\n+1E5,-.5e-3\n"))
     @pytest.mark.filterwarnings("error")
     def test_same_array_or_same_message_as_the_csv_loop(self, tmp_path, case):
         limit, data = case
@@ -631,25 +663,81 @@ class TestSampleReaders:
         path.write_bytes(data)
         assert outcome(load_samples, path, limit) == outcome(reference_load_samples, path, limit)
 
+    @pytest.mark.parametrize(
+        "cell",
+        [".", "-", "+", "e5", ".e1", "-.e1", "1e", "1e+", "1.5e", "1e5.5", "1.2.3", "1e5e5", "--1",
+         "+-1", "1e--5", "1e+-5", "5-", "1-2", "1.5+", "1e5-"],
+    )
+    @pytest.mark.parametrize("ends", ["\n", "\r\n"])
+    def test_a_cell_outside_the_grammar_goes_to_the_csv_loop(self, tmp_path, cell, ends):
+        # in the plain form's place, where the lines' marks match it, and
+        # in a signed line that takes the general pass
+        path = tmp_path / "bad.csv"
+        for line in (f"1.5,{cell}", f"-1.5,{cell}"):
+            path.write_text(f"top,second{ends}2.5,0.5{ends}{line}{ends}", newline="")
+            assert outcome(load_samples, path, None) == outcome(reference_load_samples, path, None)
+
+    @pytest.mark.parametrize(
+        "last", ["3.0,nan", "3.0,1e400", '"3.0",1.0', "3.0, 1.0", "3.0,1.0,2.0", "", "3.0,1_0", "3.0,x"]
+    )
+    def test_a_late_line_sends_the_file_to_the_csv_loop(self, tmp_path, monkeypatch, last):
+        # the line that leaves the form comes blocks after the first, and
+        # the csv loop reads the file again from its start
+        monkeypatch.setattr(fileformats, "LOAD_BLOCK_BYTES", 256)
+        readers = spy_on_csv_reader(monkeypatch)
+        path = tmp_path / "late.csv"
+        path.write_bytes(b"top,second\r\n" + b"1.25,0.5\r\n" * 300 + last.encode() + b"\r\n2.0,1.0\r\n")
+        got = outcome(load_samples, path, None)
+        assert len(readers) == 1
+        assert got == outcome(reference_load_samples, path, None)
+
     def test_quoted_file_goes_to_the_csv_loop(self, tmp_path, monkeypatch):
         readers = spy_on_csv_reader(monkeypatch)
-        loadtxt_calls = []
-        real_loadtxt = np.loadtxt
-        monkeypatch.setattr(
-            np, "loadtxt", lambda *a, **k: loadtxt_calls.append(a) or real_loadtxt(*a, **k)
-        )
+        tables = []
+        real_read = _eisel_lemire.read
+        monkeypatch.setattr(_eisel_lemire, "read", lambda *a: tables.append(real_read(*a)) or tables[-1])
         path = tmp_path / "samples.csv"
         save_samples(path, np.array([[2.0, 1.0], [3.5, 0.25]]))
         assert load_samples(path).tolist() == [[2.0, 1.0], [3.5, 0.25]]
-        assert (len(readers), len(loadtxt_calls)) == (0, 1)
-        # the quote is seen in the scan, before numpy parses anything
+        assert (len(readers), [t is not None for t in tables]) == (0, [True])
+        # a quote leaves the grammar, so the vectorized reader declines
         path.write_text('top,second\r\n"2.0",1.0\r\n')
         assert load_samples(path).tolist() == [[2.0, 1.0]]
-        assert (len(readers), len(loadtxt_calls)) == (1, 1)
+        assert (len(readers), [t is not None for t in tables]) == (1, [True, False])
+
+    @pytest.mark.parametrize("block", [128, 131, 997, None])
+    def test_other_forms_read_as_float_reads_them(self, tmp_path, monkeypatch, block):
+        # every cell of non_shortest_cells() against float(), in blocks so
+        # small that cells straddle their edges, or the default
+        if block is not None:
+            monkeypatch.setattr(fileformats, "LOAD_BLOCK_BYTES", block)
+        readers = spy_on_csv_reader(monkeypatch)
+        cells = non_shortest_cells()
+        ends = ["\r\n", "\n"] * len(cells)
+        body = "".join(f"{a},{b}{end}" for a, b, end in zip(cells[0::2], cells[1::2], ends))
+        path = tmp_path / "forms.csv"
+        path.write_text("top,second\n" + body, newline="")
+        loaded = load_samples(path)
+        assert not readers
+        want = np.array([float(c) for c in cells]).reshape(-1, 2)
+        assert np.array_equal(loaded.view(np.uint64), want.view(np.uint64))
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.tuples(other_form, other_form), min_size=1, max_size=30), st.integers(128, 400))
+    def test_drawn_forms_read_as_float_reads_them(self, tmp_path, monkeypatch, rows, block):
+        monkeypatch.setattr(fileformats, "LOAD_BLOCK_BYTES", block)
+        # a line fits in a block, and a short form may round past the range
+        rows = [r for r in rows if max(map(len, r)) <= 60 and all(math.isfinite(float(c)) for c in r)]
+        assume(rows)
+        path = tmp_path / "forms.csv"
+        path.write_text("top,second\r\n" + "".join(f"{a},{b}\r\n" for a, b in rows), newline="")
+        want = np.array([[float(a), float(b)] for a, b in rows])
+        assert np.array_equal(load_samples(path).view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("body", ["", "\r\n", "\n\n\r"])
     def test_header_only_warns_nothing(self, tmp_path, body):
-        # np.loadtxt warns "input contained no data" on an empty body
+        # np.loadtxt, the reader before the vectorized one, warned "input
+        # contained no data" on an empty body
         path = tmp_path / "empty.csv"
         path.write_text("top,second\r\n" + body, newline="")
         with warnings.catch_warnings():
@@ -677,6 +765,64 @@ class TestSampleReaders:
         assert np.array_equal(loaded, table)
         assert saved < 2 * table.nbytes, saved / table.nbytes
         assert load < 2 * table.nbytes, load / table.nbytes
+
+
+def exact_decimal(value: F, point: bool) -> str:
+    """The finite decimal expansion of a positive dyadic rational, as
+    digits and an exponent, or with a point."""
+    k = value.denominator.bit_length() - 1
+    digits = str(value.numerator * 5**k)
+    if not point:
+        return f"{digits}e-{k}"
+    digits = digits.rjust(k + 1, "0")
+    return f"{digits[: len(digits) - k]}.{digits[len(digits) - k:]}"
+
+
+def non_shortest_cells() -> list[str]:
+    """Cells float() reads, in forms save_samples never writes: doubles
+    printed as %.17g, %.20e and with 25 to 40 digits; exact midpoints
+    between adjacent doubles, which round to even, and the decimals just
+    above and below them; mantissas of 19, 20 and 40 random digits; the
+    edges of the subnormal and double ranges; exponents of more than 8
+    digits; and leading zeros, +, E, .5 and 5. forms.  All are finite and at most 60 bytes long."""
+    rng = np.random.default_rng(48)
+    bits = rng.integers(0, 2**64, 6000, dtype=np.uint64).view(np.float64)
+    values = bits[np.isfinite(bits)].tolist() + [2.0**k for k in range(-1074, 1024, 7)]
+    cells = []
+    for i, x in enumerate(values):
+        cells += ["%.17g" % x, "%.20e" % x, "%.*e" % (24 + i % 16, x)]
+    # midpoints where the reader's round-to-even applies (integers past
+    # 2**53 and up to 4 decimals below 2**50) and in every other binade
+    # whose expansion is short
+    lows = [2.0**k * (1 + j / 7) for k in range(-20, 64) for j in range(7)]
+    lows += rng.lognormal(0.0, 15.0, 2000).tolist()
+    for x in lows:
+        mid = (F(x) + F(math.nextafter(x, math.inf))) / 2
+        text = exact_decimal(mid, point=False)
+        cells += [exact_decimal(mid, point=True), text]
+        # one unit of the digit past the midpoint's last, either side
+        ctx = decimal.Context(prec=len(text.partition("e")[0]) + 1)
+        cells += [str(ctx.next_plus(decimal.Decimal(text))), str(ctx.next_minus(decimal.Decimal(text)))]
+    for n in (19, 20, 40):
+        for _ in range(2000):
+            digits = "".join(map(str, rng.integers(0, 10, n)))
+            split = int(rng.integers(0, n + 1))
+            cells.append(f"{digits[:split]}.{digits[split:]}e{int(rng.integers(-330, 290))}")
+            cells.append(digits)
+    cells += [
+        "5e-324", "2.4703282292062328e-324", "2.4703282292062327e-324", "1e-400", "-1e-400",
+        "4.9406564584124654e-324", "2.2250738585072011e-308", "2.2250738585072014e-308",
+        "1.7976931348623157e308", "1.7976931348623158e308", "-1.7976931348623157E+308",
+        "0", "-0", "+0.0e0", "0e999", "-0.0E-999", "0000000000000000000000000001.5",
+        "0.000000000000000000000000000000000001", "007", "+1", "1E5", "1e+5", "1e-5", ".5",
+        "5.", "-.5", "+5.e-3", "00012.5000", "9007199254740993", "9007199254740995",
+        "123456789012345678", "1234567.8", "12345678.9", "99999999.9999999999", "1e0000000022",
+        "12345678901234567890123", "0.1", "-0.30000000000000004", "7.E1", "-.0", "1e-342", "1e-343",
+        "1e308", "9.999999999999999e22", "1e23", "8.98846567431158e307", "1e-100000001",
+        "-25e-1000000000000000001",
+    ]
+    cells = [c for c in cells if len(c) <= 60 and math.isfinite(float(c))]
+    return cells + cells[-1:] * (len(cells) % 2)
 
 
 def spy_on_csv_reader(monkeypatch) -> list:

@@ -27,11 +27,12 @@ print(json.dumps({"codes": codes, "heavy": heavy, "added": added}))
 
 
 def audit(argv, added):
-    """No call loads dataclasses, or csv, since no CLI call reads samples,
-    or the sample writer's encoder, since none writes them; inspect, which
-    numpy loads, only with numpy."""
+    """No call loads dataclasses, or csv or the sample reader's parser,
+    since no CLI call reads samples, or the sample writer's encoder, since
+    none writes them; inspect, which numpy loads, only with numpy."""
     assert "dataclasses" not in added, argv
     assert "csv" not in added, argv
+    assert "laplaceratio._eisel_lemire" not in added, argv
     assert "laplaceratio._ryu" not in added, argv
     assert "inspect" not in added or "numpy" in added, argv
 
@@ -116,12 +117,12 @@ def test_selftest_loads_numpy(run_fresh):
 
 def test_the_audit_sees_what_a_call_loads():
     # the control for audit: numpy itself loads inspect, and a call that
-    # adds dataclasses, csv or the encoder, or inspect without numpy, is
-    # refused
+    # adds dataclasses, csv, the parser or the encoder, or inspect without
+    # numpy, is refused
     audit(["selftest"], ["inspect", "numpy"])
-    for added in (["dataclasses"], ["csv"], ["laplaceratio._ryu"], ["inspect"]):
+    for module in ("dataclasses", "csv", "laplaceratio._eisel_lemire", "laplaceratio._ryu", "inspect"):
         with pytest.raises(AssertionError):
-            audit(["call"], added)
+            audit(["call"], [module])
 
 
 def test_only_a_sample_file_loads_the_encoder(tmp_path):
@@ -144,6 +145,26 @@ def test_only_a_sample_file_loads_the_encoder(tmp_path):
     calls = [call, call + ["--output", str(tmp_path / "bids.csv")]]
     proc = subprocess.run(
         [sys.executable, "-c", code, json.dumps(calls)], capture_output=True, text=True, check=True
+    )
+    assert json.loads(proc.stdout) == [False, True]
+
+
+def test_only_a_sample_read_loads_the_parser(tmp_path):
+    # the control for the audit's parser check: writing a sample file does
+    # not load it, and reading one back does
+    code = (
+        "import json, sys\n"
+        "import numpy as np\n"
+        "from laplaceratio.fileformats import load_samples, save_samples\n"
+        "loaded = []\n"
+        "save_samples(sys.argv[1], np.array([[2.0, 1.0]]))\n"
+        "loaded.append('laplaceratio._eisel_lemire' in sys.modules)\n"
+        "load_samples(sys.argv[1])\n"
+        "loaded.append('laplaceratio._eisel_lemire' in sys.modules)\n"
+        "print(json.dumps(loaded))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "bids.csv")], capture_output=True, text=True, check=True
     )
     assert json.loads(proc.stdout) == [False, True]
 
